@@ -10,6 +10,7 @@ transition function single-valued.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -234,9 +235,9 @@ class Lts:
         """States reachable from the initial state, in BFS order."""
         seen = {self.initial}
         order = [self.initial]
-        queue = [self.initial]
+        queue = deque([self.initial])
         while queue:
-            s = queue.pop(0)
+            s = queue.popleft()
             for _, t in self._out[s].items():
                 if t not in seen:
                     seen.add(t)

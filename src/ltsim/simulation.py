@@ -7,24 +7,44 @@ gamma, landing back in F.  The progressive variant additionally demands
 a well-founded order that strictly decreases on every stuttering match
 (alpha empty), here realized as a natural-number rank.
 
-The checker computes the greatest such F by deleting unsupported
-pairs.  The choice of alpha per (pair, step) prefers non-empty
-matches, so a step gets alpha = empty only when nothing else lands in
-F within the length bound: the stuttering edges are exactly the forced
-ones, which makes the acyclicity test for ranks sharp rather than
-heuristic.
+The checker computes the greatest such F over all state pairs by
+counter-based worklist refinement (Henzinger, Henzinger and Kopke,
+FOCS 1995).  Actions and pairs are coded as integers; per concrete edge
+and abstract state a counter holds how many distinct landings of the
+step's matches are still related.  Pairs with a step that has no match
+at all die first and the counters are counted over the rest; each later
+death decrements the counters that counted it, and a pair dies when one
+of its counters reaches zero.  The cost is
+one match search per (concrete action, abstract state), one counter per
+(concrete edge, abstract state), and work per dead pair proportional to
+the matches landing on it: O(|E1|*|S2| + |S1|*|S2|) up to the number
+of landings per match, against one pass over all pairs per round for
+a plain sweep.  The deletions come back as a read-only sequence of
+(s1, s2, failing action) in deletion order, decoded on access.
+
+complete is False when the alpha bound cut short a search that a sweep
+refinement (pairs in product order, each pair's steps in canonical
+order until one fails) would consult; such a sweep consults every
+search in its first round, so that round is replayed when any search
+was cut.  A missing certificate is then inconclusive.
+
+The choice of alpha per (pair, step) prefers non-empty matches, so a
+step gets alpha = empty only when nothing else lands in F within the
+length bound: the stuttering edges are exactly the forced ones, which
+makes the acyclicity test for ranks sharp rather than heuristic.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import compress
 
 from .errors import BudgetExceeded, ContractViolation, ParseError
-from .lts import Action, Lts, Trace, project, sort_actions
+from .lts import Action, Lts, Trace, project
 
 SCHEMA_VERSION = 1
 
@@ -90,7 +110,7 @@ class ForwardResult:
     certificate: SimulationCertificate | None
     relation: frozenset[tuple[int, int]]
     complete: bool  # False when the alpha length bound may have hidden matches
-    deletions: tuple[tuple[int, int, Action], ...]
+    deletions: Sequence[tuple[int, int, Action]]  # (s1, s2, failing action), in deletion order
 
 
 @dataclass(frozen=True)
@@ -133,7 +153,7 @@ class MatchTable:
         self.a2 = a2
         self.gamma = gamma
         self.alpha_bound = alpha_bound
-        self.truncated = False  # some consulted search was cut by the bound
+        self.cut: set[tuple[Action, int]] = set()  # keys whose search the bound cut short
         self._cache: dict[tuple[Action, int], tuple[tuple[Trace, int], ...]] = {}
 
     def candidates(self, a: Action, s2: int) -> tuple[tuple[Trace, int], ...]:
@@ -161,7 +181,7 @@ class MatchTable:
                     or (observable and progress == 0 and b == a and (u, 1) not in best)
                     for b, u in self.a2.out_edges(t)
                 ):
-                    self.truncated = True
+                    self.cut.add((a, s2))
                 continue
             for b, u in self.a2.out_edges(t):
                 if b in self.gamma:
@@ -198,30 +218,169 @@ def _run_from(lts: Lts, s: int, seq: Sequence[Action]) -> int | None:
 # --- greatest fixpoint --------------------------------------------------
 
 
+class DeletionLog(Sequence):
+    """Deleted pairs in deletion order, each with the concrete action it failed on.
+
+    Entries are stored as edge * |S2| + s2 codes and decoded on access,
+    so a fixpoint that deletes millions of pairs builds no tuple for them.
+    """
+
+    def __init__(self, codes: array, width: int, edges: Sequence[tuple[int, Action, int]]):
+        self._codes = codes
+        self._width = width
+        self._edges = edges  # concrete (s1, a, s1') by edge index
+
+    def _decode(self, code: int) -> tuple[int, int, Action]:
+        e, s2 = divmod(code, self._width)
+        s1, a, _ = self._edges[e]
+        return (s1, s2, a)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._decode(c) for c in self._codes[i]]
+        return self._decode(self._codes[i])
+
+    def __iter__(self) -> Iterator[tuple[int, int, Action]]:
+        return map(self._decode, self._codes)
+
+    def __contains__(self, item: object) -> bool:
+        if not (isinstance(item, tuple) and len(item) == 3):
+            return False
+        s1, s2, a = item
+        if not (isinstance(s2, int) and 0 <= s2 < self._width):
+            return False
+        for e, (x, b, _) in enumerate(self._edges):
+            if x == s1 and b == a:
+                return e * self._width + s2 in self._codes
+        return False
+
+    def __repr__(self) -> str:
+        return f"DeletionLog({len(self)} deletions)"
+
+
 def _greatest_relation(
     a1: Lts, a2: Lts, table: MatchTable
-) -> tuple[set[tuple[int, int]], list[tuple[int, int, Action]]]:
-    relation = {
-        (s1, s2)
-        for s1 in range(a1.num_states)
-        for s2 in range(a2.num_states)
-    }
-    deletions: list[tuple[int, int, Action]] = []
-    changed = True
-    while changed:
-        changed = False
-        for s1, s2 in itertools.product(range(a1.num_states), range(a2.num_states)):
-            if (s1, s2) not in relation:
-                continue
-            for a, s1n in a1.out_edges(s1):
-                if not any(
-                    (s1n, t) in relation for _, t in table.candidates(a, s2)
-                ):
-                    relation.discard((s1, s2))
-                    deletions.append((s1, s2, a))
-                    changed = True
+) -> tuple[set[tuple[int, int]], DeletionLog, bool]:
+    """Greatest relation over all pairs, its deletion log, and completeness.
+
+    Counter-based worklist refinement over integer codes: count[e * |S2| + s2]
+    holds, for the concrete edge e = (s1, a, s1') and abstract state s2, how
+    many distinct landings t of a's matches at s2 still have (s1', t)
+    related.  A pair dies when one of its counters reaches zero; the log of
+    dead pairs is also the FIFO worklist, and each death after the counters
+    were counted decrements the counters that counted it.
+    """
+    n1, n2 = a1.num_states, a2.num_states
+    edges = list(a1.edges())
+    code = {a: k for k, a in enumerate(dict.fromkeys(a for _, a, _ in edges))}
+    src = [s for s, _, _ in edges]
+    dst = [t for _, _, t in edges]
+    kind = [code[a] for _, a, _ in edges]
+    # distinct landings per (action code, s2), and (code, t) -> [s2] inverted
+    landings = [
+        [tuple(dict.fromkeys(t for _, t in table.candidates(a, s2))) for s2 in range(n2)]
+        for a in code
+    ]
+    inverse: list[list[list[int]]] = [[[] for _ in range(n2)] for _ in code]
+    for k, rows in enumerate(landings):
+        for s2, ts in enumerate(rows):
+            for t in ts:
+                inverse[k][t].append(s2)
+    # per concrete state u, the edges into it as (source row, counter row, inverse)
+    into: list[list[tuple[int, int, list[list[int]]]]] = [[] for _ in range(n1)]
+    for e, (s, t, k) in enumerate(zip(src, dst, kind)):
+        into[t].append((s * n2, e * n2, inverse[k]))
+
+    related = bytearray(b"\x01") * (n1 * n2)
+    log = array("q")  # dead pairs as edge * n2 + s2, e the step they failed on
+    # pairs with a step that has no landing at all die up front, a row at a time
+    unmatched = [int.from_bytes(bytes(not ts for ts in rows), "little") for rows in landings]
+    for e, k in enumerate(kind):
+        row = src[e] * n2
+        live = int.from_bytes(related[row : row + n2], "little")
+        dead = live & unmatched[k]
+        if dead:
+            related[row : row + n2] = (live ^ dead).to_bytes(n2, "little")
+            log.extend(compress(range(e * n2, e * n2 + n2), dead.to_bytes(n2, "little")))
+    # count the related landings of every surviving pair's steps; pairs
+    # found dead here stay related until all counting is done, so that
+    # their deaths are subtracted once, by the worklist
+    count = array("I", bytes(4 * len(edges) * n2))
+    dying: list[int] = []
+    for e, k in enumerate(kind):
+        row, base, rows = src[e] * n2, dst[e] * n2, landings[k]
+        for s2 in compress(range(n2), related[row : row + n2]):
+            c = 0
+            for t in rows[s2]:
+                c += related[base + t]
+            if c:
+                count[e * n2 + s2] = c
+            else:
+                dying.append(e * n2 + s2)
+    head = len(log)  # the counters already exclude the up-front deaths
+    for i in dying:
+        p = src[i // n2] * n2 + i % n2
+        if related[p]:
+            related[p] = 0
+            log.append(i)
+    while head < len(log):
+        e, t = divmod(log[head], n2)
+        head += 1
+        for row, base, inv in into[src[e]]:
+            for s2 in inv[t]:
+                if related[row + s2]:
+                    i = base + s2
+                    c = count[i] - 1
+                    count[i] = c
+                    if not c:
+                        related[row + s2] = 0
+                        log.append(i)
+
+    complete = not table.cut or not _first_sweep_meets_cut(
+        n1, n2, src, dst, kind, landings, [(code[a], s2) for a, s2 in table.cut]
+    )
+    relation = {divmod(p, n2) for p in compress(range(n1 * n2), related)}
+    return relation, DeletionLog(log, n2, edges), complete
+
+
+def _first_sweep_meets_cut(
+    n1: int,
+    n2: int,
+    src: list[int],
+    dst: list[int],
+    kind: list[int],
+    landings: list[list[tuple[int, ...]]],
+    cut: list[tuple[int, int]],
+) -> bool:
+    """Does a sweep-until-stable refinement consult a search the bound cut?
+
+    Such a refinement visits pairs in product order and checks each
+    pair's steps in canonical order until one has no landing left in the
+    shrinking relation.  Every search it ever consults, it consults in its
+    first sweep, since a pair surviving that sweep had all its steps
+    checked there; so replaying the first sweep decides it exactly.
+    """
+    is_cut = [bytearray(n2) for _ in landings]
+    for k, s2 in cut:
+        is_cut[k][s2] = 1
+    steps: list[list[int]] = [[] for _ in range(n1)]
+    for e, s in enumerate(src):
+        steps[s].append(e)
+    related = bytearray(b"\x01") * (n1 * n2)
+    for s1 in range(n1):
+        for s2 in range(n2):
+            for e in steps[s1]:
+                k = kind[e]
+                if is_cut[k][s2]:
+                    return True
+                row = dst[e] * n2
+                if not any(related[row + t] for t in landings[k][s2]):
+                    related[s1 * n2 + s2] = 0
                     break
-    return relation, deletions
+    return False
 
 
 def _greedy_choice(
@@ -250,17 +409,16 @@ def check_forward(
     """
     gamma = frozenset(gamma)
     table = MatchTable(a2, gamma, alpha_bound)
-    relation, deletions = _greatest_relation(a1, a2, table)
-    complete = not table.truncated
+    relation, deletions, complete = _greatest_relation(a1, a2, table)
     if (a1.initial, a2.initial) not in relation:
-        return ForwardResult(None, frozenset(relation), complete, tuple(deletions))
+        return ForwardResult(None, frozenset(relation), complete, deletions)
     cert = SimulationCertificate(
         relation=frozenset(relation),
         choice=_greedy_choice(a1, relation, table),
         gamma=gamma,
         alpha_bound=alpha_bound,
     )
-    return ForwardResult(cert, cert.relation, complete, tuple(deletions))
+    return ForwardResult(cert, cert.relation, complete, deletions)
 
 
 # --- progressive check --------------------------------------------------
@@ -300,20 +458,26 @@ def _find_cycle(
 
 
 def _ranks_from_edges(edges: Iterable[StutterEdge], num_states: int) -> ProgressWitness:
-    """Longest-path ranks over the stutter DAG: every edge strictly descends."""
-    succ: dict[int, list[int]] = {}
+    """Longest-path ranks over the stutter DAG: every edge strictly descends.
+
+    States are ranked in reverse topological order (sinks first), so a
+    deep DAG needs no recursion; acyclicity is established by the caller.
+    """
+    preds: dict[int, list[int]] = {}
+    pending = [0] * num_states  # successors per state not ranked yet
     for e in edges:
-        succ.setdefault(e.source, []).append(e.target)
-    memo: dict[int, int] = {}
-
-    def height(s: int) -> int:
-        if s in memo:
-            return memo[s]
-        memo[s] = 0  # placeholder; acyclicity established by the caller
-        memo[s] = max((1 + height(t) for t in succ.get(s, ())), default=0)
-        return memo[s]
-
-    return ProgressWitness({s: height(s) for s in range(num_states)})
+        preds.setdefault(e.target, []).append(e.source)
+        pending[e.source] += 1
+    rank = [0] * num_states
+    ready = [s for s in range(num_states) if not pending[s]]
+    while ready:
+        t = ready.pop()
+        for s in preds.get(t, ()):
+            rank[s] = max(rank[s], rank[t] + 1)
+            pending[s] -= 1
+            if not pending[s]:
+                ready.append(s)
+    return ProgressWitness(dict(enumerate(rank)))
 
 
 def _stutter_succ(
@@ -363,73 +527,87 @@ def _backtrack(
     Explores only pairs reached from the initial pair through the chosen
     landings, so the certificate relation is the reached set.  Raises
     BudgetExceeded when the tried-assignment count passes the budget.
+    The search is depth-first over choice points (obligation, step), one
+    suspended generator per open choice point, so its depth is bounded by
+    memory rather than by the recursion limit.
     """
     init = (a1.initial, a2.initial)
     spent = 0
+    obligations: list[tuple[int, int]] = [init]
+    supported: set[tuple[int, int]] = {init}
+    choice: dict[tuple[int, Action, int], ChoiceEntry] = {}
+    stutter: set[tuple[int, Action, int]] = set()
+    stutter_succ: dict[int, list[int]] = {}  # adjacency of the stutter edges
+    steps: dict[int, list[tuple[Action, int]]] = {}
 
-    def stutter_reaches(src: int, dst: int, edges: set[tuple[int, Action, int]]) -> bool:
+    def steps_of(s1: int) -> list[tuple[Action, int]]:
+        if s1 not in steps:
+            steps[s1] = list(a1.out_edges(s1))
+        return steps[s1]
+
+    def stutter_reaches(src: int, dst: int) -> bool:
         seen = {src}
         stack = [src]
         while stack:
             s = stack.pop()
             if s == dst:
                 return True
-            for (x, _a, y) in edges:
-                if x == s and y not in seen:
+            for y in stutter_succ.get(s, ()):
+                if y not in seen:
                     seen.add(y)
                     stack.append(y)
         return False
 
-    obligations: list[tuple[int, int]] = [init]
-    supported: set[tuple[int, int]] = {init}
-    choice: dict[tuple[int, Action, int], ChoiceEntry] = {}
-    stutter: set[tuple[int, Action, int]] = set()
-
-    def solve(i: int) -> bool:
+    def attempts(i: int, j: int) -> Iterator[bool]:
+        """Apply each admissible landing for step j of obligation i in turn;
+        resuming retracts the one applied last."""
         nonlocal spent
-        if i == len(obligations):
-            return True
         s1, s2 = obligations[i]
-        steps = list(a1.out_edges(s1))
+        a, s1n = steps_of(s1)[j]
+        for alpha, t in table.candidates(a, s2):
+            if (s1n, t) not in relation:
+                continue
+            spent += 1
+            if spent > budget:
+                raise BudgetExceeded(budget)
+            is_stutter = not alpha
+            edge = (s1, a, s1n)
+            if is_stutter and (s1 == s1n or stutter_reaches(s1n, s1)):
+                continue  # would close a stutter cycle
+            added_pair = (s1n, t) not in supported
+            if added_pair:
+                supported.add((s1n, t))
+                obligations.append((s1n, t))
+            # another obligation may already force this edge to stutter;
+            # only the choice point that inserted it may remove it
+            added_edge = is_stutter and edge not in stutter
+            if added_edge:
+                stutter.add(edge)
+                stutter_succ.setdefault(s1, []).append(s1n)
+            choice[(s1, a, s2)] = ChoiceEntry(alpha, t)
+            yield True
+            del choice[(s1, a, s2)]
+            if added_edge:
+                stutter.discard(edge)
+                stutter_succ[s1].remove(s1n)
+            if added_pair:
+                supported.discard((s1n, t))
+                obligations.pop()
 
-        def assign(j: int) -> bool:
-            nonlocal spent
-            if j == len(steps):
-                return solve(i + 1)
-            a, s1n = steps[j]
-            for alpha, t in table.candidates(a, s2):
-                if (s1n, t) not in relation:
-                    continue
-                spent += 1
-                if spent > budget:
-                    raise BudgetExceeded(budget)
-                is_stutter = not alpha
-                edge = (s1, a, s1n)
-                if is_stutter and (s1 == s1n or stutter_reaches(s1n, s1, stutter)):
-                    continue  # would close a stutter cycle
-                added_pair = (s1n, t) not in supported
-                if added_pair:
-                    supported.add((s1n, t))
-                    obligations.append((s1n, t))
-                # another obligation may already force this edge to stutter;
-                # only the frame that inserted it may remove it on unwind
-                added_edge = is_stutter and edge not in stutter
-                if added_edge:
-                    stutter.add(edge)
-                choice[(s1, a, s2)] = ChoiceEntry(alpha, t)
-                if assign(j + 1):
-                    return True
-                del choice[(s1, a, s2)]
-                if added_edge:
-                    stutter.discard(edge)
-                if added_pair:
-                    supported.discard((s1n, t))
-                    obligations.pop()
-            return False
-
-        return assign(0)
-
-    return choice if solve(0) else None
+    frames: list[tuple[int, int, Iterator[bool]]] = []
+    i = j = 0  # the next choice point to open
+    while True:
+        while i < len(obligations) and j == len(steps_of(obligations[i][0])):
+            i, j = i + 1, 0
+        if i == len(obligations):
+            return choice
+        frames.append((i, j, attempts(i, j)))
+        # resume the newest choice point that has a landing left to try
+        while not next(frames[-1][2], False):
+            frames.pop()
+            if not frames:
+                return None
+        i, j = frames[-1][0], frames[-1][1] + 1
 
 
 def check_progressive(
@@ -449,8 +627,7 @@ def check_progressive(
     """
     gamma = frozenset(gamma)
     table = MatchTable(a2, gamma, alpha_bound)
-    relation, _deletions = _greatest_relation(a1, a2, table)
-    complete = not table.truncated
+    relation, _deletions, complete = _greatest_relation(a1, a2, table)
     frozen = frozenset(relation)
     if (a1.initial, a2.initial) not in relation:
         return ProgressiveResult(verdict="no-forward", complete=complete, relation=frozen)

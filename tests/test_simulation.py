@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from ltsim import (
     validate_certificate,
     validate_stutter_cycle,
 )
+from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec
 from ltsim.simulation import MatchTable
 
 from conftest import internal, make_lts, oracle_union, random_lts
@@ -287,3 +289,124 @@ def test_stutter_cycle_to_dict_is_plain_data():
     assert [e["action"] for e in data["edges"]] == [
         e.action.label() for e in res.cycle.edges
     ]
+
+
+# --- agreement with the plain sweep ------------------------------------------
+
+
+def sweep_oracle(a1, a2, gamma, alpha_bound):
+    """Sweep-until-stable refinement: the reference for the worklist.
+
+    Sweeps all pairs in product order until none is deleted.  Returns the
+    relation, the deletion count, complete and the greedy choices;
+    complete is False when a search it consulted was cut.
+    """
+    table = MatchTable(a2, frozenset(gamma), alpha_bound)
+    relation = {
+        (s1, s2)
+        for s1 in range(a1.num_states)
+        for s2 in range(a2.num_states)
+    }
+    deletions = []
+    changed = True
+    while changed:
+        changed = False
+        for s1, s2 in itertools.product(range(a1.num_states), range(a2.num_states)):
+            if (s1, s2) not in relation:
+                continue
+            for a, s1n in a1.out_edges(s1):
+                if not any(
+                    (s1n, t) in relation for _, t in table.candidates(a, s2)
+                ):
+                    relation.discard((s1, s2))
+                    deletions.append((s1, s2, a))
+                    changed = True
+                    break
+    complete = not table.cut  # a fresh table searched exactly what the sweep consulted
+    choice = {}
+    if (a1.initial, a2.initial) in relation:
+        for s1, s2 in sorted(relation):
+            for a, s1n in a1.out_edges(s1):
+                for alpha, t in table.candidates(a, s2):
+                    if (s1n, t) in relation:
+                        choice[(s1, a, s2)] = (alpha, t)
+                        break
+    return frozenset(relation), len(deletions), complete, choice
+
+
+def differential_cases(seed=7, instances=400):
+    rng = random.Random(seed)
+    for _ in range(instances):
+        acts = [A, B, I, J][: rng.randint(2, 4)]
+        density = rng.choice([0.3, 0.5, 0.7, 0.9])
+        a1 = random_lts(rng, rng.randint(1, 7), acts, density)
+        a2 = random_lts(rng, rng.randint(1, 7), acts, density)
+        gamma = frozenset(x for x in acts if rng.random() < 0.5)
+        for bound in (1, 2, 3):
+            yield a1, a2, gamma, bound
+
+
+def test_worklist_agrees_with_the_sweep():
+    cases = incomplete = 0
+    for a1, a2, gamma, bound in differential_cases():
+        relation, deleted, complete, choice = sweep_oracle(a1, a2, gamma, bound)
+        res = check_forward(a1, a2, gamma, alpha_bound=bound)
+        assert res.relation == relation
+        assert len(res.deletions) == deleted
+        assert res.complete == complete
+        got = {} if res.certificate is None else {
+            key: (entry.alpha, entry.target) for key, entry in res.certificate.choice.items()
+        }
+        assert got == choice
+        # the fixpoint is shared; a zero budget skips the backtracking search
+        prog = check_progressive(a1, a2, gamma, alpha_bound=bound, backtrack_budget=0)
+        assert prog.relation == relation and prog.complete == complete
+        cases += 1
+        incomplete += not complete
+    assert cases >= 1000
+    assert incomplete > 0  # the bound matters in some cases
+
+
+def test_deletions_are_a_sequence_of_decoded_triples():
+    concrete = obs_chain(A, B)
+    abstract = obs_chain(A, A)
+    res = check_forward(concrete, abstract, GAMMA, alpha_bound=4)
+    dels = res.deletions
+    assert len(dels) == len(list(dels)) == 9 - len(res.relation)
+    assert list(dels) == [dels[i] for i in range(len(dels))] == dels[:]
+    assert dels[-1] == list(dels)[-1]
+    for s1, s2, a in dels:
+        assert isinstance(s1, int) and isinstance(s2, int) and isinstance(a, Action)
+        assert (s1, s2) not in res.relation
+        assert (s1, s2, a) in dels
+        assert concrete.step(s1, a) is not None
+    assert {(s1, s2) for s1, s2, _ in dels} | res.relation == {
+        (s1, s2) for s1 in range(3) for s2 in range(3)
+    }
+    assert (0, 0, B) not in dels and (0, 7, A) not in dels and "x" not in dels
+    with pytest.raises(IndexError):
+        dels[len(dels)]
+
+
+# --- recursion-free progress checks ------------------------------------------
+
+
+def test_long_stutter_chain_gets_ranks_without_recursion():
+    n = 5000
+    concrete = make_lts([(k, I, k + 1) for k in range(n - 1)], n, AL4)
+    abstract = make_lts([], 1, AL4)
+    res = check_progressive(concrete, abstract, GAMMA, alpha_bound=1)
+    assert res.verdict == "yes"
+    assert [res.witness.of(s) for s in range(n)] == list(range(n - 1, -1, -1))
+    ok, problems = validate_certificate(res.certificate, res.witness, concrete, abstract)
+    assert ok, problems
+
+
+def test_faa_three_threads_plain_progressive_at_default_recursion_limit():
+    cfg = FaaConfig((1, 2, 3), (1, 1, 1), "plain")
+    impl, spec = build_faa_impl(cfg), build_faa_spec(cfg)
+    gamma = impl.alphabet.cr
+    res = check_progressive(impl, spec, gamma, alpha_bound=4)
+    assert res.verdict == "yes"
+    ok, problems = validate_certificate(res.certificate, res.witness, impl, spec)
+    assert ok, problems
