@@ -20,7 +20,7 @@ from typing import Any, Callable, Hashable, Iterator
 
 from .composition import product
 from .errors import ModelError
-from .lts import Action, ActionKind, Alphabet, Lts, LtsBuilder, sort_actions, validate_lasso
+from .lts import Action, ActionKind, Alphabet, Lts, LtsBuilder, find_cycle, sort_actions, validate_lasso
 from .scheduler import (
     Strategy,
     check_admitted,
@@ -344,28 +344,12 @@ def _labels(actions: Iterator[Action]) -> list[str]:
 
 def _non_idle_acyclic(prod: Lts) -> tuple[bool, str | None]:
     idle = prod.alphabet.idle
-    color: dict[int, int] = {}
-    for start in range(prod.num_states):
-        if color.get(start):
-            continue
-        stack = [(start, iter(prod.out_edges(start)))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            step = next(it, None)
-            if step is None:
-                color[node] = 2
-                stack.pop()
-                continue
-            a, t = step
-            if a == idle:
-                continue
-            if color.get(t) == 1:
-                return False, f"cycle through {prod.label_of(t)}"
-            if not color.get(t):
-                color[t] = 1
-                stack.append((t, iter(prod.out_edges(t))))
-    return True, None
+    found = find_cycle(
+        range(prod.num_states), lambda s: [(a, t) for a, t in prod.out_edges(s) if a != idle]
+    )
+    if found is None:
+        return True, None
+    return False, f"cycle through {prod.label_of(found[0])}"
 
 
 def _sinks_need_all_assigns(prod: Lts, cfg: FaaConfig) -> tuple[bool, str | None]:

@@ -1,11 +1,14 @@
 """Command line front end.
 
-Every command prints one JSON report to stdout, reproducible byte for
-byte for identical inputs; wall-clock timing, when requested, goes to
-stderr so it never perturbs the report.  Exit codes: 0 the checked
-property holds (or the requested artifact was produced), 1 it is
-refuted with a witness in the report, 2 the verdict is unknown because
-a bound or budget ran out, 3 the inputs were unusable.
+A command that reaches a verdict prints one JSON report to stdout,
+reproducible byte for byte for identical inputs; wall-clock timing,
+when requested, goes to stderr so it never perturbs the report.  Exit
+codes: 0 the checked property holds (or the requested artifact was
+produced), 1 it is refuted with a witness in the report, 2 the verdict
+is unknown because a bound or budget ran out, 3 the inputs were
+unusable, 4 an internal error (a bug; the traceback goes to stderr).
+A raised depth or node bound (2), unusable input (3) and an internal
+error (4) leave stdout empty and say why on stderr.
 """
 
 from __future__ import annotations
@@ -14,20 +17,13 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import casestudies
 from .casestudies import FaaConfig, run_counterexample_suite
 from .composition import product
-from .errors import (
-    BudgetExceeded,
-    ContractViolation,
-    DepthExhausted,
-    LtsimError,
-    ModelError,
-    ParseError,
-)
+from .errors import BudgetExceeded, ContractViolation, DepthExhausted, LtsimError, ParseError
 from .lts import (
     Action,
     Lts,
@@ -50,9 +46,9 @@ from .scheduler import (
 from .simulation import (
     SCHEMA_VERSION,
     certificate_from_dict,
-    certificate_to_dict,
     check_forward,
     check_progressive,
+    dumps_certificate,
     stutter_cycle_to_dict,
     validate_certificate,
 )
@@ -68,8 +64,7 @@ EXIT_HOLDS = 0
 EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
-
-_ = casestudies  # imported for its strategy registration
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,12 +75,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _read(path: str) -> Lts:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
-    return load_model(text)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({e.reason})") from None
+
+
+def _read(path: str) -> Lts:
+    return load_model(_read_text(path))
+
+
+def _read_certificate(path: str, a1: Lts, a2: Lts):
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"certificate is not JSON: {e.msg}", line=e.lineno, column=e.colno) from None
+    return certificate_from_dict(payload, a1, a2)
 
 
 def _write(path: str, text: str) -> None:
@@ -228,10 +236,7 @@ def _cmd_check_fwd(args: argparse.Namespace) -> int:
         data["certificate_valid"] = ok
         data["problems"] = problems
         if args.cert_out:
-            _write(
-                args.cert_out,
-                json.dumps(certificate_to_dict(res.certificate), indent=2, sort_keys=True) + "\n",
-            )
+            _write(args.cert_out, dumps_certificate(res.certificate))
             data["certificate_written"] = args.cert_out
         _emit(args, "check-fwd", "holds" if ok else "refuted", data)
         return EXIT_HOLDS if ok else EXIT_REFUTED
@@ -260,13 +265,7 @@ def _cmd_check_prog_fwd(args: argparse.Namespace) -> int:
         data["certificate_valid"] = ok
         data["problems"] = problems
         if args.cert_out:
-            _write(
-                args.cert_out,
-                json.dumps(
-                    certificate_to_dict(res.certificate, res.witness), indent=2, sort_keys=True
-                )
-                + "\n",
-            )
+            _write(args.cert_out, dumps_certificate(res.certificate, res.witness))
             data["certificate_written"] = args.cert_out
         _emit(args, "check-prog-fwd", "holds" if ok else "refuted", data)
         return EXIT_HOLDS if ok else EXIT_REFUTED
@@ -280,13 +279,7 @@ def _cmd_check_prog_fwd(args: argparse.Namespace) -> int:
 def _cmd_validate_cert(args: argparse.Namespace) -> int:
     a1 = _read(args.concrete)
     a2 = _read(args.abstract)
-    try:
-        payload = json.loads(Path(args.certificate).read_text())
-    except OSError as e:
-        raise ParseError(f"cannot read {args.certificate}: {e.strerror}") from None
-    except json.JSONDecodeError as e:
-        raise ParseError(f"certificate is not JSON: {e.msg}", line=e.lineno, column=e.colno) from None
-    cert, witness = certificate_from_dict(payload, a1, a2)
+    cert, witness = _read_certificate(args.certificate, a1, a2)
     ok, problems = validate_certificate(cert, witness, a1, a2)
     data = {
         "relation_size": len(cert.relation),
@@ -303,13 +296,7 @@ def _load_transform(args: argparse.Namespace):
     obj2 = _read(args.abstract)
     gamma = _resolve_gamma(args.gamma, obj1, obj2)
     if args.cert:
-        try:
-            payload = json.loads(Path(args.cert).read_text())
-        except OSError as e:
-            raise ParseError(f"cannot read {args.cert}: {e.strerror}") from None
-        except json.JSONDecodeError as e:
-            raise ParseError(f"certificate is not JSON: {e.msg}", line=e.lineno, column=e.colno) from None
-        cert, _witness = certificate_from_dict(payload, obj1, obj2)
+        cert, _witness = _read_certificate(args.cert, obj1, obj2)
         ok, problems = validate_certificate(cert, None, obj1, obj2)
         if not ok:
             raise ContractViolation(f"supplied certificate is invalid: {problems[0]}")
@@ -453,7 +440,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="recorded in the report")
     common.add_argument("--budget", type=int, default=None, help="node budget override")
-    common.add_argument("--jobs", type=int, default=1, help="worker cap (runs are sequential)")
     common.add_argument("--timing", action="store_true", help="print wall-clock to stderr")
 
     sub = parser.add_subparsers(dest="cmd")
@@ -526,7 +512,7 @@ def _build_parser() -> _Parser:
     p.add_argument("program")
     p.add_argument("object")
     p.add_argument("--strategy", default="ll-alternator", choices=sorted(STRATEGIES))
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=int, default=12, help="not read: the strategy walk is exact")
     p.add_argument("--gamma", default="gamma-p")
 
     p = cmd("run-casestudy", _cmd_run_casestudy, "the counter contrast, end to end")
@@ -553,9 +539,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (BudgetExceeded, DepthExhausted) as e:
         print(f"ltsim: bound exhausted: {e}", file=sys.stderr)
         code = EXIT_UNKNOWN
-    except (ParseError, ModelError, ContractViolation, LtsimError) as e:
+    except LtsimError as e:
         print(f"ltsim: {e}", file=sys.stderr)
         code = EXIT_INPUT
+    except Exception:
+        print("ltsim: internal error", file=sys.stderr)
+        traceback.print_exc()
+        code = EXIT_INTERNAL
     if args.timing:
         print(f"ltsim: {args.cmd}: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code

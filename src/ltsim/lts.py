@@ -13,7 +13,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import ModelError, ParseError, StepNotEnabled
 
@@ -244,6 +244,49 @@ class Lts:
                     order.append(t)
                     queue.append(t)
         return order
+
+
+_Node = TypeVar("_Node", bound=Hashable)
+_Label = TypeVar("_Label")
+
+
+def find_cycle(
+    starts: Iterable[_Node], succ: Callable[[_Node], Iterable[tuple[_Label, _Node]]]
+) -> tuple[_Node, tuple[_Label, ...]] | None:
+    """The first cycle met by an iterative back-edge DFS (Tarjan, 1972).
+
+    Starts are tried in the given order and successors in the order succ
+    yields its (label, node) pairs.  Returns the node the back edge
+    closes on and the labels around the cycle from that node back to
+    itself, or None when no cycle is reachable from the starts.  Depth
+    is bounded by memory, not by the recursion limit.
+    """
+    color: dict[_Node, int] = {}  # 1 = on the DFS path, 2 = done
+    for start in starts:
+        if start in color:
+            continue
+        color[start] = 1
+        stack: list[tuple[_Node, Iterator[tuple[_Label, _Node]]]] = [(start, iter(succ(start)))]
+        path: list[_Label] = []  # labels of the edges between stack entries
+        while stack:
+            node, it = stack[-1]
+            step = next(it, None)
+            if step is None:
+                color[node] = 2
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            label, nxt = step
+            mark = color.get(nxt)
+            if mark == 1:
+                idx = next(i for i, (n, _) in enumerate(stack) if n == nxt)
+                return nxt, tuple(path[idx:]) + (label,)
+            if mark is None:
+                color[nxt] = 1
+                path.append(label)
+                stack.append((nxt, iter(succ(nxt))))
+    return None
 
 
 def project(tau: Sequence[Action], gamma: Iterable[Action]) -> Trace:

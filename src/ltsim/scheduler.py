@@ -10,22 +10,19 @@ and divergence checks exact instead of depth-bounded: the reachable
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, ModelError
-from .lts import Action, ActionKind, Lasso, Lts, Trace, sort_actions
+from .lts import Action, ActionKind, Lasso, Lts, Trace, find_cycle, sort_actions
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
 def node_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get("LTSIM_NODE_BUDGET", DEFAULT_NODE_BUDGET))
+    return DEFAULT_NODE_BUDGET if budget is None else budget
 
 
 # --- scheduler kinds ----------------------------------------------------
@@ -320,32 +317,26 @@ def _strategy_graph(
     return access, edges
 
 
-def check_admitted(
-    s: Scheduler, a: Lts, depth: int, budget: int | None = None
+def _check_scheduled(
+    s: Scheduler,
+    a: Lts,
+    depth: int,
+    budget: int | None,
+    problem: Callable[[int, frozenset[Action]], str | None],
 ) -> SchedulerCheck:
-    """Non-empty and all-enabled scheduling along every consistent trace.
+    """First consistent trace whose state and scheduled set have a problem.
 
-    Exact for strategies over a (finite reachable memory); bounded to
-    depth otherwise.
+    Exact over the (state, memory) graph for strategies over a; for
+    other schedulers, a breadth-first walk of the consistent traces up
+    to depth whose popped nodes count against the budget.
     """
     limit = node_budget(budget)
-
-    def violation(trace: Trace, scheduled: frozenset[Action], state: int) -> SchedulerCheck | None:
-        if not scheduled:
-            return SchedulerCheck(False, True, trace, "scheduled set is empty")
-        stuck = sort_actions(x for x in scheduled if a.step(state, x) is None)
-        if stuck:
-            return SchedulerCheck(
-                False, True, trace, f"scheduled action {stuck[0].label()} is not enabled"
-            )
-        return None
-
     if isinstance(s, Strategy) and s.lts is a:
         access, _ = _strategy_graph(s, limit)
         for (state, mem), trace in access.items():
-            bad = violation(trace, s.decide(state, mem), state)
-            if bad is not None:
-                return bad
+            detail = problem(state, s.decide(state, mem))
+            if detail is not None:
+                return SchedulerCheck(False, True, trace, detail)
         return SchedulerCheck(True, True)
 
     queue: deque[tuple[Trace, int]] = deque([((), a.initial)])
@@ -356,55 +347,50 @@ def check_admitted(
         if seen > limit:
             raise BudgetExceeded(limit)
         scheduled = s.schedule(trace)
-        bad = violation(trace, scheduled, state)
-        if bad is not None:
-            return SchedulerCheck(False, False, bad.witness, bad.detail)
+        detail = problem(state, scheduled)
+        if detail is not None:
+            return SchedulerCheck(False, False, trace, detail)
         if len(trace) < depth:
             for act in sort_actions(scheduled):
-                queue.append((trace + (act,), a.step(state, act)))
+                t = a.step(state, act)
+                if t is not None:
+                    queue.append((trace + (act,), t))
     return SchedulerCheck(True, False)
+
+
+def check_admitted(
+    s: Scheduler, a: Lts, depth: int, budget: int | None = None
+) -> SchedulerCheck:
+    """Non-empty and all-enabled scheduling along every consistent trace.
+
+    Exact for strategies over a (finite reachable memory); bounded to
+    depth otherwise.
+    """
+
+    def problem(state: int, scheduled: frozenset[Action]) -> str | None:
+        if not scheduled:
+            return "scheduled set is empty"
+        stuck = sort_actions(x for x in scheduled if a.step(state, x) is None)
+        if stuck:
+            return f"scheduled action {stuck[0].label()} is not enabled"
+        return None
+
+    return _check_scheduled(s, a, depth, budget, problem)
 
 
 def check_deterministic_scheduler(
     s: Scheduler, prod: Lts, depth: int, budget: int | None = None
 ) -> SchedulerCheck:
     """Every scheduled set is program-only or a singleton, along consistent traces."""
-    limit = node_budget(budget)
     program = prod.alphabet.program
 
-    def bad_set(scheduled: frozenset[Action]) -> bool:
-        return len(scheduled) > 1 and not scheduled <= program
-
-    if isinstance(s, Strategy) and s.lts is prod:
-        access, _ = _strategy_graph(s, limit)
-        for (state, mem), trace in access.items():
-            scheduled = s.decide(state, mem)
-            if bad_set(scheduled):
-                names = ", ".join(x.label() for x in sort_actions(scheduled))
-                return SchedulerCheck(
-                    False, True, trace, f"scheduled set {{{names}}} is neither program-only nor a singleton"
-                )
-        return SchedulerCheck(True, True)
-
-    queue: deque[tuple[Trace, int]] = deque([((), prod.initial)])
-    seen = 0
-    while queue:
-        trace, state = queue.popleft()
-        seen += 1
-        if seen > limit:
-            raise BudgetExceeded(limit)
-        scheduled = s.schedule(trace)
-        if bad_set(scheduled):
+    def problem(state: int, scheduled: frozenset[Action]) -> str | None:
+        if len(scheduled) > 1 and not scheduled <= program:
             names = ", ".join(x.label() for x in sort_actions(scheduled))
-            return SchedulerCheck(
-                False, False, trace, f"scheduled set {{{names}}} is neither program-only nor a singleton"
-            )
-        if len(trace) < depth:
-            for act in sort_actions(scheduled):
-                t = prod.step(state, act)
-                if t is not None:
-                    queue.append((trace + (act,), t))
-    return SchedulerCheck(True, False)
+            return f"scheduled set {{{names}}} is neither program-only nor a singleton"
+        return None
+
+    return _check_scheduled(s, prod, depth, budget, problem)
 
 
 # --- divergence ---------------------------------------------------------
@@ -422,49 +408,17 @@ def find_divergence(
     Silent means outside gamma_p and not idle.  Exact for strategies
     over prod: a cycle in the reachable (state, memory) graph repeats
     forever, so a found lasso is a real divergence and absence of one
-    is a proof.  Opaque schedulers get no witness (bounded verdict).
+    is a proof.  The walk is exact, so depth is not read.  Opaque
+    schedulers get no witness (bounded verdict).
     """
     if not (isinstance(s, Strategy) and s.lts is prod):
         return None
-    limit = node_budget(budget)
-    access, edges = _strategy_graph(s, limit)
+    access, edges = _strategy_graph(s, node_budget(budget))
     idle = prod.alphabet.idle
     gamma = frozenset(gamma_p)
 
-    def silent(a: Action) -> bool:
-        return a not in gamma and a != idle
+    def silent_succ(node: tuple[int, Hashable]) -> list[tuple[Action, tuple[int, Hashable]]]:
+        return [(a, t) for a, t in edges[node] if a not in gamma and a != idle]
 
-    silent_edges = {
-        node: [(a, t) for a, t in out if silent(a)] for node, out in edges.items()
-    }
-
-    # iterative DFS over silent edges only; a back edge closes a cycle
-    color: dict[tuple[int, Hashable], int] = {}  # 1 = on stack, 2 = done
-    for start in access:
-        if color.get(start):
-            continue
-        stack: list[tuple[tuple[int, Hashable], Iterator[tuple[Action, tuple[int, Hashable]]]]] = []
-        path_actions: list[Action] = []
-        color[start] = 1
-        stack.append((start, iter(silent_edges[start])))
-        while stack:
-            node, it = stack[-1]
-            step = next(it, None)
-            if step is None:
-                color[node] = 2
-                stack.pop()
-                if path_actions:
-                    path_actions.pop()
-                continue
-            act, nxt = step
-            if color.get(nxt) == 1:
-                # cycle: suffix of the DFS path from nxt back to nxt
-                idx = next(i for i, (n, _) in enumerate(stack) if n == nxt)
-                cycle = tuple(path_actions[idx:]) + (act,)
-                return Lasso(stem=access[nxt], cycle=cycle)
-            if not color.get(nxt):
-                color[nxt] = 1
-                path_actions.append(act)
-                stack.append((nxt, iter(silent_edges[nxt])))
-        # fall through: this component has no silent cycle
-    return None
+    found = find_cycle(access, silent_succ)
+    return None if found is None else Lasso(stem=access[found[0]], cycle=found[1])

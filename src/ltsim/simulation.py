@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import BudgetExceeded, ContractViolation, ParseError
-from .lts import Action, Lts, Trace, project
+from .lts import Action, Lts, Trace, find_cycle, project
 
 SCHEMA_VERSION = 1
 
@@ -424,37 +424,13 @@ def check_forward(
 # --- progressive check --------------------------------------------------
 
 
-def _find_cycle(
-    succ: dict[int, list[tuple[StutterEdge, int]]]
-) -> tuple[StutterEdge, ...] | None:
-    """Back-edge DFS over stutter edges; returns one cycle's edge list."""
-    color: dict[int, int] = {}
-    for start in sorted(succ):
-        if color.get(start):
-            continue
-        stack: list[tuple[int, Iterator[tuple[StutterEdge, int]]]] = [
-            (start, iter(succ.get(start, ())))
-        ]
-        path: list[StutterEdge] = []
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            step = next(it, None)
-            if step is None:
-                color[node] = 2
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            edge, nxt = step
-            if color.get(nxt) == 1:
-                idx = next(i for i, (n, _) in enumerate(stack) if n == nxt)
-                return tuple(path[idx:]) + (edge,)
-            if not color.get(nxt):
-                color[nxt] = 1
-                path.append(edge)
-                stack.append((nxt, iter(succ.get(nxt, ()))))
-    return None
+def _stutter_cycle(edges: Iterable[StutterEdge]) -> tuple[StutterEdge, ...] | None:
+    """One cycle of stutter edges, sources tried in ascending order."""
+    succ: dict[int, list[tuple[StutterEdge, int]]] = {}
+    for e in edges:
+        succ.setdefault(e.source, []).append((e, e.target))
+    found = find_cycle(sorted(succ), lambda s: succ.get(s, ()))
+    return None if found is None else found[1]
 
 
 def _ranks_from_edges(edges: Iterable[StutterEdge], num_states: int) -> ProgressWitness:
@@ -478,15 +454,6 @@ def _ranks_from_edges(edges: Iterable[StutterEdge], num_states: int) -> Progress
             if not pending[s]:
                 ready.append(s)
     return ProgressWitness(dict(enumerate(rank)))
-
-
-def _stutter_succ(
-    edges: Iterable[StutterEdge],
-) -> dict[int, list[tuple[StutterEdge, int]]]:
-    succ: dict[int, list[tuple[StutterEdge, int]]] = {}
-    for e in edges:
-        succ.setdefault(e.source, []).append((e, e.target))
-    return succ
 
 
 def _forced_everywhere_edges(
@@ -640,7 +607,7 @@ def check_progressive(
         )
         if not entry.alpha
     ]
-    cycle = _find_cycle(_stutter_succ(greedy_edges))
+    cycle = _stutter_cycle(greedy_edges)
     if cycle is None:
         cert = SimulationCertificate(frozenset(relation), choice, gamma, alpha_bound)
         witness = _ranks_from_edges(greedy_edges, a1.num_states)
@@ -650,7 +617,7 @@ def check_progressive(
         )
 
     forced = _forced_everywhere_edges(a1, relation, table)
-    forced_cycle = _find_cycle(_stutter_succ(forced))
+    forced_cycle = _stutter_cycle(forced)
     if forced_cycle is not None:
         return ProgressiveResult(
             verdict="no",

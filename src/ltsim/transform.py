@@ -377,24 +377,16 @@ def _check_common_origin(mt: MappedTraces) -> LemmaResult:
     it must contain a unique shallowest member that is an ancestor of
     all of them; that ancestor is the common concrete prefix.
     """
-    order: dict[TraceNode, tuple[int, int]] = {}
-    counter = 0
-
-    def index(node: TraceNode) -> int:
-        nonlocal counter
-        counter += 1
-        start = counter
-        for child in node.children.values():
-            index(child)
-        order[node] = (start, counter)
-        return start
-
-    index(mt.concrete.root)
+    # a is an ancestor of b iff b's preorder number falls in a's subtree
+    preorder = list(mt.concrete.nodes())
+    number = {node: i for i, node in enumerate(preorder)}
+    size = dict.fromkeys(preorder, 1)
+    for node in reversed(preorder):
+        if node.parent is not None:
+            size[node.parent] += size[node]
 
     def is_ancestor(a: TraceNode, b: TraceNode) -> bool:
-        sa, ea = order[a]
-        sb, eb = order[b]
-        return sa <= sb and eb <= ea
+        return number[a] <= number[b] < number[a] + size[a]
 
     through: dict[TraceNode, list[TraceNode]] = {}
     for u, v in mt.linked():

@@ -1,9 +1,10 @@
 """End-to-end drives of the command line front end, in process.
 
 Each invocation goes through ltsim.cli.main with argv; stdout carries
-exactly one JSON report (export-dot without -o is the exception),
-diagnostics go to stderr, and the exit code grades the verdict:
-0 holds, 1 refuted, 2 unknown, 3 unusable input.
+exactly one JSON report when a verdict is reached and nothing otherwise
+(export-dot without -o is the exception), diagnostics go to stderr, and
+the exit code grades the verdict: 0 holds, 1 refuted, 2 unknown,
+3 unusable input, 4 internal error.
 """
 
 import json
@@ -81,6 +82,14 @@ def test_missing_file_is_an_input_error(capsys):
     assert "cannot read" in err
 
 
+def test_a_binary_file_is_an_input_error(tmp_path, capsys):
+    binary = tmp_path / "model.json"
+    binary.write_bytes(b"\xa4\x00\xff")
+    code, out, err = run(capsys, ["check-det", str(binary)])
+    assert (code, out) == (3, "")
+    assert "not UTF-8 text" in err
+
+
 def test_unparseable_model_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("what even\n")
@@ -95,6 +104,35 @@ def test_bad_strategy_choice_exits_3_via_argparse(models, capsys):
         main(["simulate", models["impl"], "--strategy", "nope"])
     assert ei.value.code == 3
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_an_internal_error_exits_4_not_refuted(models, capsys, monkeypatch):
+    def broken(lts):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ltsim.cli.check_deterministic", broken)
+    code, out, err = run(capsys, ["check-det", models["impl"]])
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("command", ["validate-cert", "transform-scheduler"])
+def test_unusable_certificate_files_are_input_errors(models, tmp_path, capsys, command):
+    def argv(cert):
+        if command == "validate-cert":
+            return [command, models["plain"], models["spec"], cert]
+        return [command, models["prog"], models["plain"], models["spec"], "--cert", cert]
+
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, argv(missing))
+    assert (code, out) == (3, "")
+    assert f"cannot read {missing}" in err
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    code, out, err = run(capsys, argv(str(garbled)))
+    assert (code, out) == (3, "")
+    assert "certificate is not JSON" in err
 
 
 # --- model commands ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +23,8 @@ from ltsim import (
     sort_actions,
     validate_lasso,
 )
+
+from ltsim.lts import find_cycle
 
 from conftest import internal, make_lts, prog_action
 
@@ -218,6 +222,44 @@ def test_validate_lasso():
         validate_lasso(m, Lasso((), (T, U)))
     with pytest.raises(StepNotEnabled):
         validate_lasso(m, Lasso((U,), (T,)))
+
+
+# --- cycle finding ------------------------------------------------------------------
+
+
+def succ_of(graph):
+    return lambda node: graph.get(node, [])
+
+
+def test_find_cycle_on_a_self_loop():
+    assert find_cycle([0], succ_of({0: [("a", 0)]})) == (0, ("a",))
+
+
+def test_find_cycle_reachable_only_from_the_second_start():
+    graph = {0: [("a", 1)], 2: [("b", 3)], 3: [("c", 4)], 4: [("d", 3)]}
+    assert find_cycle([0, 2], succ_of(graph)) == (3, ("c", "d"))
+    assert find_cycle([0], succ_of(graph)) is None
+
+
+def test_find_cycle_on_a_dag_is_none():
+    graph = {0: [("a", 1), ("b", 2)], 1: [("c", 3)], 2: [("d", 3)], 3: [("e", 4)]}
+    assert find_cycle(range(5), succ_of(graph)) is None
+
+
+def test_find_cycle_start_order_decides_the_cycle():
+    graph = {0: [("a", 1)], 1: [("b", 0)], 5: [("c", 6)], 6: [("d", 5)]}
+    assert find_cycle([0, 5], succ_of(graph)) == (0, ("a", "b"))
+    assert find_cycle([5, 0], succ_of(graph)) == (5, ("c", "d"))
+
+
+def test_find_cycle_on_a_long_chain_needs_no_recursion():
+    n = 20_000
+    assert n > sys.getrecursionlimit()
+    graph = {i: [(i, i + 1)] for i in range(n - 1)}
+    graph[n - 1] = [(n - 1, 0)]
+    node, labels = find_cycle([0], succ_of(graph))
+    assert node == 0
+    assert labels == tuple(range(n))
 
 
 # --- builder ----------------------------------------------------------------

@@ -1,3 +1,6 @@
+import sys
+import time
+
 import pytest
 
 from ltsim import (
@@ -8,8 +11,10 @@ from ltsim import (
     DepthExhausted,
     IDLE,
     Lts,
+    MappedTraces,
     ObjectFirstStrategy,
     TableScheduler,
+    TracePrefixTree,
     build_f,
     check_admitted,
     check_all_lemmas,
@@ -167,6 +172,41 @@ def test_conflicting_diagrams_surface_in_check_3():
     res = check_lemma(3, mt)
     assert not res.ok
     assert "scheduled as" in res.counterexample
+
+
+def chain_mapping(depth: int) -> MappedTraces:
+    """A concrete chain linked node for node to an image chain; only the
+    two trees are filled in, which is all the common-origin check reads."""
+    x = internal("x")
+    concrete, image = TracePrefixTree(0, depth), TracePrefixTree(0, depth)
+    u, v = concrete.root, image.root
+    u.meta["image"] = v
+    for _ in range(depth):
+        u, v = concrete.extend(u, x, 0), image.extend(v, x, 0)
+        u.meta["image"] = v
+    return MappedTraces(concrete, image, None, None, None, None, depth)
+
+
+def test_common_origin_check_on_a_tree_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 200
+    mt = chain_mapping(depth)
+    start = time.perf_counter()
+    res = check_lemma(4, mt)
+    assert time.perf_counter() - start < 2.0
+    assert res.ok and res.checked == depth + 1
+
+
+def test_common_origin_check_reports_unrelated_preimages():
+    x, y = internal("x"), internal("y")
+    mt = chain_mapping(0)
+    root, w = mt.concrete.root, mt.image.extend(mt.image.root, x, 0)
+    for a in (x, y):
+        mt.concrete.extend(root, a, 0).meta["image"] = w
+    res = check_lemma(4, mt)
+    assert not res.ok and res.checked == 2
+    assert res.counterexample == (
+        "image prefix x is shared by x and y, which share no governing concrete prefix"
+    )
 
 
 # --- the derived scheduler ----------------------------------------------------
