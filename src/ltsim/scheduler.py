@@ -6,6 +6,14 @@ strategies, which replay the trace on an LTS while folding a finite
 memory value.  Finite memory is what makes admissibility, determinism
 and divergence checks exact instead of depth-bounded: the reachable
 (state, memory) graph is the whole behavior.
+
+Every walk over traces (tree enumeration, the bounded checks,
+consistency) carries a cursor per trace instead of replaying it from
+the root: cursor() is the cursor of the empty trace, advance(cur, a)
+extends it by one action and scheduled(cur) is the scheduled set
+there.  A custom scheduler may override the three; one that defines
+only schedule(trace) keeps working, because the defaults use the
+trace itself as the cursor.
 """
 
 from __future__ import annotations
@@ -29,11 +37,50 @@ def node_budget(budget: int | None = None) -> int:
 
 
 class Scheduler(ABC):
-    """Pure function from finite traces to sets of next actions."""
+    """Pure function from finite traces to sets of next actions.
+
+    The cursor methods let a walk extend a trace one action at a time;
+    the defaults carry the trace tuple and ask schedule(), so
+    overriding schedule() alone is enough.
+    """
 
     @abstractmethod
     def schedule(self, trace: Trace) -> frozenset[Action]:
         raise NotImplementedError
+
+    def cursor(self) -> Any:
+        """Cursor of the empty trace."""
+        return ()
+
+    def advance(self, cur: Any, a: Action) -> Any:
+        """Cursor of the trace of cur extended by a."""
+        return cur + (a,)
+
+    def scheduled(self, cur: Any) -> frozenset[Action]:
+        """Scheduled set after the trace of cur."""
+        return self.schedule(cur)
+
+    def _fold(self, trace: Sequence[Action]) -> Any:
+        """Cursor of a whole trace: the fold of advance from cursor()."""
+        cur = self.cursor()
+        for a in trace:
+            cur = self.advance(cur, a)
+        return cur
+
+
+class _ScheduleOnly(Scheduler):
+    """Cursor protocol, with the trace as cursor, for an object with only schedule()."""
+
+    def __init__(self, s: Any):
+        self._s = s
+
+    def schedule(self, trace: Trace) -> frozenset[Action]:
+        return self._s.schedule(trace)
+
+
+def walker(s: Any) -> Scheduler:
+    """s itself, or s behind the default trace cursor when it has only schedule()."""
+    return s if isinstance(s, Scheduler) else _ScheduleOnly(s)
 
 
 class TableScheduler(Scheduler):
@@ -72,16 +119,25 @@ class Strategy(Scheduler):
     def decide(self, state: int, mem: Hashable) -> frozenset[Action]:
         raise NotImplementedError
 
+    # cursor: (state, memory), or None once the trace has left the LTS
+
+    def cursor(self) -> tuple[int, Hashable] | None:
+        return (self.lts.initial, self.initial_memory())
+
+    def advance(self, cur: tuple[int, Hashable] | None, a: Action) -> tuple[int, Hashable] | None:
+        if cur is None:
+            return None
+        s, mem = cur
+        t = self.lts.step(s, a)
+        if t is None:
+            return None
+        return (t, self.update_memory(mem, s, a))
+
+    def scheduled(self, cur: tuple[int, Hashable] | None) -> frozenset[Action]:
+        return frozenset() if cur is None else self.decide(*cur)
+
     def schedule(self, trace: Trace) -> frozenset[Action]:
-        s = self.lts.initial
-        mem = self.initial_memory()
-        for a in trace:
-            t = self.lts.step(s, a)
-            if t is None:
-                return frozenset()
-            mem = self.update_memory(mem, s, a)
-            s = t
-        return self.decide(s, mem)
+        return self.scheduled(self._fold(trace))
 
 
 class MaximalStrategy(Strategy):
@@ -169,8 +225,13 @@ def make_scheduler(name: str, lts: Lts) -> Scheduler:
 
 def is_consistent(tau: Sequence[Action], s: Scheduler) -> bool:
     """Every next action of tau is scheduled after the prefix before it."""
-    tau = tuple(tau)
-    return all(tau[n] in s.schedule(tau[:n]) for n in range(len(tau)))
+    w = walker(s)
+    cur = w.cursor()
+    for a in tau:
+        if a not in w.scheduled(cur):
+            return False
+        cur = w.advance(cur, a)
+    return True
 
 
 # --- trace prefix trees -------------------------------------------------
@@ -250,21 +311,22 @@ def enumerate_traces(
     canonical order, so the tree is reproducible byte for byte.
     """
     limit = node_budget(budget)
+    w = walker(s)
     tree = TracePrefixTree(a.initial, depth)
-    queue: deque[TraceNode] = deque([tree.root])
+    queue: deque[tuple[TraceNode, Any]] = deque([(tree.root, w.cursor())])
     while queue:
-        node = queue.popleft()
+        node, cur = queue.popleft()
         if node.depth >= depth:
             continue
-        scheduled = s.schedule(node.trace())
-        for act in sort_actions(scheduled):
+        for act in sort_actions(w.scheduled(cur)):
             t = a.step(node.state, act)
             if t is None:
                 continue
             child = tree.extend(node, act, t)
             if tree.size > limit:
                 raise BudgetExceeded(limit)
-            queue.append(child)
+            # a leaf at the depth bound is never scheduled, so it needs no cursor
+            queue.append((child, w.advance(cur, act) if child.depth < depth else None))
     return tree
 
 
@@ -339,22 +401,28 @@ def _check_scheduled(
                 return SchedulerCheck(False, True, trace, detail)
         return SchedulerCheck(True, True)
 
-    queue: deque[tuple[Trace, int]] = deque([((), a.initial)])
+    # queue entries: (path, length, cursor, state); a path is (parent path, action)
+    w = walker(s)
+    queue: deque[tuple[Any, int, Any, int]] = deque([(None, 0, w.cursor(), a.initial)])
     seen = 0
     while queue:
-        trace, state = queue.popleft()
+        path, length, cur, state = queue.popleft()
         seen += 1
         if seen > limit:
             raise BudgetExceeded(limit)
-        scheduled = s.schedule(trace)
+        scheduled = w.scheduled(cur)
         detail = problem(state, scheduled)
         if detail is not None:
-            return SchedulerCheck(False, False, trace, detail)
-        if len(trace) < depth:
+            witness = []
+            while path is not None:
+                path, act = path
+                witness.append(act)
+            return SchedulerCheck(False, False, tuple(reversed(witness)), detail)
+        if length < depth:
             for act in sort_actions(scheduled):
                 t = a.step(state, act)
                 if t is not None:
-                    queue.append((trace + (act,), t))
+                    queue.append(((path, act), length + 1, w.advance(cur, act), t))
     return SchedulerCheck(True, False)
 
 

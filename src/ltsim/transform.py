@@ -8,22 +8,29 @@ derives the abstract scheduler S2 that schedules exactly the mapped
 traces.  The structural facts that make S2 well defined are exposed as
 five executable checks over the bounded trees, plus a bounded
 comparison of the two projected trace sets.
+
+Every check walks its trees once and computes what it needs of a node
+from the node's parent: the scheduler's cursor (S2's is its image-tree
+node), the projection as an id in a trie, or preorder spans for
+ancestry.  No check replays a trace from the root, so each is linear in
+tree size; traces are spelled out only for counterexamples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .composition import ProductLts
 from .errors import ContractViolation, DepthExhausted
-from .lts import Action, ActionKind, Lts, Trace, project, sort_actions
+from .lts import Action, ActionKind, Lts, Trace, sort_actions
 from .scheduler import (
     Scheduler,
     TraceNode,
     TracePrefixTree,
     enumerate_traces,
     node_budget,
+    walker,
 )
 from .simulation import SimulationCertificate
 
@@ -192,6 +199,12 @@ def build_f(
 # --- the abstract scheduler ---------------------------------------------
 
 
+# An S2 cursor is (tree, node) for a node of an image tree, (None, trace)
+# for a trace inside the unbuilt fringe, or _OFF_IMAGE once a step has
+# left the image, which no later step undoes.
+_OFF_IMAGE = (None, None)
+
+
 class S2Scheduler(Scheduler):
     """Scheduler of exactly the image traces.
 
@@ -201,6 +214,10 @@ class S2Scheduler(Scheduler):
     outside the image get the idle singleton, which no consistent trace
     ever reaches.  Queries past the bounded tree trigger a deeper
     rebuild up to a cap, then raise DepthExhausted.
+
+    A cursor is an image-tree node, so a walk costs one child lookup per
+    step.  In the unbuilt fringe, or on a tree that a deeper rebuild has
+    since replaced, it falls back to the trace itself.
     """
 
     def __init__(
@@ -219,22 +236,40 @@ class S2Scheduler(Scheduler):
         )
         self.budget = budget
 
-    def _resolve(self, trace: Trace) -> frozenset[Action] | None:
-        """Scheduled set, the idle singleton off-image, None when unbuilt."""
-        node = self.mt.image.root
-        for a in trace:
-            child = node.children.get(a)
-            if child is None:
-                value = node.meta.get("s2")
-                if value is None or (a in value and self.mt.prod2.step(node.state, a) is not None):
-                    return None  # inside the unbuilt fringe
-                return frozenset({self.mt.prod2.alphabet.idle})
-            node = child
-        return node.meta.get("s2")
+    def cursor(self) -> tuple:
+        image = self.mt.image
+        return (image, image.root)
 
-    def schedule(self, trace: Trace) -> frozenset[Action]:
-        trace = tuple(trace)
-        value = self._resolve(trace)
+    def advance(self, cur: tuple, a: Action) -> tuple:
+        image, at = cur
+        if image is None:  # off the image, or a trace in the unbuilt fringe
+            return cur if at is None else (None, at + (a,))
+        if image is not self.mt.image:  # on a tree a rebuild has replaced
+            return (None, at.trace() + (a,))
+        child = at.children.get(a)
+        if child is not None:
+            return (image, child)
+        value = at.meta.get("s2")
+        if value is None or (a in value and self.mt.prod2.step(at.state, a) is not None):
+            return (None, at.trace() + (a,))  # inside the unbuilt fringe
+        return _OFF_IMAGE
+
+    def _value(self, cur: tuple) -> frozenset[Action] | None:
+        """Scheduled set at a cursor, None when the current tree leaves it open."""
+        image, at = cur
+        if image is self.mt.image:
+            return at.meta.get("s2")
+        if at is None:
+            return frozenset({self.mt.prod2.alphabet.idle})
+        return None
+
+    def scheduled(self, cur: tuple) -> frozenset[Action]:
+        value = self._value(cur)
+        if value is not None:
+            return value
+        image, at = cur
+        trace = at if image is None else at.trace()
+        value = self._value(self._fold(trace))
         while value is None:
             if not self.auto_deepen or self.mt.depth >= self.max_depth:
                 raise DepthExhausted(len(trace) + 1, self.mt.depth)
@@ -246,8 +281,11 @@ class S2Scheduler(Scheduler):
                 min(self.mt.depth + 4, self.max_depth),
                 budget=self.budget,
             )
-            value = self._resolve(trace)
+            value = self._value(self._fold(trace))
         return value
+
+    def schedule(self, trace: Trace) -> frozenset[Action]:
+        return self.scheduled(self._fold(trace))
 
 
 def construct_s2(
@@ -263,6 +301,65 @@ def construct_s2(
     if s1 is not None and s1 is not mt.s1:
         raise ContractViolation("scheduler does not match the one the tree was built with")
     return S2Scheduler(mt, auto_deepen=auto_deepen, budget=budget)
+
+
+# --- per-node facts computed from the parent ----------------------------
+
+
+def _preorder(tree: TracePrefixTree) -> tuple[list[TraceNode], dict[TraceNode, int], list[int]]:
+    """Nodes in preorder, their preorder numbers and subtree sizes by number.
+
+    a is an ancestor of b (or b itself) iff number[a] <= number[b] <
+    number[a] + size[number[a]].
+    """
+    order = list(tree.nodes())
+    number = {node: i for i, node in enumerate(order)}
+    size = [1] * len(order)
+    for i in range(len(order) - 1, 0, -1):
+        size[number[order[i].parent]] += size[i]  # type: ignore[index]
+    return order, number, size
+
+
+class _Projections:
+    """Projections of node traces onto an alphabet, as ids in one trie.
+
+    A node's id is its parent's id extended by its action when that
+    action is in the alphabet, so each node costs one lookup; equal ids
+    mean equal projections, across trees too.  Id 0 is the empty trace,
+    and ids count up in the order their (parent id, action) keys appear.
+    """
+
+    def __init__(self, sigma: frozenset[Action]):
+        self.sigma = sigma
+        self.length = [0]
+        self._ids: dict[TraceNode, int] = {}
+        self._child: dict[tuple[int, Action], int] = {}
+
+    def id(self, node: TraceNode) -> int:
+        pending = []
+        top: TraceNode | None = node
+        while top is not None and top not in self._ids:
+            pending.append(top)
+            top = top.parent
+        pid = 0 if top is None else self._ids[top]
+        for n in reversed(pending):
+            if n.action in self.sigma:
+                key = (pid, n.action)
+                nxt = self._child.get(key)
+                if nxt is None:
+                    nxt = self._child[key] = len(self.length)
+                    self.length.append(self.length[pid] + 1)
+                pid = nxt
+            self._ids[n] = pid
+        return pid
+
+    def trace(self, pid: int) -> Trace:
+        keys = list(self._child)  # the key of id i is keys[i - 1]
+        out = []
+        while pid:
+            pid, a = keys[pid - 1]
+            out.append(a)
+        return tuple(reversed(out))
 
 
 # --- lemma checks -------------------------------------------------------
@@ -284,11 +381,11 @@ def _check_projection(mt: MappedTraces) -> LemmaResult:
     Also confirms the linked end states agree on the program component
     and are certificate-related on the object component.
     """
-    gamma_p = mt.gamma_p
+    proj = _Projections(mt.gamma_p)
     checked = 0
     for u, v in mt.linked():
         checked += 1
-        if project(u.trace(), gamma_p) != project(v.trace(), gamma_p):
+        if proj.id(u) != proj.id(v):
             return LemmaResult(1, False, f"projections differ at {_fmt(u.trace())}", checked)
         p1 = mt.prod1.part(u.state)
         p2 = mt.prod2.part(v.state)
@@ -310,28 +407,32 @@ def _check_common_prefix(mt: MappedTraces) -> LemmaResult:
     must be prefixes of one another, the longer adding only actions
     outside the program, call and return alphabet (internal or idle).
     """
-    gamma_p = mt.gamma_p
-    groups: dict[Trace, list[TraceNode]] = {}
+    proj = _Projections(mt.gamma_p)
+    groups: dict[int, list[TraceNode]] = {}
     for u, v in mt.linked():
-        groups.setdefault(project(v.trace(), gamma_p), []).append(u)
+        groups.setdefault(proj.id(v), []).append(u)
+    _, number, size = _preorder(mt.concrete)
     checked = 0
     for nodes in groups.values():
         nodes.sort(key=lambda n: n.depth)
         for prev, cur in zip(nodes, nodes[1:]):
             checked += 1
-            a, b = prev.trace(), cur.trace()
-            if b[: len(a)] != a:
+            i = number[prev]
+            if not i <= number[cur] < i + size[i]:
                 return LemmaResult(
                     2,
                     False,
-                    f"{_fmt(a)} and {_fmt(b)} share image projections but neither extends the other",
+                    f"{_fmt(prev.trace())} and {_fmt(cur.trace())} share image projections "
+                    "but neither extends the other",
                     checked,
                 )
-            if any(x in gamma_p for x in b[len(a):]):
+            # cur extends prev, so the surplus is observable iff the projection grew
+            if proj.length[proj.id(cur)] > proj.length[proj.id(prev)]:
                 return LemmaResult(
                     2,
                     False,
-                    f"surplus of {_fmt(b)} over {_fmt(a)} contains an observable action",
+                    f"surplus of {_fmt(cur.trace())} over {_fmt(prev.trace())} "
+                    "contains an observable action",
                     checked,
                 )
     return LemmaResult(2, True, None, checked)
@@ -377,38 +478,55 @@ def _check_common_origin(mt: MappedTraces) -> LemmaResult:
     it must contain a unique shallowest member that is an ancestor of
     all of them; that ancestor is the common concrete prefix.
     """
-    # a is an ancestor of b iff b's preorder number falls in a's subtree
-    preorder = list(mt.concrete.nodes())
-    number = {node: i for i, node in enumerate(preorder)}
-    size = dict.fromkeys(preorder, 1)
-    for node in reversed(preorder):
-        if node.parent is not None:
-            size[node.parent] += size[node]
-
-    def is_ancestor(a: TraceNode, b: TraceNode) -> bool:
-        return number[a] <= number[b] < number[a] + size[a]
-
-    through: dict[TraceNode, list[TraceNode]] = {}
-    for u, v in mt.linked():
-        node: TraceNode | None = v
-        while node is not None:
-            through.setdefault(node, []).append(u)
-            node = node.parent
+    order, _, size = _preorder(mt.concrete)
+    # the users of an image node: concrete nodes whose image passes through it,
+    # summed up as (depth, number) of the shallowest, first in preorder among
+    # equals, and the least and greatest preorder number; keys in the order
+    # a walk up from each user's image first touches them
+    users: dict[TraceNode, tuple[int, int, int, int] | None] = {}
+    for i, u in enumerate(order):
+        image = v = mt.link(u)
+        while v is not None and v not in users:
+            users[v] = None
+            v = v.parent
+        users[image] = _join_users(users[image], (u.depth, i, i, i))
+    for v in sorted(users, key=lambda n: n.depth, reverse=True):
+        if v.parent is not None:
+            users[v.parent] = _join_users(users[v.parent], users[v])  # type: ignore[arg-type]
 
     checked = 0
-    for v, users in through.items():
+    for v, (_, top, lo, hi) in users.items():  # type: ignore[misc]
         checked += 1
-        shallowest = min(users, key=lambda n: n.depth)
-        for u in users:
-            if not is_ancestor(shallowest, u):
+        if top <= lo and hi < top + size[top]:
+            continue  # every user lies in the shallowest one's subtree
+        # name the first user, in preorder, outside that subtree
+        below_v: dict[TraceNode, bool] = {v: True}
+        for i, u in enumerate(order):
+            path = []
+            w: TraceNode | None = mt.link(u)
+            while w is not None and w not in below_v:
+                path.append(w)
+                w = w.parent
+            hit = w is not None and below_v[w]
+            below_v.update(dict.fromkeys(path, hit))
+            if hit and not top <= i < top + size[top]:
                 return LemmaResult(
                     4,
                     False,
-                    f"image prefix {_fmt(v.trace())} is shared by {_fmt(shallowest.trace())} "
+                    f"image prefix {_fmt(v.trace())} is shared by {_fmt(order[top].trace())} "
                     f"and {_fmt(u.trace())}, which share no governing concrete prefix",
                     checked,
                 )
     return LemmaResult(4, True, None, checked)
+
+
+def _join_users(
+    a: tuple[int, int, int, int] | None, b: tuple[int, int, int, int]
+) -> tuple[int, int, int, int]:
+    if a is None:
+        return b
+    depth, top = min(a[:2], b[:2])
+    return (depth, top, min(a[2], b[2]), max(a[3], b[3]))
 
 
 def _check_step_equivalence(mt: MappedTraces, s2: Scheduler) -> LemmaResult:
@@ -418,12 +536,16 @@ def _check_step_equivalence(mt: MappedTraces, s2: Scheduler) -> LemmaResult:
     may take (scheduled and enabled) are exactly the node's children in
     the image tree.
     """
+    w = walker(s2)
     checked = 0
-    for v in mt.image.nodes():
+    stack = [(mt.image.root, w.cursor())]  # preorder, each node with its cursor
+    while stack:
+        v, cur = stack.pop()
+        stack.extend((c, w.advance(cur, a)) for a, c in reversed(v.children.items()))
         value = v.meta.get("s2")
         if value is None:
             continue  # beyond what the bounded tree determines
-        scheduled = s2.schedule(v.trace())
+        scheduled = w.scheduled(cur)
         if scheduled != value:
             return LemmaResult(
                 5,
@@ -483,6 +605,42 @@ class EqualityResult:
     rhs_size: int = 0
 
 
+def _smallest(traces: Iterable[Trace]) -> Trace:
+    """First trace by length, then canonical action order."""
+    return min(traces, key=lambda t: (len(t), tuple(a.key() for a in t)))
+
+
+def _first_divergence(
+    lhs: TraceNode, rhs: TraceNode, depth: int
+) -> tuple[Trace, bool] | None:
+    """Smallest trace in exactly one of two trees, lhs cut at depth.
+
+    Walks both trees in step, level by level; the smallest difference
+    is a child of a shared node, so the first level with one holds it.
+    Returns the trace and whether it is in rhs.
+    """
+    level = [(lhs, rhs)]
+    while level:
+        found: list[tuple[TraceNode, bool]] = []
+        shared = []
+        for x, y in level:
+            if x.depth >= depth:
+                continue
+            for a, c in x.children.items():
+                d = y.children.get(a)
+                if d is None:
+                    found.append((c, False))
+                else:
+                    shared.append((c, d))
+            found.extend((d, True) for a, d in y.children.items() if a not in x.children)
+        if found:
+            side = {node.trace(): in_rhs for node, in_rhs in found}
+            diff = _smallest(side)
+            return diff, side[diff]
+        level = shared
+    return None
+
+
 def check_image_equality(
     mt: MappedTraces, s2: Scheduler, budget: int | None = None
 ) -> EqualityResult:
@@ -494,13 +652,13 @@ def check_image_equality(
     settled = mt.settled_image_length()
     depth2 = settled if settled is not None else max(v.depth for v in mt.image.nodes())
     rhs_tree = enumerate_traces(mt.prod2, s2, depth2, budget=budget)
-    lhs = {v.trace() for v in mt.image.nodes() if v.depth <= depth2}
-    rhs = set(rhs_tree.traces())
-    if lhs == rhs:
-        return EqualityResult(True, depth2, None, len(lhs), len(rhs))
-    diff = min(lhs ^ rhs, key=lambda t: (len(t), tuple(a.key() for a in t)))
-    side = "only scheduled" if diff in rhs else "only an image prefix"
-    return EqualityResult(False, depth2, f"{_fmt(diff)} is {side}", len(lhs), len(rhs))
+    lhs_size = sum(1 for v in mt.image.nodes() if v.depth <= depth2)
+    found = _first_divergence(mt.image.root, rhs_tree.root, depth2)
+    if found is None:
+        return EqualityResult(True, depth2, None, lhs_size, rhs_tree.size)
+    diff, in_rhs = found
+    side = "only scheduled" if in_rhs else "only an image prefix"
+    return EqualityResult(False, depth2, f"{_fmt(diff)} is {side}", lhs_size, rhs_tree.size)
 
 
 def _saturated_states(prod: Lts, sigma_p: frozenset[Action]) -> set[int]:
@@ -522,7 +680,7 @@ def _saturated_states(prod: Lts, sigma_p: frozenset[Action]) -> set[int]:
 
 
 def _complete_projection_length(
-    tree: TracePrefixTree, depth: int, prod: Lts, sigma_p: frozenset[Action]
+    tree: TracePrefixTree, depth: int, prod: Lts, proj: _Projections
 ) -> int | None:
     """Largest projection length the bounded tree is guaranteed to cover.
 
@@ -530,9 +688,9 @@ def _complete_projection_length(
     guarantee at the program actions already on its path; None means no
     cap (every frontier leaf is saturated).
     """
-    saturated = _saturated_states(prod, sigma_p)
+    saturated = _saturated_states(prod, proj.sigma)
     caps = [
-        sum(1 for a in leaf.trace() if a in sigma_p)
+        proj.length[proj.id(leaf)]
         for leaf in tree.leaves()
         if leaf.depth >= depth and leaf.state not in saturated
     ]
@@ -556,23 +714,22 @@ def check_projection_equality(
     depth2 = settled if settled is not None else max(v.depth for v in mt.image.nodes())
     rhs_tree = enumerate_traces(mt.prod2, s2, depth2, budget=budget)
 
-    lhs_cap = _complete_projection_length(mt.concrete, mt.depth, mt.prod1, sigma_p)
-    rhs_cap = _complete_projection_length(rhs_tree, depth2, mt.prod2, sigma_p)
+    proj = _Projections(sigma_p)  # one trie, so equal projections get equal ids
+    lhs_cap = _complete_projection_length(mt.concrete, mt.depth, mt.prod1, proj)
+    rhs_cap = _complete_projection_length(rhs_tree, depth2, mt.prod2, proj)
     caps = [c for c in (lhs_cap, rhs_cap, depth) if c is not None]
     bound = min(caps) if caps else None
 
-    def gather(nodes: Iterator[TraceNode]) -> set[Trace]:
-        out = set()
-        for node in nodes:
-            p = project(node.trace(), sigma_p)
-            if bound is None or len(p) <= bound:
-                out.add(p)
-        return out
+    def gather(tree: TracePrefixTree) -> set[int]:
+        ids = (proj.id(node) for node in tree.nodes())
+        return {i for i in ids if bound is None or proj.length[i] <= bound}
 
-    lhs = gather(mt.concrete.nodes())
-    rhs = gather(rhs_tree.nodes())
+    lhs = gather(mt.concrete)
+    rhs = gather(rhs_tree)
     if lhs == rhs:
         return EqualityResult(True, bound, None, len(lhs), len(rhs))
-    diff = min(lhs ^ rhs, key=lambda t: (len(t), tuple(a.key() for a in t)))
-    side = "abstract-only" if diff in rhs else "concrete-only"
-    return EqualityResult(False, bound, f"{side} projection {_fmt(diff)}", len(lhs), len(rhs))
+    shortest = min(proj.length[i] for i in lhs ^ rhs)
+    side = {proj.trace(i): i in rhs for i in lhs ^ rhs if proj.length[i] == shortest}
+    diff = _smallest(side)
+    kind = "abstract-only" if side[diff] else "concrete-only"
+    return EqualityResult(False, bound, f"{kind} projection {_fmt(diff)}", len(lhs), len(rhs))

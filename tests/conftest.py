@@ -19,6 +19,7 @@ from ltsim import (
     Alphabet,
     Lts,
     LtsBuilder,
+    Scheduler,
     project,
 )
 
@@ -66,6 +67,31 @@ def toggle() -> Lts:
     t = internal("t")
     alpha = Alphabet(frozenset(), frozenset(), frozenset(), frozenset({t}))
     return make_lts([(0, t, 1), (1, t, 0)], 2, alpha)
+
+
+# --- schedulers through the cursor protocol ----------------------------------
+
+
+class PinnedScheduler(Scheduler):
+    """Defines only schedule(): wraps a scheduler, overriding one trace."""
+
+    def __init__(self, base, at, value):
+        self.base = base
+        self.at = tuple(at)
+        self.value = value
+
+    def schedule(self, trace):
+        if tuple(trace) == self.at:
+            return self.value
+        return self.base.schedule(trace)
+
+
+def folded(s, trace, cur=None):
+    """Scheduled set after trace, advancing a cursor (from the start by default)."""
+    cur = s.cursor() if cur is None else cur
+    for a in trace:
+        cur = s.advance(cur, a)
+    return s.scheduled(cur)
 
 
 # --- brute-force simulation oracle -----------------------------------------

@@ -19,11 +19,13 @@ from ltsim import (
     idle_complete,
     is_consistent,
     make_scheduler,
+    product,
     register_strategy,
     validate_lasso,
 )
+from ltsim.casestudies import FaaConfig, build_faa_impl, build_program
 
-from conftest import internal, make_lts, prog_action
+from conftest import PinnedScheduler, folded, internal, make_lts, prog_action
 
 I = internal("i")
 J = internal("j")
@@ -197,3 +199,60 @@ def test_find_divergence_gives_up_on_opaque_schedulers():
     m = loopy()
     t = TableScheduler({(): {I}, (I,): {J}})
     assert find_divergence(m, t, m.alphabet.gamma_p, depth=8) is None
+
+
+# --- the cursor protocol --------------------------------------------------------
+
+
+def cursor_battery(prod):
+    """Every scheduler kind over prod, and traces on and off the LTS."""
+    every = sorted(enumerate_traces(prod, MaximalStrategy(prod), depth=7).traces(), key=len)
+    actions = sorted(prod.alphabet.all_actions, key=lambda a: a.key())
+    off = [t + (a,) for t in every[:40] for a in actions if not prod.accepts(t + (a,))]
+    off += [t + (actions[0],) for t in off[:20]]  # keep going once off the LTS
+    assert off
+    obj_first = make_scheduler("object-first", prod)
+    schedulers = [make_scheduler(n, prod) for n in ("maximal", "fifo", "ll-alternator")]
+    schedulers += [
+        obj_first,
+        TableScheduler({t: obj_first.schedule(t) for t in every[::3]}),
+        PinnedScheduler(obj_first, every[5], frozenset({actions[0]})),
+    ]
+    return schedulers, every + off
+
+
+def test_cursor_fold_agrees_with_schedule():
+    cfg = FaaConfig(variant="plain")
+    prod = product(build_program(cfg), build_faa_impl(cfg))
+    schedulers, traces = cursor_battery(prod)
+    for s in schedulers:
+        for t in traces:
+            assert folded(s, t) == s.schedule(t), (type(s).__name__, t)
+        tree = enumerate_traces(prod, s, depth=12)
+        for t in tree.traces():
+            assert folded(s, t) == s.schedule(t), (type(s).__name__, t)
+
+
+def test_is_consistent_agrees_with_scheduling_every_prefix():
+    cfg = FaaConfig(variant="plain")
+    prod = product(build_program(cfg), build_faa_impl(cfg))
+    schedulers, traces = cursor_battery(prod)
+    for s in schedulers:
+        seen = set()
+        for t in traces:
+            expected = all(t[n] in s.schedule(t[:n]) for n in range(len(t)))
+            assert is_consistent(t, s) == expected, (type(s).__name__, t)
+            seen.add(expected)
+        assert seen == {True, False}
+
+
+def test_schedule_only_objects_keep_working():
+    class Bare:
+        def schedule(self, trace):
+            return frozenset({TICK}) if len(trace) < 2 else frozenset()
+
+    m = loopy()
+    assert [len(t) for t in enumerate_traces(m, Bare(), depth=4).traces()] == [0, 1, 2]
+    assert is_consistent((TICK, TICK), Bare()) and not is_consistent((TICK, TICK, TICK), Bare())
+    res = check_admitted(Bare(), m, depth=4)
+    assert not res.ok and res.witness == (TICK, TICK)

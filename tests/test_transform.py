@@ -1,5 +1,7 @@
+import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -13,7 +15,9 @@ from ltsim import (
     Lts,
     MappedTraces,
     ObjectFirstStrategy,
+    Strategy,
     TableScheduler,
+    TraceNode,
     TracePrefixTree,
     build_f,
     check_admitted,
@@ -31,7 +35,7 @@ from ltsim import (
 )
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_program
 
-from conftest import internal, make_lts
+from conftest import PinnedScheduler, folded, internal, make_lts
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +311,153 @@ def test_projection_equality_catches_a_wrong_scheduler(plain):
     eq = check_projection_equality(mt, LazyS2(), mt.prod1.alphabet.program, depth=8)
     assert not eq.ok
     assert "projection" in eq.counterexample
+
+
+# --- walks that carry their state ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def plain_parts():
+    cfg = FaaConfig(variant="plain")
+    impl, spec, prog = build_faa_impl(cfg), build_faa_spec(cfg), build_program(cfg)
+    res = check_progressive(
+        impl, spec, impl.alphabet.cr, alpha_bound=sufficient_alpha_bound(spec)
+    )
+    return product(prog, impl), product(prog, spec), res.certificate
+
+
+def test_s2_cursor_fold_agrees_with_schedule(plain):
+    mt, _ = plain
+    s2 = construct_s2(mt, auto_deepen=False)
+    idle2 = mt.prod2.alphabet.idle
+    actions = sorted(mt.prod2.alphabet.all_actions, key=lambda a: a.key())
+    on, off = [], []
+    for v in mt.image.nodes():
+        trace = v.trace()
+        value = v.meta.get("s2")
+        if value is not None:
+            on.append(trace)
+            for a in actions:
+                if a not in v.children and (a not in value or mt.prod2.step(v.state, a) is None):
+                    off.append(trace + (a,))
+                    off.append(trace + (a, actions[0]))  # off the image for good
+    assert on and off
+    pinned = PinnedScheduler(s2, on[3], frozenset({idle2}))
+    for s in (s2, pinned):
+        for t in on + off:
+            assert folded(s, t) == s.schedule(t), t
+    assert all(s2.schedule(t) == {idle2} for t in off)
+    for t in on:
+        assert folded(s2, t) == mt.image.find(t).meta["s2"]
+
+
+def test_s2_cursors_survive_auto_deepening(plain_parts):
+    prod1, prod2, cert = plain_parts
+    deep = build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, depth=14)
+    reference = construct_s2(deep, auto_deepen=False)
+    target = next(v for v in deep.image.nodes() if v.depth == 8 and v.meta.get("s2"))
+    trace = target.trace()
+
+    s2 = construct_s2(build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, depth=4))
+    built = s2.mt
+    early = s2.cursor()
+    for a in trace[:2]:
+        early = s2.advance(early, a)  # a node of the shallow tree
+    fringe = early
+    for a in trace[2:]:
+        fringe = s2.advance(fringe, a)  # past the shallow tree
+    assert s2.mt is built
+    assert s2.scheduled(fringe) == target.meta["s2"]
+    assert s2.mt is not built and s2.mt.depth > 4  # the tree was rebuilt deeper
+    # the cursor from before the rebuild still answers, and still advances
+    assert s2.scheduled(early) == reference.schedule(trace[:2])
+    assert folded(s2, trace[2:], early) == target.meta["s2"]
+    for v in deep.image.nodes():
+        if v.meta.get("s2") is not None and v.depth <= 8:
+            assert folded(s2, v.trace()) == s2.schedule(v.trace()) == v.meta["s2"]
+
+    frozen = construct_s2(
+        build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, depth=4), auto_deepen=False
+    )
+    with pytest.raises(DepthExhausted):
+        folded(frozen, trace)
+
+
+def replay_counts(monkeypatch, parts, depth):
+    """Calls that rebuild or replay a trace from the root, over every tree walk."""
+    prod1, prod2, cert = parts
+    calls = Counter()
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(TraceNode, "trace", counting("trace", TraceNode.trace))
+        m.setattr(Strategy, "schedule", counting("schedule", Strategy.schedule))
+        s1 = ObjectFirstStrategy(prod1)
+        mt = build_f(prod1, s1, prod2, cert, depth)
+        s2 = construct_s2(mt)
+        walk = mt.settled_image_length() - 1
+        results = [
+            check_admitted(s1, prod1, depth).ok,
+            check_deterministic_scheduler(s1, prod1, depth).ok,
+            check_admitted(s2, prod2, walk).ok,
+            check_deterministic_scheduler(s2, prod2, walk).ok,
+            check_image_equality(mt, s2).ok,
+            check_projection_equality(mt, s2, prod1.alphabet.program, depth).ok,
+            *(r.ok for r in check_all_lemmas(mt, s2)),
+        ]
+    assert all(results), results
+    return mt.concrete.size, dict(calls)
+
+
+def test_tree_walks_do_not_replay_traces_per_node(monkeypatch, plain_parts):
+    small, at_20 = replay_counts(monkeypatch, plain_parts, 20)
+    large, at_60 = replay_counts(monkeypatch, plain_parts, 60)
+    assert large > 2 * small
+    assert at_60 == at_20
+
+
+def common_origin_reference(mt):
+    """Lemma 4 as first written: every user listed under every image ancestor."""
+    through = {}
+    for u, v in mt.linked():
+        node = v
+        while node is not None:
+            through.setdefault(node, []).append(u)
+            node = node.parent
+    checked = 0
+    for v, users in through.items():
+        checked += 1
+        shallowest = min(users, key=lambda n: n.depth)
+        for u in users:
+            if u.trace()[: shallowest.depth] != shallowest.trace():
+                return False, checked, (v.trace(), shallowest.trace(), u.trace())
+    return True, checked, None
+
+
+def test_common_origin_check_matches_the_reference_on_scrambled_links(plain_parts):
+    prod1, prod2, cert = plain_parts
+    outcomes = Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        mt = build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, depth=16)
+        concrete, image = list(mt.concrete.nodes()), list(mt.image.nodes())
+        for u in rng.sample(concrete, rng.randint(1, 4)):
+            u.meta["image"] = rng.choice(image)
+        ok, checked, where = common_origin_reference(mt)
+        res = check_lemma(4, mt)
+        assert (res.ok, res.checked) == (ok, checked), seed
+        if not ok:
+            v, first, other = where
+            fmt = lambda t: "·".join(a.label() for a in t) if t else "ε"
+            assert res.counterexample == (
+                f"image prefix {fmt(v)} is shared by {fmt(first)} and {fmt(other)}, "
+                "which share no governing concrete prefix"
+            )
+        outcomes[ok, checked > 3] += 1
+    assert outcomes[False, True] >= 10 and outcomes[True, True] >= 5, outcomes
