@@ -98,6 +98,14 @@ def _assigns(cfg: FaaConfig) -> frozenset[Action]:
     )
 
 
+def _points(cfg: FaaConfig, points: tuple[tuple, ...]) -> str:
+    """State-label part per thread: `t<id>:<point>`, then `(<value>)` if any."""
+    return " ".join(
+        f"t{t}:{p[0]}" + (f"({p[1]})" if len(p) > 1 else "")
+        for t, p in zip(cfg.threads, points)
+    )
+
+
 def _closure(
     alphabet: Alphabet,
     initial: Hashable,
@@ -174,11 +182,7 @@ def build_faa_impl(cfg: FaaConfig) -> Lts:
     def label(st: tuple) -> str:
         counter, link, pcs = st
         owner = f" link={link}" if invalidating else ""
-        pcs_text = " ".join(
-            f"t{t}:{pc[0]}" + (f"({pc[1]})" if len(pc) > 1 else "")
-            for t, pc in zip(cfg.threads, pcs)
-        )
-        return f"n={counter}{owner} {pcs_text}"
+        return f"n={counter}{owner} {_points(cfg, pcs)}"
 
     initial = (0, 0, tuple(("pre",) for _ in cfg.threads))
     return _closure(alphabet, initial, steps, label)
@@ -221,11 +225,7 @@ def build_faa_spec(cfg: FaaConfig) -> Lts:
 
     def label(st: tuple) -> str:
         counter, sts = st
-        sts_text = " ".join(
-            f"t{t}:{s[0]}" + (f"({s[1]})" if len(s) > 1 else "")
-            for t, s in zip(cfg.threads, sts)
-        )
-        return f"n={counter} {sts_text}"
+        return f"n={counter} {_points(cfg, sts)}"
 
     initial = (0, tuple(("pre",) for _ in cfg.threads))
     return _closure(alphabet, initial, steps, label)
@@ -259,14 +259,8 @@ def build_program(cfg: FaaConfig) -> Lts:
             elif here[0] == "got":
                 yield Action("assign", ActionKind.PROGRAM, t, here[1]), at(("done",))
 
-    def label(st: tuple) -> str:
-        return " ".join(
-            f"t{t}:{s[0]}" + (f"({s[1]})" if len(s) > 1 else "")
-            for t, s in zip(cfg.threads, st)
-        )
-
     initial = tuple(("ready",) for _ in cfg.threads)
-    return _closure(alphabet, initial, steps, label)
+    return _closure(alphabet, initial, steps, lambda st: _points(cfg, st))
 
 
 # --- the starving scheduler ------------------------------------------------

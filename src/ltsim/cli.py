@@ -75,6 +75,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """argparse type of depths, budgets and limits: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type of a comma list of integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers") from None
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -103,15 +118,21 @@ def _write(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path}: {e.strerror}") from None
 
 
-def _emit(args: argparse.Namespace, command: str, verdict: str, data: dict[str, Any]) -> None:
+def _emit(args: argparse.Namespace, verdict: str, data: dict[str, Any]) -> None:
     report = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.cmd,
         "seed": args.seed,
         "verdict": verdict,
         "data": data,
     }
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
+def _verdict(args: argparse.Namespace, ok: bool, data: dict[str, Any]) -> int:
+    """Report a decided check: holds (exit 0) when ok, refuted (exit 1) otherwise."""
+    _emit(args, "holds" if ok else "refuted", data)
+    return EXIT_HOLDS if ok else EXIT_REFUTED
 
 
 def _resolve_gamma(spec_text: str, *ltss: Lts) -> frozenset[Action]:
@@ -156,8 +177,7 @@ def _cmd_check_det(args: argparse.Namespace) -> int:
     if witness is not None:
         state, action = witness
         data["witness"] = {"state": state, "action": action.label()}
-    _emit(args, "check-det", "holds" if ok else "refuted", data)
-    return EXIT_HOLDS if ok else EXIT_REFUTED
+    return _verdict(args, ok, data)
 
 
 def _cmd_idle_complete(args: argparse.Namespace) -> int:
@@ -169,10 +189,9 @@ def _cmd_idle_complete(args: argparse.Namespace) -> int:
         text = dumps(completed) if args.out.endswith(".json") else format_lts_text(completed)
         _write(args.out, text)
         data["written"] = args.out
-        _emit(args, "idle-complete", "holds", data)
+        _emit(args, "holds", data)
         return EXIT_HOLDS
-    _emit(args, "idle-complete", "holds" if already else "refuted", data)
-    return EXIT_HOLDS if already else EXIT_REFUTED
+    return _verdict(args, already, data)
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
@@ -188,7 +207,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
     if args.out:
         _write(args.out, dumps(prod))
         data["written"] = args.out
-    _emit(args, "product", "holds", data)
+    _emit(args, "holds", data)
     return EXIT_HOLDS
 
 
@@ -204,7 +223,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "traces": traces[: args.max_traces],
         "truncated_listing": len(traces) > args.max_traces,
     }
-    _emit(args, "simulate", "holds", data)
+    _emit(args, "holds", data)
     return EXIT_HOLDS
 
 
@@ -216,8 +235,7 @@ def _cmd_check_admitted(args: argparse.Namespace) -> int:
     if res.witness is not None:
         data["witness"] = _trace_labels(res.witness)
         data["detail"] = res.detail
-    _emit(args, "check-admitted", "holds" if res.ok else "refuted", data)
-    return EXIT_HOLDS if res.ok else EXIT_REFUTED
+    return _verdict(args, res.ok, data)
 
 
 def _cmd_check_fwd(args: argparse.Namespace) -> int:
@@ -238,10 +256,9 @@ def _cmd_check_fwd(args: argparse.Namespace) -> int:
         if args.cert_out:
             _write(args.cert_out, dumps_certificate(res.certificate))
             data["certificate_written"] = args.cert_out
-        _emit(args, "check-fwd", "holds" if ok else "refuted", data)
-        return EXIT_HOLDS if ok else EXIT_REFUTED
+        return _verdict(args, ok, data)
     verdict = "refuted" if res.complete else "unknown"
-    _emit(args, "check-fwd", verdict, data)
+    _emit(args, verdict, data)
     return EXIT_REFUTED if res.complete else EXIT_UNKNOWN
 
 
@@ -267,12 +284,11 @@ def _cmd_check_prog_fwd(args: argparse.Namespace) -> int:
         if args.cert_out:
             _write(args.cert_out, dumps_certificate(res.certificate, res.witness))
             data["certificate_written"] = args.cert_out
-        _emit(args, "check-prog-fwd", "holds" if ok else "refuted", data)
-        return EXIT_HOLDS if ok else EXIT_REFUTED
+        return _verdict(args, ok, data)
     if res.verdict == "unknown" or (res.verdict == "no-forward" and not res.complete):
-        _emit(args, "check-prog-fwd", "unknown", data)
+        _emit(args, "unknown", data)
         return EXIT_UNKNOWN
-    _emit(args, "check-prog-fwd", "refuted", data)
+    _emit(args, "refuted", data)
     return EXIT_REFUTED
 
 
@@ -286,8 +302,7 @@ def _cmd_validate_cert(args: argparse.Namespace) -> int:
         "has_ranks": witness is not None,
         "problems": problems,
     }
-    _emit(args, "validate-cert", "holds" if ok else "refuted", data)
-    return EXIT_HOLDS if ok else EXIT_REFUTED
+    return _verdict(args, ok, data)
 
 
 def _load_transform(args: argparse.Namespace):
@@ -365,8 +380,7 @@ def _cmd_transform_scheduler(args: argparse.Namespace) -> int:
             + "\n",
         )
         data["table_written"] = args.table_out
-    _emit(args, "transform-scheduler", "holds" if ok else "refuted", data)
-    return EXIT_HOLDS if ok else EXIT_REFUTED
+    return _verdict(args, ok, data)
 
 
 def _cmd_check_lemmas(args: argparse.Namespace) -> int:
@@ -385,8 +399,7 @@ def _cmd_check_lemmas(args: argparse.Namespace) -> int:
         ],
     }
     ok = all(r.ok for r in results)
-    _emit(args, "check-lemmas", "holds" if ok else "refuted", data)
-    return EXIT_HOLDS if ok else EXIT_REFUTED
+    return _verdict(args, ok, data)
 
 
 def _cmd_find_divergence(args: argparse.Namespace) -> int:
@@ -395,9 +408,9 @@ def _cmd_find_divergence(args: argparse.Namespace) -> int:
     prod = product(prog, obj)
     sched = make_scheduler(args.strategy, prod)
     gamma = _resolve_gamma(args.gamma, prod)
-    lasso = find_divergence(prod, sched, gamma, args.depth, budget=args.budget)
+    lasso = find_divergence(prod, sched, gamma, depth=0, budget=args.budget)
     if lasso is None:
-        _emit(args, "find-divergence", "holds", {"strategy": args.strategy})
+        _emit(args, "holds", {"strategy": args.strategy})
         return EXIT_HOLDS
     validate_lasso(prod, lasso)
     projected = project_lasso(lasso, gamma)
@@ -407,17 +420,14 @@ def _cmd_find_divergence(args: argparse.Namespace) -> int:
         "cycle": _trace_labels(lasso.cycle),
         "cycle_is_silent": not isinstance(projected, type(lasso)),
     }
-    _emit(args, "find-divergence", "refuted", data)
+    _emit(args, "refuted", data)
     return EXIT_REFUTED
 
 
 def _cmd_run_casestudy(args: argparse.Namespace) -> int:
-    threads = tuple(int(x) for x in args.threads.split(","))
-    addends = tuple(int(x) for x in args.addends.split(","))
-    cfg = FaaConfig(threads=threads, addends=addends)
+    cfg = FaaConfig(threads=args.threads, addends=args.addends)
     report = run_counterexample_suite(cfg, depth=args.depth, budget=args.budget)
-    _emit(args, "run-casestudy", "holds" if report.ok else "refuted", report.to_dict())
-    return EXIT_HOLDS if report.ok else EXIT_REFUTED
+    return _verdict(args, report.ok, report.to_dict())
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
@@ -426,7 +436,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     text = to_dot(lts, name=name)
     if args.out:
         _write(args.out, text)
-        _emit(args, "export-dot", "holds", {"written": args.out})
+        _emit(args, "holds", {"written": args.out})
     else:
         sys.stdout.write(text)
     return EXIT_HOLDS
@@ -439,7 +449,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ltsim", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="recorded in the report")
-    common.add_argument("--budget", type=int, default=None, help="node budget override")
+    common.add_argument("--budget", type=_count, default=None, help="node budget override")
     common.add_argument("--timing", action="store_true", help="print wall-clock to stderr")
 
     sub = parser.add_subparsers(dest="cmd")
@@ -464,13 +474,13 @@ def _build_parser() -> _Parser:
     p = cmd("simulate", _cmd_simulate, "enumerate scheduled traces")
     p.add_argument("model")
     p.add_argument("--strategy", default="maximal", choices=sorted(STRATEGIES))
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--max-traces", type=int, default=50)
+    p.add_argument("--depth", type=_count, default=8)
+    p.add_argument("--max-traces", type=_count, default=50)
 
     p = cmd("check-admitted", _cmd_check_admitted, "non-empty, all-enabled scheduling")
     p.add_argument("model")
     p.add_argument("--strategy", default="maximal", choices=sorted(STRATEGIES))
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_count, default=8)
 
     p = cmd("check-fwd", _cmd_check_fwd, "greatest forward simulation")
     p.add_argument("concrete")
@@ -484,7 +494,7 @@ def _build_parser() -> _Parser:
     p.add_argument("abstract")
     p.add_argument("--gamma", default="cr")
     p.add_argument("--alpha-bound", type=int, default=4)
-    p.add_argument("--backtrack-budget", type=int, default=1_000_000)
+    p.add_argument("--backtrack-budget", type=_count, default=1_000_000)
     p.add_argument("--cert-out", default=None)
 
     p = cmd("validate-cert", _cmd_validate_cert, "replay a stored certificate")
@@ -501,7 +511,7 @@ def _build_parser() -> _Parser:
         p.add_argument("concrete")
         p.add_argument("abstract")
         p.add_argument("--strategy", default="object-first", choices=sorted(STRATEGIES))
-        p.add_argument("--depth", type=int, default=12)
+        p.add_argument("--depth", type=_count, default=12)
         p.add_argument("--gamma", default="cr")
         p.add_argument("--alpha-bound", type=int, default=4)
         p.add_argument("--cert", default=None, help="certificate file (computed when absent)")
@@ -512,13 +522,12 @@ def _build_parser() -> _Parser:
     p.add_argument("program")
     p.add_argument("object")
     p.add_argument("--strategy", default="ll-alternator", choices=sorted(STRATEGIES))
-    p.add_argument("--depth", type=int, default=12, help="not read: the strategy walk is exact")
     p.add_argument("--gamma", default="gamma-p")
 
     p = cmd("run-casestudy", _cmd_run_casestudy, "the counter contrast, end to end")
-    p.add_argument("--threads", default="1,2")
-    p.add_argument("--addends", default="1,2")
-    p.add_argument("--depth", type=int, default=14)
+    p.add_argument("--threads", type=_int_list, default=(1, 2))
+    p.add_argument("--addends", type=_int_list, default=(1, 2))
+    p.add_argument("--depth", type=_count, default=14)
 
     p = cmd("export-dot", _cmd_export_dot, "model as graphviz")
     p.add_argument("model")

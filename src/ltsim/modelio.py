@@ -8,6 +8,7 @@ same model always serializes to the same bytes.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from typing import Any
 
 from .errors import ModelError, ParseError
@@ -47,12 +48,39 @@ def _build_alphabet(
                     line=None if where is None else where.get(section),
                 )
             seen[a.label()] = section
-    return Alphabet(
-        program=frozenset(groups["program"]),
-        calls=frozenset(groups["calls"]),
-        returns=frozenset(groups["returns"]),
-        internal=frozenset(groups["internal"]),
-    )
+    return Alphabet(**{section: frozenset(actions) for section, actions in groups.items()})
+
+
+def _assemble(
+    alphabet: Alphabet,
+    initial: str,
+    rows: Iterable[tuple[str, str, str, int | None]],
+) -> Lts:
+    """Build a model from rows (src, action label, dst, line or None).
+
+    The one assembly path of both syntaxes.  States are numbered in
+    order of first appearance, the initial state first and src before
+    dst; certificates and reports name states by these numbers.
+    """
+    by_label = {a.label(): a for a in alphabet.all_actions}
+    states: dict[str, int] = {initial: 0}
+    transitions: dict[tuple[int, Action], int] = {}
+    for src, act, dst, line in rows:
+        action = by_label.get(act)
+        if action is None:
+            raise ParseError(f"undeclared action {act!r}", line=line)
+        s = states.setdefault(src, len(states))
+        t = states.setdefault(dst, len(states))
+        prev = transitions.setdefault((s, action), t)
+        if prev != t:
+            raise ParseError(
+                f"nondeterministic: ({src!r}, {act!r}) already maps to {list(states)[prev]!r}",
+                line=line,
+            )
+    try:
+        return Lts(alphabet, len(states), 0, transitions, list(states))
+    except ModelError as e:
+        raise ParseError(str(e)) from None
 
 
 # --- text format -------------------------------------------------------
@@ -68,7 +96,7 @@ def parse_lts_text(text: str) -> Lts:
     groups: dict[str, list[Action]] = {k: [] for k in _SECTION_KINDS}
     where: dict[str, int] = {}
     initial: str | None = None
-    edges: list[tuple[str, str, str, int]] = []
+    rows: list[tuple[str, str, str, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # `#` marks payloads, so comments use `//` (inline or whole-line)
@@ -103,58 +131,22 @@ def parse_lts_text(text: str) -> Lts:
             src, act, dst = src.strip(), act.strip(), dst.strip()
             if not src or not act or not dst:
                 raise ParseError(f"malformed transition {line!r}", line=lineno)
-            edges.append((src, act, dst, lineno))
+            rows.append((src, act, dst, lineno))
             continue
         raise ParseError(f"unrecognized line {line!r}", line=lineno)
 
     alphabet = _build_alphabet(groups, where)
     if initial is None:
         raise ParseError("no initial state declared")
-
-    by_label = {a.label(): a for a in alphabet.non_idle()}
-    by_label[IDLE.label()] = IDLE
-
-    states: dict[str, int] = {}
-    labels: list[str] = []
-
-    def intern(name: str) -> int:
-        if name not in states:
-            states[name] = len(labels)
-            labels.append(name)
-        return states[name]
-
-    intern(initial)
-    transitions: dict[tuple[int, Action], int] = {}
-    for src, act, dst, lineno in edges:
-        action = by_label.get(act)
-        if action is None:
-            raise ParseError(f"undeclared action {act!r}", line=lineno)
-        s, t = intern(src), intern(dst)
-        prev = transitions.get((s, action))
-        if prev is not None and prev != t:
-            raise ParseError(
-                f"nondeterministic: ({src!r}, {act!r}) already maps to {labels[prev]!r}",
-                line=lineno,
-            )
-        transitions[(s, action)] = t
-
-    try:
-        return Lts(alphabet, len(labels), states[initial], transitions, labels)
-    except ModelError as e:
-        raise ParseError(str(e)) from None
+    return _assemble(alphabet, initial, rows)
 
 
 def format_lts_text(lts: Lts) -> str:
     """Canonical text form; parse(format(m)) reproduces m up to state order."""
-    a = lts.alphabet
-    lines = []
-    for section, group in (
-        ("program", a.program),
-        ("calls", a.calls),
-        ("returns", a.returns),
-        ("internal", a.internal),
-    ):
-        lines.append(f"{section}: " + ", ".join(x.label() for x in sort_actions(group)))
+    lines = [
+        f"{section}: " + ", ".join(x.label() for x in sort_actions(getattr(lts.alphabet, section)))
+        for section in _SECTION_KINDS
+    ]
     lines.append(f"initial: {lts.label_of(lts.initial)}")
     rows = sorted(
         (lts.label_of(s), act, lts.label_of(t))
@@ -170,13 +162,10 @@ def format_lts_text(lts: Lts) -> str:
 
 
 def lts_to_dict(lts: Lts) -> dict[str, Any]:
-    a = lts.alphabet
     return {
         "alphabet": {
-            "program": [x.label() for x in sort_actions(a.program)],
-            "calls": [x.label() for x in sort_actions(a.calls)],
-            "returns": [x.label() for x in sort_actions(a.returns)],
-            "internal": [x.label() for x in sort_actions(a.internal)],
+            section: [x.label() for x in sort_actions(getattr(lts.alphabet, section))]
+            for section in _SECTION_KINDS
         },
         "initial": lts.label_of(lts.initial),
         "transitions": sorted(
@@ -186,50 +175,33 @@ def lts_to_dict(lts: Lts) -> dict[str, Any]:
     }
 
 
-def lts_from_dict(data: dict[str, Any]) -> Lts:
+def _json_row(row: Any) -> tuple[str, str, str, None]:
+    if not isinstance(row, (list, tuple)) or len(row) != 3:
+        raise ParseError(f"transition row {row!r} is not [src, action, dst]")
+    src, act, dst = (str(x) for x in row)
+    return src, act, dst, None
+
+
+def lts_from_dict(data: Mapping[str, Any]) -> Lts:
+    """Read the JSON form; a missing alphabet section is empty."""
     try:
         raw_alpha = data["alphabet"]
         raw_initial = data["initial"]
-        raw_edges = data["transitions"]
+        raw_rows = data["transitions"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"missing model field: {e}") from None
-
+    if not isinstance(raw_alpha, Mapping):
+        raise ParseError("model field 'alphabet' is not an object of sections")
     groups: dict[str, list[Action]] = {}
     for section, kind in _SECTION_KINDS.items():
-        groups[section] = [parse_action(x, kind) for x in raw_alpha.get(section, [])]
+        labels = raw_alpha.get(section, [])
+        if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
+            raise ParseError(f"alphabet section {section!r} is not a list of action labels")
+        groups[section] = [parse_action(x, kind) for x in labels]
     alphabet = _build_alphabet(groups)
-
-    by_label = {a.label(): a for a in alphabet.non_idle()}
-    by_label[IDLE.label()] = IDLE
-
-    states: dict[str, int] = {}
-    labels: list[str] = []
-
-    def intern(name: str) -> int:
-        if name not in states:
-            states[name] = len(labels)
-            labels.append(name)
-        return states[name]
-
-    intern(str(raw_initial))
-    transitions: dict[tuple[int, Action], int] = {}
-    for row in raw_edges:
-        if len(row) != 3:
-            raise ParseError(f"transition row {row!r} is not [src, action, dst]")
-        src, act, dst = (str(x) for x in row)
-        action = by_label.get(act)
-        if action is None:
-            raise ParseError(f"undeclared action {act!r}")
-        s, t = intern(src), intern(dst)
-        prev = transitions.get((s, action))
-        if prev is not None and prev != t:
-            raise ParseError(f"nondeterministic: ({src!r}, {act!r}) has two successors")
-        transitions[(s, action)] = t
-
-    try:
-        return Lts(alphabet, len(labels), states[str(raw_initial)], transitions, labels)
-    except ModelError as e:
-        raise ParseError(str(e)) from None
+    if not isinstance(raw_rows, (list, tuple)):
+        raise ParseError("model field 'transitions' is not a list of rows")
+    return _assemble(alphabet, str(raw_initial), (_json_row(row) for row in raw_rows))
 
 
 def dumps(lts: Lts) -> str:

@@ -809,11 +809,14 @@ def certificate_from_dict(
             gamma=gamma,
             alpha_bound=int(data["alpha_bound"]),
         )
+        witness = None
+        if "ranks" in data:
+            ranks = data["ranks"]
+            if not isinstance(ranks, dict) or not all(type(v) is int for v in ranks.values()):
+                raise ValueError("ranks must map state numbers to integers")
+            witness = ProgressWitness({int(k): v for k, v in ranks.items()})
     except (KeyError, TypeError, IndexError, ValueError) as e:
         raise ParseError(f"malformed certificate: {e}") from None
-    witness = None
-    if "ranks" in data:
-        witness = ProgressWitness({int(k): int(v) for k, v in data["ranks"].items()})
     return cert, witness
 
 

@@ -75,7 +75,7 @@ class MappedTraces:
     Every concrete node u carries meta["image"], the image-tree node of
     its mapped trace; image nodes carry meta["s2"], the scheduled set
     derived from the governing diagram (None while the bounded tree
-    cannot determine it), and meta["preimages"].  conflicts records
+    cannot determine it).  conflicts records
     image nodes that two diagrams tried to annotate differently, which
     a deterministic concrete scheduler never produces.
     """
@@ -147,14 +147,12 @@ def build_f(
     image = TracePrefixTree(prod2.initial, depth * max(cert.alpha_bound, 1) + 1)
     mt = MappedTraces(concrete, image, prod1, prod2, cert, s1, depth)
 
-    image.root.meta["preimages"] = [concrete.root]
     concrete.root.meta["image"] = image.root
 
-    def annotate(w: TraceNode, value: frozenset[Action], source: TraceNode) -> None:
+    def annotate(w: TraceNode, value: frozenset[Action]) -> None:
         prev = w.meta.get("s2")
         if prev is None:
             w.meta["s2"] = value
-            w.meta["s2_src"] = source
         elif prev != value:
             mt.conflicts.append(
                 f"image node {_fmt(w.trace())} scheduled as "
@@ -176,7 +174,7 @@ def build_f(
                 alpha = mapping_m(cs, a, as_, cert)
             w = v
             for i, b in enumerate(alpha):
-                annotate(w, scheduled if b in gamma_p else frozenset({b}), u)
+                annotate(w, scheduled if b in gamma_p else frozenset({b}))
                 nxt_state = prod2.step(w.state, b)
                 if nxt_state is None:
                     raise ContractViolation(
@@ -192,7 +190,6 @@ def build_f(
                         )
                 w = child
             u2.meta["image"] = w
-            w.meta.setdefault("preimages", []).append(u2)
     return mt
 
 
@@ -213,7 +210,8 @@ class S2Scheduler(Scheduler):
     return action, and the singleton next action otherwise.  Traces
     outside the image get the idle singleton, which no consistent trace
     ever reaches.  Queries past the bounded tree trigger a deeper
-    rebuild up to a cap, then raise DepthExhausted.
+    rebuild up to a cap (the first depth plus twice the concrete state
+    count plus 8), then raise DepthExhausted.
 
     A cursor is an image-tree node, so a walk costs one child lookup per
     step.  In the unbuilt fringe, or on a tree that a deeper rebuild has
@@ -224,16 +222,11 @@ class S2Scheduler(Scheduler):
         self,
         mt: MappedTraces,
         auto_deepen: bool = True,
-        max_depth: int | None = None,
         budget: int | None = None,
     ):
         self.mt = mt
         self.auto_deepen = auto_deepen
-        self.max_depth = (
-            max_depth
-            if max_depth is not None
-            else mt.depth + 2 * mt.prod1.num_states + 8
-        )
+        self.max_depth = mt.depth + 2 * mt.prod1.num_states + 8
         self.budget = budget
 
     def cursor(self) -> tuple:

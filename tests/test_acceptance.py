@@ -694,8 +694,7 @@ def test_reports_are_reproducible_byte_for_byte(model_files, tmp_path, capsys):
              "--depth", "14", "--alpha-bound", "38", "--table-out", table_path],
             ["check-lemmas", m["prog"], m["plain"], m["spec"],
              "--depth", "14", "--alpha-bound", "38"],
-            ["find-divergence", m["prog"], m["impl"],
-             "--strategy", "ll-alternator", "--depth", "12"],
+            ["find-divergence", m["prog"], m["impl"], "--strategy", "ll-alternator"],
         ]
         runs = []
         for _ in (1, 2):

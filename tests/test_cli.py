@@ -7,13 +7,14 @@ the exit code grades the verdict: 0 holds, 1 refuted, 2 unknown,
 3 unusable input, 4 internal error.
 """
 
+import argparse
 import json
 
 import pytest
 
 from ltsim import Action, ActionKind, Alphabet, Lts, is_idle_complete
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_program
-from ltsim.cli import main
+from ltsim.cli import _build_parser, main
 from ltsim.modelio import dumps, load_model
 
 REPORT_KEYS = {"schema_version", "command", "seed", "verdict", "data"}
@@ -133,6 +134,60 @@ def test_unusable_certificate_files_are_input_errors(models, tmp_path, capsys, c
     code, out, err = run(capsys, argv(str(garbled)))
     assert (code, out) == (3, "")
     assert "certificate is not JSON" in err
+
+
+def test_a_malformed_json_model_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"alphabet": {"calls": "ab"}, "initial": "s", "transitions": []}))
+    code, out, err = run(capsys, ["check-det", str(bad)])
+    assert (code, out) == (3, "")
+    assert "alphabet section 'calls'" in err
+
+
+@pytest.mark.parametrize("ranks", [[1, 2], {"x": 1}], ids=["list", "non-integer-key"])
+@pytest.mark.parametrize("command", ["validate-cert", "transform-scheduler"])
+def test_malformed_certificate_ranks_are_input_errors(
+    models, prog_cert, tmp_path, capsys, command, ranks
+):
+    with open(prog_cert) as f:
+        payload = json.load(f)
+    payload["ranks"] = ranks
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(payload))
+    if command == "validate-cert":
+        argv = [command, models["plain"], models["spec"], str(cert)]
+    else:
+        argv = [command, models["prog"], models["plain"], models["spec"], "--cert", str(cert)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "malformed certificate" in err
+
+
+COUNT_OPTIONS = ("--depth", "--budget", "--max-traces", "--backtrack-budget")
+
+
+def _bad_option_values():
+    """A -1 for every count option each subcommand declares, plus bad integer lists."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        positionals = ["x"] * sum(1 for a in p._actions if not a.option_strings)
+        for action in p._actions:
+            for option in COUNT_OPTIONS:
+                if option in action.option_strings:
+                    yield [name, *positionals, option, "-1"]
+    yield ["run-casestudy", "--threads", "a,b"]
+    yield ["run-casestudy", "--addends", "1,x"]
+
+
+@pytest.mark.parametrize("argv", list(_bad_option_values()), ids=" ".join)
+def test_bad_option_values_exit_3_via_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    captured = capsys.readouterr()
+    assert ei.value.code == 3
+    assert captured.out == ""
+    assert "usage:" in captured.err
 
 
 # --- model commands ---------------------------------------------------------

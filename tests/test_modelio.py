@@ -96,6 +96,56 @@ def test_lts_from_dict_rejects_garbage():
         lts_from_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "alphabet, transitions",
+    [
+        ([], []),
+        ({"calls": "ab"}, []),
+        ({"calls": [5]}, []),
+        ({"calls": ["c"]}, 3),
+        ({"calls": ["c"]}, [7]),
+    ],
+    ids=["alphabet-list", "section-string", "section-number", "transitions-number", "row-number"],
+)
+def test_loads_rejects_malformed_json_shapes(alphabet, transitions):
+    payload = {"alphabet": alphabet, "initial": "s", "transitions": transitions}
+    with pytest.raises(ParseError):
+        loads(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        ("initial: s\ns -- zap -> t\n", [["s", "zap", "t"]]),
+        ("calls: c\ninitial: s\ns -- c -> a\ns -- c -> b\n", [["s", "c", "a"], ["s", "c", "b"]]),
+    ],
+    ids=["undeclared", "nondeterministic"],
+)
+def test_both_syntaxes_report_a_defect_the_same_way(text, rows):
+    with pytest.raises(ParseError) as from_text:
+        parse_lts_text(text)
+    calls = ["c"] if "calls:" in text else []
+    with pytest.raises(ParseError) as from_json:
+        lts_from_dict({"alphabet": {"calls": calls}, "initial": "s", "transitions": rows})
+    assert str(from_text.value) == f"{from_json.value} (line {from_text.value.line})"
+
+
+def test_both_syntaxes_number_states_alike():
+    m = parse_lts_text(SAMPLE)
+    from_text = parse_lts_text(format_lts_text(m))
+    from_json = loads(dumps(m))
+    assert from_text.labels == from_json.labels
+    assert list(from_text.edges()) == list(from_json.edges())
+    assert from_text.initial == from_json.initial == 0
+
+
+def test_lts_from_dict_accepts_tuples():
+    m = lts_from_dict(
+        {"alphabet": {"calls": ("c",)}, "initial": "s", "transitions": (("s", "c", "t"),)}
+    )
+    assert edge_labels(m) == {("s", "c", "t")}
+
+
 def test_loads_reports_json_position():
     with pytest.raises(ParseError) as e:
         loads("{\n  broken\n}")
