@@ -45,6 +45,10 @@ from .transform import (
 
 VARIANTS = ("invalidating", "plain")
 
+# Step (e) compares projected traces up to this length; a shorter
+# comparison leaves the step unknown.
+PROJECTION_STEPS = 8
+
 
 @dataclass(frozen=True)
 class FaaConfig:
@@ -302,11 +306,16 @@ register_strategy("ll-alternator", LlAlternatorStrategy)
 
 @dataclass(frozen=True)
 class StepReport:
-    """One suite step: what was checked and what came out."""
+    """One suite step: what was checked and what came out.
+
+    `ran_short` marks a step that is not ok only because a bound ran out
+    before the step could be shown: every check it made held.
+    """
 
     name: str
     ok: bool
     detail: dict[str, Any]
+    ran_short: bool = False
 
     def to_dict(self) -> dict[str, Any]:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
@@ -320,6 +329,13 @@ class CaseStudyReport:
     @property
     def ok(self) -> bool:
         return all(s.ok for s in self.steps)
+
+    @property
+    def verdict(self) -> str:
+        """holds when every step is ok; unknown when each step that is not only ran short."""
+        if self.ok:
+            return "holds"
+        return "unknown" if all(s.ok or s.ran_short for s in self.steps) else "refuted"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -483,6 +499,7 @@ def run_counterexample_suite(
         "progressive_verdict": plain_prog.verdict,
     }
     ok_e = plain_prog.verdict == "yes" and plain_prog.certificate is not None
+    short = False
     if ok_e:
         prod_plain = product(prog, plain)
         s1 = LlAlternatorStrategy(prod_plain)
@@ -497,9 +514,9 @@ def run_counterexample_suite(
         det2 = check_deterministic_scheduler(s2, prod_spec, check_depth, budget=budget)
         images = check_image_equality(mt, s2, budget=budget)
         projections = check_projection_equality(
-            mt, s2, prod_plain.alphabet.program, 8, budget=budget
+            mt, s2, prod_plain.alphabet.program, PROJECTION_STEPS, budget=budget
         )
-        ok_e = (
+        checks_ok = (
             adm1.ok
             and det1.ok
             and all(l.ok for l in lemmas)
@@ -507,8 +524,10 @@ def run_counterexample_suite(
             and det2.ok
             and images.ok
             and projections.ok
-            and (projections.compare_length is None or projections.compare_length >= 8)
         )
+        compared = projections.compare_length
+        short = checks_ok and compared is not None and compared < PROJECTION_STEPS
+        ok_e = checks_ok and not short
         detail.update(
             {
                 "concrete_admitted": adm1.ok,
@@ -524,6 +543,11 @@ def run_counterexample_suite(
                 "image_tree_size": mt.image.size,
             }
         )
-    steps.append(StepReport("transform-terminating-variant", ok_e, detail))
+        if short:
+            detail["note"] = (
+                f"projections compared over {compared} of the {PROJECTION_STEPS} steps"
+                " needed; raise --depth"
+            )
+    steps.append(StepReport("transform-terminating-variant", ok_e, detail, ran_short=short))
 
     return CaseStudyReport(cfg, tuple(steps))

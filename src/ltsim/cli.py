@@ -14,6 +14,7 @@ error (4) leave stdout empty and say why on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -427,6 +428,9 @@ def _cmd_find_divergence(args: argparse.Namespace) -> int:
 def _cmd_run_casestudy(args: argparse.Namespace) -> int:
     cfg = FaaConfig(threads=args.threads, addends=args.addends)
     report = run_counterexample_suite(cfg, depth=args.depth, budget=args.budget)
+    if report.verdict == "unknown":
+        _emit(args, "unknown", report.to_dict())
+        return EXIT_UNKNOWN
     return _verdict(args, report.ok, report.to_dict())
 
 
@@ -445,6 +449,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 # --- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ltsim", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)

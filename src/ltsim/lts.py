@@ -4,7 +4,9 @@ States are dense integer indices with an optional side table of
 human-readable labels.  Actions carry their classification (program,
 call, return, internal, idle) so alphabet membership is a field lookup,
 and argument/return values are part of action identity, which keeps the
-transition function single-valued.
+transition function single-valued.  An action's hash and order key are
+computed once, when it is built; pickling and copying rebuild them from
+the fields, because str hashes differ between processes.
 """
 
 from __future__ import annotations
@@ -35,6 +37,23 @@ class Action:
     thread: int | None = None
     payload: int | None = None
 
+    def __post_init__(self) -> None:
+        key = (
+            self.name,
+            self.kind.value,
+            -1 if self.thread is None else self.thread,
+            float("-inf") if self.payload is None else self.payload,
+        )
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash((self.name, self.kind, self.thread, self.payload)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes are salted per process: rebuild the cached hash on load
+        return (type(self), (self.name, self.kind, self.thread, self.payload))
+
     def label(self) -> str:
         """Canonical string form: name[@thread][#payload]."""
         s = self.name
@@ -46,12 +65,7 @@ class Action:
 
     def key(self) -> tuple:
         """Total order used wherever canonical action order matters."""
-        return (
-            self.name,
-            self.kind.value,
-            -1 if self.thread is None else self.thread,
-            float("-inf") if self.payload is None else self.payload,
-        )
+        return self._key
 
     def __repr__(self) -> str:
         return f"Action({self.label()}:{self.kind.value})"
@@ -364,6 +378,8 @@ class LtsBuilder:
         self._labels: list[Any] = []
         self._transitions: dict[tuple[int, Action], int] = {}
         self._initial: int | None = None
+        # one instance per action, however many edges carry it
+        self._actions = {a: a for a in alphabet.all_actions}
 
     def state(self, label: Any) -> int:
         idx = self._index.get(label)
@@ -380,6 +396,7 @@ class LtsBuilder:
 
     def add(self, src: Any, action: Action, dst: Any) -> None:
         s, t = self.state(src), self.state(dst)
+        action = self._actions.get(action, action)
         prev = self._transitions.get((s, action))
         if prev is not None and prev != t:
             raise ModelError(

@@ -199,9 +199,11 @@ def lts_from_dict(data: Mapping[str, Any]) -> Lts:
             raise ParseError(f"alphabet section {section!r} is not a list of action labels")
         groups[section] = [parse_action(x, kind) for x in labels]
     alphabet = _build_alphabet(groups)
+    if not isinstance(raw_initial, str) or not raw_initial:
+        raise ParseError("model field 'initial' is not a non-empty state name")
     if not isinstance(raw_rows, (list, tuple)):
         raise ParseError("model field 'transitions' is not a list of rows")
-    return _assemble(alphabet, str(raw_initial), (_json_row(row) for row in raw_rows))
+    return _assemble(alphabet, raw_initial, (_json_row(row) for row in raw_rows))
 
 
 def dumps(lts: Lts) -> str:

@@ -307,8 +307,11 @@ def _greatest_relation(
             log.extend(compress(range(e * n2, e * n2 + n2), dead.to_bytes(n2, "little")))
     # count the related landings of every surviving pair's steps; pairs
     # found dead here stay related until all counting is done, so that
-    # their deaths are subtracted once, by the worklist
-    count = array("I", bytes(4 * len(edges) * n2))
+    # their deaths are subtracted once, by the worklist.  A count never
+    # exceeds its step's landings, so it takes one byte unless some
+    # (action, s2) has 256 landings or more.
+    widest = max((len(ts) for rows in landings for ts in rows), default=0)
+    count = array("B" if widest < 256 else "I", [0]) * (len(edges) * n2)
     dying: list[int] = []
     for e, k in enumerate(kind):
         row, base, rows = src[e] * n2, dst[e] * n2, landings[k]

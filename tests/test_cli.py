@@ -76,6 +76,44 @@ def test_timing_goes_to_stderr_only(models, capsys):
     assert "ltsim: check-det:" in timed_err
 
 
+def exits(capsys, argv):
+    """Run argv through main where argparse itself ends the call."""
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    captured = capsys.readouterr()
+    return ei.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["--help"], 0), (["check-det"], 3)], ids=["help", "usage-error"]
+)
+def test_the_cached_parser_answers_alike_twice(capsys, argv, code):
+    first = exits(capsys, argv)
+    assert first[0] == code
+    assert exits(capsys, argv) == first
+
+
+def test_a_seed_does_not_carry_over_to_the_next_call(models, capsys):
+    _, seeded, _ = run(capsys, ["check-det", models["impl"], "--seed", "7"])
+    _, plain, _ = run(capsys, ["check-det", models["impl"]])
+    assert (report(seeded)["seed"], report(plain)["seed"]) == (7, 0)
+
+
+def test_a_second_call_builds_no_parser(models, capsys, monkeypatch):
+    run(capsys, ["check-det", models["impl"]])
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    code, _, _ = run(capsys, ["check-det", models["impl"]])
+    assert code == 0
+    assert added == []
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, out, err = run(capsys, ["check-det", "/nonexistent/model.json"])
     assert code == 3
@@ -142,6 +180,15 @@ def test_a_malformed_json_model_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, ["check-det", str(bad)])
     assert (code, out) == (3, "")
     assert "alphabet section 'calls'" in err
+
+
+@pytest.mark.parametrize("initial", [None, "", 5], ids=["null", "empty", "number"])
+def test_a_json_model_must_name_its_initial_state(tmp_path, capsys, initial):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"alphabet": {}, "initial": initial, "transitions": []}))
+    code, out, err = run(capsys, ["check-det", str(bad)])
+    assert (code, out) == (3, "")
+    assert "model field 'initial'" in err
 
 
 @pytest.mark.parametrize("ranks", [[1, 2], {"x": 1}], ids=["list", "non-integer-key"])
@@ -551,6 +598,20 @@ def test_run_casestudy_cli(capsys):
         "atomic-completion",
         "transform-terminating-variant",
     ]
+
+
+@pytest.mark.parametrize("depth, code", [(0, 2), (11, 2), (12, 0)])
+def test_run_casestudy_reads_a_short_comparison_as_unknown(capsys, depth, code):
+    got, out, _ = run(capsys, ["run-casestudy", "--depth", str(depth)])
+    rep = report(out)
+    assert got == code
+    assert rep["verdict"] == {0: "holds", 2: "unknown"}[code]
+    transform = rep["data"]["steps"][-1]
+    assert transform["name"] == "transform-terminating-variant"
+    checks = {k: v for k, v in transform["detail"].items() if isinstance(v, bool)}
+    assert all(checks.values()) and all(transform["detail"]["lemmas"].values())
+    assert ("note" in transform["detail"]) == (code == 2)
+    assert all(s["ok"] for s in rep["data"]["steps"][:-1])
 
 
 def test_run_casestudy_rejects_bad_configs(capsys):

@@ -1,7 +1,15 @@
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+
+import ltsim
 
 from ltsim import (
     IDLE,
@@ -24,6 +32,7 @@ from ltsim import (
     validate_lasso,
 )
 
+from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_program
 from ltsim.lts import find_cycle
 
 from conftest import internal, make_lts, prog_action
@@ -63,6 +72,74 @@ def test_sort_actions_is_total_and_stable():
     ordered = sort_actions(acts)
     assert [a.label() for a in ordered] == ["a", "a@1", "a@1#5", "a@2", "b"]
     assert sort_actions(reversed(ordered)) == ordered
+
+
+def old_key(a):
+    """The order key as a formula on the fields, before it was stored."""
+    return (
+        a.name,
+        a.kind.value,
+        -1 if a.thread is None else a.thread,
+        float("-inf") if a.payload is None else a.payload,
+    )
+
+
+def faa_actions():
+    """Every action of the FAA case-study models, both variants, two sizes."""
+    out = set()
+    for threads, addends in (((1, 2), (1, 2)), ((1, 2, 3), (1, 1, 1))):
+        for variant in ("invalidating", "plain"):
+            cfg = FaaConfig(threads, addends, variant)
+            for lts in (build_faa_impl(cfg), build_faa_spec(cfg), build_program(cfg)):
+                out |= lts.alphabet.all_actions
+    return sort_actions(out)
+
+
+def test_action_key_is_the_field_formula_over_the_faa_alphabets():
+    actions = faa_actions()
+    assert len(actions) > 20
+    for a in actions:
+        assert a.key() == old_key(a)
+    assert sort_actions(reversed(actions)) == sorted(actions, key=old_key)
+
+
+def test_equal_actions_have_equal_hashes_and_keys():
+    for a in faa_actions():
+        twin = Action(a.name, a.kind, a.thread, a.payload)
+        assert twin == a and twin is not a
+        assert hash(twin) == hash(a) and twin.key() == a.key()
+    assert Action("x", ActionKind.CALL, 1) != Action("x", ActionKind.RETURN, 1)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, dataclasses.replace, lambda a: pickle.loads(pickle.dumps(a))],
+    ids=["copy", "deepcopy", "replace", "pickle"],
+)
+def test_a_copied_action_is_equal_with_an_equal_hash(clone):
+    for a in (Action("sc-ok", ActionKind.INTERNAL, 2), Action("ret", ActionKind.RETURN, 1, -3), IDLE):
+        b = clone(a)
+        assert b == a and hash(b) == hash(a) and b.key() == a.key()
+        assert b in {a} and {b: 1}[a] == 1
+
+
+def test_an_action_pickled_under_another_hash_seed_is_found_in_a_local_set():
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    child = (
+        "import pickle, sys\n"
+        "from ltsim import Action, ActionKind\n"
+        "acts = [Action('ll', ActionKind.INTERNAL, 1), Action('call', ActionKind.CALL, 2, 5)]\n"
+        "sys.stdout.buffer.write(pickle.dumps((acts, hash(acts[0]))))\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(Path(ltsim.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, check=True, timeout=60
+    )
+    actions, child_hash = pickle.loads(done.stdout)
+    local = {Action("ll", ActionKind.INTERNAL, 1), Action("call", ActionKind.CALL, 2, 5)}
+    assert child_hash != hash(Action("ll", ActionKind.INTERNAL, 1))  # the seeds really differ
+    assert all(a in local for a in actions)
+    assert set(actions) == local
 
 
 # --- alphabets ----------------------------------------------------------------

@@ -128,6 +128,25 @@ def test_deletion_cascades_to_predecessors():
     assert (1, 1) not in res.relation and (0, 0) not in res.relation
 
 
+def test_a_step_with_over_255_landings_keeps_an_exact_count():
+    # abstract: 0 --i_k--> 1+k --a--> 1+n+k --b--> 1+2n+k, and only the
+    # last branch can take a second b
+    n = 300
+    hops = [internal(f"i{k}") for k in range(n)]
+    edges = [(0, h, 1 + k) for k, h in enumerate(hops)]
+    edges += [(1 + k, A, 1 + n + k) for k in range(n)]
+    edges += [(1 + n + k, B, 1 + 2 * n + k) for k in range(n)] + [(3 * n, B, 3 * n + 1)]
+    alphabet = Alphabet(frozenset(), frozenset(), frozenset(), frozenset({A, B, *hops}))
+    abstract = make_lts(edges, 3 * n + 2, alphabet)
+    concrete = obs_chain(A, B, B)
+    res = check_forward(concrete, abstract, GAMMA, alpha_bound=2)
+    # all 300 landings of a at 0 are counted; 299 die later, on the second b
+    assert all((1, 1 + n + k) not in res.relation for k in range(n - 1))
+    assert (1, 2 * n) in res.relation
+    assert res.certificate is not None
+    assert validate_certificate(res.certificate, None, concrete, abstract) == (True, [])
+
+
 # --- progressive verdicts ----------------------------------------------------
 
 
