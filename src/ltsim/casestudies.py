@@ -456,9 +456,7 @@ def run_counterexample_suite(
     # (c) the starving scheduler diverges without assignments
     prod_impl = product(prog, impl)
     alternator = LlAlternatorStrategy(prod_impl)
-    lasso = find_divergence(
-        prod_impl, alternator, prod_impl.alphabet.gamma_p, depth, budget=budget
-    )
+    lasso = find_divergence(prod_impl, alternator, prod_impl.alphabet.gamma_p, budget=budget)
     lasso_ok = False
     lasso_detail: dict[str, Any] = {}
     if lasso is not None:

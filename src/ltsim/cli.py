@@ -409,7 +409,7 @@ def _cmd_find_divergence(args: argparse.Namespace) -> int:
     prod = product(prog, obj)
     sched = make_scheduler(args.strategy, prod)
     gamma = _resolve_gamma(args.gamma, prod)
-    lasso = find_divergence(prod, sched, gamma, depth=0, budget=args.budget)
+    lasso = find_divergence(prod, sched, gamma, budget=args.budget)
     if lasso is None:
         _emit(args, "holds", {"strategy": args.strategy})
         return EXIT_HOLDS

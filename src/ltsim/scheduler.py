@@ -468,7 +468,7 @@ def find_divergence(
     prod: Lts,
     s: Scheduler,
     gamma_p: frozenset[Action] | set[Action],
-    depth: int,
+    *,
     budget: int | None = None,
 ) -> Lasso | None:
     """A consistent lasso whose cycle stays inside the silent actions.
@@ -476,8 +476,7 @@ def find_divergence(
     Silent means outside gamma_p and not idle.  Exact for strategies
     over prod: a cycle in the reachable (state, memory) graph repeats
     forever, so a found lasso is a real divergence and absence of one
-    is a proof.  The walk is exact, so depth is not read.  Opaque
-    schedulers get no witness (bounded verdict).
+    is a proof.  Opaque schedulers get no witness (bounded verdict).
     """
     if not (isinstance(s, Strategy) and s.lts is prod):
         return None

@@ -7,20 +7,17 @@ gamma, landing back in F.  The progressive variant additionally demands
 a well-founded order that strictly decreases on every stuttering match
 (alpha empty), here realized as a natural-number rank.
 
-The checker computes the greatest such F over all state pairs by
-counter-based worklist refinement (Henzinger, Henzinger and Kopke,
-FOCS 1995).  Actions and pairs are coded as integers; per concrete edge
-and abstract state a counter holds how many distinct landings of the
-step's matches are still related.  Pairs with a step that has no match
-at all die first and the counters are counted over the rest; each later
-death decrements the counters that counted it, and a pair dies when one
-of its counters reaches zero.  The cost is
-one match search per (concrete action, abstract state), one counter per
-(concrete edge, abstract state), and work per dead pair proportional to
-the matches landing on it: O(|E1|*|S2| + |S1|*|S2|) up to the number
-of landings per match, against one pass over all pairs per round for
-a plain sweep.  The deletions come back as a read-only sequence of
-(s1, s2, failing action) in deletion order, decoded on access.
+The checker computes the greatest such F over all state pairs by row
+refinement over bitsets.  Each concrete state has one Python int whose
+bits are its related abstract states, and each (concrete action,
+abstract state) one int of the landings of its matches.  Pairs with a
+step that has no match at all die first; then a worklist of concrete
+states re-checks a row, one AND per (step, live partner), whenever a
+successor row shrank.  The cost is one match search per (concrete
+action, abstract state) and O(|E1|*|S2|^2) ANDs in the worst case, where
+every row shrinks one partner at a time; on the case studies the rows
+shrink fast.  The deletions come back as a read-only sequence of (s1,
+s2, failing action) in deletion order, decoded on access.
 
 complete is False when the alpha bound cut short a search that a sweep
 refinement (pairs in product order, each pair's steps in canonical
@@ -266,96 +263,68 @@ def _greatest_relation(
 ) -> tuple[set[tuple[int, int]], DeletionLog, bool]:
     """Greatest relation over all pairs, its deletion log, and completeness.
 
-    Counter-based worklist refinement over integer codes: count[e * |S2| + s2]
-    holds, for the concrete edge e = (s1, a, s1') and abstract state s2, how
-    many distinct landings t of a's matches at s2 still have (s1', t)
-    related.  A pair dies when one of its counters reaches zero; the log of
-    dead pairs is also the FIFO worklist, and each death after the counters
-    were counted decrements the counters that counted it.
+    Row refinement over bitsets: row[s1] has bit 8 * s2 set while (s1, s2)
+    is related, and lands[k][s2] bit 8 * t for each distinct landing t of
+    action code k's matches at s2, so a step s1 -k-> s1' keeps s2 iff
+    lands[k][s2] & row[s1'] is non-zero; stride 8 makes to_bytes one 0/1
+    byte per abstract state, ready for compress.  A worklist of concrete
+    states re-checks a row whenever a successor row shrank.  A row can
+    shrink |S2| times, so the worst case is O(|E1| * |S2|^2) ANDs, against
+    O(|E1| * |S2|) counter updates for Henzinger-Henzinger-Kopke refinement;
+    on the case studies rows shrink fast and the re-checks are cheap.
     """
     n1, n2 = a1.num_states, a2.num_states
     edges = list(a1.edges())
     code = {a: k for k, a in enumerate(dict.fromkeys(a for _, a, _ in edges))}
-    src = [s for s, _, _ in edges]
-    dst = [t for _, _, t in edges]
-    kind = [code[a] for _, a, _ in edges]
-    # distinct landings per (action code, s2), and (code, t) -> [s2] inverted
-    landings = [
-        [tuple(dict.fromkeys(t for _, t in table.candidates(a, s2))) for s2 in range(n2)]
-        for a in code
+    # (edge, action code, successor) per step of s1, in canonical order
+    steps: list[list[tuple[int, int, int]]] = [[] for _ in range(n1)]
+    preds: list[list[int]] = [[] for _ in range(n1)]  # sources of the edges into s1
+    for e, (s, a, t) in enumerate(edges):
+        steps[s].append((e, code[a], t))
+        preds[t].append(s)
+    lands = [  # distinct landings are distinct powers of two, so their sum is their OR
+        [sum({1 << 8 * t for _, t in table.candidates(a, s2)}) for s2 in range(n2)] for a in code
     ]
-    inverse: list[list[list[int]]] = [[[] for _ in range(n2)] for _ in code]
-    for k, rows in enumerate(landings):
-        for s2, ts in enumerate(rows):
-            for t in ts:
-                inverse[k][t].append(s2)
-    # per concrete state u, the edges into it as (source row, counter row, inverse)
-    into: list[list[tuple[int, int, list[list[int]]]]] = [[] for _ in range(n1)]
-    for e, (s, t, k) in enumerate(zip(src, dst, kind)):
-        into[t].append((s * n2, e * n2, inverse[k]))
-
-    related = bytearray(b"\x01") * (n1 * n2)
+    row = [int.from_bytes(b"\x01" * n2, "little")] * n1
     log = array("q")  # dead pairs as edge * n2 + s2, e the step they failed on
     # pairs with a step that has no landing at all die up front, a row at a time
-    unmatched = [int.from_bytes(bytes(not ts for ts in rows), "little") for rows in landings]
-    for e, k in enumerate(kind):
-        row = src[e] * n2
-        live = int.from_bytes(related[row : row + n2], "little")
-        dead = live & unmatched[k]
+    unmatched = [int.from_bytes(bytes(not m for m in masks), "little") for masks in lands]
+    for e, (s, a, _) in enumerate(edges):
+        dead = row[s] & unmatched[code[a]]
         if dead:
-            related[row : row + n2] = (live ^ dead).to_bytes(n2, "little")
+            row[s] ^= dead
             log.extend(compress(range(e * n2, e * n2 + n2), dead.to_bytes(n2, "little")))
-    # count the related landings of every surviving pair's steps; pairs
-    # found dead here stay related until all counting is done, so that
-    # their deaths are subtracted once, by the worklist.  A count never
-    # exceeds its step's landings, so it takes one byte unless some
-    # (action, s2) has 256 landings or more.
-    widest = max((len(ts) for rows in landings for ts in rows), default=0)
-    count = array("B" if widest < 256 else "I", [0]) * (len(edges) * n2)
-    dying: list[int] = []
-    for e, k in enumerate(kind):
-        row, base, rows = src[e] * n2, dst[e] * n2, landings[k]
-        for s2 in compress(range(n2), related[row : row + n2]):
-            c = 0
-            for t in rows[s2]:
-                c += related[base + t]
-            if c:
-                count[e * n2 + s2] = c
-            else:
-                dying.append(e * n2 + s2)
-    head = len(log)  # the counters already exclude the up-front deaths
-    for i in dying:
-        p = src[i // n2] * n2 + i % n2
-        if related[p]:
-            related[p] = 0
-            log.append(i)
-    while head < len(log):
-        e, t = divmod(log[head], n2)
-        head += 1
-        for row, base, inv in into[src[e]]:
-            for s2 in inv[t]:
-                if related[row + s2]:
-                    i = base + s2
-                    c = count[i] - 1
-                    count[i] = c
-                    if not c:
-                        related[row + s2] = 0
-                        log.append(i)
+    queue, queued = deque(range(n1)), bytearray(b"\x01") * n1
+    while queue:
+        s1 = queue.popleft()
+        queued[s1] = 0
+        live, before = bytearray(row[s1].to_bytes(n2, "little")), len(log)
+        for e, k, t in steps[s1]:  # a self-loop reads the stored row; s1 is then re-queued
+            succ, masks, base = row[t], lands[k], e * n2
+            for s2 in compress(range(n2), live):  # reads each byte before it is cleared
+                if not masks[s2] & succ:
+                    live[s2] = 0
+                    log.append(base + s2)
+        if len(log) > before:
+            row[s1] = int.from_bytes(live, "little")
+            for p in preds[s1]:
+                if not queued[p]:
+                    queued[p] = 1
+                    queue.append(p)
 
     complete = not table.cut or not _first_sweep_meets_cut(
-        n1, n2, src, dst, kind, landings, [(code[a], s2) for a, s2 in table.cut]
+        n2, steps, lands, [(code[a], s2) for a, s2 in table.cut]
     )
-    relation = {divmod(p, n2) for p in compress(range(n1 * n2), related)}
+    relation = {
+        (s1, s2) for s1 in range(n1) for s2 in compress(range(n2), row[s1].to_bytes(n2, "little"))
+    }
     return relation, DeletionLog(log, n2, edges), complete
 
 
 def _first_sweep_meets_cut(
-    n1: int,
     n2: int,
-    src: list[int],
-    dst: list[int],
-    kind: list[int],
-    landings: list[list[tuple[int, ...]]],
+    steps: list[list[tuple[int, int, int]]],
+    lands: list[list[int]],
     cut: list[tuple[int, int]],
 ) -> bool:
     """Does a sweep-until-stable refinement consult a search the bound cut?
@@ -366,22 +335,17 @@ def _first_sweep_meets_cut(
     first sweep, since a pair surviving that sweep had all its steps
     checked there; so replaying the first sweep decides it exactly.
     """
-    is_cut = [bytearray(n2) for _ in landings]
+    is_cut = [bytearray(n2) for _ in lands]
     for k, s2 in cut:
         is_cut[k][s2] = 1
-    steps: list[list[int]] = [[] for _ in range(n1)]
-    for e, s in enumerate(src):
-        steps[s].append(e)
-    related = bytearray(b"\x01") * (n1 * n2)
-    for s1 in range(n1):
+    row = [int.from_bytes(b"\x01" * n2, "little")] * len(steps)
+    for s1, es in enumerate(steps):
         for s2 in range(n2):
-            for e in steps[s1]:
-                k = kind[e]
+            for _, k, t in es:
                 if is_cut[k][s2]:
                     return True
-                row = dst[e] * n2
-                if not any(related[row + t] for t in landings[k][s2]):
-                    related[s1 * n2 + s2] = 0
+                if not lands[k][s2] & row[t]:
+                    row[s1] ^= 1 << 8 * s2
                     break
     return False
 
@@ -787,6 +751,7 @@ def certificate_to_dict(
 def certificate_from_dict(
     data: dict, a1: Lts, a2: Lts
 ) -> tuple[SimulationCertificate, ProgressWitness | None]:
+    n1, n2 = a1.num_states, a2.num_states
     by_label: dict[str, Action] = {}
     for action in sorted(a1.alphabet.all_actions | a2.alphabet.all_actions, key=Action.key):
         by_label.setdefault(action.label(), action)
@@ -797,20 +762,29 @@ def certificate_from_dict(
             raise ParseError(f"unknown action {label!r} in certificate")
         return action
 
+    def number(x: object, limit: float = float("inf")) -> int:
+        if type(x) is not int or not 0 <= x < limit:  # a bool or a float is no state number
+            raise ValueError(f"expected an integer in [0, {limit}), got {x!r}")
+        return x
+
+    def actions(labels: object) -> tuple[Action, ...]:
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ValueError(f"expected a list of action labels, got {labels!r}")
+        return tuple(map(resolve, labels))
+
     try:
-        gamma = frozenset(resolve(x) for x in data["gamma"])
-        relation = frozenset((int(p[0]), int(p[1])) for p in data["relation"])
         choice = {
-            (int(c["s1"]), resolve(c["action"]), int(c["s2"])): ChoiceEntry(
-                tuple(resolve(x) for x in c["alpha"]), int(c["target"])
+            (number(c["s1"], n1), resolve(c["action"]), number(c["s2"], n2)): ChoiceEntry(
+                actions(c["alpha"]), number(c["target"], n2)
             )
             for c in data["choices"]
         }
         cert = SimulationCertificate(
-            relation=relation,
+            # unpacking rejects an entry that is not a pair
+            relation=frozenset((number(x, n1), number(y, n2)) for x, y in data["relation"]),
             choice=choice,
-            gamma=gamma,
-            alpha_bound=int(data["alpha_bound"]),
+            gamma=frozenset(actions(data["gamma"])),
+            alpha_bound=number(data["alpha_bound"]),
         )
         witness = None
         if "ranks" in data:

@@ -185,7 +185,7 @@ def test_counterexample_models_separate_the_two_simulations(faa, fwd, refuted):
         # the alternating strategy starves both assignments forever
         prod = product(faa.prog, faa.impl)
         lasso = find_divergence(
-            prod, make_scheduler("ll-alternator", prod), prod.alphabet.gamma_p, depth=14
+            prod, make_scheduler("ll-alternator", prod), prod.alphabet.gamma_p
         )
         assert lasso is not None
         validate_lasso(prod, lasso)
@@ -263,7 +263,7 @@ def test_random_object_pair_corpus():
                 continue
             prod1 = product(client, o1)
             s1 = make_scheduler("object-first", prod1)
-            if find_divergence(prod1, s1, prod1.alphabet.gamma_p, depth=32) is not None:
+            if find_divergence(prod1, s1, prod1.alphabet.gamma_p) is not None:
                 continue  # keep to scheduler-terminating concrete systems
             accepted += 1
             prod2 = product(client, o2)
@@ -491,7 +491,7 @@ def test_mutation_corrupted_lasso_cycle(faa):
     with records(3):
         prod = product(faa.prog, faa.impl)
         lasso = find_divergence(
-            prod, make_scheduler("ll-alternator", prod), prod.alphabet.gamma_p, depth=14
+            prod, make_scheduler("ll-alternator", prod), prod.alphabet.gamma_p
         )
         validate_lasso(prod, lasso)
         with pytest.raises(StepNotEnabled):

@@ -153,7 +153,7 @@ def test_ll_alternator_diverges(models):
     assert check_admitted(s, prod, depth=8).ok
     assert check_deterministic_scheduler(s, prod, depth=8).ok
 
-    lasso = find_divergence(prod, s, prod.alphabet.gamma_p, depth=14)
+    lasso = find_divergence(prod, s, prod.alphabet.gamma_p)
     assert lasso is not None
     validate_lasso(prod, lasso)
     assert [a.label() for a in lasso.stem] == ["call@1#1", "call@2#2", "ll@1"]
@@ -170,7 +170,7 @@ def test_plain_variant_does_not_diverge():
     cfg = FaaConfig(variant="plain")
     prod = product(build_program(cfg), build_faa_impl(cfg))
     s = LlAlternatorStrategy(prod)
-    assert find_divergence(prod, s, prod.alphabet.gamma_p, depth=14) is None
+    assert find_divergence(prod, s, prod.alphabet.gamma_p) is None
 
 
 def test_object_first_keeps_the_invalidating_counter_live(models):
@@ -179,7 +179,7 @@ def test_object_first_keeps_the_invalidating_counter_live(models):
     cfg, impl, _, prog = models
     prod = product(prog, impl)
     s = ObjectFirstStrategy(prod)
-    assert find_divergence(prod, s, prod.alphabet.gamma_p, depth=14) is None
+    assert find_divergence(prod, s, prod.alphabet.gamma_p) is None
 
 
 # --- the reporting suite ----------------------------------------------------------

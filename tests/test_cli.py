@@ -210,6 +210,59 @@ def test_malformed_certificate_ranks_are_input_errors(
     assert "malformed certificate" in err
 
 
+def _float_pair(payload):
+    s1, s2 = payload["relation"][0]
+    payload["relation"][0] = [s1 + 0.4, s2]
+
+
+def _true_state(payload):
+    entry = next(p for p in payload["relation"] if p[0] == 1)
+    entry[0] = True
+
+
+def _as_object(key):
+    def edit(payload):
+        holder = payload if key == "gamma" else payload["choices"][0]
+        holder[key] = {label: 1 for label in holder[key]}
+
+    return edit
+
+
+MALFORMED_CERTIFICATES = {
+    "relation-triple": lambda p: p["relation"][0].append(99),
+    "relation-float": _float_pair,
+    "choice-s1-string": lambda p: p["choices"][0].update(s1=str(p["choices"][0]["s1"])),
+    "target-float": lambda p: p["choices"][0].update(target=p["choices"][0]["target"] + 0.5),
+    "alpha-bound-string": lambda p: p.update(alpha_bound=str(p["alpha_bound"])),
+    "alpha-bound-bool": lambda p: p.update(alpha_bound=True),
+    "state-bool": _true_state,
+    "state-past-the-end": lambda p: p["relation"].append([99999, 0]),
+    "target-negative": lambda p: p["choices"][0].update(target=-1),
+    "gamma-object": _as_object("gamma"),
+    "alpha-object": _as_object("alpha"),
+}
+
+
+@pytest.mark.parametrize("shape", MALFORMED_CERTIFICATES)
+@pytest.mark.parametrize("command", ["validate-cert", "transform-scheduler"])
+def test_a_malformed_certificate_never_validates(
+    models, prog_cert, tmp_path, capsys, command, shape
+):
+    with open(prog_cert) as f:
+        payload = json.load(f)
+    assert payload["choices"][0]["alpha"], "the edits below need a non-empty alpha"
+    MALFORMED_CERTIFICATES[shape](payload)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(payload))
+    if command == "validate-cert":
+        argv = [command, models["plain"], models["spec"], str(cert)]
+    else:
+        argv = [command, models["prog"], models["plain"], models["spec"], "--cert", str(cert)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "malformed certificate" in err
+
+
 COUNT_OPTIONS = ("--depth", "--budget", "--max-traces", "--backtrack-budget")
 
 

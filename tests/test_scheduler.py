@@ -175,7 +175,7 @@ def test_check_deterministic_scheduler_allows_program_sets():
 def test_find_divergence_exact_on_silent_cycle():
     m = loopy()
     s = ObjectFirstStrategy(m)
-    lasso = find_divergence(m, s, m.alphabet.gamma_p, depth=8)
+    lasso = find_divergence(m, s, m.alphabet.gamma_p)
     assert lasso is not None
     validate_lasso(m, lasso)
     assert sorted(a.label() for a in lasso.cycle) == ["i", "j"]
@@ -185,20 +185,29 @@ def test_find_divergence_exact_on_silent_cycle():
 
 def test_find_divergence_absence_is_a_proof_for_strategies():
     m = make_lts([(0, I, 1), (1, TICK, 1)], 2, AL)
-    assert find_divergence(m, ObjectFirstStrategy(m), m.alphabet.gamma_p, depth=8) is None
+    assert find_divergence(m, ObjectFirstStrategy(m), m.alphabet.gamma_p) is None
 
 
 def test_find_divergence_counts_observables_as_progress():
     m = loopy()
     s = ObjectFirstStrategy(m)
     # declaring the loop actions observable removes the divergence
-    assert find_divergence(m, s, frozenset({I, J}), depth=8) is None
+    assert find_divergence(m, s, frozenset({I, J})) is None
 
 
 def test_find_divergence_gives_up_on_opaque_schedulers():
     m = loopy()
     t = TableScheduler({(): {I}, (I,): {J}})
-    assert find_divergence(m, t, m.alphabet.gamma_p, depth=8) is None
+    assert find_divergence(m, t, m.alphabet.gamma_p) is None
+
+
+def test_find_divergence_takes_its_budget_by_keyword_only():
+    m = loopy()
+    s = ObjectFirstStrategy(m)
+    # a depth passed where it used to go must not become a node budget
+    with pytest.raises(TypeError):
+        find_divergence(m, s, m.alphabet.gamma_p, 8)
+    assert find_divergence(m, s, m.alphabet.gamma_p, budget=None) is not None
 
 
 # --- the cursor protocol --------------------------------------------------------

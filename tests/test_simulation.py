@@ -386,6 +386,38 @@ def test_worklist_agrees_with_the_sweep():
     assert incomplete > 0  # the bound matters in some cases
 
 
+def faa_case(variant, threads=3):
+    cfg = FaaConfig(tuple(range(1, threads + 1)), (1,) * threads, variant)
+    impl = build_faa_impl(cfg)
+    return impl, build_faa_spec(cfg), impl.alphabet.cr, 4
+
+
+@pytest.mark.parametrize("variant", ["invalidating", "plain"])
+def test_faa_three_threads_agrees_with_the_sweep(variant):
+    a1, a2, gamma, bound = faa_case(variant)
+    relation, deleted, complete, choice = sweep_oracle(a1, a2, gamma, bound)
+    res = check_forward(a1, a2, gamma, alpha_bound=bound)
+    assert res.relation == relation
+    assert len(res.deletions) == deleted
+    assert res.complete == complete
+    assert res.certificate is not None
+    assert {k: (e.alpha, e.target) for k, e in res.certificate.choice.items()} == choice
+
+
+def test_each_logged_action_is_a_step_with_no_landing_left():
+    checked = 0
+    faa = (faa_case(variant) for variant in ("invalidating", "plain"))
+    for a1, a2, gamma, bound in itertools.chain(differential_cases(), faa):
+        res = check_forward(a1, a2, gamma, alpha_bound=bound)
+        table = MatchTable(a2, frozenset(gamma), bound)
+        for s1, s2, a in res.deletions:
+            s1n = a1.step(s1, a)
+            assert s1n is not None
+            assert all((s1n, t) not in res.relation for _, t in table.candidates(a, s2))
+            checked += 1
+    assert checked > 50_000
+
+
 def test_deletions_are_a_sequence_of_decoded_triples():
     concrete = obs_chain(A, B)
     abstract = obs_chain(A, A)
