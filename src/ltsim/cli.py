@@ -247,7 +247,7 @@ def _cmd_check_fwd(args: argparse.Namespace) -> int:
     data: dict[str, Any] = {
         "relation_size": len(res.relation),
         "complete": res.complete,
-        "deletions": len(res.deletions),
+        "deletions": res.deleted,
         "alpha_bound": args.alpha_bound,
     }
     if res.certificate is not None:

@@ -263,9 +263,8 @@ class TraceNode:
 class TracePrefixTree:
     """Prefix-closed set of bounded traces with per-node annotations."""
 
-    def __init__(self, root_state: int, depth: int):
+    def __init__(self, root_state: int):
         self.root = TraceNode(action=None, state=root_state, depth=0)
-        self.depth = depth
         self.size = 1
 
     def extend(self, node: TraceNode, action: Action, state: int) -> TraceNode:
@@ -312,7 +311,7 @@ def enumerate_traces(
     """
     limit = node_budget(budget)
     w = walker(s)
-    tree = TracePrefixTree(a.initial, depth)
+    tree = TracePrefixTree(a.initial)
     queue: deque[tuple[TraceNode, Any]] = deque([(tree.root, w.cursor())])
     while queue:
         node, cur = queue.popleft()

@@ -16,8 +16,7 @@ states re-checks a row, one AND per (step, live partner), whenever a
 successor row shrank.  The cost is one match search per (concrete
 action, abstract state) and O(|E1|*|S2|^2) ANDs in the worst case, where
 every row shrinks one partner at a time; on the case studies the rows
-shrink fast.  The deletions come back as a read-only sequence of (s1,
-s2, failing action) in deletion order, decoded on access.
+shrink fast.
 
 complete is False when the alpha bound cut short a search that a sweep
 refinement (pairs in product order, each pair's steps in canonical
@@ -34,7 +33,6 @@ makes the acyclicity test for ranks sharp rather than heuristic.
 from __future__ import annotations
 
 import json
-from array import array
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -44,6 +42,7 @@ from .errors import BudgetExceeded, ContractViolation, ParseError
 from .lts import Action, Lts, Trace, find_cycle, project
 
 SCHEMA_VERSION = 1
+MAX_DIAGNOSTICS = 20  # problems validate_certificate lists before it stops recording
 
 
 # --- result types -------------------------------------------------------
@@ -65,9 +64,6 @@ class SimulationCertificate:
     choice: dict[tuple[int, Action, int], ChoiceEntry]
     gamma: frozenset[Action]
     alpha_bound: int
-
-    def partners(self, s1: int) -> list[int]:
-        return sorted(s2 for (c, s2) in self.relation if c == s1)
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,7 @@ class ForwardResult:
     certificate: SimulationCertificate | None
     relation: frozenset[tuple[int, int]]
     complete: bool  # False when the alpha length bound may have hidden matches
-    deletions: Sequence[tuple[int, int, Action]]  # (s1, s2, failing action), in deletion order
+    deleted: int  # pairs outside the relation: |S1| * |S2| - |relation|
 
 
 @dataclass(frozen=True)
@@ -215,53 +211,10 @@ def _run_from(lts: Lts, s: int, seq: Sequence[Action]) -> int | None:
 # --- greatest fixpoint --------------------------------------------------
 
 
-class DeletionLog(Sequence):
-    """Deleted pairs in deletion order, each with the concrete action it failed on.
-
-    Entries are stored as edge * |S2| + s2 codes and decoded on access,
-    so a fixpoint that deletes millions of pairs builds no tuple for them.
-    """
-
-    def __init__(self, codes: array, width: int, edges: Sequence[tuple[int, Action, int]]):
-        self._codes = codes
-        self._width = width
-        self._edges = edges  # concrete (s1, a, s1') by edge index
-
-    def _decode(self, code: int) -> tuple[int, int, Action]:
-        e, s2 = divmod(code, self._width)
-        s1, a, _ = self._edges[e]
-        return (s1, s2, a)
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._decode(c) for c in self._codes[i]]
-        return self._decode(self._codes[i])
-
-    def __iter__(self) -> Iterator[tuple[int, int, Action]]:
-        return map(self._decode, self._codes)
-
-    def __contains__(self, item: object) -> bool:
-        if not (isinstance(item, tuple) and len(item) == 3):
-            return False
-        s1, s2, a = item
-        if not (isinstance(s2, int) and 0 <= s2 < self._width):
-            return False
-        for e, (x, b, _) in enumerate(self._edges):
-            if x == s1 and b == a:
-                return e * self._width + s2 in self._codes
-        return False
-
-    def __repr__(self) -> str:
-        return f"DeletionLog({len(self)} deletions)"
-
-
 def _greatest_relation(
     a1: Lts, a2: Lts, table: MatchTable
-) -> tuple[set[tuple[int, int]], DeletionLog, bool]:
-    """Greatest relation over all pairs, its deletion log, and completeness.
+) -> tuple[frozenset[tuple[int, int]], bool]:
+    """Greatest relation over all pairs, and completeness.
 
     Row refinement over bitsets: row[s1] has bit 8 * s2 set while (s1, s2)
     is related, and lands[k][s2] bit 8 * t for each distinct landing t of
@@ -274,38 +227,34 @@ def _greatest_relation(
     on the case studies rows shrink fast and the re-checks are cheap.
     """
     n1, n2 = a1.num_states, a2.num_states
-    edges = list(a1.edges())
-    code = {a: k for k, a in enumerate(dict.fromkeys(a for _, a, _ in edges))}
-    # (edge, action code, successor) per step of s1, in canonical order
-    steps: list[list[tuple[int, int, int]]] = [[] for _ in range(n1)]
+    code: dict[Action, int] = {}
+    # (action code, successor) per step of s1, in canonical order
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(n1)]
     preds: list[list[int]] = [[] for _ in range(n1)]  # sources of the edges into s1
-    for e, (s, a, t) in enumerate(edges):
-        steps[s].append((e, code[a], t))
+    for s, a, t in a1.edges():
+        steps[s].append((code.setdefault(a, len(code)), t))
         preds[t].append(s)
     lands = [  # distinct landings are distinct powers of two, so their sum is their OR
         [sum({1 << 8 * t for _, t in table.candidates(a, s2)}) for s2 in range(n2)] for a in code
     ]
     row = [int.from_bytes(b"\x01" * n2, "little")] * n1
-    log = array("q")  # dead pairs as edge * n2 + s2, e the step they failed on
-    # pairs with a step that has no landing at all die up front, a row at a time
-    unmatched = [int.from_bytes(bytes(not m for m in masks), "little") for masks in lands]
-    for e, (s, a, _) in enumerate(edges):
-        dead = row[s] & unmatched[code[a]]
-        if dead:
-            row[s] ^= dead
-            log.extend(compress(range(e * n2, e * n2 + n2), dead.to_bytes(n2, "little")))
+    # pairs with a step that has no landing at all die up front
+    matched = [int.from_bytes(bytes(map(bool, masks)), "little") for masks in lands]
+    for s, es in enumerate(steps):
+        for k, _ in es:
+            row[s] &= matched[k]
     queue, queued = deque(range(n1)), bytearray(b"\x01") * n1
     while queue:
         s1 = queue.popleft()
         queued[s1] = 0
-        live, before = bytearray(row[s1].to_bytes(n2, "little")), len(log)
-        for e, k, t in steps[s1]:  # a self-loop reads the stored row; s1 is then re-queued
-            succ, masks, base = row[t], lands[k], e * n2
+        live, shrank = bytearray(row[s1].to_bytes(n2, "little")), False
+        for k, t in steps[s1]:  # a self-loop reads the stored row; s1 is then re-queued
+            succ, masks = row[t], lands[k]
             for s2 in compress(range(n2), live):  # reads each byte before it is cleared
                 if not masks[s2] & succ:
                     live[s2] = 0
-                    log.append(base + s2)
-        if len(log) > before:
+                    shrank = True
+        if shrank:
             row[s1] = int.from_bytes(live, "little")
             for p in preds[s1]:
                 if not queued[p]:
@@ -315,15 +264,15 @@ def _greatest_relation(
     complete = not table.cut or not _first_sweep_meets_cut(
         n2, steps, lands, [(code[a], s2) for a, s2 in table.cut]
     )
-    relation = {
+    relation = frozenset(
         (s1, s2) for s1 in range(n1) for s2 in compress(range(n2), row[s1].to_bytes(n2, "little"))
-    }
-    return relation, DeletionLog(log, n2, edges), complete
+    )
+    return relation, complete
 
 
 def _first_sweep_meets_cut(
     n2: int,
-    steps: list[list[tuple[int, int, int]]],
+    steps: list[list[tuple[int, int]]],
     lands: list[list[int]],
     cut: list[tuple[int, int]],
 ) -> bool:
@@ -341,7 +290,7 @@ def _first_sweep_meets_cut(
     row = [int.from_bytes(b"\x01" * n2, "little")] * len(steps)
     for s1, es in enumerate(steps):
         for s2 in range(n2):
-            for _, k, t in es:
+            for k, t in es:
                 if is_cut[k][s2]:
                     return True
                 if not lands[k][s2] & row[t]:
@@ -351,7 +300,7 @@ def _first_sweep_meets_cut(
 
 
 def _greedy_choice(
-    a1: Lts, relation: set[tuple[int, int]], table: MatchTable
+    a1: Lts, relation: frozenset[tuple[int, int]], table: MatchTable
 ) -> dict[tuple[int, Action, int], ChoiceEntry]:
     choice: dict[tuple[int, Action, int], ChoiceEntry] = {}
     for s1, s2 in sorted(relation):
@@ -376,16 +325,17 @@ def check_forward(
     """
     gamma = frozenset(gamma)
     table = MatchTable(a2, gamma, alpha_bound)
-    relation, deletions, complete = _greatest_relation(a1, a2, table)
+    relation, complete = _greatest_relation(a1, a2, table)
+    deleted = a1.num_states * a2.num_states - len(relation)
     if (a1.initial, a2.initial) not in relation:
-        return ForwardResult(None, frozenset(relation), complete, deletions)
+        return ForwardResult(None, relation, complete, deleted)
     cert = SimulationCertificate(
-        relation=frozenset(relation),
+        relation=relation,
         choice=_greedy_choice(a1, relation, table),
         gamma=gamma,
         alpha_bound=alpha_bound,
     )
-    return ForwardResult(cert, cert.relation, complete, deletions)
+    return ForwardResult(cert, relation, complete, deleted)
 
 
 # --- progressive check --------------------------------------------------
@@ -424,7 +374,7 @@ def _ranks_from_edges(edges: Iterable[StutterEdge], num_states: int) -> Progress
 
 
 def _forced_everywhere_edges(
-    a1: Lts, relation: set[tuple[int, int]], table: MatchTable
+    a1: Lts, relation: frozenset[tuple[int, int]], table: MatchTable
 ) -> list[StutterEdge]:
     """Steps that stutter for every abstract partner of their source.
 
@@ -452,7 +402,7 @@ def _forced_everywhere_edges(
 def _backtrack(
     a1: Lts,
     a2: Lts,
-    relation: set[tuple[int, int]],
+    relation: frozenset[tuple[int, int]],
     table: MatchTable,
     budget: int,
 ) -> dict[tuple[int, Action, int], ChoiceEntry] | None:
@@ -561,10 +511,9 @@ def check_progressive(
     """
     gamma = frozenset(gamma)
     table = MatchTable(a2, gamma, alpha_bound)
-    relation, _deletions, complete = _greatest_relation(a1, a2, table)
-    frozen = frozenset(relation)
+    relation, complete = _greatest_relation(a1, a2, table)
     if (a1.initial, a2.initial) not in relation:
-        return ProgressiveResult(verdict="no-forward", complete=complete, relation=frozen)
+        return ProgressiveResult(verdict="no-forward", complete=complete, relation=relation)
 
     choice = _greedy_choice(a1, relation, table)
     greedy_edges = [
@@ -576,11 +525,11 @@ def check_progressive(
     ]
     cycle = _stutter_cycle(greedy_edges)
     if cycle is None:
-        cert = SimulationCertificate(frozenset(relation), choice, gamma, alpha_bound)
+        cert = SimulationCertificate(relation, choice, gamma, alpha_bound)
         witness = _ranks_from_edges(greedy_edges, a1.num_states)
         return ProgressiveResult(
             verdict="yes", certificate=cert, witness=witness, complete=complete,
-            relation=frozen,
+            relation=relation,
         )
 
     forced = _forced_everywhere_edges(a1, relation, table)
@@ -591,7 +540,7 @@ def check_progressive(
             cycle=StutterCycle(forced_cycle),
             complete=complete,
             note="every abstract partner stutters on each cycle step",
-            relation=frozen,
+            relation=relation,
         )
 
     try:
@@ -602,7 +551,7 @@ def check_progressive(
             cycle=StutterCycle(cycle),
             complete=complete,
             note=f"backtracking budget {backtrack_budget} exceeded",
-            relation=frozen,
+            relation=relation,
         )
     if solved is None:
         return ProgressiveResult(
@@ -610,7 +559,7 @@ def check_progressive(
             cycle=StutterCycle(cycle),
             complete=complete,
             note="no landing assignment admits a rank (complete search)",
-            relation=frozen,
+            relation=relation,
         )
     used = {(s1, s2) for (s1, _a, s2) in solved} | {(a1.initial, a2.initial)}
     landing_pairs = {(a1.step(s1, a), e.target) for (s1, a, _s2), e in solved.items()}
@@ -624,7 +573,7 @@ def check_progressive(
     witness = _ranks_from_edges(edges, a1.num_states)
     return ProgressiveResult(
         verdict="yes", certificate=cert, witness=witness, complete=complete,
-        relation=frozen,
+        relation=relation,
     )
 
 
@@ -636,28 +585,35 @@ def validate_certificate(
     witness: ProgressWitness | None,
     a1: Lts,
     a2: Lts,
-    max_diagnostics: int = 20,
 ) -> tuple[bool, list[str]]:
     """Replay every certificate clause; the trusted core of the package.
 
-    Checks the initial pair, and for each related pair and concrete step:
-    a recorded choice, equal gamma projections, abstract replay to the
-    recorded landing, landing membership, and rank descent on stutters.
+    Checks the initial pair and an alpha bound of at least 1, and for each
+    related pair and concrete step: a recorded choice, an alpha within the
+    bound, equal gamma projections, abstract replay to the recorded
+    landing, landing membership, and rank descent on stutters.
     """
     problems: list[str] = []
 
     def report(msg: str) -> None:
-        if len(problems) < max_diagnostics:
+        if len(problems) < MAX_DIAGNOSTICS:
             problems.append(msg)
 
     if (a1.initial, a2.initial) not in cert.relation:
         report("initial pair not in relation")
+    if cert.alpha_bound < 1:
+        report(f"alpha bound {cert.alpha_bound} is below 1")
     for s1, s2 in sorted(cert.relation):
         for a, s1n in a1.out_edges(s1):
             entry = cert.choice.get((s1, a, s2))
             if entry is None:
                 report(f"no choice for ({s1}, {a.label()}, {s2})")
                 continue
+            if len(entry.alpha) > cert.alpha_bound:
+                report(
+                    f"alpha of length {len(entry.alpha)} exceeds the bound "
+                    f"{cert.alpha_bound} at ({s1}, {a.label()}, {s2})"
+                )
             if project((a,), cert.gamma) != project(entry.alpha, cert.gamma):
                 report(f"projection mismatch at ({s1}, {a.label()}, {s2})")
             landed = _run_from(a2, s2, entry.alpha)

@@ -144,7 +144,7 @@ def build_f(
     idle2 = prod2.alphabet.idle
 
     concrete = enumerate_traces(prod1, s1, depth, budget=limit)
-    image = TracePrefixTree(prod2.initial, depth * max(cert.alpha_bound, 1) + 1)
+    image = TracePrefixTree(prod2.initial)
     mt = MappedTraces(concrete, image, prod1, prod2, cert, s1, depth)
 
     concrete.root.meta["image"] = image.root
@@ -282,17 +282,9 @@ class S2Scheduler(Scheduler):
 
 
 def construct_s2(
-    mt: MappedTraces,
-    s1: Scheduler | None = None,
-    auto_deepen: bool = True,
-    budget: int | None = None,
+    mt: MappedTraces, auto_deepen: bool = True, budget: int | None = None
 ) -> S2Scheduler:
-    """The abstract scheduler derived from a mapped trace tree.
-
-    s1 is accepted for signature symmetry; the tree already carries it.
-    """
-    if s1 is not None and s1 is not mt.s1:
-        raise ContractViolation("scheduler does not match the one the tree was built with")
+    """The abstract scheduler derived from a mapped trace tree."""
     return S2Scheduler(mt, auto_deepen=auto_deepen, budget=budget)
 
 

@@ -596,10 +596,10 @@ def test_mutation_shared_image_without_common_prefix(plain_rig):
         _, s2 = fresh_transform(plain_rig)
         prod1, prod2 = plain_rig.prod1, plain_rig.prod2
         a, b = sorted(prod1.alphabet.program, key=lambda x: x.label())[:2]
-        concrete = TracePrefixTree(prod1.initial, 3)
+        concrete = TracePrefixTree(prod1.initial)
         left = concrete.extend(concrete.root, a, prod1.initial)
         right = concrete.extend(concrete.root, b, prod1.initial)
-        image = TracePrefixTree(prod2.initial, 6)
+        image = TracePrefixTree(prod2.initial)
         mid = image.extend(image.root, prod2.alphabet.idle, prod2.initial)
         mt = MappedTraces(concrete, image, prod1, prod2, plain_rig.cert, plain_rig.s1, 3)
         concrete.root.meta["image"] = image.root

@@ -263,6 +263,39 @@ def test_a_malformed_certificate_never_validates(
     assert "malformed certificate" in err
 
 
+@pytest.fixture(scope="module")
+def fwd_cert(models, tmp_path_factory):
+    """Forward certificate for plain vs spec at the default alpha bound."""
+    path = tmp_path_factory.mktemp("fwd") / "cert.json"
+    assert main(["check-fwd", models["plain"], models["spec"], "--cert-out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("bound", [0, 1])
+@pytest.mark.parametrize("command", ["validate-cert", "transform-scheduler"])
+def test_a_certificate_must_respect_its_alpha_bound(
+    models, fwd_cert, tmp_path, capsys, command, bound
+):
+    capsys.readouterr()  # drop the fixture's report
+    with open(fwd_cert) as f:
+        payload = json.load(f)
+    assert max(len(c["alpha"]) for c in payload["choices"]) == 3
+    payload["alpha_bound"] = bound
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(payload))
+    if command == "validate-cert":
+        code, out, _ = run(capsys, [command, models["plain"], models["spec"], str(cert)])
+        problems = report(out)["data"]["problems"]
+        assert code == 1
+        assert ("alpha bound 0 is below 1" in problems) == (bound == 0)
+        assert any(f"exceeds the bound {bound}" in p for p in problems)
+    else:
+        argv = [command, models["prog"], models["plain"], models["spec"], "--cert", str(cert)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "supplied certificate is invalid" in err
+
+
 COUNT_OPTIONS = ("--depth", "--budget", "--max-traces", "--backtrack-budget")
 
 
@@ -514,6 +547,60 @@ def test_check_prog_fwd_budget_zero_is_unknown(models, capsys):
     assert rep["verdict"] == "unknown"
     assert rep["data"]["verdict"] == "unknown"
     assert "budget 0 exceeded" in rep["data"]["note"]
+
+
+@pytest.fixture(scope="module")
+def faa3_models(tmp_path_factory):
+    """3-thread FAA model files (addends all 1), both variants and the spec."""
+    root = tmp_path_factory.mktemp("faa3")
+    cfg = {v: FaaConfig((1, 2, 3), (1, 1, 1), v) for v in ("invalidating", "plain")}
+    paths = {"spec": root / "spec.json"}
+    paths["spec"].write_text(dumps(build_faa_spec(cfg["plain"])))
+    for variant, c in cfg.items():
+        paths[variant] = root / f"{variant}.json"
+        paths[variant].write_text(dumps(build_faa_impl(c)))
+    return {k: str(p) for k, p in paths.items()}
+
+
+PROG_NO_CYCLE = [
+    {"action": "sc-fail@2", "partners": [1], "source": 31, "target": 23},
+    {"action": "ll@2", "partners": [1], "source": 23, "target": 24},
+    {"action": "sc-fail@1", "partners": [1], "source": 24, "target": 42},
+    {"action": "ll@1", "partners": [1], "source": 42, "target": 31},
+]
+
+SIMULATION_REPORTS = {
+    ("check-fwd", "invalidating"): (0, "holds", {
+        "relation_size": 1496, "complete": True, "deletions": 28312, "alpha_bound": 4,
+        "certificate_valid": True, "problems": [],
+    }),
+    ("check-fwd", "plain"): (0, "holds", {
+        "relation_size": 1473, "complete": True, "deletions": 26823, "alpha_bound": 4,
+        "certificate_valid": True, "problems": [],
+    }),
+    ("check-prog-fwd", "invalidating"): (1, "refuted", {
+        "verdict": "no", "complete": True, "relation_size": 1496,
+        "note": "every abstract partner stutters on each cycle step",
+        "stutter_cycle": {"schema_version": 1, "edges": PROG_NO_CYCLE},
+    }),
+    ("check-prog-fwd", "plain"): (0, "holds", {
+        "verdict": "yes", "complete": True, "relation_size": 1473, "note": None,
+        "certificate_valid": True, "problems": [],
+    }),
+}
+
+
+@pytest.mark.parametrize("command, variant", SIMULATION_REPORTS)
+def test_simulation_reports_on_three_thread_faa_are_pinned(
+    faa3_models, capsys, command, variant
+):
+    code, out, _ = run(
+        capsys,
+        [command, faa3_models[variant], faa3_models["spec"], "--gamma", "cr",
+         "--alpha-bound", "4"],
+    )
+    rep = report(out)
+    assert (code, rep["verdict"], rep["data"]) == SIMULATION_REPORTS[(command, variant)]
 
 
 # --- transform commands -----------------------------------------------------

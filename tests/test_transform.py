@@ -182,7 +182,7 @@ def chain_mapping(depth: int) -> MappedTraces:
     """A concrete chain linked node for node to an image chain; only the
     two trees are filled in, which is all the common-origin check reads."""
     x = internal("x")
-    concrete, image = TracePrefixTree(0, depth), TracePrefixTree(0, depth)
+    concrete, image = TracePrefixTree(0), TracePrefixTree(0)
     u, v = concrete.root, image.root
     u.meta["image"] = v
     for _ in range(depth):
@@ -269,12 +269,6 @@ def test_s2_auto_deepens_and_exhausts():
     )
     with pytest.raises(DepthExhausted):
         frozen.schedule(target.trace())
-
-
-def test_construct_s2_rejects_foreign_scheduler(plain):
-    mt, _ = plain
-    with pytest.raises(ContractViolation, match="does not match"):
-        construct_s2(mt, s1=TableScheduler({}))
 
 
 # --- trace set comparisons -------------------------------------------------------
