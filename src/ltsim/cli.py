@@ -104,9 +104,17 @@ def _read(path: str) -> Lts:
     return load_model(_read_text(path))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads keeps only the last value of a repeated key, such as a second rank for one state
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ParseError("malformed certificate: a JSON object repeats a key")
+    return obj
+
+
 def _read_certificate(path: str, a1: Lts, a2: Lts):
     try:
-        payload = json.loads(_read_text(path))
+        payload = json.loads(_read_text(path), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"certificate is not JSON: {e.msg}", line=e.lineno, column=e.colno) from None
     return certificate_from_dict(payload, a1, a2)

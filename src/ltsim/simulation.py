@@ -13,10 +13,14 @@ bits are its related abstract states, and each (concrete action,
 abstract state) one int of the landings of its matches.  Pairs with a
 step that has no match at all die first; then a worklist of concrete
 states re-checks a row, one AND per (step, live partner), whenever a
-successor row shrank.  The cost is one match search per (concrete
-action, abstract state) and O(|E1|*|S2|^2) ANDs in the worst case, where
-every row shrinks one partner at a time; on the case studies the rows
-shrink fast.
+successor row shrank.  The worklist starts in DFS postorder, successors
+first, so most rows are checked once, against final successor rows.  A
+match search reads its action only when gamma observes it, so the
+actions gamma hides share one search per abstract state.  The cost is
+one match search per abstract state for each observable concrete action
+and one for all hidden ones, and O(|E1|*|S2|^2) ANDs in the worst case,
+where every row shrinks one partner at a time; on the case studies the
+rows shrink fast.
 
 complete is False when the alpha bound cut short a search that a sweep
 refinement (pairs in product order, each pair's steps in canonical
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import BudgetExceeded, ContractViolation, ParseError
-from .lts import Action, Lts, Trace, find_cycle, project
+from .lts import Action, Lts, Trace, find_cycle
 
 SCHEMA_VERSION = 1
 MAX_DIAGNOSTICS = 20  # problems validate_certificate lists before it stops recording
@@ -137,7 +141,9 @@ class MatchTable:
     Candidates are (alpha, landing) pairs with alpha's projection onto
     gamma equal to the action's, one entry per reachable landing, in
     shortest-then-canonical order; the empty alpha comes last so that
-    consumers prefer progress over stuttering.
+    consumers prefer progress over stuttering.  A search reads the action
+    only when it is in gamma, so the cache key is (None, s2) for every
+    action gamma hides: they share one search.  cut holds cache keys.
     """
 
     def __init__(self, a2: Lts, gamma: frozenset[Action], alpha_bound: int):
@@ -146,14 +152,19 @@ class MatchTable:
         self.a2 = a2
         self.gamma = gamma
         self.alpha_bound = alpha_bound
-        self.cut: set[tuple[Action, int]] = set()  # keys whose search the bound cut short
-        self._cache: dict[tuple[Action, int], tuple[tuple[Trace, int], ...]] = {}
+        self.cut: set[tuple[Action | None, int]] = set()  # keys whose search the bound cut short
+        self._cache: dict[tuple[Action | None, int], tuple[tuple[Trace, int], ...]] = {}
+
+    def key(self, a: Action) -> Action | None:
+        """The action part of a's cache key: a itself if observable, else None."""
+        return a if a in self.gamma else None
 
     def candidates(self, a: Action, s2: int) -> tuple[tuple[Trace, int], ...]:
-        hit = self._cache.get((a, s2))
+        key = (self.key(a), s2)
+        hit = self._cache.get(key)
         if hit is None:
             hit = self._search(a, s2)
-            self._cache[(a, s2)] = hit
+            self._cache[key] = hit
         return hit
 
     def _search(self, a: Action, s2: int) -> tuple[tuple[Trace, int], ...]:
@@ -174,7 +185,7 @@ class MatchTable:
                     or (observable and progress == 0 and b == a and (u, 1) not in best)
                     for b, u in self.a2.out_edges(t)
                 ):
-                    self.cut.add((a, s2))
+                    self.cut.add((self.key(a), s2))
                 continue
             for b, u in self.a2.out_edges(t):
                 if b in self.gamma:
@@ -211,6 +222,32 @@ def _run_from(lts: Lts, s: int, seq: Sequence[Action]) -> int | None:
 # --- greatest fixpoint --------------------------------------------------
 
 
+def _postorder(steps: list[list[tuple[int, int]]]) -> list[int]:
+    """Every state once, each after the states its steps reach first.
+
+    An iterative DFS over the step lists, roots in ascending state order,
+    so its depth is bounded by memory rather than by the recursion limit.
+    """
+    order: list[int] = []
+    seen = bytearray(len(steps))
+    for root in range(len(steps)):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        stack = [(root, iter(steps[root]))]
+        while stack:
+            s, it = stack[-1]
+            for _, t in it:
+                if not seen[t]:
+                    seen[t] = 1
+                    stack.append((t, iter(steps[t])))
+                    break
+            else:
+                stack.pop()
+                order.append(s)
+    return order
+
+
 def _greatest_relation(
     a1: Lts, a2: Lts, table: MatchTable
 ) -> tuple[frozenset[tuple[int, int]], bool]:
@@ -218,24 +255,33 @@ def _greatest_relation(
 
     Row refinement over bitsets: row[s1] has bit 8 * s2 set while (s1, s2)
     is related, and lands[k][s2] bit 8 * t for each distinct landing t of
-    action code k's matches at s2, so a step s1 -k-> s1' keeps s2 iff
+    search code k's matches at s2, so a step s1 -k-> s1' keeps s2 iff
     lands[k][s2] & row[s1'] is non-zero; stride 8 makes to_bytes one 0/1
-    byte per abstract state, ready for compress.  A worklist of concrete
-    states re-checks a row whenever a successor row shrank.  A row can
-    shrink |S2| times, so the worst case is O(|E1| * |S2|^2) ANDs, against
-    O(|E1| * |S2|) counter updates for Henzinger-Henzinger-Kopke refinement;
-    on the case studies rows shrink fast and the re-checks are cheap.
+    byte per abstract state, ready for compress.  A step's code is that of
+    its action's MatchTable key, so all actions gamma hides share one code
+    and one lands list.  A worklist of concrete states, seeded in DFS
+    postorder so that most rows are checked against successor rows that
+    are already final, re-checks a row whenever a successor row shrank.
+    A row can shrink |S2| times, so the worst case is O(|E1| * |S2|^2)
+    ANDs, against O(|E1| * |S2|) counter updates for
+    Henzinger-Henzinger-Kopke refinement; on the case studies rows shrink
+    fast and most states are checked once.
     """
     n1, n2 = a1.num_states, a2.num_states
-    code: dict[Action, int] = {}
-    # (action code, successor) per step of s1, in canonical order
+    code: dict[Action | None, int] = {}  # per MatchTable key
+    probe: list[Action] = []  # an action of each code, to search with
+    # (code, successor) per step of s1, in canonical order
     steps: list[list[tuple[int, int]]] = [[] for _ in range(n1)]
     preds: list[list[int]] = [[] for _ in range(n1)]  # sources of the edges into s1
     for s, a, t in a1.edges():
-        steps[s].append((code.setdefault(a, len(code)), t))
+        key = table.key(a)
+        if key not in code:
+            code[key] = len(probe)
+            probe.append(a)
+        steps[s].append((code[key], t))
         preds[t].append(s)
     lands = [  # distinct landings are distinct powers of two, so their sum is their OR
-        [sum({1 << 8 * t for _, t in table.candidates(a, s2)}) for s2 in range(n2)] for a in code
+        [sum({1 << 8 * t for _, t in table.candidates(a, s2)}) for s2 in range(n2)] for a in probe
     ]
     row = [int.from_bytes(b"\x01" * n2, "little")] * n1
     # pairs with a step that has no landing at all die up front
@@ -243,7 +289,7 @@ def _greatest_relation(
     for s, es in enumerate(steps):
         for k, _ in es:
             row[s] &= matched[k]
-    queue, queued = deque(range(n1)), bytearray(b"\x01") * n1
+    queue, queued = deque(_postorder(steps)), bytearray(b"\x01") * n1
     while queue:
         s1 = queue.popleft()
         queued[s1] = 0
@@ -262,7 +308,7 @@ def _greatest_relation(
                     queue.append(p)
 
     complete = not table.cut or not _first_sweep_meets_cut(
-        n2, steps, lands, [(code[a], s2) for a, s2 in table.cut]
+        n2, steps, lands, [(code[key], s2) for key, s2 in table.cut]
     )
     relation = frozenset(
         (s1, s2) for s1 in range(n1) for s2 in compress(range(n2), row[s1].to_bytes(n2, "little"))
@@ -614,7 +660,9 @@ def validate_certificate(
                     f"alpha of length {len(entry.alpha)} exceeds the bound "
                     f"{cert.alpha_bound} at ({s1}, {a.label()}, {s2})"
                 )
-            if project((a,), cert.gamma) != project(entry.alpha, cert.gamma):
+            if tuple(b for b in entry.alpha if b in cert.gamma) != (
+                (a,) if a in cert.gamma else ()
+            ):
                 report(f"projection mismatch at ({s1}, {a.label()}, {s2})")
             landed = _run_from(a2, s2, entry.alpha)
             if landed is None:
@@ -723,6 +771,13 @@ def certificate_from_dict(
             raise ValueError(f"expected an integer in [0, {limit}), got {x!r}")
         return x
 
+    def state_key(k: str) -> int:
+        # only the canonical decimal form, so that no two keys name one state
+        s = number(int(k), n1)
+        if str(s) != k:
+            raise ValueError(f"expected a state number as a rank key, got {k!r}")
+        return s
+
     def actions(labels: object) -> tuple[Action, ...]:
         if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
             raise ValueError(f"expected a list of action labels, got {labels!r}")
@@ -745,9 +800,9 @@ def certificate_from_dict(
         witness = None
         if "ranks" in data:
             ranks = data["ranks"]
-            if not isinstance(ranks, dict) or not all(type(v) is int for v in ranks.values()):
-                raise ValueError("ranks must map state numbers to integers")
-            witness = ProgressWitness({int(k): v for k, v in ranks.items()})
+            if not isinstance(ranks, dict):
+                raise ValueError("ranks must map state numbers to natural numbers")
+            witness = ProgressWitness({state_key(k): number(v) for k, v in ranks.items()})
     except (KeyError, TypeError, IndexError, ValueError) as e:
         raise ParseError(f"malformed certificate: {e}") from None
     return cert, witness

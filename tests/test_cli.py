@@ -191,14 +191,30 @@ def test_a_json_model_must_name_its_initial_state(tmp_path, capsys, initial):
     assert "model field 'initial'" in err
 
 
-@pytest.mark.parametrize("ranks", [[1, 2], {"x": 1}], ids=["list", "non-integer-key"])
+MALFORMED_RANKS = {
+    "list": [1, 2],
+    "non-integer-key": {"x": 1},
+    # the dicts below are merged into the certificate's own ranks
+    "negative-key": {"-1": 0},
+    "key-past-the-end": {"99999": 0},
+    "underscored-key": {"1_0": 0},
+    "spaced-key": {" 3": 0},  # would overwrite the rank of state 3
+    "arabic-indic-key": {"\u0665": 0},  # would overwrite the rank of state 5
+    "zero-padded-key": {"03": 0},
+    "negative-rank": {"0": -1},
+    "bool-rank": {"0": True},
+}
+
+
+@pytest.mark.parametrize("shape", MALFORMED_RANKS)
 @pytest.mark.parametrize("command", ["validate-cert", "transform-scheduler"])
 def test_malformed_certificate_ranks_are_input_errors(
-    models, prog_cert, tmp_path, capsys, command, ranks
+    models, prog_cert, tmp_path, capsys, command, shape
 ):
     with open(prog_cert) as f:
         payload = json.load(f)
-    payload["ranks"] = ranks
+    ranks = MALFORMED_RANKS[shape]
+    payload["ranks"] = {**payload["ranks"], **ranks} if isinstance(ranks, dict) else ranks
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(payload))
     if command == "validate-cert":
@@ -208,6 +224,24 @@ def test_malformed_certificate_ranks_are_input_errors(
     code, out, err = run(capsys, argv)
     assert (code, out) == (3, "")
     assert "malformed certificate" in err
+
+
+@pytest.mark.parametrize("command", ["validate-cert", "transform-scheduler"])
+def test_a_certificate_key_given_twice_is_an_input_error(
+    models, prog_cert, tmp_path, capsys, command
+):
+    with open(prog_cert) as f:
+        text = f.read()
+    assert '"ranks": {' in text and '"0": ' in text
+    cert = tmp_path / "cert.json"
+    cert.write_text(text.replace('"ranks": {', '"ranks": {"0": 7,', 1))  # state 0 ranked twice
+    if command == "validate-cert":
+        argv = [command, models["plain"], models["spec"], str(cert)]
+    else:
+        argv = [command, models["prog"], models["plain"], models["spec"], "--cert", str(cert)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "repeats a key" in err
 
 
 def _float_pair(payload):

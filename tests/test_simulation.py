@@ -21,7 +21,7 @@ from ltsim import (
     validate_stutter_cycle,
 )
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec
-from ltsim.simulation import MatchTable
+from ltsim.simulation import MatchTable, _greatest_relation
 
 from conftest import internal, make_lts, oracle_union, random_lts
 
@@ -406,7 +406,36 @@ def test_faa_three_threads_agrees_with_the_sweep(variant):
     assert {k: (e.alpha, e.target) for k, e in res.certificate.choice.items()} == choice
 
 
-# --- recursion-free progress checks ------------------------------------------
+def test_shared_searches_equal_unshared_ones():
+    """Actions gamma hides share one search per abstract state; each shared
+    answer and cut status must be what a table of its own reports."""
+    cases = list(differential_cases())
+    cases += [faa_case(variant) for variant in ("invalidating", "plain")]
+    for a1, a2, gamma, bound in cases:
+        table = MatchTable(a2, gamma, bound)
+        _greatest_relation(a1, a2, table)  # fill the table in the fixpoint's order
+        for a in sorted(a1.alphabet.all_actions | a2.alphabet.all_actions, key=Action.key):
+            for s2 in range(a2.num_states):
+                own = MatchTable(a2, gamma, bound)
+                assert table.candidates(a, s2) == own._search(a, s2)
+                key = (a if a in gamma else None, s2)
+                assert (key in table.cut) == bool(own.cut)
+
+
+# --- recursion-free checks ----------------------------------------------------
+
+
+def test_long_cycle_gets_the_forward_relation_without_recursion():
+    # a b a b ... around 20,000 states, closed by one back edge; the
+    # abstract side alternates a and b, so state s pairs with s % 2 only
+    n = 20_000
+    concrete = make_lts(
+        [(k, (A, B)[k % 2], (k + 1) % n) for k in range(n)], n, AL4
+    )
+    abstract = make_lts([(0, A, 1), (1, B, 0)], 2, AL4)
+    res = check_forward(concrete, abstract, GAMMA, alpha_bound=1)
+    assert res.relation == {(s, s % 2) for s in range(n)}
+    assert res.complete and res.certificate is not None
 
 
 def test_long_stutter_chain_gets_ranks_without_recursion():
