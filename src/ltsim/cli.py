@@ -462,13 +462,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ltsim", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="recorded in the report")
-    common.add_argument("--budget", type=_count, default=None, help="node budget override")
     common.add_argument("--timing", action="store_true", help="print wall-clock to stderr")
+    # only for the commands that pass a node budget on
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_count, default=None, help="node budget override")
 
     sub = parser.add_subparsers(dest="cmd")
 
-    def cmd(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def cmd(name: str, handler, help_text: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common, *parents], help=help_text)
         p.set_defaults(handler=handler)
         return p
 
@@ -484,13 +486,13 @@ def _build_parser() -> _Parser:
     p.add_argument("object")
     p.add_argument("-o", "--out", default=None)
 
-    p = cmd("simulate", _cmd_simulate, "enumerate scheduled traces")
+    p = cmd("simulate", _cmd_simulate, "enumerate scheduled traces", budget)
     p.add_argument("model")
     p.add_argument("--strategy", default="maximal", choices=sorted(STRATEGIES))
     p.add_argument("--depth", type=_count, default=8)
     p.add_argument("--max-traces", type=_count, default=50)
 
-    p = cmd("check-admitted", _cmd_check_admitted, "non-empty, all-enabled scheduling")
+    p = cmd("check-admitted", _cmd_check_admitted, "non-empty, all-enabled scheduling", budget)
     p.add_argument("model")
     p.add_argument("--strategy", default="maximal", choices=sorted(STRATEGIES))
     p.add_argument("--depth", type=_count, default=8)
@@ -519,7 +521,7 @@ def _build_parser() -> _Parser:
         ("transform-scheduler", _cmd_transform_scheduler, "derive the abstract scheduler"),
         ("check-lemmas", _cmd_check_lemmas, "structural checks of the trace mapping"),
     ):
-        p = cmd(name, handler, help_text)
+        p = cmd(name, handler, help_text, budget)
         p.add_argument("program")
         p.add_argument("concrete")
         p.add_argument("abstract")
@@ -531,13 +533,13 @@ def _build_parser() -> _Parser:
         if name == "transform-scheduler":
             p.add_argument("--table-out", default=None)
 
-    p = cmd("find-divergence", _cmd_find_divergence, "silent cycle under a strategy")
+    p = cmd("find-divergence", _cmd_find_divergence, "silent cycle under a strategy", budget)
     p.add_argument("program")
     p.add_argument("object")
     p.add_argument("--strategy", default="ll-alternator", choices=sorted(STRATEGIES))
     p.add_argument("--gamma", default="gamma-p")
 
-    p = cmd("run-casestudy", _cmd_run_casestudy, "the counter contrast, end to end")
+    p = cmd("run-casestudy", _cmd_run_casestudy, "the counter contrast, end to end", budget)
     p.add_argument("--threads", type=_int_list, default=(1, 2))
     p.add_argument("--addends", type=_int_list, default=(1, 2))
     p.add_argument("--depth", type=_count, default=14)

@@ -9,18 +9,19 @@ a well-founded order that strictly decreases on every stuttering match
 
 The checker computes the greatest such F over all state pairs by row
 refinement over bitsets.  Each concrete state has one Python int whose
-bits are its related abstract states, and each (concrete action,
-abstract state) one int of the landings of its matches.  Pairs with a
+bits are its related abstract states.  A step s1 -a-> t keeps exactly
+the abstract states whose a-matches land in t's row, the predecessor
+image of that row, so checking a row is one AND per step.  Pairs with a
 step that has no match at all die first; then a worklist of concrete
-states re-checks a row, one AND per (step, live partner), whenever a
-successor row shrank.  The worklist starts in DFS postorder, successors
-first, so most rows are checked once, against final successor rows.  A
-match search reads its action only when gamma observes it, so the
-actions gamma hides share one search per abstract state.  The cost is
-one match search per abstract state for each observable concrete action
-and one for all hidden ones, and O(|E1|*|S2|^2) ANDs in the worst case,
-where every row shrinks one partner at a time; on the case studies the
-rows shrink fast.
+states re-checks a row whenever a successor row shrank.  The worklist
+starts in DFS postorder, successors first, so most rows are checked
+once, against final successor rows.  Images are memoized by (action
+key, row value) until the fixpoint ends: states with equal rows share
+one, and one image costs an OR per abstract state in the row.  One
+breadth-first search per abstract state finds the matches of every
+concrete action.  In the worst case every row shrinks one partner at a
+time and every image is new, O(|E1|*|S2|^2) ORs of |S2|-bit ints; on
+the case studies the rows shrink fast and few images are computed.
 
 complete is False when the alpha bound cut short a search that a sweep
 refinement (pairs in product order, each pair's steps in canonical
@@ -37,10 +38,12 @@ makes the acyclicity test for ranks sharp rather than heuristic.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
+from operator import or_
 
 from .errors import BudgetExceeded, ContractViolation, ParseError
 from .lts import Action, Lts, Trace, find_cycle
@@ -141,9 +144,17 @@ class MatchTable:
     Candidates are (alpha, landing) pairs with alpha's projection onto
     gamma equal to the action's, one entry per reachable landing, in
     shortest-then-canonical order; the empty alpha comes last so that
-    consumers prefer progress over stuttering.  A search reads the action
-    only when it is in gamma, so the cache key is (None, s2) for every
-    action gamma hides: they share one search.  cut holds cache keys.
+    consumers prefer progress over stuttering.  The search reads the
+    action only when it is in gamma, so its cache key is (a, s2) for an
+    observable action and (None, s2) for every action gamma hides.
+
+    One breadth-first search from s2 serves every key at s2.  Its nodes
+    are (u, None) before any observable action, shared by all keys, and
+    (u, b) after emitting the observable action b; restricted to one
+    key's nodes it visits them in the order a search for that key alone
+    would, so each key gets the same candidates and the same cut status.
+    cut holds the keys, among those asked for, whose search the bound
+    cut short.
     """
 
     def __init__(self, a2: Lts, gamma: frozenset[Action], alpha_bound: int):
@@ -153,61 +164,75 @@ class MatchTable:
         self.gamma = gamma
         self.alpha_bound = alpha_bound
         self.cut: set[tuple[Action | None, int]] = set()  # keys whose search the bound cut short
-        self._cache: dict[tuple[Action | None, int], tuple[tuple[Trace, int], ...]] = {}
+        self._found: dict[int, dict[Action | None, tuple[tuple[Trace, int], ...]]] = {}
+        # s2 -> (the bound cut every key, the keys it cut), for the s2 where it cut any
+        self._cut_at: dict[int, tuple[bool, set[Action | None]]] = {}
 
     def key(self, a: Action) -> Action | None:
         """The action part of a's cache key: a itself if observable, else None."""
         return a if a in self.gamma else None
 
     def candidates(self, a: Action, s2: int) -> tuple[tuple[Trace, int], ...]:
-        key = (self.key(a), s2)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._search(a, s2)
-            self._cache[key] = hit
-        return hit
+        found = self._found.get(s2)
+        if found is None:
+            found = self._found[s2] = self._search(s2)
+        key = self.key(a)
+        if s2 in self._cut_at:
+            every, keys = self._cut_at[s2]
+            if every or key in keys:
+                self.cut.add((key, s2))
+        return found.get(key, ())
 
-    def _search(self, a: Action, s2: int) -> tuple[tuple[Trace, int], ...]:
-        observable = a in self.gamma
-        # nodes are (abstract state, progress); progress flips on emitting a
-        start = (s2, 0)
-        best: dict[tuple[int, int], Trace] = {start: ()}
-        queue: deque[tuple[int, int]] = deque([start])
-        found: list[tuple[Trace, int]] = []
+    def _search(self, s2: int) -> dict[Action | None, tuple[tuple[Trace, int], ...]]:
+        gamma = self.gamma
+        # nodes are (abstract state, the observable action emitted or None)
+        start: tuple[int, Action | None] = (s2, None)
+        best: dict[tuple[int, Action | None], Trace] = {start: ()}
+        queue = deque([start])
+        found: defaultdict[Action | None, list[tuple[Trace, int]]] = defaultdict(list)
+        every, cut = False, set()  # the bound cut every key; the keys it cut
         looped = False  # non-empty silent path back to s2 recorded
         while queue:
-            t, progress = queue.popleft()
-            alpha = best[(t, progress)]
+            node = queue.popleft()
+            t, emitted = node
+            alpha = best[node]
             if len(alpha) >= self.alpha_bound:
-                if any(
-                    ((u, progress) not in best and b not in self.gamma)
-                    or (not observable and not looped and u == s2 and b not in self.gamma)
-                    or (observable and progress == 0 and b == a and (u, 1) not in best)
-                    for b, u in self.a2.out_edges(t)
-                ):
-                    self.cut.add((self.key(a), s2))
+                # an edge to an unseen node cuts the keys that node serves:
+                # every key for (u, None), b for (u, b); an edge back to s2
+                # cuts the hidden key while its silent loop is unrecorded
+                for b, u in self.a2.out_edges(t):
+                    if b in gamma:
+                        if emitted is None and (u, b) not in best:
+                            cut.add(b)
+                    elif (u, emitted) not in best:
+                        if emitted is None:
+                            every = True
+                        else:
+                            cut.add(emitted)
+                    elif emitted is None and u == s2 and not looped:
+                        cut.add(None)
                 continue
             for b, u in self.a2.out_edges(t):
-                if b in self.gamma:
-                    if not (observable and progress == 0 and b == a):
-                        continue
-                    node = (u, 1)
+                if b not in gamma:
+                    nxt = (u, emitted)
+                elif emitted is None:
+                    nxt = (u, b)
                 else:
-                    node = (u, progress)
-                if node in best:
+                    continue
+                if nxt in best:
                     # the start node holds the empty sequence, so a real
                     # silent loop back to it is a distinct candidate
-                    if node == start and not observable and not looped:
+                    if nxt == start and not looped:
                         looped = True
-                        found.append((alpha + (b,), s2))
+                        found[None].append((alpha + (b,), s2))
                     continue
-                best[node] = alpha + (b,)
-                queue.append(node)
-                if node[1] == (1 if observable else 0) and best[node]:
-                    found.append((best[node], node[0]))
-        if not observable:
-            found.append(((), s2))  # stuttering match, deliberately last
-        return tuple(found)
+                best[nxt] = path = alpha + (b,)
+                queue.append(nxt)
+                found[nxt[1]].append((path, u))
+        found[None].append(((), s2))  # stuttering match, deliberately last
+        if every or cut:
+            self._cut_at[s2] = (every, cut)
+        return {key: tuple(c) for key, c in found.items()}
 
 
 def _run_from(lts: Lts, s: int, seq: Sequence[Action]) -> int | None:
@@ -254,18 +279,17 @@ def _greatest_relation(
     """Greatest relation over all pairs, and completeness.
 
     Row refinement over bitsets: row[s1] has bit 8 * s2 set while (s1, s2)
-    is related, and lands[k][s2] bit 8 * t for each distinct landing t of
-    search code k's matches at s2, so a step s1 -k-> s1' keeps s2 iff
-    lands[k][s2] & row[s1'] is non-zero; stride 8 makes to_bytes one 0/1
-    byte per abstract state, ready for compress.  A step's code is that of
-    its action's MatchTable key, so all actions gamma hides share one code
-    and one lands list.  A worklist of concrete states, seeded in DFS
+    is related, and into[k][t] bit 8 * s2 for each s2 where a match of
+    search code k lands in t; stride 8 makes to_bytes one 0/1 byte per
+    abstract state, ready for compress.  A step's code is that of its
+    action's MatchTable key, so all actions gamma hides share one code.  A
+    step s1 -k-> t keeps exactly the partners in the predecessor image of
+    row[t], the OR of into[k][t2] over the bits t2 of row[t], so a row
+    check is one AND per step.  States with equal rows have equal images,
+    so each image is computed once per distinct (code, row) value and kept
+    until the fixpoint ends.  A worklist of concrete states, seeded in DFS
     postorder so that most rows are checked against successor rows that
     are already final, re-checks a row whenever a successor row shrank.
-    A row can shrink |S2| times, so the worst case is O(|E1| * |S2|^2)
-    ANDs, against O(|E1| * |S2|) counter updates for
-    Henzinger-Henzinger-Kopke refinement; on the case studies rows shrink
-    fast and most states are checked once.
     """
     n1, n2 = a1.num_states, a2.num_states
     code: dict[Action | None, int] = {}  # per MatchTable key
@@ -280,35 +304,42 @@ def _greatest_relation(
             probe.append(a)
         steps[s].append((code[key], t))
         preds[t].append(s)
-    lands = [  # distinct landings are distinct powers of two, so their sum is their OR
-        [sum({1 << 8 * t for _, t in table.candidates(a, s2)}) for s2 in range(n2)] for a in probe
-    ]
+    into = [[0] * n2 for _ in probe]
+    for s2 in range(n2):
+        bit = 1 << 8 * s2
+        for k, a in enumerate(probe):
+            masks = into[k]
+            for _, t in table.candidates(a, s2):
+                masks[t] |= bit
     row = [int.from_bytes(b"\x01" * n2, "little")] * n1
-    # pairs with a step that has no landing at all die up front
-    matched = [int.from_bytes(bytes(map(bool, masks)), "little") for masks in lands]
+    # pairs with a step that has no match at all die up front
+    matched = [reduce(or_, masks) for masks in into]
     for s, es in enumerate(steps):
         for k, _ in es:
             row[s] &= matched[k]
+    images: dict[tuple[int, int], int] = {}  # (k, row) -> predecessor image of row under k
     queue, queued = deque(_postorder(steps)), bytearray(b"\x01") * n1
     while queue:
         s1 = queue.popleft()
         queued[s1] = 0
-        live, shrank = bytearray(row[s1].to_bytes(n2, "little")), False
+        kept = row[s1]
         for k, t in steps[s1]:  # a self-loop reads the stored row; s1 is then re-queued
-            succ, masks = row[t], lands[k]
-            for s2 in compress(range(n2), live):  # reads each byte before it is cleared
-                if not masks[s2] & succ:
-                    live[s2] = 0
-                    shrank = True
-        if shrank:
-            row[s1] = int.from_bytes(live, "little")
+            image = images.get((k, row[t]))
+            if image is None:
+                image, masks = 0, into[k]
+                for t2 in compress(range(n2), row[t].to_bytes(n2, "little")):
+                    image |= masks[t2]
+                images[(k, row[t])] = image
+            kept &= image
+        if kept != row[s1]:
+            row[s1] = kept
             for p in preds[s1]:
                 if not queued[p]:
                     queued[p] = 1
                     queue.append(p)
 
     complete = not table.cut or not _first_sweep_meets_cut(
-        n2, steps, lands, [(code[key], s2) for key, s2 in table.cut]
+        table, probe, steps, [(code[key], s2) for key, s2 in table.cut]
     )
     relation = frozenset(
         (s1, s2) for s1 in range(n1) for s2 in compress(range(n2), row[s1].to_bytes(n2, "little"))
@@ -317,9 +348,9 @@ def _greatest_relation(
 
 
 def _first_sweep_meets_cut(
-    n2: int,
+    table: MatchTable,
+    probe: list[Action],
     steps: list[list[tuple[int, int]]],
-    lands: list[list[int]],
     cut: list[tuple[int, int]],
 ) -> bool:
     """Does a sweep-until-stable refinement consult a search the bound cut?
@@ -330,7 +361,8 @@ def _first_sweep_meets_cut(
     first sweep, since a pair surviving that sweep had all its steps
     checked there; so replaying the first sweep decides it exactly.
     """
-    is_cut = [bytearray(n2) for _ in lands]
+    n2 = table.a2.num_states
+    is_cut = [bytearray(n2) for _ in probe]
     for k, s2 in cut:
         is_cut[k][s2] = 1
     row = [int.from_bytes(b"\x01" * n2, "little")] * len(steps)
@@ -339,7 +371,7 @@ def _first_sweep_meets_cut(
             for k, t in es:
                 if is_cut[k][s2]:
                     return True
-                if not lands[k][s2] & row[t]:
+                if not any(row[t] >> 8 * t2 & 1 for _, t2 in table.candidates(probe[k], s2)):
                     row[s1] ^= 1 << 8 * s2
                     break
     return False

@@ -333,16 +333,23 @@ def test_a_certificate_must_respect_its_alpha_bound(
 COUNT_OPTIONS = ("--depth", "--budget", "--max-traces", "--backtrack-budget")
 
 
-def _bad_option_values():
-    """A -1 for every count option each subcommand declares, plus bad integer lists."""
+def _subcommands():
+    """(name, parser, one "x" per positional argument) for every subcommand."""
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for name, p in sub.choices.items():
-        positionals = ["x"] * sum(1 for a in p._actions if not a.option_strings)
-        for action in p._actions:
-            for option in COUNT_OPTIONS:
-                if option in action.option_strings:
-                    yield [name, *positionals, option, "-1"]
+        yield name, p, ["x"] * sum(1 for a in p._actions if not a.option_strings)
+
+
+def _bad_option_values():
+    """A -1 for every count option each subcommand declares and for
+    --budget everywhere (a subcommand that reads no budget rejects the
+    option itself), plus bad integer lists."""
+    for name, p, positionals in _subcommands():
+        declared = {s for action in p._actions for s in action.option_strings}
+        for option in COUNT_OPTIONS:
+            if option in declared or option == "--budget":
+                yield [name, *positionals, option, "-1"]
     yield ["run-casestudy", "--threads", "a,b"]
     yield ["run-casestudy", "--addends", "1,x"]
 
@@ -355,6 +362,32 @@ def test_bad_option_values_exit_3_via_argparse(capsys, argv):
     assert ei.value.code == 3
     assert captured.out == ""
     assert "usage:" in captured.err
+
+
+# the subcommands that read no budget, with model files for their positionals
+UNBUDGETED = {
+    "check-det": ["impl"], "idle-complete": ["impl"], "product": ["prog", "impl"],
+    "check-fwd": ["impl", "spec"], "check-prog-fwd": ["plain", "spec"],
+    "validate-cert": ["impl", "spec", "impl"], "export-dot": ["impl"],
+}
+
+
+def test_budget_is_declared_only_where_a_budget_is_read():
+    declared = {
+        name for name, p, _ in _subcommands()
+        if any("--budget" in action.option_strings for action in p._actions)
+    }
+    assert declared == {name for name, _, _ in _subcommands()} - set(UNBUDGETED)
+
+
+@pytest.mark.parametrize("command", list(UNBUDGETED))
+def test_a_budget_nothing_reads_is_a_usage_error(models, capsys, command):
+    with pytest.raises(SystemExit) as ei:
+        main([command, *(models[f] for f in UNBUDGETED[command]), "--budget", "5"])
+    captured = capsys.readouterr()
+    assert ei.value.code == 3
+    assert captured.out == ""
+    assert "usage:" in captured.err and "--budget" in captured.err
 
 
 # --- model commands ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -406,20 +407,92 @@ def test_faa_three_threads_agrees_with_the_sweep(variant):
     assert {k: (e.alpha, e.target) for k, e in res.certificate.choice.items()} == choice
 
 
+@pytest.mark.parametrize(
+    "variant, size, deleted",
+    [("invalidating", 23_501, 2_047_588), ("plain", 23_022, 1_921_950)],
+)
+def test_faa_four_threads_forward_pins(variant, size, deleted):
+    # the only FAA case where the alpha bound cuts searches (none at 3 threads)
+    a1, a2, gamma, bound = faa_case(variant, threads=4)
+    res = check_forward(a1, a2, gamma, alpha_bound=bound)
+    assert (len(res.relation), res.complete, res.deleted) == (size, False, deleted)
+    assert res.certificate is not None
+
+
+def per_action_search(a2, gamma, alpha_bound, a, s2):
+    """The reference search for one action alone: its candidates, and
+    whether the bound cut it short."""
+    observable = a in gamma
+    # nodes are (abstract state, progress); progress flips on emitting a
+    start = (s2, 0)
+    best = {start: ()}
+    queue = collections.deque([start])
+    found = []
+    cut = False
+    looped = False  # non-empty silent path back to s2 recorded
+    while queue:
+        t, progress = queue.popleft()
+        alpha = best[(t, progress)]
+        if len(alpha) >= alpha_bound:
+            if any(
+                ((u, progress) not in best and b not in gamma)
+                or (not observable and not looped and u == s2 and b not in gamma)
+                or (observable and progress == 0 and b == a and (u, 1) not in best)
+                for b, u in a2.out_edges(t)
+            ):
+                cut = True
+            continue
+        for b, u in a2.out_edges(t):
+            if b in gamma:
+                if not (observable and progress == 0 and b == a):
+                    continue
+                node = (u, 1)
+            else:
+                node = (u, progress)
+            if node in best:
+                # the start node holds the empty sequence, so a real
+                # silent loop back to it is a distinct candidate
+                if node == start and not observable and not looped:
+                    looped = True
+                    found.append((alpha + (b,), s2))
+                continue
+            best[node] = alpha + (b,)
+            queue.append(node)
+            if node[1] == (1 if observable else 0) and best[node]:
+                found.append((best[node], node[0]))
+    if not observable:
+        found.append(((), s2))  # stuttering match, deliberately last
+    return tuple(found), cut
+
+
+def assert_table_matches_per_action_searches(a1, a2, gamma, bound):
+    table = MatchTable(a2, gamma, bound)
+    _greatest_relation(a1, a2, table)  # fill the table in the fixpoint's order
+    actions = sorted(a1.alphabet.all_actions | a2.alphabet.all_actions, key=Action.key)
+    oracle = {
+        (a, s2): per_action_search(a2, gamma, bound, a, s2)
+        for a in actions
+        for s2 in range(a2.num_states)
+    }
+    # the fixpoint asks every step's key at every s2, and cut holds only those
+    asked = {a for _, a, _ in a1.edges()}
+    assert table.cut == {
+        (a if a in gamma else None, s2) for (a, s2), (_, cut) in oracle.items() if a in asked and cut
+    }
+    for (a, s2), (found, cut) in oracle.items():
+        assert table.candidates(a, s2) == found
+        assert ((a if a in gamma else None, s2) in table.cut) == cut
+
+
 def test_shared_searches_equal_unshared_ones():
-    """Actions gamma hides share one search per abstract state; each shared
-    answer and cut status must be what a table of its own reports."""
-    cases = list(differential_cases())
-    cases += [faa_case(variant) for variant in ("invalidating", "plain")]
-    for a1, a2, gamma, bound in cases:
-        table = MatchTable(a2, gamma, bound)
-        _greatest_relation(a1, a2, table)  # fill the table in the fixpoint's order
-        for a in sorted(a1.alphabet.all_actions | a2.alphabet.all_actions, key=Action.key):
-            for s2 in range(a2.num_states):
-                own = MatchTable(a2, gamma, bound)
-                assert table.candidates(a, s2) == own._search(a, s2)
-                key = (a if a in gamma else None, s2)
-                assert (key in table.cut) == bool(own.cut)
+    """One search per abstract state serves every action; each action's
+    candidates and cut status must be what a search for it alone reports."""
+    for a1, a2, gamma, bound in differential_cases():
+        assert_table_matches_per_action_searches(a1, a2, gamma, bound)
+    for variant in ("invalidating", "plain"):
+        a1, a2, gamma, _ = faa_case(variant)
+        for bound in (1, 2, 3, 4):
+            assert_table_matches_per_action_searches(a1, a2, gamma, bound)
 
 
 # --- recursion-free checks ----------------------------------------------------
