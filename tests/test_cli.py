@@ -8,6 +8,7 @@ the exit code grades the verdict: 0 holds, 1 refuted, 2 unknown,
 """
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -668,6 +669,44 @@ def test_simulation_reports_on_three_thread_faa_are_pinned(
     )
     rep = report(out)
     assert (code, rep["verdict"], rep["data"]) == SIMULATION_REPORTS[(command, variant)]
+
+
+# sha256 of the stdout report and of the --cert-out file on 3-thread FAA
+# (gamma cr, alpha bound 4); None where no certificate is written
+SIMULATION_DIGESTS = {
+    ("check-fwd", "invalidating"): (
+        "41ae732fe708167e56c132f6b92a680fe297fad5b012f6c9ce695828fe49c318",
+        "b40321d2c737ffeffbf49a8df2b700d27f9b78efacba4d82fb13be07517df650",
+    ),
+    ("check-fwd", "plain"): (
+        "f73dbe4731d6ac92897a6944458bd6959fd1d940a9b83fa5075aa3888a1e3020",
+        "70ec1e3bcc3b327dd9b9c658d883ed36ed0d80ea240e6e1876b5276c27e56a20",
+    ),
+    ("check-prog-fwd", "invalidating"): (
+        "0686dcd6233ec41fa7e6f7d00440f9115b0d5c874e93d3029928b841b0dccc67",
+        None,
+    ),
+    ("check-prog-fwd", "plain"): (
+        "7805602a8c095a49cc0c6043fc887c85ec0a6907ed89b1a6ced52f57335a99ab",
+        "61c97ad121dc94f947223e61884a84800a9a1c211860b1105f463a11ff395c33",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, variant", SIMULATION_DIGESTS)
+def test_simulation_report_and_certificate_bytes_are_pinned(
+    faa3_models, tmp_path, capsys, command, variant
+):
+    argv = [command, faa3_models[variant], faa3_models["spec"], "--gamma", "cr",
+            "--alpha-bound", "4"]
+    _, out, _ = run(capsys, argv)
+    cert = tmp_path / "cert.json"
+    run(capsys, argv + ["--cert-out", str(cert)])
+    got = (
+        hashlib.sha256(out.encode()).hexdigest(),
+        hashlib.sha256(cert.read_bytes()).hexdigest() if cert.exists() else None,
+    )
+    assert got == SIMULATION_DIGESTS[(command, variant)]
 
 
 # --- transform commands -----------------------------------------------------

@@ -1,8 +1,10 @@
 import collections
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ltsim import (
     Action,
@@ -10,6 +12,7 @@ from ltsim import (
     Alphabet,
     ChoiceEntry,
     ProgressWitness,
+    Relation,
     SimulationCertificate,
     certificate_from_dict,
     certificate_to_dict,
@@ -25,6 +28,7 @@ from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec
 from ltsim.simulation import MatchTable, _greatest_relation
 
 from conftest import internal, make_lts, oracle_union, random_lts
+from reference_validator import reference_validate_certificate
 
 A = Action("a", ActionKind.INTERNAL)
 B = Action("b", ActionKind.INTERNAL)
@@ -530,3 +534,157 @@ def test_faa_three_threads_plain_progressive_at_default_recursion_limit():
     assert res.verdict == "yes"
     ok, problems = validate_certificate(res.certificate, res.witness, impl, spec)
     assert ok, problems
+
+
+# --- the row-backed relation ------------------------------------------------
+
+
+pair_sets = st.frozensets(st.tuples(st.integers(0, 9), st.integers(0, 40)), max_size=40)
+
+
+@given(pair_sets, pair_sets, st.tuples(st.integers(-3, 12), st.integers(-3, 45)))
+def test_relation_behaves_like_a_frozenset_of_its_pairs(pairs, other, probe):
+    rel = Relation.from_pairs(pairs)
+    assert len(rel) == len(pairs)
+    assert (probe in rel) == (probe in pairs)
+    assert all(p in rel for p in pairs)
+    assert list(rel) == sorted(pairs)
+    assert rel == pairs and pairs == rel
+    assert (rel == other) == (pairs == other) and (other == rel) == (other == pairs)
+    for got, want in (
+        (rel - other, pairs - other),
+        (rel & other, pairs & other),
+        (rel | other, pairs | other),
+        (other - rel, other - pairs),
+    ):
+        assert isinstance(got, Relation) and got == want and list(got) == sorted(want)
+    assert (rel <= other) == (pairs <= other) and (other <= rel) == (other <= pairs)
+    assert hash(rel) == hash(pairs)
+    assert all(tuple(rel.partners(s1)) == tuple(sorted(s2 for x, s2 in pairs if x == s1))
+               for s1 in range(-1, 11))
+
+
+def test_relation_holds_only_pairs_of_state_numbers():
+    rel = Relation.from_pairs([(0, 1)])
+    assert (0, 1) in rel
+    assert all(x not in rel for x in [(0, 1, 2), (0,), "01", (0, 1.0), (-1, 1), None])
+    with pytest.raises(ValueError):
+        Relation.from_pairs([(-1, 0)])
+    with pytest.raises(ValueError):
+        rel | {(0, -1)}
+
+
+def test_a_certificate_stores_any_pairs_as_a_relation():
+    cert = SimulationCertificate(frozenset({(1, 0), (0, 0)}), {}, GAMMA, 1)
+    assert isinstance(cert.relation, Relation) and list(cert.relation) == [(0, 0), (1, 0)]
+    with pytest.raises(ValueError):
+        SimulationCertificate(frozenset({(-1, 0)}), {}, GAMMA, 1)
+
+
+# --- validation by clause value -------------------------------------------------
+
+
+def mutants(cert, a1, a2):
+    """Broken copies of cert: a dropped choice, a wrong target, an
+    over-long alpha, a projection mismatch and a missing landing pair,
+    each at the first clause (in pair order) where it applies."""
+    clauses = [
+        (s1, a, s2, s1n)
+        for s1, s2 in cert.relation
+        for a, s1n in a1.out_edges(s1)
+    ]
+    if not clauses:
+        return
+    s1, a, s2, s1n = clauses[0]
+    key = (s1, a, s2)
+    entry = cert.choice[key]
+
+    def with_entry(new):
+        return replace(cert, choice={**cert.choice, key: new})
+
+    yield replace(cert, choice={k: e for k, e in cert.choice.items() if k != key})
+    if a2.num_states > 1:
+        yield with_entry(ChoiceEntry(entry.alpha, (entry.target + 1) % a2.num_states))
+    some = min(a2.alphabet.all_actions | a1.alphabet.all_actions, key=Action.key)
+    yield with_entry(ChoiceEntry((some,) * (cert.alpha_bound + 1), entry.target))
+    if a in cert.gamma:
+        yield with_entry(ChoiceEntry((), entry.target))
+    elif cert.gamma:
+        yield with_entry(ChoiceEntry(entry.alpha + (min(cert.gamma, key=Action.key),), entry.target))
+    landing = (s1n, entry.target)
+    if landing not in ((a1.initial, a2.initial), (s1, s2)):
+        yield replace(cert, relation=cert.relation - {landing})
+
+
+def test_validation_by_clause_value_agrees_with_the_reference():
+    """Byte-identical (ok, problems) with the per-clause replay, on every
+    certificate of differential_cases() and of 3-thread FAA, and on broken
+    copies of each."""
+    checked = broken = 0
+
+    def compare(cert, witness, a1, a2):
+        got = validate_certificate(cert, witness, a1, a2)
+        assert got == reference_validate_certificate(cert, witness, a1, a2)
+        return got[0]
+
+    cases = list(differential_cases())
+    for variant in ("invalidating", "plain"):
+        cases.append(faa_case(variant))
+    for a1, a2, gamma, bound in cases:
+        found = []
+        res = check_forward(a1, a2, gamma, alpha_bound=bound)
+        if res.certificate is not None:
+            found.append((res.certificate, None))
+        prog = check_progressive(a1, a2, gamma, alpha_bound=bound, backtrack_budget=0)
+        if prog.verdict == "yes":
+            found.append((prog.certificate, prog.witness))
+        for cert, witness in found:
+            assert compare(cert, witness, a1, a2)
+            checked += 1
+            for bad in mutants(cert, a1, a2):
+                assert not compare(bad, witness, a1, a2)
+                broken += 1
+    assert checked >= 500 and broken >= 2000
+
+
+@pytest.mark.parametrize("largest", [True, False], ids=["over-the-cap", "under-the-cap"])
+def test_a_bad_clause_shared_by_many_pairs_is_reported_at_each(largest):
+    a1, a2, gamma, bound = faa_case("invalidating")
+    cert = check_forward(a1, a2, gamma, alpha_bound=bound).certificate
+    where = collections.defaultdict(list)  # clause value -> its (s1, a, s2) keys
+    for (s1, a, s2), entry in cert.choice.items():
+        where[(a, s2, entry)].append((s1, a, s2))
+    shared = max(
+        (clause for clause, keys in where.items() if largest or len(keys) <= 10),
+        key=lambda c: (len(where[c]), c[0].key(), c[1], [b.key() for b in c[2].alpha]),
+    )
+    a, s2, entry = shared
+    wrong = ChoiceEntry(entry.alpha, (entry.target + 1) % a2.num_states)
+    choice = dict(cert.choice)
+    expected = []
+    for s1, _, _ in sorted(where[shared]):
+        choice[(s1, a, s2)] = wrong
+        expected.append(
+            f"alpha lands in {entry.target}, recorded target {wrong.target} "
+            f"at ({s1}, {a.label()}, {s2})"
+        )
+        if (a1.step(s1, a), wrong.target) not in cert.relation:
+            expected.append(f"landing ({a1.step(s1, a)}, {wrong.target}) not in relation")
+    assert (len(expected) > 20) == largest
+    bad = replace(cert, choice=choice)
+    ok, problems = validate_certificate(bad, None, a1, a2)
+    assert not ok and problems == expected[:20]
+    assert (ok, problems) == reference_validate_certificate(bad, None, a1, a2)
+
+
+@pytest.mark.parametrize("pair", [(None, 0), (0, None)], ids=["s1", "s2"])
+def test_a_pair_outside_the_state_ranges_is_a_problem(pair):
+    a1, a2, gamma, bound = faa_case("invalidating")
+    cert = check_forward(a1, a2, gamma, alpha_bound=bound).certificate
+    s1 = a1.num_states if pair[0] is None else pair[0]
+    s2 = a2.num_states if pair[1] is None else pair[1]
+    ok, problems = validate_certificate(
+        replace(cert, relation=cert.relation | {(s1, s2)}), None, a1, a2
+    )
+    assert not ok
+    assert problems == [f"pair ({s1}, {s2}) is outside the state ranges"]
