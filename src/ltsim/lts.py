@@ -15,6 +15,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import ModelError, ParseError, StepNotEnabled
@@ -75,8 +76,17 @@ _ACTION_RE = re.compile(r"^(?P<name>[^@#\s,]+)(@(?P<thread>\d+))?(#(?P<payload>-
 
 
 def parse_action(text: str, kind: ActionKind) -> Action:
-    """Parse the canonical label form back into an Action of a given kind."""
-    m = _ACTION_RE.match(text.strip())
+    """Parse the canonical label form back into an Action of a given kind.
+
+    Equal actions parse to one shared object, so that the actions of two
+    models loaded in one process compare by identity, not field by field.
+    """
+    return _parse_action(text.strip(), kind)
+
+
+@lru_cache(maxsize=1 << 16)
+def _parse_action(text: str, kind: ActionKind) -> Action:
+    m = _ACTION_RE.match(text)
     if m is None:
         raise ParseError(f"malformed action {text!r}")
     thread = m.group("thread")
@@ -191,7 +201,7 @@ class Lts:
                 raise ModelError(f"transition ({s}, {a.label()}, {t}) has a dangling state index")
             if a not in known:
                 raise ModelError(f"transition on {a.label()} not in the declared alphabet")
-            if a == alphabet.idle and t != s:
+            if a.kind is ActionKind.IDLE and t != s:  # a is known: it is the alphabet's idle
                 raise ModelError(f"idle transition {s} -> {t} must be a self-loop")
             out[s][a] = t
         self.alphabet = alphabet

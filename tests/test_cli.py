@@ -709,6 +709,23 @@ def test_simulation_report_and_certificate_bytes_are_pinned(
     assert got == SIMULATION_DIGESTS[(command, variant)]
 
 
+@pytest.mark.parametrize("wrong_first", [True, False], ids=["wrong-first", "wrong-last"])
+def test_a_choice_given_twice_is_an_input_error(faa3_models, tmp_path, capsys, wrong_first):
+    # a duplicate used to be accepted, the later entry silently winning
+    models = [faa3_models["invalidating"], faa3_models["spec"]]
+    cert = tmp_path / "cert.json"
+    run(capsys, ["check-fwd", *models, "--gamma", "cr", "--alpha-bound", "4",
+                 "--cert-out", str(cert)])
+    payload = json.loads(cert.read_text())
+    first = payload["choices"][0]
+    wrong = {**first, "target": first["target"] + 1}
+    payload["choices"] = [wrong, *payload["choices"]] if wrong_first else [*payload["choices"], wrong]
+    cert.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["validate-cert", *models, str(cert)])
+    assert (code, out) == (3, "")
+    assert "malformed certificate" in err and "is given twice" in err
+
+
 # --- transform commands -----------------------------------------------------
 
 

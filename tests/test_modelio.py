@@ -139,6 +139,13 @@ def test_both_syntaxes_number_states_alike():
     assert from_text.initial == from_json.initial == 0
 
 
+def test_two_loaded_models_share_their_action_objects():
+    text_model, json_model = parse_lts_text(SAMPLE), loads(dumps(parse_lts_text(SAMPLE)))
+    for a in text_model.alphabet.all_actions:
+        twin = next(b for b in json_model.alphabet.all_actions if b == a)
+        assert twin is a
+
+
 def test_lts_from_dict_accepts_tuples():
     m = lts_from_dict(
         {"alphabet": {"calls": ("c",)}, "initial": "s", "transitions": (("s", "c", "t"),)}

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -11,6 +12,7 @@ from ltsim import (
     ActionKind,
     Alphabet,
     ChoiceEntry,
+    Choices,
     ProgressWitness,
     Relation,
     SimulationCertificate,
@@ -25,9 +27,10 @@ from ltsim import (
     validate_stutter_cycle,
 )
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec
-from ltsim.simulation import MatchTable, _greatest_relation
+from ltsim.simulation import MatchTable, StutterEdge, _greatest_relation, _stutter_cycle
 
 from conftest import internal, make_lts, oracle_union, random_lts
+from reference_greedy import reference_greedy_choice
 from reference_validator import reference_validate_certificate
 
 A = Action("a", ActionKind.INTERNAL)
@@ -411,6 +414,24 @@ def test_faa_three_threads_agrees_with_the_sweep(variant):
     assert {k: (e.alpha, e.target) for k, e in res.certificate.choice.items()} == choice
 
 
+def choice_digest(choice):
+    """sha256 of the (s1, action label, s2, alpha labels, target) stream, one
+    line per choice in iteration order."""
+    h = hashlib.sha256()
+    for (s1, a, s2), entry in choice.items():
+        alpha = " ".join(b.label() for b in entry.alpha)
+        h.update(f"{s1} {a.label()} {s2} {alpha} {entry.target}\n".encode())
+    return h.hexdigest()
+
+
+# choice count and choice_digest per variant, recorded before choices were
+# kept per step block
+FOUR_THREAD_CHOICES = {
+    "invalidating": (54_845, "87fa8e75d5a15b66446d2c4f181c9358328581bd587919e3c55ca7a761a8f654"),
+    "plain": (53_313, "2f7677f60e07365b63e63bb5597917c8ad854d19ebdb50499fc28a77944a6181"),
+}
+
+
 @pytest.mark.parametrize(
     "variant, size, deleted",
     [("invalidating", 23_501, 2_047_588), ("plain", 23_022, 1_921_950)],
@@ -421,6 +442,8 @@ def test_faa_four_threads_forward_pins(variant, size, deleted):
     res = check_forward(a1, a2, gamma, alpha_bound=bound)
     assert (len(res.relation), res.complete, res.deleted) == (size, False, deleted)
     assert res.certificate is not None
+    cert = res.certificate
+    assert (len(cert.choice), choice_digest(cert.choice)) == FOUR_THREAD_CHOICES[variant]
 
 
 def per_action_search(a2, gamma, alpha_bound, a, s2):
@@ -688,3 +711,157 @@ def test_a_pair_outside_the_state_ranges_is_a_problem(pair):
     )
     assert not ok
     assert problems == [f"pair ({s1}, {s2}) is outside the state ranges"]
+
+
+# --- choices per step block ---------------------------------------------------
+
+
+def canonical(choice):
+    """A choice dict's items in (s1, Action.key, s2) order."""
+    return sorted(choice.items(), key=lambda kv: (kv[0][0], kv[0][1].key(), kv[0][2]))
+
+
+def test_greedy_by_block_agrees_with_the_reference():
+    """Equal choices, in canonical order, with the per-pair greedy search on
+    every differential case (forward, and progressive at budget 0), on
+    3-thread FAA and on 4-thread invalidating FAA."""
+    cases = [(case, True) for case in differential_cases()]
+    cases += [(faa_case(variant), False) for variant in ("invalidating", "plain")]
+    cases.append((faa_case("invalidating", threads=4), False))
+    compared = cycles = 0
+    for (a1, a2, gamma, bound), progressive in cases:
+        res = check_forward(a1, a2, gamma, alpha_bound=bound)
+        if res.certificate is None:
+            continue
+        want = canonical(reference_greedy_choice(a1, res.relation, MatchTable(a2, gamma, bound)))
+        assert list(res.certificate.choice.items()) == want
+        compared += 1
+        if not progressive:
+            continue
+        prog = check_progressive(a1, a2, gamma, alpha_bound=bound, backtrack_budget=0)
+        if prog.verdict == "yes" and prog.certificate.relation == prog.relation:
+            assert list(prog.certificate.choice.items()) == want  # the greedy certificate
+        elif prog.verdict == "unknown":  # reports the greedy assignment's stutter cycle
+            stutters = [
+                StutterEdge(s1, a, a1.step(s1, a), (s2,)) for (s1, a, s2), e in want if not e.alpha
+            ]
+            assert prog.cycle.edges == _stutter_cycle(stutters)
+            cycles += 1
+    assert compared >= 750 and cycles >= 100
+
+
+choice_keys = st.tuples(st.integers(0, 5), st.sampled_from([A, B, I, J]), st.integers(0, 6))
+choice_entries = st.builds(
+    ChoiceEntry, st.lists(st.sampled_from([A, B, I]), max_size=2).map(tuple), st.integers(0, 6)
+)
+UNKNOWN = internal("unknown")
+
+
+@given(
+    st.dictionaries(choice_keys, choice_entries, max_size=30),
+    st.lists(st.tuples(st.integers(-2, 8), st.sampled_from([A, B, I, J, UNKNOWN]),
+                       st.integers(-1, 8)), max_size=10),
+    choice_keys,
+    choice_entries,
+)
+def test_choices_behave_like_a_dict_of_their_items(d, probes, key, entry):
+    c = Choices.from_items(d.items())
+    assert len(c) == len(d)
+    for k in [*d, *probes, (0, A), "abc", None]:
+        assert c.get(k) == d.get(k) and c.get(k, 7) == d.get(k, 7)
+        assert (k in c) == (k in d)
+        if k in d:
+            assert c[k] == d[k]
+        else:
+            with pytest.raises(KeyError):
+                c[k]
+    assert list(c) == [k for k, _ in canonical(d)]
+    assert list(c.items()) == canonical(d)
+    assert c == d and d == c and c == Choices.from_items(reversed(list(d.items())))
+    other = {**d, key: entry}
+    assert (c == other) == (d == other) and (other == c) == (other == d)
+    assert (c == Choices.from_items(other.items())) == (d == other)
+    assert dict(c) == d and {**c, key: entry} == other
+    cert = SimulationCertificate(Relation([]), other, GAMMA, 1)
+    assert isinstance(cert.choice, Choices) and cert.choice == other
+    if d:
+        k, e = next(iter(d.items()))
+        with pytest.raises(ValueError):
+            Choices.from_items([*d.items(), (k, e)])
+
+
+def shared_blocks(cert, a1):
+    """Steps grouped by the validator's memo value, (action, own row, landing
+    row, block): a list of (s1, action) per group with two or more states."""
+    rows = cert.relation._rows
+    groups = collections.defaultdict(list)
+    for s1, row in cert.choice._rows.items():
+        for a, block in row.items():
+            s1n = a1.step(s1, a)
+            groups[(a, rows[s1], rows[s1n], tuple(block.items()))].append((s1, a))
+    return [steps for steps in groups.values() if len(steps) > 1]
+
+
+def with_block(cert, s1, a, block):
+    """cert with state s1's block for a replaced, every other block object kept."""
+    rows = {x: dict(row) for x, row in cert.choice._rows.items()}
+    rows[s1][a] = block
+    return replace(cert, choice=Choices(rows))
+
+
+def test_block_mutants_agree_with_the_reference():
+    """A block changed at one of the states that share it, a block short of
+    one partner, a block with an extra s2 (no problem), a rank failure at
+    one state of a shared stutter block, and over 20 problems: the block
+    validator and the per-clause reference give identical (ok, problems)."""
+
+    def compare(cert, witness, a1, a2):
+        got = validate_certificate(cert, witness, a1, a2)
+        assert got == reference_validate_certificate(cert, witness, a1, a2)
+        return got
+
+    a1, a2, gamma, bound = faa_case("invalidating")
+    cert = check_forward(a1, a2, gamma, alpha_bound=bound).certificate
+    groups = shared_blocks(cert, a1)
+    assert groups
+    for steps in groups[:10]:
+        for s1, a in (steps[0], steps[len(steps) // 2], steps[-1]):
+            block = cert.choice._rows[s1][a]
+            s2, entry = next(iter(block.items()))
+            wrong = ChoiceEntry(entry.alpha, (entry.target + 1) % a2.num_states)
+            ok, problems = compare(with_block(cert, s1, a, {**block, s2: wrong}), None, a1, a2)
+            assert not ok and f"recorded target {wrong.target} at ({s1}, {a.label()}, {s2})" \
+                in problems[0]
+            short = {x: e for x, e in block.items() if x != s2}
+            ok, problems = compare(with_block(cert, s1, a, short), None, a1, a2)
+            assert (ok, problems) == (False, [f"no choice for ({s1}, {a.label()}, {s2})"])
+            extra = {**block, a2.num_states - 1: entry}
+            if extra != block:
+                assert compare(with_block(cert, s1, a, extra), None, a1, a2) == (True, [])
+    # one action's blocks all broken: far over the cap, interleaved with other steps
+    a = next(iter(cert.choice._rows[a1.initial]))
+    rows = {
+        x: {b: {y: ChoiceEntry(e.alpha, (e.target + 1) % a2.num_states) for y, e in block.items()}
+            if b == a else block for b, block in row.items()}
+        for x, row in cert.choice._rows.items()
+    }
+    ok, problems = compare(replace(cert, choice=Choices(rows)), None, a1, a2)
+    assert not ok and len(problems) == 20
+
+    a1, a2, gamma, bound = faa_case("plain")
+    prog = check_progressive(a1, a2, gamma, alpha_bound=bound)
+    cert, witness = prog.certificate, prog.witness
+    stuttering = [
+        steps for steps in shared_blocks(cert, a1)
+        if any(not e.alpha for e in cert.choice._rows[steps[0][0]][steps[0][1]].values())
+    ]
+    assert stuttering
+    for steps in stuttering:
+        s1, a = steps[-1]
+        s1n = a1.step(s1, a)
+        raised = ProgressWitness({**witness.rank, s1n: witness.of(s1)})
+        ok, problems = compare(cert, raised, a1, a2)
+        assert not ok and any(
+            p.startswith(f"rank does not descend on stutter ({s1}, {a.label()}, {s1n})")
+            for p in problems
+        )
