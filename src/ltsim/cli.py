@@ -46,6 +46,8 @@ from .scheduler import (
 )
 from .simulation import (
     SCHEMA_VERSION,
+    ProgressWitness,
+    SimulationCertificate,
     certificate_from_dict,
     check_forward,
     check_progressive,
@@ -247,6 +249,20 @@ def _cmd_check_admitted(args: argparse.Namespace) -> int:
     return _verdict(args, res.ok, data)
 
 
+def _certified(
+    args: argparse.Namespace, data: dict[str, Any], cert: SimulationCertificate,
+    witness: ProgressWitness | None, a1: Lts, a2: Lts,
+) -> int:
+    """Report a found certificate: holds iff it validates; written to --cert-out if given."""
+    ok, problems = validate_certificate(cert, witness, a1, a2)
+    data["certificate_valid"] = ok
+    data["problems"] = problems
+    if args.cert_out:
+        _write(args.cert_out, dumps_certificate(cert, witness))
+        data["certificate_written"] = args.cert_out
+    return _verdict(args, ok, data)
+
+
 def _cmd_check_fwd(args: argparse.Namespace) -> int:
     a1 = _read(args.concrete)
     a2 = _read(args.abstract)
@@ -259,13 +275,7 @@ def _cmd_check_fwd(args: argparse.Namespace) -> int:
         "alpha_bound": args.alpha_bound,
     }
     if res.certificate is not None:
-        ok, problems = validate_certificate(res.certificate, None, a1, a2)
-        data["certificate_valid"] = ok
-        data["problems"] = problems
-        if args.cert_out:
-            _write(args.cert_out, dumps_certificate(res.certificate))
-            data["certificate_written"] = args.cert_out
-        return _verdict(args, ok, data)
+        return _certified(args, data, res.certificate, None, a1, a2)
     verdict = "refuted" if res.complete else "unknown"
     _emit(args, verdict, data)
     return EXIT_REFUTED if res.complete else EXIT_UNKNOWN
@@ -287,13 +297,7 @@ def _cmd_check_prog_fwd(args: argparse.Namespace) -> int:
     if res.cycle is not None:
         data["stutter_cycle"] = stutter_cycle_to_dict(res.cycle)
     if res.verdict == "yes":
-        ok, problems = validate_certificate(res.certificate, res.witness, a1, a2)
-        data["certificate_valid"] = ok
-        data["problems"] = problems
-        if args.cert_out:
-            _write(args.cert_out, dumps_certificate(res.certificate, res.witness))
-            data["certificate_written"] = args.cert_out
-        return _verdict(args, ok, data)
+        return _certified(args, data, res.certificate, res.witness, a1, a2)
     if res.verdict == "unknown" or (res.verdict == "no-forward" and not res.complete):
         _emit(args, "unknown", data)
         return EXIT_UNKNOWN

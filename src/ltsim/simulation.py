@@ -11,19 +11,20 @@ The checker computes the greatest such F over all state pairs by row
 refinement over bitsets.  Each concrete state has one Python int whose
 bits are its related abstract states.  A step s1 -a-> t keeps exactly
 the abstract states whose a-matches land in t's row, the predecessor
-image of that row, so checking a row is one AND per step.  Pairs with a
-step that has no match at all die first; then a worklist of concrete
-states re-checks a row whenever a successor row shrank.  The worklist
-starts in DFS postorder, successors first, so most rows are checked
-once, against final successor rows.  Images are memoized by (action
-key, row value) until the fixpoint ends: states with equal rows share
-one, and one image costs an OR per abstract state in the row.  The
-result is a Relation, a Set over the final rows that decodes each
-distinct row value once, when its partners are first asked for.  One
-breadth-first search per abstract state finds the matches of every
-concrete action.  In the worst case every row shrinks one partner at a
-time and every image is new, O(|E1|*|S2|^2) ORs of |S2|-bit ints; on
-the case studies the rows shrink fast and few images are computed.
+image of that row, so checking a row is one AND per step.  Rows start
+full; a worklist of concrete states re-checks a row whenever a successor
+row shrank, so a state's first check drops the partners with a step
+that has no match at all.  The worklist starts in DFS postorder,
+successors first, so most rows are checked once, against final
+successor rows.  Images are memoized by (action key, row value) until
+the fixpoint ends: states with equal rows share one, and one image costs
+an OR per abstract state in the row.  The result is a Relation, a Set
+over the final rows that decodes each distinct row value once, when its
+partners are first asked for.  One breadth-first search per abstract
+state finds the matches of every concrete action.  In the worst case
+every row shrinks one partner at a time and every image is new,
+O(|E1|*|S2|^2) ORs of |S2|-bit ints; on the case studies the rows shrink
+fast and few images are computed.
 
 complete is False when the alpha bound cut short a search that a sweep
 refinement (pairs in product order, each pair's steps in canonical
@@ -34,9 +35,10 @@ was cut.  A missing certificate is then inconclusive.
 The choice of alpha per (pair, step) prefers non-empty matches, so a
 step gets alpha = empty only when nothing else lands in F within the
 length bound: the stuttering edges are exactly the forced ones, which
-makes the acyclicity test for ranks sharp rather than heuristic.  A
-choice is the MatchTable's own candidate entry, shared by every pair
-that picks it.  Choices are kept per concrete state: each step s1 -a-> t
+makes the acyclicity test for ranks sharp rather than heuristic, and a
+step is forced for every partner iff all its choices stutter.  A choice
+is the MatchTable's own candidate entry, shared by every pair that
+picks it.  Choices are kept per concrete state: each step s1 -a-> t
 has a block, the choices of all of s1's partners, which depends only on
 a's search key and the rows of s1 and t.  As in the coarsest-partition
 algorithms, where states with equal rows form one block (Gentilini,
@@ -44,9 +46,9 @@ Piazza and Policriti, 2003), each distinct block is computed once and
 shared: 2,470 blocks for the 8,901 steps of 4-thread FAA.
 
 validate_certificate reads nothing the checker built.  Every check but
-rank descent reads only a step's action, the rows of s1 and t and the
-step's block, so it checks a block once per distinct value of these,
-and the rank check and the reporting stay per clause.
+rank descent reads only a step's search key, the rows of s1 and t and
+the step's block, so it checks each distinct block once (239 for 3-thread
+FAA), and the rank check and the reporting stay per clause.
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ import json
 from collections import defaultdict, deque
 from collections.abc import ItemsView, Iterable, Iterator, KeysView, Mapping, Sequence, Set
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress
-from operator import and_, or_
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, ContractViolation, ParseError
@@ -471,8 +471,9 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
     row[t], the OR of into[k][t2] over the bits t2 of row[t], so a row
     check is one AND per step.  States with equal rows have equal images,
     so each image is computed once per distinct (code, row) value and kept
-    until the fixpoint ends.  A worklist of concrete states, seeded in DFS
-    postorder so that most rows are checked against successor rows that
+    until the fixpoint ends.  Rows start full, and a full row's image under
+    k is every s2 with a k-match.  A worklist of concrete states, seeded in
+    DFS postorder so that most rows are checked against successor rows that
     are already final, re-checks a row whenever a successor row shrank.
     The final rows are the returned Relation's rows.
     """
@@ -496,17 +497,7 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
             masks = into[k]
             for _, t in table.candidates(a, s2):
                 masks[t] |= bit
-    # pairs with a step that has no match at all die up front; the states
-    # whose steps have one set of codes share one row object
-    full = int.from_bytes(b"\x01" * n2, "little")
-    matched = [reduce(or_, masks) for masks in into]
-    by_codes: dict[frozenset[int], int] = {}
-    row = []
-    for es in steps:
-        codes = frozenset(k for k, _ in es)
-        if codes not in by_codes:
-            by_codes[codes] = reduce(and_, (matched[k] for k in codes), full)
-        row.append(by_codes[codes])
+    row = [int.from_bytes(b"\x01" * n2, "little")] * n1  # every pair related at first
     images: dict[tuple[int, int], int] = {}  # (k, row) -> predecessor image of row under k
     queue, queued = deque(_postorder(steps)), bytearray(b"\x01") * n1
     while queue:
@@ -635,50 +626,46 @@ def _stutter_cycle(edges: Iterable[StutterEdge]) -> tuple[StutterEdge, ...] | No
     return None if found is None else found[1]
 
 
+def _stutter_edges(a1: Lts, choice: Mapping) -> list[StutterEdge]:
+    """One edge per stuttering choice, in the order of choice's items."""
+    return [
+        StutterEdge(s1, a, a1.step(s1, a), (s2,))
+        for (s1, a, s2), entry in choice.items()
+        if not entry.alpha
+    ]
+
+
 def _ranks_from_edges(edges: Iterable[StutterEdge], num_states: int) -> ProgressWitness:
     """Longest-path ranks over the stutter DAG: every edge strictly descends.
 
-    States are ranked in reverse topological order (sinks first), so a
-    deep DAG needs no recursion; acyclicity is established by the caller.
+    States are ranked in _postorder's DFS order, each after the states its
+    edges reach, so a deep DAG needs no recursion; acyclicity is
+    established by the caller.
     """
-    preds: dict[int, list[int]] = {}
-    pending = [0] * num_states  # successors per state not ranked yet
+    succ: list[list[tuple[Action, int]]] = [[] for _ in range(num_states)]
     for e in edges:
-        preds.setdefault(e.target, []).append(e.source)
-        pending[e.source] += 1
+        succ[e.source].append((e.action, e.target))
     rank = [0] * num_states
-    ready = [s for s in range(num_states) if not pending[s]]
-    while ready:
-        t = ready.pop()
-        for s in preds.get(t, ()):
-            rank[s] = max(rank[s], rank[t] + 1)
-            pending[s] -= 1
-            if not pending[s]:
-                ready.append(s)
+    for s in _postorder(succ):
+        rank[s] = max((rank[t] + 1 for _, t in succ[s]), default=0)
     return ProgressWitness(dict(enumerate(rank)))
 
 
-def _forced_everywhere_edges(
-    a1: Lts, relation: Relation, table: MatchTable
-) -> list[StutterEdge]:
+def _forced_everywhere_edges(a1: Lts, choice: Choices) -> list[StutterEdge]:
     """Steps that stutter for every abstract partner of their source.
 
-    Any simulation pairs each reachable concrete state with at least one
+    The empty match is every step's last candidate, so greedy picks it for
+    a partner only when no other match lands in the relation: these are
+    the reachable steps whose greedy block is all stutters.  Any
+    simulation pairs each reachable concrete state with at least one
     partner, and shrinking the relation only removes landing options, so
     a cycle of such steps defeats every rank under any simulation.
     """
     out: list[StutterEdge] = []
     for s1 in a1.reachable():
-        mine = relation.partners(s1)
-        if not mine:
-            continue
-        for a, s1n in a1.out_edges(s1):
-            landing = relation.partners(s1n)
-            if all(
-                not any(alpha and t in landing for alpha, t in table.candidates(a, s2))
-                for s2 in mine
-            ):
-                out.append(StutterEdge(s1, a, s1n, tuple(mine)))
+        for a, block in choice._rows.get(s1, {}).items():
+            if not any(entry.alpha for entry in block.values()):
+                out.append(StutterEdge(s1, a, a1.step(s1, a), tuple(block)))
     return out
 
 
@@ -688,15 +675,15 @@ def _backtrack(
     relation: Relation,
     table: MatchTable,
     budget: int,
-) -> dict[tuple[int, Action, int], ChoiceEntry] | None:
+) -> tuple[dict[tuple[int, Action, int], ChoiceEntry], set[tuple[int, int]]] | None:
     """Complete search for a choice assignment with an acyclic stutter graph.
 
     Explores only pairs reached from the initial pair through the chosen
-    landings, so the certificate relation is the reached set.  Raises
-    BudgetExceeded when the tried-assignment count passes the budget.
-    The search is depth-first over choice points (obligation, step), one
-    suspended generator per open choice point, so its depth is bounded by
-    memory rather than by the recursion limit.
+    landings, and returns the choices with the reached set, which is the
+    certificate relation.  Raises BudgetExceeded when the tried-assignment
+    count passes the budget.  The search is depth-first over choice points
+    (obligation, step), one suspended generator per open choice point, so
+    its depth is bounded by memory rather than by the recursion limit.
     """
     init = (a1.initial, a2.initial)
     spent = 0
@@ -768,7 +755,7 @@ def _backtrack(
         while i < len(obligations) and j == len(steps_of(obligations[i][0])):
             i, j = i + 1, 0
         if i == len(obligations):
-            return choice
+            return choice, supported
         frames.append((i, j, attempts(i, j)))
         # resume the newest choice point that has a landing left to try
         while not next(frames[-1][2], False):
@@ -800,58 +787,39 @@ def check_progressive(
         return ProgressiveResult(verdict="no-forward", complete=complete, relation=relation)
 
     choice = _greedy_choice(a1, relation, table)
-    greedy_edges = [
-        StutterEdge(s1, a, a1.step(s1, a), (s2,))
-        for (s1, a, s2), entry in choice.items()
-        if not entry.alpha
-    ]
-    cycle = _stutter_cycle(greedy_edges)
-    if cycle is None:
-        cert = SimulationCertificate(relation, choice, gamma, alpha_bound)
-        witness = _ranks_from_edges(greedy_edges, a1.num_states)
-        return ProgressiveResult(
-            verdict="yes", certificate=cert, witness=witness, complete=complete,
-            relation=relation,
-        )
-
-    forced = _forced_everywhere_edges(a1, relation, table)
-    forced_cycle = _stutter_cycle(forced)
-    if forced_cycle is not None:
-        return ProgressiveResult(
-            verdict="no",
-            cycle=StutterCycle(forced_cycle),
-            complete=complete,
-            note="every abstract partner stutters on each cycle step",
-            relation=relation,
-        )
-
-    try:
-        solved = _backtrack(a1, a2, relation, table, backtrack_budget)
-    except BudgetExceeded:
-        return ProgressiveResult(
-            verdict="unknown",
-            cycle=StutterCycle(cycle),
-            complete=complete,
-            note=f"backtracking budget {backtrack_budget} exceeded",
-            relation=relation,
-        )
-    if solved is None:
-        return ProgressiveResult(
-            verdict="no",
-            cycle=StutterCycle(cycle),
-            complete=complete,
-            note="no landing assignment admits a rank (complete search)",
-            relation=relation,
-        )
-    used = {(s1, s2) for (s1, _a, s2) in solved} | {(a1.initial, a2.initial)}
-    landing_pairs = {(a1.step(s1, a), e.target) for (s1, a, _s2), e in solved.items()}
-    cert_relation = Relation.from_pairs(used | landing_pairs)
-    edges = [
-        StutterEdge(s1, a, a1.step(s1, a), (s2,))
-        for (s1, a, s2), e in solved.items()
-        if not e.alpha
-    ]
-    cert = SimulationCertificate(cert_relation, solved, gamma, alpha_bound)
+    cert_relation, edges = relation, _stutter_edges(a1, choice)
+    cycle = _stutter_cycle(edges)
+    if cycle is not None:
+        forced_cycle = _stutter_cycle(_forced_everywhere_edges(a1, choice))
+        if forced_cycle is not None:
+            return ProgressiveResult(
+                verdict="no",
+                cycle=StutterCycle(forced_cycle),
+                complete=complete,
+                note="every abstract partner stutters on each cycle step",
+                relation=relation,
+            )
+        try:
+            solved = _backtrack(a1, a2, relation, table, backtrack_budget)
+        except BudgetExceeded:
+            return ProgressiveResult(
+                verdict="unknown",
+                cycle=StutterCycle(cycle),
+                complete=complete,
+                note=f"backtracking budget {backtrack_budget} exceeded",
+                relation=relation,
+            )
+        if solved is None:
+            return ProgressiveResult(
+                verdict="no",
+                cycle=StutterCycle(cycle),
+                complete=complete,
+                note="no landing assignment admits a rank (complete search)",
+                relation=relation,
+            )
+        choice, reached = solved
+        cert_relation, edges = Relation.from_pairs(reached), _stutter_edges(a1, choice)
+    cert = SimulationCertificate(cert_relation, choice, gamma, alpha_bound)
     witness = _ranks_from_edges(edges, a1.num_states)
     return ProgressiveResult(
         verdict="yes", certificate=cert, witness=witness, complete=complete,
@@ -861,7 +829,7 @@ def check_progressive(
 
 # --- validation ---------------------------------------------------------
 
-Wrong = dict[int, list[tuple[str, bool, str]]]  # s2 -> its messages as (head, at successor, tail)
+Wrong = dict[int, list[str]]  # s2 -> its messages, as str.format templates over s1, a, s1n
 
 
 def validate_certificate(
@@ -877,12 +845,13 @@ def validate_certificate(
     pair and concrete step: a recorded choice, an alpha within the bound,
     equal gamma projections, abstract replay to the recorded landing,
     landing membership, and rank descent on stutters.  All but the rank
-    check read only the step's action, the rows of s1 and of its
-    successor, and the step's block of choices, so a block is checked
-    once per distinct such value: memoized by (action, own row, landing
-    row), it counts as checked when it equals the block checked last
-    under that key.  The rank check stays per (s1, step), and problems
-    are reported per clause, in ascending pair order.
+    check read only the step's search key (its action if gamma observes
+    it, else None), the rows of s1 and of its successor, and the step's
+    block, so each distinct block is checked once: memoized by (search key,
+    own row, landing row), with messages that leave the action to be
+    filled in, it counts as checked when it equals the block checked last
+    under that key.  The rank check stays per (s1, step), and problems are
+    reported per clause, in ascending pair order.
     """
     problems: list[str] = []
 
@@ -897,9 +866,9 @@ def validate_certificate(
         report(f"alpha bound {bound} is below 1")
     n1, n2 = a1.num_states, a2.num_states
     cls = relation.row_classes(n1)
-    # (action, own row class, landing row class) -> the block checked last under
-    # that key, its problems and its stutters
-    checked: dict[tuple[Action, int, int], tuple[dict, Wrong, frozenset[int]]] = {}
+    # (search key, own row class, landing row class) -> the block checked last
+    # under that key, its problems and its stutters
+    checked: dict[tuple[Action | None, int, int], tuple[dict, Wrong, frozenset[int]]] = {}
     for s1, row in enumerate(relation._rows):
         mine = relation.partners(s1)
         if s1 >= n1:
@@ -912,13 +881,12 @@ def validate_certificate(
         bad = []  # (action, successor, problems, stutters that fail to descend) per step
         for a, s1n in a1.out_edges(s1):
             block = blocks.get(a, {})
-            shape = (a, cls[s1], cls[s1n])
+            shape = (a if a in gamma else None, cls[s1], cls[s1n])
             memo = checked.get(shape)
             if memo is None or memo[0] != block:
-                memo = checked[shape] = (
-                    block,
-                    *_block_problems(a, block, mine, relation.partners(s1n), a2, gamma, bound),
-                )
+                memo = checked[shape] = (block, *_block_problems(
+                    shape[0], block, mine, relation.partners(s1n), a2, gamma, bound
+                ))
             _, wrong, stutters = memo
             if stutters and (witness is None or witness.of(s1n) < witness.of(s1)):
                 stutters = frozenset()
@@ -926,8 +894,8 @@ def validate_certificate(
                 bad.append((a, s1n, wrong, stutters))
         for s2 in sorted({s2 for _, _, wrong, stutters in bad for s2 in (*wrong, *stutters)}):
             for a, s1n, wrong, stutters in bad:
-                for head, at_successor, tail in wrong.get(s2, ()):
-                    report(f"{head}{s1n if at_successor else s1}{tail}")
+                for template in wrong.get(s2, ()):
+                    report(template.format(s1=s1, a=a.label(), s1n=s1n))
                 if s2 in stutters:
                     report(
                         f"rank does not descend on stutter ({s1}, {a.label()}, {s1n}): "
@@ -941,7 +909,7 @@ def validate_certificate(
 
 
 def _block_problems(
-    a: Action,
+    key: Action | None,
     block: dict[int, ChoiceEntry],
     mine: KeysView[int],
     landing: KeysView[int],
@@ -952,13 +920,14 @@ def _block_problems(
     """What is wrong with one step's block of choices at every state whose
     partners are mine and whose successor's partners are landing.
 
-    Returns, per partner s2 with a problem, its messages as (head, at
-    successor, tail), to be completed with the concrete state's or its
-    successor's number; and the partners whose choice stutters and
+    key is the step's search key: its action if gamma observes it, else
+    None.  Returns, per partner s2 with a problem, its messages as
+    templates to be filled with the concrete state s1, the action's label
+    a and the successor s1n; and the partners whose choice stutters and
     replays, which need a rank descent.
     """
     n2 = a2.num_states
-    want = (a,) if a in gamma else ()
+    want = () if key is None else (key,)
     wrong: Wrong = {}
     stutters = []
     for s2 in mine:
@@ -982,11 +951,11 @@ def _block_problems(
                 if landed != target:
                     heads.append(f"alpha lands in {landed}, recorded target {target} at (")
                 if target not in landing:
-                    at_successor = ("landing (", True, f", {target}) not in relation")
+                    at_successor = f"landing ({{s1n}}, {target}) not in relation"
                 if not alpha:
                     stutters.append(s2)
         if heads or at_successor:
-            found = [(head, False, f", {a.label()}, {s2})") for head in heads]
+            found = [f"{head}{{s1}}, {{a}}, {s2})" for head in heads]
             wrong[s2] = found + [at_successor] if at_successor else found
     return wrong, frozenset(stutters)
 

@@ -1,13 +1,16 @@
 """The greedy choice as it was before choices were kept per step block:
-one candidate search per (related pair, concrete step).
+one candidate search per (related pair, concrete step); and the steps
+forced to stutter for every partner as they were found before they were
+read off the greedy blocks: by a rescan of every partner's candidates.
 
-Kept unchanged as the reference that tests compare _greedy_choice with.
+Kept unchanged as the references that tests compare _greedy_choice and
+_forced_everywhere_edges with.
 """
 
 from __future__ import annotations
 
 from ltsim.lts import Action, Lts
-from ltsim.simulation import ChoiceEntry, MatchTable, Relation
+from ltsim.simulation import ChoiceEntry, MatchTable, Relation, StutterEdge
 
 
 def reference_greedy_choice(
@@ -27,3 +30,22 @@ def reference_greedy_choice(
                         choice[(s1, a, s2)] = entry
                         break
     return choice
+
+
+def reference_forced_everywhere_edges(
+    a1: Lts, relation: Relation, table: MatchTable
+) -> list[StutterEdge]:
+    """Steps that stutter for every abstract partner of their source."""
+    out: list[StutterEdge] = []
+    for s1 in a1.reachable():
+        mine = relation.partners(s1)
+        if not mine:
+            continue
+        for a, s1n in a1.out_edges(s1):
+            landing = relation.partners(s1n)
+            if all(
+                not any(alpha and t in landing for alpha, t in table.candidates(a, s2))
+                for s2 in mine
+            ):
+                out.append(StutterEdge(s1, a, s1n, tuple(mine)))
+    return out

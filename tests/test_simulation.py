@@ -27,10 +27,18 @@ from ltsim import (
     validate_stutter_cycle,
 )
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec
-from ltsim.simulation import MatchTable, StutterEdge, _greatest_relation, _stutter_cycle
+import ltsim.simulation
+from ltsim.simulation import (
+    MatchTable,
+    StutterEdge,
+    _forced_everywhere_edges,
+    _greatest_relation,
+    _ranks_from_edges,
+    _stutter_cycle,
+)
 
 from conftest import internal, make_lts, oracle_union, random_lts
-from reference_greedy import reference_greedy_choice
+from reference_greedy import reference_forced_everywhere_edges, reference_greedy_choice
 from reference_validator import reference_validate_certificate
 
 A = Action("a", ActionKind.INTERNAL)
@@ -865,3 +873,96 @@ def test_block_mutants_agree_with_the_reference():
             p.startswith(f"rank does not descend on stutter ({s1}, {a.label()}, {s1n})")
             for p in problems
         )
+
+
+# --- forced edges, ranks and block checks from what greedy holds ----------------
+
+
+def test_forced_edges_from_greedy_blocks_agree_with_the_candidate_scan():
+    """The steps whose greedy block is all stutters equal, in order, the steps
+    a rescan of every partner's candidates finds forced: on every
+    differential case whose initial pair is related, and on FAA at 2, 3 and
+    4 threads."""
+    compared = edges = 0
+    for a1, a2, gamma, bound in differential_cases():
+        res = check_forward(a1, a2, gamma, alpha_bound=bound)
+        if res.certificate is None:
+            continue
+        want = reference_forced_everywhere_edges(a1, res.relation, MatchTable(a2, gamma, bound))
+        assert _forced_everywhere_edges(a1, res.certificate.choice) == want
+        compared += 1
+        edges += len(want)
+    assert (compared, edges) == (770, 90)
+    counts = {}
+    for threads in (2, 3, 4):
+        for variant in ("invalidating", "plain"):
+            a1, a2, gamma, bound = faa_case(variant, threads)
+            res = check_forward(a1, a2, gamma, alpha_bound=bound)
+            want = reference_forced_everywhere_edges(a1, res.relation, MatchTable(a2, gamma, bound))
+            assert _forced_everywhere_edges(a1, res.certificate.choice) == want
+            counts[(threads, variant)] = len(want)
+    assert counts == {
+        (2, "invalidating"): 8, (2, "plain"): 6,
+        (3, "invalidating"): 48, (3, "plain"): 27,
+        (4, "invalidating"): 248, (4, "plain"): 108,
+    }
+
+
+def test_ranks_of_a_chain_deeper_than_the_recursion_limit():
+    n = 20_000
+    edges = [StutterEdge(k, I, k + 1, (0,)) for k in range(n - 1)]
+    witness = _ranks_from_edges(edges, n)
+    assert witness.rank == {s: n - 1 - s for s in range(n)}
+
+
+def test_ranks_of_a_diamond_take_the_longer_branch():
+    # 0 -> 4 -> 5 is the short branch, listed first; 0 -> 1 -> 2 -> 3 -> 5 the
+    # long one; 5 -> 6 below both, and 7 has no edge
+    pairs = [(0, 4), (4, 5), (0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]
+    witness = _ranks_from_edges([StutterEdge(s, I, t, (0,)) for s, t in pairs], 8)
+    assert witness.rank == {0: 5, 1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 0, 7: 0}
+
+
+@pytest.mark.parametrize("variant", ["invalidating", "plain"])
+def test_each_distinct_block_is_checked_once(variant, monkeypatch):
+    calls = []
+    checked = ltsim.simulation._block_problems
+
+    def counted(*args):
+        calls.append(args[1])
+        return checked(*args)
+
+    monkeypatch.setattr(ltsim.simulation, "_block_problems", counted)
+    a1, a2, gamma, bound = faa_case(variant)
+    cert = check_forward(a1, a2, gamma, alpha_bound=bound).certificate
+    assert validate_certificate(cert, None, a1, a2) == (True, [])
+    blocks = {id(block) for row in cert.choice._rows.values() for block in row.values()}
+    assert len(calls) == len({id(block) for block in calls}) == len(blocks) == 239
+
+
+def test_hidden_actions_sharing_a_memo_slot_keep_their_own_blocks():
+    """Two hidden actions whose steps have equal rows share one memo slot;
+    when one of their blocks is broken, the problems still agree with the
+    per-clause reference, whichever of the two is broken."""
+    a1, a2, gamma, bound = faa_case("invalidating")
+    cert = check_forward(a1, a2, gamma, alpha_bound=bound).certificate
+    rows = cert.relation._rows
+    slots = collections.defaultdict(list)  # (own row, landing row) -> hidden steps
+    for s1, row in cert.choice._rows.items():
+        for a in row:
+            if a not in gamma:
+                slots[(rows[s1], rows[a1.step(s1, a)])].append((s1, a))
+    steps = next(
+        steps for steps in slots.values() if len({a for _, a in steps}) > 1
+    )
+    first = steps[0]
+    other = next(step for step in steps if step[1] != first[1])
+    for s1, a in (first, other):
+        block = cert.choice._rows[s1][a]
+        s2, entry = next(iter(block.items()))
+        wrong = ChoiceEntry(entry.alpha, (entry.target + 1) % a2.num_states)
+        bad = with_block(cert, s1, a, {**block, s2: wrong})
+        ok, problems = validate_certificate(bad, None, a1, a2)
+        assert not ok and f"recorded target {wrong.target} at ({s1}, {a.label()}, {s2})" \
+            in problems[0]
+        assert (ok, problems) == reference_validate_certificate(bad, None, a1, a2)
