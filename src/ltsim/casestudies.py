@@ -37,9 +37,8 @@ from .simulation import (
 )
 from .transform import (
     build_f,
-    check_image_equality,
     check_lemma,
-    check_projection_equality,
+    check_s2,
     construct_s2,
 )
 
@@ -506,23 +505,11 @@ def run_counterexample_suite(
         mt = build_f(prod_plain, s1, prod_spec, plain_prog.certificate, depth, budget=budget)
         s2 = construct_s2(mt, budget=budget)
         lemmas = [check_lemma(i, mt, s2) for i in (1, 2, 3, 4, 5)]
-        settled = mt.settled_image_length()
-        check_depth = (settled - 1) if settled is not None else depth
-        adm2 = check_admitted(s2, prod_spec, check_depth, budget=budget)
-        det2 = check_deterministic_scheduler(s2, prod_spec, check_depth, budget=budget)
-        images = check_image_equality(mt, s2, budget=budget)
-        projections = check_projection_equality(
+        s2_checks = check_s2(
             mt, s2, prod_plain.alphabet.program, PROJECTION_STEPS, budget=budget
         )
-        checks_ok = (
-            adm1.ok
-            and det1.ok
-            and all(l.ok for l in lemmas)
-            and adm2.ok
-            and det2.ok
-            and images.ok
-            and projections.ok
-        )
+        checks_ok = adm1.ok and det1.ok and all(l.ok for l in lemmas) and s2_checks.ok
+        projections = s2_checks.projections
         compared = projections.compare_length
         short = checks_ok and compared is not None and compared < PROJECTION_STEPS
         ok_e = checks_ok and not short
@@ -532,9 +519,9 @@ def run_counterexample_suite(
                 "concrete_deterministic": det1.ok,
                 "lemmas": {str(l.lemma): l.ok for l in lemmas},
                 "lemma_problems": [l.counterexample for l in lemmas if not l.ok],
-                "abstract_admitted": adm2.ok,
-                "abstract_deterministic": det2.ok,
-                "image_equality": images.ok,
+                "abstract_admitted": s2_checks.admitted.ok,
+                "abstract_deterministic": s2_checks.deterministic.ok,
+                "image_equality": s2_checks.images.ok,
                 "projection_equality": projections.ok,
                 "projection_compare_length": projections.compare_length,
                 "concrete_tree_size": mt.concrete.size,

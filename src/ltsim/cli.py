@@ -39,7 +39,6 @@ from .modelio import dumps, format_lts_text, load_model, to_dot
 from .scheduler import (
     STRATEGIES,
     check_admitted,
-    check_deterministic_scheduler,
     enumerate_traces,
     find_divergence,
     make_scheduler,
@@ -57,9 +56,8 @@ from .simulation import (
 )
 from .transform import (
     build_f,
-    check_image_equality,
     check_lemma,
-    check_projection_equality,
+    check_s2,
     construct_s2,
 )
 
@@ -344,35 +342,27 @@ def _load_transform(args: argparse.Namespace):
     s1 = make_scheduler(args.strategy, prod1)
     mt = build_f(prod1, s1, prod2, cert, args.depth, budget=args.budget)
     s2 = construct_s2(mt, budget=args.budget)
-    return prod1, prod2, s1, mt, s2, cert_source
+    return prod1, mt, s2, cert_source
 
 
 def _cmd_transform_scheduler(args: argparse.Namespace) -> int:
-    prod1, prod2, s1, mt, s2, cert_source = _load_transform(args)
-    settled = mt.settled_image_length()
-    check_depth = (settled - 1) if settled is not None else args.depth
-    adm = check_admitted(s2, prod2, check_depth, budget=args.budget)
-    det = check_deterministic_scheduler(s2, prod2, check_depth, budget=args.budget)
-    images = check_image_equality(mt, s2, budget=args.budget)
-    projections = check_projection_equality(
-        mt, s2, prod1.alphabet.program, args.depth, budget=args.budget
-    )
-    ok = adm.ok and det.ok and images.ok and projections.ok
+    prod1, mt, s2, cert_source = _load_transform(args)
+    checks = check_s2(mt, s2, prod1.alphabet.program, args.depth, budget=args.budget)
     data: dict[str, Any] = {
         "certificate": cert_source,
         "strategy": args.strategy,
         "depth": args.depth,
         "concrete_tree_size": mt.concrete.size,
         "image_tree_size": mt.image.size,
-        "settled_image_length": settled,
-        "admitted": adm.ok,
-        "deterministic": det.ok,
-        "image_equality": images.ok,
-        "projection_equality": projections.ok,
-        "projection_compare_length": projections.compare_length,
+        "settled_image_length": checks.settled,
+        "admitted": checks.admitted.ok,
+        "deterministic": checks.deterministic.ok,
+        "image_equality": checks.images.ok,
+        "projection_equality": checks.projections.ok,
+        "projection_compare_length": checks.projections.compare_length,
         "conflicts": mt.conflicts,
     }
-    for name, check in (("images", images), ("projections", projections)):
+    for name, check in (("images", checks.images), ("projections", checks.projections)):
         if check.counterexample:
             data[f"{name}_counterexample"] = check.counterexample
     if args.table_out:
@@ -393,11 +383,11 @@ def _cmd_transform_scheduler(args: argparse.Namespace) -> int:
             + "\n",
         )
         data["table_written"] = args.table_out
-    return _verdict(args, ok, data)
+    return _verdict(args, checks.ok, data)
 
 
 def _cmd_check_lemmas(args: argparse.Namespace) -> int:
-    _prod1, _prod2, _s1, mt, s2, cert_source = _load_transform(args)
+    _prod1, mt, s2, cert_source = _load_transform(args)
     results = [check_lemma(i, mt, s2) for i in (1, 2, 3, 4, 5)]
     data = {
         "certificate": cert_source,

@@ -309,24 +309,76 @@ def enumerate_traces(
     Children of a node are the scheduled actions that are enabled, in
     canonical order, so the tree is reproducible byte for byte.
     """
+    return _walk(a, s, depth, budget)[0]
+
+
+# a problem test: (lts, state, scheduled set) -> what is wrong, or None
+Problem = Callable[[Lts, int, frozenset[Action]], "str | None"]
+
+
+def _walk(
+    a: Lts,
+    s: Scheduler,
+    depth: int,
+    budget: int | None,
+    problems: Sequence[Problem] = (),
+    check_depth: int = -1,
+) -> tuple[TracePrefixTree, list[SchedulerCheck]]:
+    """The consistent traces to depth, and each problem's first node.
+
+    One breadth-first walk asks s once per node it expands.  A problem
+    is tested on each node up to check_depth (the root always) until it
+    first occurs; nodes only a test reaches stay out of the tree.  The
+    budget caps the tree and, while tests run, the nodes tested; tests
+    running when the tree overflows finish over the nodes already made,
+    so the error raised is the one separate walks would raise, tests first.
+    """
     limit = node_budget(budget)
     w = walker(s)
     tree = TracePrefixTree(a.initial)
+    found: list[SchedulerCheck | None] = [None] * len(problems)
+    running = len(problems)
     queue: deque[tuple[TraceNode, Any]] = deque([(tree.root, w.cursor())])
+    reach = max(check_depth, 0)
+    tested = 0
+    full = False  # the tree outgrew the budget; only the running tests go on
     while queue:
         node, cur = queue.popleft()
-        if node.depth >= depth:
+        testing = running and node.depth <= reach
+        if testing:
+            tested += 1
+            if tested > limit:
+                raise BudgetExceeded(limit)
+        elif full:
+            raise BudgetExceeded(limit)
+        elif node.depth >= depth:
             continue
-        for act in sort_actions(w.scheduled(cur)):
+        scheduled = w.scheduled(cur)
+        if testing:
+            for i, problem in enumerate(problems):
+                detail = None if found[i] else problem(a, node.state, scheduled)
+                if detail is not None:
+                    found[i] = SchedulerCheck(False, False, node.trace(), detail)
+                    running -= 1
+        grow = node.depth < depth
+        if full or not (grow or (testing and node.depth < check_depth)):
+            continue
+        for act in sort_actions(scheduled):
             t = a.step(node.state, act)
             if t is None:
                 continue
-            child = tree.extend(node, act, t)
-            if tree.size > limit:
-                raise BudgetExceeded(limit)
-            # a leaf at the depth bound is never scheduled, so it needs no cursor
-            queue.append((child, w.advance(cur, act) if child.depth < depth else None))
-    return tree
+            if not grow:
+                child = TraceNode(act, t, node.depth + 1, node)
+            else:
+                child = tree.extend(node, act, t)
+                if tree.size > limit:
+                    full = True
+                    break
+            # a leaf at the depth bound is asked only by a test
+            queue.append((child, w.advance(cur, act) if child.depth < depth or running else None))
+    if full:
+        raise BudgetExceeded(limit)
+    return tree, [f or SchedulerCheck(True, False) for f in found]
 
 
 # --- admissibility and determinism --------------------------------------
@@ -383,46 +435,42 @@ def _check_scheduled(
     a: Lts,
     depth: int,
     budget: int | None,
-    problem: Callable[[int, frozenset[Action]], str | None],
-) -> SchedulerCheck:
-    """First consistent trace whose state and scheduled set have a problem.
+    problems: Sequence[Problem],
+    tree_depth: int = 0,
+) -> tuple[TracePrefixTree, list[SchedulerCheck]]:
+    """The consistent traces to tree_depth, and per problem its first trace.
 
     Exact over the (state, memory) graph for strategies over a; for
-    other schedulers, a breadth-first walk of the consistent traces up
-    to depth whose popped nodes count against the budget.
+    other schedulers, the walk of the tree also tests the traces up to
+    depth, and the nodes tested count against the budget.
     """
-    limit = node_budget(budget)
-    if isinstance(s, Strategy) and s.lts is a:
-        access, _ = _strategy_graph(s, limit)
+    if not (isinstance(s, Strategy) and s.lts is a):
+        return _walk(a, s, tree_depth, budget, problems, depth)
+    access, _ = _strategy_graph(s, node_budget(budget))
+    checks = [SchedulerCheck(True, True)] * len(problems)
+    for i, problem in enumerate(problems):
         for (state, mem), trace in access.items():
-            detail = problem(state, s.decide(state, mem))
+            detail = problem(a, state, s.decide(state, mem))
             if detail is not None:
-                return SchedulerCheck(False, True, trace, detail)
-        return SchedulerCheck(True, True)
+                checks[i] = SchedulerCheck(False, True, trace, detail)
+                break
+    return enumerate_traces(a, s, tree_depth, budget), checks
 
-    # queue entries: (path, length, cursor, state); a path is (parent path, action)
-    w = walker(s)
-    queue: deque[tuple[Any, int, Any, int]] = deque([(None, 0, w.cursor(), a.initial)])
-    seen = 0
-    while queue:
-        path, length, cur, state = queue.popleft()
-        seen += 1
-        if seen > limit:
-            raise BudgetExceeded(limit)
-        scheduled = w.scheduled(cur)
-        detail = problem(state, scheduled)
-        if detail is not None:
-            witness = []
-            while path is not None:
-                path, act = path
-                witness.append(act)
-            return SchedulerCheck(False, False, tuple(reversed(witness)), detail)
-        if length < depth:
-            for act in sort_actions(scheduled):
-                t = a.step(state, act)
-                if t is not None:
-                    queue.append(((path, act), length + 1, w.advance(cur, act), t))
-    return SchedulerCheck(True, False)
+
+def _not_admitted(a: Lts, state: int, scheduled: frozenset[Action]) -> str | None:
+    if not scheduled:
+        return "scheduled set is empty"
+    stuck = sort_actions(x for x in scheduled if a.step(state, x) is None)
+    if stuck:
+        return f"scheduled action {stuck[0].label()} is not enabled"
+    return None
+
+
+def _not_deterministic(prod: Lts, state: int, scheduled: frozenset[Action]) -> str | None:
+    if len(scheduled) > 1 and not scheduled <= prod.alphabet.program:
+        names = ", ".join(x.label() for x in sort_actions(scheduled))
+        return f"scheduled set {{{names}}} is neither program-only nor a singleton"
+    return None
 
 
 def check_admitted(
@@ -433,31 +481,25 @@ def check_admitted(
     Exact for strategies over a (finite reachable memory); bounded to
     depth otherwise.
     """
-
-    def problem(state: int, scheduled: frozenset[Action]) -> str | None:
-        if not scheduled:
-            return "scheduled set is empty"
-        stuck = sort_actions(x for x in scheduled if a.step(state, x) is None)
-        if stuck:
-            return f"scheduled action {stuck[0].label()} is not enabled"
-        return None
-
-    return _check_scheduled(s, a, depth, budget, problem)
+    return _check_scheduled(s, a, depth, budget, [_not_admitted])[1][0]
 
 
 def check_deterministic_scheduler(
     s: Scheduler, prod: Lts, depth: int, budget: int | None = None
 ) -> SchedulerCheck:
     """Every scheduled set is program-only or a singleton, along consistent traces."""
-    program = prod.alphabet.program
+    return _check_scheduled(s, prod, depth, budget, [_not_deterministic])[1][0]
 
-    def problem(state: int, scheduled: frozenset[Action]) -> str | None:
-        if len(scheduled) > 1 and not scheduled <= program:
-            names = ", ".join(x.label() for x in sort_actions(scheduled))
-            return f"scheduled set {{{names}}} is neither program-only nor a singleton"
-        return None
 
-    return _check_scheduled(s, prod, depth, budget, problem)
+def check_scheduler_tree(
+    s: Scheduler, a: Lts, depth: int, tree_depth: int, budget: int | None = None
+) -> tuple[TracePrefixTree, SchedulerCheck, SchedulerCheck]:
+    """enumerate_traces to tree_depth with check_admitted and
+    check_deterministic_scheduler to depth, from one walk of the traces."""
+    tree, (adm, det) = _check_scheduled(
+        s, a, depth, budget, [_not_admitted, _not_deterministic], tree_depth
+    )
+    return tree, adm, det
 
 
 # --- divergence ---------------------------------------------------------

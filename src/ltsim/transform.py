@@ -19,15 +19,17 @@ tree size; traces are spelled out only for counterexamples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .composition import ProductLts
 from .errors import ContractViolation, DepthExhausted
 from .lts import Action, ActionKind, Lts, Trace, sort_actions
 from .scheduler import (
     Scheduler,
+    SchedulerCheck,
     TraceNode,
     TracePrefixTree,
+    check_scheduler_tree,
     enumerate_traces,
     node_budget,
     walker,
@@ -626,6 +628,11 @@ def _first_divergence(
     return None
 
 
+def _image_depth(mt: MappedTraces, settled: int | None) -> int:
+    """Depth of the image comparison: the settled length, else the whole image."""
+    return settled if settled is not None else max(v.depth for v in mt.image.nodes())
+
+
 def check_image_equality(
     mt: MappedTraces, s2: Scheduler, budget: int | None = None
 ) -> EqualityResult:
@@ -634,9 +641,11 @@ def check_image_equality(
     Compares consistent traces of prod2 under s2 against image-tree
     traces, both restricted to the settled image length.
     """
-    settled = mt.settled_image_length()
-    depth2 = settled if settled is not None else max(v.depth for v in mt.image.nodes())
-    rhs_tree = enumerate_traces(mt.prod2, s2, depth2, budget=budget)
+    depth2 = _image_depth(mt, mt.settled_image_length())
+    return _image_equality(mt, enumerate_traces(mt.prod2, s2, depth2, budget=budget), depth2)
+
+
+def _image_equality(mt: MappedTraces, rhs_tree: TracePrefixTree, depth2: int) -> EqualityResult:
     lhs_size = sum(1 for v in mt.image.nodes() if v.depth <= depth2)
     found = _first_divergence(mt.image.root, rhs_tree.root, depth2)
     if found is None:
@@ -695,10 +704,18 @@ def check_projection_equality(
     trees are guaranteed to cover completely, additionally capped by
     the requested depth.
     """
-    settled = mt.settled_image_length()
-    depth2 = settled if settled is not None else max(v.depth for v in mt.image.nodes())
+    depth2 = _image_depth(mt, mt.settled_image_length())
     rhs_tree = enumerate_traces(mt.prod2, s2, depth2, budget=budget)
+    return _projection_equality(mt, rhs_tree, depth2, sigma_p, depth)
 
+
+def _projection_equality(
+    mt: MappedTraces,
+    rhs_tree: TracePrefixTree,
+    depth2: int,
+    sigma_p: frozenset[Action],
+    depth: int,
+) -> EqualityResult:
     proj = _Projections(sigma_p)  # one trie, so equal projections get equal ids
     lhs_cap = _complete_projection_length(mt.concrete, mt.depth, mt.prod1, proj)
     rhs_cap = _complete_projection_length(rhs_tree, depth2, mt.prod2, proj)
@@ -718,3 +735,44 @@ def check_projection_equality(
     diff = _smallest(side)
     kind = "abstract-only" if side[diff] else "concrete-only"
     return EqualityResult(False, bound, f"{kind} projection {_fmt(diff)}", len(lhs), len(rhs))
+
+
+# --- all checks of the abstract scheduler ---------------------------------
+
+
+class S2Checks(NamedTuple):
+    """The four checks of a derived scheduler, and the settled image length."""
+
+    settled: int | None
+    admitted: SchedulerCheck
+    deterministic: SchedulerCheck
+    images: EqualityResult
+    projections: EqualityResult
+
+    @property
+    def ok(self) -> bool:
+        return self.admitted.ok and self.deterministic.ok and self.images.ok and self.projections.ok
+
+
+def check_s2(
+    mt: MappedTraces, s2: Scheduler, sigma_p: frozenset[Action], depth: int, budget: int | None = None
+) -> S2Checks:
+    """Admission, determinism, image and projection equality of s2, from one walk.
+
+    The results, and any error, of check_admitted and
+    check_deterministic_scheduler to one less than the settled image
+    length (to mt.depth when the concrete tree closed early), then
+    check_image_equality and check_projection_equality(mt, s2, sigma_p,
+    depth); but s2's traces are walked, and the settled length found, once.
+    """
+    settled = mt.settled_image_length()
+    depth2 = _image_depth(mt, settled)
+    check_depth = settled - 1 if settled is not None else mt.depth
+    tree, adm, det = check_scheduler_tree(s2, mt.prod2, check_depth, depth2, budget=budget)
+    images = _image_equality(mt, tree, depth2)
+    projections = _projection_equality(mt, tree, depth2, sigma_p, depth)
+    # a node and its parent refer to each other: unlinked, the tree is freed
+    # here rather than whenever the cyclic collector next runs
+    for node in list(tree.nodes()):
+        node.parent = None
+    return S2Checks(settled, adm, det, images, projections)

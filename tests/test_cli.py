@@ -902,3 +902,53 @@ def test_reports_are_byte_identical_across_runs(models, capsys, argv_tail):
     second = run(capsys, argv)
     assert first == second
     assert first[1] != ""
+
+
+# sha256 of the transform-scheduler stdout report (run without --table-out,
+# whose path the report names) and of the --table-out file, with the exit
+# code, on 2-thread plain FAA; the run-casestudy report below it
+TRANSFORM_DIGESTS = {
+    ("object-first", "0"): (
+        0,
+        "dadbca41ac14b57ba3194567369393a640f5b10ad5edd8de76d70e07f6bfb3ef",
+        "80badd161aa2f550bdfa0117e43fdecc4300000edc3ce388c8797d50dbf18ad0",
+    ),
+    ("object-first", "14"): (
+        0,
+        "569562f87ecdf4517709d6a51efb39d82e2e55c04a6bc8609afe67e5263f7649",
+        "d403eaa2b8a2ed3d8f1bb0f7c2606b43f23ccb6a0f482cc833c02e0e4a789e9a",
+    ),
+    ("object-first", "200"): (
+        0,
+        "82f18736693122a51f60f577cd6571bdaaa8b7f0fb197244a247fa700b361306",
+        "6a84dbd2330964ac79d9f93f3f2a045326dbcd9987d9cec00155801be457da61",
+    ),
+    ("fifo", "14"): (
+        0,
+        "4c7e538405c74971e136f6c31c141f6ee9d3b8817e1d74245f03c009bf97dfdb",
+        "e1139f38f1830b9c54f283415e2f3b5deea96dff82cc07b7f5940fc658f88302",
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy, depth", TRANSFORM_DIGESTS)
+def test_transform_report_and_table_bytes_are_pinned(models, tmp_path, capsys, strategy, depth):
+    argv = ["transform-scheduler", models["prog"], models["plain"], models["spec"],
+            "--strategy", strategy, "--depth", depth]
+    code, out, _ = run(capsys, argv)
+    table = tmp_path / "table.json"
+    run(capsys, argv + ["--table-out", str(table)])
+    got = (
+        code,
+        hashlib.sha256(out.encode()).hexdigest(),
+        hashlib.sha256(table.read_bytes()).hexdigest(),
+    )
+    assert got == TRANSFORM_DIGESTS[(strategy, depth)]
+
+
+CASESTUDY_DIGEST = (0, "668758e61326dabb751d40c6c016f91e4b5d356c1d285a2ef9ed9ab4e3cbec06")
+
+
+def test_casestudy_report_bytes_are_pinned(capsys):
+    code, out, _ = run(capsys, ["run-casestudy"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == CASESTUDY_DIGEST
