@@ -23,8 +23,7 @@ from .errors import ModelError
 from .lts import Action, ActionKind, Alphabet, Lts, LtsBuilder, find_cycle, sort_actions, validate_lasso
 from .scheduler import (
     Strategy,
-    check_admitted,
-    check_deterministic_scheduler,
+    check_scheduler_tree,
     find_divergence,
     is_consistent,
     register_strategy,
@@ -40,6 +39,7 @@ from .transform import (
     check_lemma,
     check_s2,
     construct_s2,
+    unlink_trees,
 )
 
 VARIANTS = ("invalidating", "plain")
@@ -500,14 +500,14 @@ def run_counterexample_suite(
     if ok_e:
         prod_plain = product(prog, plain)
         s1 = LlAlternatorStrategy(prod_plain)
-        adm1 = check_admitted(s1, prod_plain, depth, budget=budget)
-        det1 = check_deterministic_scheduler(s1, prod_plain, depth, budget=budget)
+        _, adm1, det1 = check_scheduler_tree(s1, prod_plain, depth, 0, budget=budget)
         mt = build_f(prod_plain, s1, prod_spec, plain_prog.certificate, depth, budget=budget)
         s2 = construct_s2(mt, budget=budget)
         lemmas = [check_lemma(i, mt, s2) for i in (1, 2, 3, 4, 5)]
         s2_checks = check_s2(
             mt, s2, prod_plain.alphabet.program, PROJECTION_STEPS, budget=budget
         )
+        unlink_trees(mt, s2)
         checks_ok = adm1.ok and det1.ok and all(l.ok for l in lemmas) and s2_checks.ok
         projections = s2_checks.projections
         compared = projections.compare_length

@@ -59,6 +59,7 @@ from .transform import (
     check_lemma,
     check_s2,
     construct_s2,
+    unlink_trees,
 )
 
 EXIT_HOLDS = 0
@@ -383,12 +384,14 @@ def _cmd_transform_scheduler(args: argparse.Namespace) -> int:
             + "\n",
         )
         data["table_written"] = args.table_out
+    unlink_trees(mt, s2)
     return _verdict(args, checks.ok, data)
 
 
 def _cmd_check_lemmas(args: argparse.Namespace) -> int:
     _prod1, mt, s2, cert_source = _load_transform(args)
     results = [check_lemma(i, mt, s2) for i in (1, 2, 3, 4, 5)]
+    unlink_trees(mt, s2)
     data = {
         "certificate": cert_source,
         "results": [

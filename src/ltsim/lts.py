@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import ModelError, ParseError, StepNotEnabled
@@ -99,8 +100,11 @@ def _parse_action(text: str, kind: ActionKind) -> Action:
     )
 
 
+_KEY = attrgetter("_key")  # Action.key, read in C
+
+
 def sort_actions(actions: Iterable[Action]) -> list[Action]:
-    return sorted(actions, key=Action.key)
+    return sorted(actions, key=_KEY)
 
 
 IDLE = Action("idle", ActionKind.IDLE)

@@ -103,7 +103,9 @@ class Strategy(Scheduler):
 
     Subclasses override decide() and, when history matters, the memory
     hooks.  Memory values must be hashable; the default is the constant
-    None, i.e. a memoryless state-feedback scheduler.
+    None, i.e. a memoryless state-feedback scheduler.  decide() and
+    update_memory() must be pure functions of their arguments: a walk
+    asks each distinct cursor (state, memory) once and reuses the answer.
     """
 
     def __init__(self, lts: Lts):
@@ -208,6 +210,11 @@ STRATEGIES: dict[str, Callable[[Lts], Scheduler]] = {
 
 
 def register_strategy(name: str, factory: Callable[[Lts], Scheduler]) -> None:
+    """Make factory(lts) available under name to make_scheduler and the CLI.
+
+    A factory that builds a Strategy must keep decide() and
+    update_memory() pure (see Strategy).
+    """
     STRATEGIES[name] = factory
 
 
@@ -261,19 +268,35 @@ class TraceNode:
 
 
 class TracePrefixTree:
-    """Prefix-closed set of bounded traces with per-node annotations."""
+    """Prefix-closed set of bounded traces with per-node annotations.
+
+    node_list holds every node in insertion order, so a parent before
+    its children; a walk whose result does not depend on the order
+    iterates it rather than the preorder of nodes().
+    """
 
     def __init__(self, root_state: int):
         self.root = TraceNode(action=None, state=root_state, depth=0)
-        self.size = 1
+        self.node_list = [self.root]
+
+    @property
+    def size(self) -> int:
+        return len(self.node_list)
 
     def extend(self, node: TraceNode, action: Action, state: int) -> TraceNode:
         if action in node.children:
             raise ModelError(f"duplicate child {action.label()} in prefix tree")
         child = TraceNode(action=action, state=state, depth=node.depth + 1, parent=node)
         node.children[action] = child
-        self.size += 1
+        self.node_list.append(child)
         return child
+
+    def unlink(self) -> None:
+        """Drop every parent link, so that the tree is freed as soon as it
+        is unreferenced rather than by the cyclic collector.  trace() of
+        its nodes is meaningless afterwards."""
+        for node in self.node_list:
+            node.parent = None
 
     def nodes(self) -> Iterator[TraceNode]:
         """All nodes, preorder, children in insertion (canonical) order."""
@@ -281,7 +304,7 @@ class TracePrefixTree:
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(reversed(list(node.children.values())))
+            stack.extend(reversed(node.children.values()))
 
     def traces(self) -> Iterator[Trace]:
         for node in self.nodes():
@@ -316,6 +339,18 @@ def enumerate_traces(
 Problem = Callable[[Lts, int, frozenset[Action]], "str | None"]
 
 
+class _Memo(dict):
+    """f(key) for each distinct key, computed on its first lookup."""
+
+    def __init__(self, f: Callable[[Any], Any]):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.f(key)
+        return value
+
+
 def _walk(
     a: Lts,
     s: Scheduler,
@@ -326,15 +361,32 @@ def _walk(
 ) -> tuple[TracePrefixTree, list[SchedulerCheck]]:
     """The consistent traces to depth, and each problem's first node.
 
-    One breadth-first walk asks s once per node it expands.  A problem
-    is tested on each node up to check_depth (the root always) until it
-    first occurs; nodes only a test reaches stay out of the tree.  The
-    budget caps the tree and, while tests run, the nodes tested; tests
-    running when the tree overflows finish over the nodes already made,
-    so the error raised is the one separate walks would raise, tests first.
+    One breadth-first walk asks s once per node it expands, or, for a
+    strategy, once per distinct cursor.  A problem is tested on each node
+    up to check_depth (the root always) until it first occurs; nodes only
+    a test reaches stay out of the tree.  The budget caps the tree and,
+    while tests run, the nodes tested; tests running when the tree
+    overflows finish over the nodes already made, so the error raised is
+    the one separate walks would raise, tests first.  A node's ordered
+    steps and test verdicts depend only on its state and scheduled set,
+    so they are computed once per distinct pair.
     """
     limit = node_budget(budget)
     w = walker(s)
+
+    def scheduled_at(cur: Any) -> frozenset[Action]:
+        value = w.scheduled(cur)  # a schedule() may return a plain set
+        return value if isinstance(value, frozenset) else frozenset(value)
+
+    def steps(key: tuple[int, frozenset[Action]]) -> list[tuple[Action, int]]:
+        state, scheduled = key
+        return [(x, t) for x in sort_actions(scheduled) if (t := a.step(state, x)) is not None]
+
+    memo = isinstance(w, Strategy)  # its set and next cursors depend on the cursor alone
+    at_cursor = _Memo(scheduled_at)
+    advanced = _Memo(lambda key: w.advance(*key))
+    moves = _Memo(steps)
+    verdict = _Memo(lambda key: problems[key[0]](a, key[1], key[2]))
     tree = TracePrefixTree(a.initial)
     found: list[SchedulerCheck | None] = [None] * len(problems)
     running = len(problems)
@@ -353,29 +405,30 @@ def _walk(
             raise BudgetExceeded(limit)
         elif node.depth >= depth:
             continue
-        scheduled = w.scheduled(cur)
+        scheduled = at_cursor[cur] if memo else scheduled_at(cur)
         if testing:
-            for i, problem in enumerate(problems):
-                detail = None if found[i] else problem(a, node.state, scheduled)
+            for i in range(len(problems)):
+                detail = None if found[i] else verdict[i, node.state, scheduled]
                 if detail is not None:
                     found[i] = SchedulerCheck(False, False, node.trace(), detail)
                     running -= 1
         grow = node.depth < depth
         if full or not (grow or (testing and node.depth < check_depth)):
             continue
-        for act in sort_actions(scheduled):
-            t = a.step(node.state, act)
-            if t is None:
-                continue
+        for act, t in moves[node.state, scheduled]:
             if not grow:
                 child = TraceNode(act, t, node.depth + 1, node)
             else:
                 child = tree.extend(node, act, t)
-                if tree.size > limit:
+                if len(tree.node_list) > limit:
                     full = True
                     break
             # a leaf at the depth bound is asked only by a test
-            queue.append((child, w.advance(cur, act) if child.depth < depth or running else None))
+            if child.depth >= depth and not running:
+                nxt = None
+            else:
+                nxt = advanced[cur, act] if memo else w.advance(cur, act)
+            queue.append((child, nxt))
     if full:
         raise BudgetExceeded(limit)
     return tree, [f or SchedulerCheck(True, False) for f in found]
@@ -399,12 +452,13 @@ class SchedulerCheck:
 
 
 def _strategy_graph(
-    s: Strategy, budget: int
+    s: Strategy, budget: int, decided: dict[tuple[int, Hashable], frozenset[Action]] | None = None
 ) -> tuple[dict[tuple[int, Hashable], Trace], dict[tuple[int, Hashable], list[tuple[Action, tuple[int, Hashable]]]]]:
     """Reachable (state, memory) nodes of a strategy with shortest access traces.
 
     Only scheduled-and-enabled moves are followed, so paths in this
-    graph are exactly the consistent traces.
+    graph are exactly the consistent traces.  decided, when given,
+    receives each node's scheduled set.
     """
     lts = s.lts
     start = (lts.initial, s.initial_memory())
@@ -415,7 +469,10 @@ def _strategy_graph(
         node = queue.popleft()
         state, mem = node
         out = []
-        for act in sort_actions(s.decide(state, mem)):
+        scheduled = s.decide(state, mem)
+        if decided is not None:
+            decided[node] = scheduled
+        for act in sort_actions(scheduled):
             t = lts.step(state, act)
             if t is None:
                 continue
@@ -446,11 +503,12 @@ def _check_scheduled(
     """
     if not (isinstance(s, Strategy) and s.lts is a):
         return _walk(a, s, tree_depth, budget, problems, depth)
-    access, _ = _strategy_graph(s, node_budget(budget))
+    decided: dict[tuple[int, Hashable], frozenset[Action]] = {}
+    access, _ = _strategy_graph(s, node_budget(budget), decided)
     checks = [SchedulerCheck(True, True)] * len(problems)
     for i, problem in enumerate(problems):
-        for (state, mem), trace in access.items():
-            detail = problem(a, state, s.decide(state, mem))
+        for node, trace in access.items():
+            detail = problem(a, node[0], decided[node])
             if detail is not None:
                 checks[i] = SchedulerCheck(False, True, trace, detail)
                 break

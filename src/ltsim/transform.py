@@ -29,6 +29,7 @@ from .scheduler import (
     SchedulerCheck,
     TraceNode,
     TracePrefixTree,
+    _Memo,
     check_scheduler_tree,
     enumerate_traces,
     node_budget,
@@ -103,8 +104,8 @@ class MappedTraces:
             yield node, node.meta["image"]
 
     def frontier(self) -> list[TraceNode]:
-        """Concrete leaves sitting at the depth bound (truncated futures)."""
-        return [u for u in self.concrete.leaves() if u.depth >= self.depth]
+        """Concrete leaves sitting at the depth bound (truncated futures), in insertion order."""
+        return [u for u in self.concrete.node_list if u.depth >= self.depth and not u.children]
 
     def settled_image_length(self) -> int | None:
         """Image length below which the image tree is complete.
@@ -132,7 +133,9 @@ def build_f(
     each step extends the image by the mapped sequence, replayed on
     prod2.  The empty trace maps to the empty trace.  The concrete idle
     action maps to the abstract idle when enabled at the image state
-    and to the empty sequence otherwise.
+    and to the empty sequence otherwise.  A step's mapped sequence and
+    its replay depend only on the two end states and the action, so
+    each distinct one is computed once.
     """
     for prod, name in ((prod1, "concrete"), (prod2, "abstract")):
         if not isinstance(prod, ProductLts):
@@ -151,48 +154,64 @@ def build_f(
 
     concrete.root.meta["image"] = image.root
 
-    def annotate(w: TraceNode, value: frozenset[Action]) -> None:
-        prev = w.meta.get("s2")
-        if prev is None:
-            w.meta["s2"] = value
-        elif prev != value:
-            mt.conflicts.append(
-                f"image node {_fmt(w.trace())} scheduled as "
-                f"{{{', '.join(a.label() for a in sort_actions(prev))}}} and "
-                f"{{{', '.join(a.label() for a in sort_actions(value))}}}"
-            )
+    def image_path(key: tuple[int, Action, int]) -> tuple[list[tuple], Action | None]:
+        """One concrete step's image, as (action, annotation, prod2 state
+        reached) up to its first action prod2 cannot take, and that action
+        (None when all replay).  The annotation None stands for the
+        concrete node's scheduled set."""
+        state1, a, state2 = key
+        if a == idle1:
+            alpha: Trace = (idle2,) if prod2.step(state2, idle2) is not None else ()
+        else:
+            alpha = mapping_m(prod1.part(state1).obj, a, prod2.part(state2).obj, cert)
+        steps = []
+        for b in alpha:
+            nxt = prod2.step(state2, b)
+            if nxt is None:
+                return steps, b
+            steps.append((b, None if b in gamma_p else frozenset({b}), nxt))
+            state2 = nxt
+        return steps, None
 
+    paths = _Memo(image_path)
     for u in concrete.nodes():
         if not u.children:
             continue
         v = u.meta["image"]
         scheduled = frozenset(u.children)  # = s1 choices that are enabled
         for a, u2 in u.children.items():
-            if a == idle1:
-                alpha: Trace = (idle2,) if prod2.step(v.state, idle2) is not None else ()
-            else:
-                cs = prod1.part(u.state).obj
-                as_ = prod2.part(v.state).obj
-                alpha = mapping_m(cs, a, as_, cert)
+            steps, stuck = paths[u.state, a, v.state]
             w = v
-            for i, b in enumerate(alpha):
-                annotate(w, scheduled if b in gamma_p else frozenset({b}))
-                nxt_state = prod2.step(w.state, b)
-                if nxt_state is None:
-                    raise ContractViolation(
-                        f"image of {_fmt(u2.trace())} does not replay: "
-                        f"{b.label()} not enabled after {_fmt(w.trace())}"
-                    )
+            for b, value, nxt_state in steps:
+                value = value or scheduled
+                prev = w.meta.get("s2")
+                if prev is None:
+                    w.meta["s2"] = value
+                elif prev is not value and prev != value:
+                    _conflict(mt, w, prev, value)
                 child = w.children.get(b)
                 if child is None:
                     child = image.extend(w, b, nxt_state)
-                    if image.size > limit:
+                    if len(image.node_list) > limit:
                         raise ContractViolation(
                             f"image tree exceeded the node budget {limit}"
                         )
                 w = child
+            if stuck is not None:
+                raise ContractViolation(
+                    f"image of {_fmt(u2.trace())} does not replay: "
+                    f"{stuck.label()} not enabled after {_fmt(w.trace())}"
+                )
             u2.meta["image"] = w
     return mt
+
+
+def _conflict(mt: MappedTraces, w: TraceNode, prev: frozenset[Action], value: frozenset[Action]) -> None:
+    mt.conflicts.append(
+        f"image node {_fmt(w.trace())} scheduled as "
+        f"{{{', '.join(a.label() for a in sort_actions(prev))}}} and "
+        f"{{{', '.join(a.label() for a in sort_actions(value))}}}"
+    )
 
 
 # --- the abstract scheduler ---------------------------------------------
@@ -288,6 +307,17 @@ def construct_s2(
 ) -> S2Scheduler:
     """The abstract scheduler derived from a mapped trace tree."""
     return S2Scheduler(mt, auto_deepen=auto_deepen, budget=budget)
+
+
+def unlink_trees(mt: MappedTraces, s2: S2Scheduler) -> None:
+    """Unlink the trees of mt and of the deeper rebuild s2 made, if any.
+
+    A node and its parent refer to each other, so without this the trees
+    wait for the cyclic collector.  Call it once no trace() is needed.
+    """
+    for m in (mt,) if s2.mt is mt else (mt, s2.mt):
+        m.concrete.unlink()
+        m.image.unlink()
 
 
 # --- per-node facts computed from the parent ----------------------------
@@ -630,7 +660,7 @@ def _first_divergence(
 
 def _image_depth(mt: MappedTraces, settled: int | None) -> int:
     """Depth of the image comparison: the settled length, else the whole image."""
-    return settled if settled is not None else max(v.depth for v in mt.image.nodes())
+    return settled if settled is not None else max(v.depth for v in mt.image.node_list)
 
 
 def check_image_equality(
@@ -646,7 +676,7 @@ def check_image_equality(
 
 
 def _image_equality(mt: MappedTraces, rhs_tree: TracePrefixTree, depth2: int) -> EqualityResult:
-    lhs_size = sum(1 for v in mt.image.nodes() if v.depth <= depth2)
+    lhs_size = sum(1 for v in mt.image.node_list if v.depth <= depth2)
     found = _first_divergence(mt.image.root, rhs_tree.root, depth2)
     if found is None:
         return EqualityResult(True, depth2, None, lhs_size, rhs_tree.size)
@@ -685,8 +715,8 @@ def _complete_projection_length(
     saturated = _saturated_states(prod, proj.sigma)
     caps = [
         proj.length[proj.id(leaf)]
-        for leaf in tree.leaves()
-        if leaf.depth >= depth and leaf.state not in saturated
+        for leaf in tree.node_list
+        if leaf.depth >= depth and not leaf.children and leaf.state not in saturated
     ]
     return min(caps) if caps else None
 
@@ -723,7 +753,7 @@ def _projection_equality(
     bound = min(caps) if caps else None
 
     def gather(tree: TracePrefixTree) -> set[int]:
-        ids = (proj.id(node) for node in tree.nodes())
+        ids = (proj.id(node) for node in tree.node_list)
         return {i for i in ids if bound is None or proj.length[i] <= bound}
 
     lhs = gather(mt.concrete)
@@ -771,8 +801,5 @@ def check_s2(
     tree, adm, det = check_scheduler_tree(s2, mt.prod2, check_depth, depth2, budget=budget)
     images = _image_equality(mt, tree, depth2)
     projections = _projection_equality(mt, tree, depth2, sigma_p, depth)
-    # a node and its parent refer to each other: unlinked, the tree is freed
-    # here rather than whenever the cyclic collector next runs
-    for node in list(tree.nodes()):
-        node.parent = None
+    tree.unlink()
     return S2Checks(settled, adm, det, images, projections)
