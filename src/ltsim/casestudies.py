@@ -115,18 +115,21 @@ def _closure(
     steps: Callable[[Hashable], Iterator[tuple[Action, Hashable]]],
     label: Callable[[Hashable], str],
 ) -> Lts:
-    """Breadth-first build from a semantic initial state."""
+    """Breadth-first build from a semantic initial state, labelling each
+    state once."""
     builder = LtsBuilder(alphabet)
-    builder.set_initial(label(initial))
-    seen = {initial}
+    names = {initial: label(initial)}
+    builder.set_initial(names[initial])
     queue = deque([initial])
     while queue:
         st = queue.popleft()
+        src = names[st]
         for action, nxt in steps(st):
-            builder.add(label(st), action, label(nxt))
-            if nxt not in seen:
-                seen.add(nxt)
+            dst = names.get(nxt)
+            if dst is None:
+                dst = names[nxt] = label(nxt)
                 queue.append(nxt)
+            builder.add(src, action, dst)
     return builder.build(complete=True)
 
 

@@ -8,11 +8,11 @@ states where nothing else is enabled.
 
 from __future__ import annotations
 
-from collections import deque
+from functools import partial
 from typing import NamedTuple
 
 from .errors import AlphabetMismatch
-from .lts import Action, ActionKind, Alphabet, Lts
+from .lts import Action, ActionKind, Alphabet, Lts, _idle_completed
 
 
 class ProductState(NamedTuple):
@@ -20,6 +20,14 @@ class ProductState(NamedTuple):
 
     prog: int
     obj: int
+
+
+# builds a ProductState from a (prog, obj) pair in C
+_product_state = partial(tuple.__new__, ProductState)
+# enum members read as globals: ActionKind.X costs a slow class lookup each time
+_PROGRAM, _INTERNAL, _IDLE = ActionKind.PROGRAM, ActionKind.INTERNAL, ActionKind.IDLE
+# an object state's call/return row and its internal edges
+_ObjectSide = tuple[dict[Action, int], list[tuple[Action, int]]]
 
 
 class ProductLts(Lts):
@@ -59,6 +67,9 @@ def product(prog: Lts, obj: Lts) -> ProductLts:
 
     Program actions move the program component alone, internal actions
     move the object alone, and calls and returns require both to move.
+    Product states are numbered in breadth-first order, each state's
+    successors met in the program's canonical edge order, then the
+    object's internal edges in theirs.
     """
     _check_interfaces(prog, obj)
     pa, oa = prog.alphabet, obj.alphabet
@@ -69,41 +80,56 @@ def product(prog: Lts, obj: Lts) -> ProductLts:
         internal=oa.internal,
     )
 
-    start = ProductState(prog.initial, obj.initial)
-    index: dict[ProductState, int] = {start: 0}
-    parts: list[ProductState] = [start]
-    transitions: dict[tuple[int, Action], int] = {}
-    queue: deque[ProductState] = deque([start])
+    # Each component state's usable edges, worked out at its first visit:
+    # the program's non-idle edges, flagged when the object must join in,
+    # and the object's call/return row and internal edges.
+    prog_moves: list[list[tuple[Action, int, bool]] | None] = [None] * prog.num_states
+    obj_moves: list[_ObjectSide | None] = [None] * obj.num_states
 
-    def intern(ps: ProductState) -> int:
-        i = index.get(ps)
-        if i is None:
-            i = len(parts)
-            index[ps] = i
-            parts.append(ps)
-            queue.append(ps)
-        return i
+    # the search interns plain (prog, obj) pairs; ProductStates come last
+    pairs: list[tuple[int, int]] = [(prog.initial, obj.initial)]
+    index: dict[tuple[int, int], int] = {pairs[0]: 0}
+    rows: list[dict[Action, int]] = []
+    for p, o in pairs:  # pairs grows as the search goes
+        own = prog_moves[p]
+        if own is None:
+            own = prog_moves[p] = [
+                (a, pt, a.kind is not _PROGRAM)
+                for a, pt in prog.out_edges(p)
+                if a.kind is not _IDLE
+            ]
+        side = obj_moves[o]
+        if side is None:
+            side = obj_moves[o] = _object_side(obj, o)
+        sync, internal = side
+        row: dict[Action, int] = {}
+        for a, pt, joint in own:
+            ot = sync.get(a) if joint else o
+            if ot is not None:
+                pair = (pt, ot)
+                row[a] = t = index.setdefault(pair, len(pairs))
+                if t == len(pairs):
+                    pairs.append(pair)
+        for a, ot in internal:
+            pair = (p, ot)
+            row[a] = t = index.setdefault(pair, len(pairs))
+            if t == len(pairs):
+                pairs.append(pair)
+        rows.append(row)
 
-    while queue:
-        ps = queue.popleft()
-        s = index[ps]
-        for a, pt in prog.out_edges(ps.prog):
-            if a.kind is ActionKind.IDLE:
-                continue
-            if a in pa.program:
-                transitions[(s, a)] = intern(ProductState(pt, ps.obj))
-            else:  # call or return: the object must also enable it
-                ot = obj.step(ps.obj, a)
-                if ot is not None:
-                    transitions[(s, a)] = intern(ProductState(pt, ot))
-        for a, ot in obj.out_edges(ps.obj):
-            if a in oa.internal:
-                transitions[(s, a)] = intern(ProductState(ps.prog, ot))
+    labels = [f"{prog.label_of(p)}|{obj.label_of(o)}" for p, o in pairs]
+    prod = ProductLts._from_rows(alphabet, 0, _idle_completed(rows, alphabet.idle), labels)
+    prod.parts = tuple(map(_product_state, pairs))
+    return prod
 
-    sources = {s for (s, _a) in transitions}
-    for s in range(len(parts)):
-        if s not in sources:
-            transitions[(s, alphabet.idle)] = s
 
-    labels = [f"{prog.label_of(ps.prog)}|{obj.label_of(ps.obj)}" for ps in parts]
-    return ProductLts(alphabet, len(parts), 0, transitions, labels, parts=parts)
+def _object_side(obj: Lts, o: int) -> _ObjectSide:
+    """The calls and returns state o enables, and its internal edges."""
+    sync: dict[Action, int] = {}
+    internal: list[tuple[Action, int]] = []
+    for a, ot in obj.out_edges(o):
+        if a.kind is _INTERNAL:
+            internal.append((a, ot))
+        elif a.kind is not _IDLE:
+            sync[a] = ot
+    return sync, internal

@@ -4,9 +4,17 @@ States are dense integer indices with an optional side table of
 human-readable labels.  Actions carry their classification (program,
 call, return, internal, idle) so alphabet membership is a field lookup,
 and argument/return values are part of action identity, which keeps the
-transition function single-valued.  An action's hash and order key are
-computed once, when it is built; pickling and copying rebuild them from
-the fields, because str hashes differ between processes.
+transition function single-valued.  An action's hash, order key and
+label are computed once, when it is built; pickling and copying rebuild
+them from the fields, because str hashes differ between processes.  An
+alphabet's derived sets are computed once too.
+
+Every LTS is built by one path from per-state rows (``Lts._fill``): it
+validates each transition once, sorts each row once into canonical
+action order and keeps the row dicts.  ``Lts(...)`` buckets its
+(state, action) -> state mapping into rows and takes that path; the
+model reader, the product, ``idle_complete`` and ``LtsBuilder`` hand
+rows to it through ``Lts._from_rows``.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
 
 from .errors import ModelError, ParseError, StepNotEnabled
 
@@ -46,8 +54,14 @@ class Action:
             -1 if self.thread is None else self.thread,
             float("-inf") if self.payload is None else self.payload,
         )
+        label = self.name
+        if self.thread is not None:
+            label += f"@{self.thread}"
+        if self.payload is not None:
+            label += f"#{self.payload}"
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash((self.name, self.kind, self.thread, self.payload)))
+        object.__setattr__(self, "_label", label)
 
     def __hash__(self) -> int:
         return self._hash
@@ -58,12 +72,7 @@ class Action:
 
     def label(self) -> str:
         """Canonical string form: name[@thread][#payload]."""
-        s = self.name
-        if self.thread is not None:
-            s += f"@{self.thread}"
-        if self.payload is not None:
-            s += f"#{self.payload}"
-        return s
+        return self._label
 
     def key(self) -> tuple:
         """Total order used wherever canonical action order matters."""
@@ -114,7 +123,11 @@ Trace = tuple[Action, ...]
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Partition of an LTS alphabet into program, call, return, internal, idle."""
+    """Partition of an LTS alphabet into program, call, return, internal, idle.
+
+    The derived sets gamma_p, cr and all_actions are computed once, at
+    construction.
+    """
 
     program: frozenset[Action]
     calls: frozenset[Action]
@@ -145,19 +158,24 @@ class Alphabet:
             raise ModelError(
                 f"action {self.idle.label()} appears in both {seen[self.idle.label()].value} and idle"
             )
+        cr = self.calls | self.returns
+        gamma_p = cr | self.program
+        object.__setattr__(self, "_cr", cr)
+        object.__setattr__(self, "_gamma_p", gamma_p)
+        object.__setattr__(self, "_all_actions", gamma_p | self.internal | {self.idle})
 
     @property
     def gamma_p(self) -> frozenset[Action]:
         """Externally visible actions: program plus calls plus returns."""
-        return self.program | self.calls | self.returns
+        return self._gamma_p
 
     @property
     def cr(self) -> frozenset[Action]:
-        return self.calls | self.returns
+        return self._cr
 
     @property
     def all_actions(self) -> frozenset[Action]:
-        return self.program | self.calls | self.returns | self.internal | {self.idle}
+        return self._all_actions
 
     def non_idle(self) -> frozenset[Action]:
         return self.program | self.calls | self.returns | self.internal
@@ -178,11 +196,64 @@ class Lasso:
         return self.stem + self.cycle * repeats
 
 
+def _reject(
+    num_states: int,
+    initial: int,
+    labels: Sequence[Any] | None,
+    known: frozenset[Action],
+    edges: Iterable[tuple[tuple[int, Action], int]],
+) -> NoReturn:
+    """Raise the first construction fault: the initial state, the label
+    count, then each ((state, action), successor) in the given order."""
+    if not (0 <= initial < num_states):
+        raise ModelError(f"initial state {initial} out of range 0..{num_states - 1}")
+    if labels is not None and len(labels) != num_states:
+        raise ModelError(f"{len(labels)} labels for {num_states} states")
+    for (s, a), t in edges:
+        if not (0 <= s < num_states) or not (0 <= t < num_states):
+            raise ModelError(f"transition ({s}, {a.label()}, {t}) has a dangling state index")
+        if a not in known:
+            raise ModelError(f"transition on {a.label()} not in the declared alphabet")
+        if a.kind is ActionKind.IDLE and t != s:  # a is known: it is the alphabet's idle
+            raise ModelError(f"idle transition {s} -> {t} must be a self-loop")
+    raise AssertionError("no construction fault found")
+
+
+def _bucket(
+    alphabet: Alphabet,
+    num_states: int,
+    initial: int,
+    transitions: Mapping[tuple[int, Action], int],
+    labels: Sequence[Any] | None,
+) -> list[dict[Action, int]]:
+    """The rows of a (state, action) -> state mapping; a source state out
+    of range is reported as the first fault in the mapping's order."""
+    if num_states < 0:
+        _reject(num_states, initial, labels, alphabet.all_actions, ())
+    rows: list[dict[Action, int]] = [{} for _ in range(num_states)]
+    for (s, a), t in transitions.items():
+        if not (0 <= s < num_states):
+            _reject(num_states, initial, labels, alphabet.all_actions, transitions.items())
+        rows[s][a] = t
+    return rows
+
+
+def _canonical(row: dict[Action, int]) -> dict[Action, int]:
+    """The row in canonical action order; a row already in order is kept."""
+    keys = list(map(_KEY, row))
+    if keys == sorted(keys):
+        return row
+    return {a: row[a] for a in sorted(row, key=_KEY)}
+
+
 class Lts:
     """Deterministic LTS over dense integer states.
 
     The transition function is a partial map (state, action) -> state,
-    which makes per-edge determinism structural.  Instances are
+    which makes per-edge determinism structural.  It is held as one row
+    per state, a dict from each enabled action to its successor in
+    canonical action order.  Every construction goes through ``_fill``;
+    ``Lts(...)`` first buckets its mapping into rows.  Instances are
     immutable after construction and safe to share.
     """
 
@@ -194,28 +265,68 @@ class Lts:
         transitions: Mapping[tuple[int, Action], int],
         labels: Sequence[Any] | None = None,
     ):
-        if not (0 <= initial < num_states):
-            raise ModelError(f"initial state {initial} out of range 0..{num_states - 1}")
-        if labels is not None and len(labels) != num_states:
-            raise ModelError(f"{len(labels)} labels for {num_states} states")
+        rows = _bucket(alphabet, num_states, initial, transitions, labels)
+        self._fill(alphabet, initial, rows, labels, transitions.items())
+
+    @classmethod
+    def _from_rows(
+        cls,
+        alphabet: Alphabet,
+        initial: int,
+        rows: list[dict[Action, int]],
+        labels: Sequence[Any] | None = None,
+        order: Iterable[tuple[tuple[int, Action], int]] | None = None,
+    ):
+        """An LTS built from rows: rows[s] maps each action enabled at
+        state s to its successor.  The new LTS owns the row dicts, so
+        the caller must not change them afterwards.  A fault is reported
+        as the first one met in order, ((state, action), successor)
+        pairs, which defaults to the rows' own order."""
+        lts = cls.__new__(cls)
+        lts._fill(alphabet, initial, rows, labels, order)
+        return lts
+
+    def _fill(
+        self,
+        alphabet: Alphabet,
+        initial: int,
+        rows: list[dict[Action, int]],
+        labels: Sequence[Any] | None,
+        order: Iterable[tuple[tuple[int, Action], int]] | None = None,
+    ) -> None:
+        # One pass over the rows checks every successor and collects the
+        # actions used (set.update reuses a dict's stored hashes), and
+        # puts each row in canonical order.  Only a faulty construction
+        # walks its edges one by one, in the caller's order, to report
+        # the first fault.
+        num_states = len(rows)
         known = alphabet.all_actions
-        out: list[dict[Action, int]] = [dict() for _ in range(num_states)]
-        for (s, a), t in transitions.items():
-            if not (0 <= s < num_states) or not (0 <= t < num_states):
-                raise ModelError(f"transition ({s}, {a.label()}, {t}) has a dangling state index")
-            if a not in known:
-                raise ModelError(f"transition on {a.label()} not in the declared alphabet")
-            if a.kind is ActionKind.IDLE and t != s:  # a is known: it is the alphabet's idle
-                raise ModelError(f"idle transition {s} -> {t} must be a self-loop")
-            out[s][a] = t
+        idle = alphabet.idle
+        used: set[Action] = set()
+        in_range = True
+        out: list[dict[Action, int]] = []
+        for row in rows:
+            if row:
+                used.update(row)
+                in_range = in_range and 0 <= min(row.values()) and max(row.values()) < num_states
+                if len(row) > 1:
+                    row = _canonical(row)
+            out.append(row)
+        if (
+            not (0 <= initial < num_states)
+            or (labels is not None and len(labels) != num_states)
+            or not in_range
+            or not known.issuperset(used)
+            or (idle in used and not all(row.get(idle, s) == s for s, row in enumerate(rows)))
+        ):
+            if order is None:
+                order = (((s, a), t) for s, row in enumerate(rows) for a, t in row.items())
+            _reject(num_states, initial, labels, known, order)
         self.alphabet = alphabet
         self.num_states = num_states
         self.initial = initial
         self.labels = tuple(labels) if labels is not None else None
-        # canonical per-state order, used for reproducible iteration
-        self._out: tuple[dict[Action, int], ...] = tuple(
-            {a: row[a] for a in sort_actions(row)} for row in out
-        )
+        self._out: tuple[dict[Action, int], ...] = tuple(out)
 
     def label_of(self, s: int) -> str:
         if self.labels is not None:
@@ -335,12 +446,17 @@ def project_lasso(lasso: Lasso, gamma: Iterable[Action]) -> Lasso | Trace:
 
 def idle_complete(lts: Lts) -> Lts:
     """Add an idle self-loop to exactly the states with no other enabled action."""
-    idle = lts.alphabet.idle
-    transitions = {(s, a): t for s, a, t in lts.edges()}
-    for s in range(lts.num_states):
-        if not any(a != idle for a in lts.enabled(s)):
-            transitions[(s, idle)] = s
-    return Lts(lts.alphabet, lts.num_states, lts.initial, transitions, lts.labels)
+    rows = _idle_completed(lts._out, lts.alphabet.idle)
+    return Lts._from_rows(lts.alphabet, lts.initial, rows, lts.labels)
+
+
+def _idle_completed(rows: Sequence[dict[Action, int]], idle: Action) -> list[dict[Action, int]]:
+    """The rows with an idle self-loop at each state that enables nothing.
+
+    A state whose row holds only idle keeps it: a validated idle edge is
+    already a self-loop.  The other rows are shared, not copied.
+    """
+    return [row or {idle: s} for s, row in enumerate(rows)]
 
 
 def is_idle_complete(lts: Lts) -> bool:
@@ -421,11 +537,8 @@ class LtsBuilder:
     def build(self, complete: bool = True) -> Lts:
         if self._initial is None:
             raise ModelError("no initial state set")
-        lts = Lts(
-            self.alphabet,
-            len(self._labels),
-            self._initial,
-            self._transitions,
-            labels=self._labels,
-        )
-        return idle_complete(lts) if complete else lts
+        alphabet, labels, transitions = self.alphabet, self._labels, self._transitions
+        rows = _bucket(alphabet, len(labels), self._initial, transitions, labels)
+        if complete:  # as idle_complete does, in the same construction
+            rows = _idle_completed(rows, alphabet.idle)
+        return Lts._from_rows(alphabet, self._initial, rows, labels, transitions.items())

@@ -8,7 +8,8 @@ same model always serializes to the same bytes.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
+from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
 from .errors import ModelError, ParseError
@@ -33,21 +34,26 @@ _SECTION_KINDS = {
 def _build_alphabet(
     groups: dict[str, list[Action]], where: dict[str, int] | None = None
 ) -> Alphabet:
+    """The alphabet of parsed sections; a label fault is reported here,
+    in declaration order, with the section's line."""
+    reserved = IDLE.label()
     seen: dict[str, str] = {}
     for section, actions in groups.items():
         for a in actions:
-            if a.label() == IDLE.label():
-                raise ParseError(
-                    f"action {a.label()!r} is reserved",
-                    line=None if where is None else where.get(section),
-                )
-            if a.label() in seen:
-                raise ParseError(
-                    f"action {a.label()!r} declared in both "
-                    f"{seen[a.label()]!r} and {section!r}",
-                    line=None if where is None else where.get(section),
-                )
-            seen[a.label()] = section
+            label = a.label()
+            if label == reserved:
+                problem = "is reserved"
+            elif label not in seen:
+                seen[label] = section
+                continue
+            elif seen[label] == section:
+                problem = f"declared twice in {section!r}"
+            else:
+                problem = f"declared in both {seen[label]!r} and {section!r}"
+            raise ParseError(
+                f"action {label!r} {problem}",
+                line=None if where is None else where.get(section),
+            )
     return Alphabet(**{section: frozenset(actions) for section, actions in groups.items()})
 
 
@@ -63,22 +69,29 @@ def _assemble(
     dst; certificates and reports name states by these numbers.
     """
     by_label = {a.label(): a for a in alphabet.all_actions}
+    idle = alphabet.idle
     states: dict[str, int] = {initial: 0}
-    transitions: dict[tuple[int, Action], int] = {}
+    out: defaultdict[int, dict[Action, int]] = defaultdict(dict)
+    # the first idle row that is not a self-loop, in file order: the
+    # fault the model reports, as when the rows were one mapping
+    bad_idle: list[tuple[tuple[int, Action], int]] = []
     for src, act, dst, line in rows:
         action = by_label.get(act)
         if action is None:
             raise ParseError(f"undeclared action {act!r}", line=line)
         s = states.setdefault(src, len(states))
         t = states.setdefault(dst, len(states))
-        prev = transitions.setdefault((s, action), t)
+        prev = out[s].setdefault(action, t)
         if prev != t:
             raise ParseError(
                 f"nondeterministic: ({src!r}, {act!r}) already maps to {list(states)[prev]!r}",
                 line=line,
             )
+        if action is idle and t != s and not bad_idle:
+            bad_idle.append(((s, action), t))
+    table = [out[s] for s in range(len(states))]
     try:
-        return Lts(alphabet, len(states), 0, transitions, list(states))
+        return Lts._from_rows(alphabet, 0, table, tuple(states), bad_idle or None)
     except ModelError as e:
         raise ParseError(str(e)) from None
 
@@ -175,11 +188,15 @@ def lts_to_dict(lts: Lts) -> dict[str, Any]:
     }
 
 
-def _json_row(row: Any) -> tuple[str, str, str, None]:
-    if not isinstance(row, (list, tuple)) or len(row) != 3:
-        raise ParseError(f"transition row {row!r} is not [src, action, dst]")
-    src, act, dst = (str(x) for x in row)
-    return src, act, dst, None
+def _json_rows(raw_rows: Iterable[Any]) -> Iterator[tuple[str, str, str, None]]:
+    for row in raw_rows:
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise ParseError(f"transition row {row!r} is not [src, action, dst]")
+        src, act, dst = row
+        strings = isinstance(src, str) and isinstance(act, str) and isinstance(dst, str)
+        if not (strings and src and act and dst):
+            raise ParseError(f"transition row {row!r} has a field that is not a non-empty string")
+        yield src, act, dst, None
 
 
 def lts_from_dict(data: Mapping[str, Any]) -> Lts:
@@ -203,7 +220,7 @@ def lts_from_dict(data: Mapping[str, Any]) -> Lts:
         raise ParseError("model field 'initial' is not a non-empty state name")
     if not isinstance(raw_rows, (list, tuple)):
         raise ParseError("model field 'transitions' is not a list of rows")
-    return _assemble(alphabet, raw_initial, (_json_row(row) for row in raw_rows))
+    return _assemble(alphabet, raw_initial, _json_rows(raw_rows))
 
 
 def dumps(lts: Lts) -> str:

@@ -244,7 +244,7 @@ def is_consistent(tau: Sequence[Action], s: Scheduler) -> bool:
 # --- trace prefix trees -------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True, weakref_slot=True)
 class TraceNode:
     """One node of a prefix tree; the root carries action None.
 

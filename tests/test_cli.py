@@ -952,3 +952,15 @@ CASESTUDY_DIGEST = (0, "668758e61326dabb751d40c6c016f91e4b5d356c1d285a2ef9ed9ab4
 def test_casestudy_report_bytes_are_pinned(capsys):
     code, out, _ = run(capsys, ["run-casestudy"])
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == CASESTUDY_DIGEST
+
+
+@pytest.mark.parametrize(
+    "row", [[0, "op", None], ["a", "op", ["x"]], ["a", "", "b"]], ids=["int-null", "list", "empty"]
+)
+def test_a_json_row_field_that_is_not_a_non_empty_string_exits_3(tmp_path, capsys, row):
+    model = tmp_path / "bad.json"
+    payload = {"alphabet": {"calls": ["op"]}, "initial": "a", "transitions": [row]}
+    model.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["check-det", str(model)])
+    assert (code, out) == (3, "")
+    assert "not a non-empty string" in err

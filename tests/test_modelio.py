@@ -114,17 +114,21 @@ def test_loads_rejects_malformed_json_shapes(alphabet, transitions):
 
 
 @pytest.mark.parametrize(
-    "text, rows",
+    "text, calls, rows",
     [
-        ("initial: s\ns -- zap -> t\n", [["s", "zap", "t"]]),
-        ("calls: c\ninitial: s\ns -- c -> a\ns -- c -> b\n", [["s", "c", "a"], ["s", "c", "b"]]),
+        ("initial: s\ns -- zap -> t\n", [], [["s", "zap", "t"]]),
+        (
+            "calls: c\ninitial: s\ns -- c -> a\ns -- c -> b\n",
+            ["c"],
+            [["s", "c", "a"], ["s", "c", "b"]],
+        ),
+        ("initial: s\ncalls: op, op\n", ["op", "op"], []),
     ],
-    ids=["undeclared", "nondeterministic"],
+    ids=["undeclared", "nondeterministic", "declared-twice"],
 )
-def test_both_syntaxes_report_a_defect_the_same_way(text, rows):
+def test_both_syntaxes_report_a_defect_the_same_way(text, calls, rows):
     with pytest.raises(ParseError) as from_text:
         parse_lts_text(text)
-    calls = ["c"] if "calls:" in text else []
     with pytest.raises(ParseError) as from_json:
         lts_from_dict({"alphabet": {"calls": calls}, "initial": "s", "transitions": rows})
     assert str(from_text.value) == f"{from_json.value} (line {from_text.value.line})"
@@ -199,3 +203,31 @@ def test_text_and_json_round_trips(m):
         assert {a.label() for a in reread.alphabet.non_idle()} == {
             a.label() for a in m.alphabet.non_idle()
         }
+
+
+def test_a_label_listed_twice_in_one_section_says_so():
+    with pytest.raises(ParseError) as e:
+        parse_lts_text("initial: s\ncalls: op, c, op\n")
+    assert str(e.value) == "action 'op' declared twice in 'calls' (line 2)"
+    assert e.value.line == 2
+    with pytest.raises(ParseError) as e:
+        lts_from_dict({"alphabet": {"internal": ["t", "t"]}, "initial": "s", "transitions": []})
+    assert str(e.value) == "action 't' declared twice in 'internal'"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0, "c", "t"],
+        ["s", "c", None],
+        ["s", "c", ["x"]],
+        ["s", 5, "t"],
+        ["", "c", "t"],
+        ["s", "", "t"],
+    ],
+    ids=["int-src", "null-dst", "list-dst", "int-action", "empty-src", "empty-action"],
+)
+def test_a_json_row_field_that_is_not_a_non_empty_string_is_a_parse_error(row):
+    payload = {"alphabet": {"calls": ["c"]}, "initial": "s", "transitions": [row]}
+    with pytest.raises(ParseError, match="not a non-empty string"):
+        loads(json.dumps(payload))
