@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, ModelError
@@ -244,19 +244,27 @@ def is_consistent(tau: Sequence[Action], s: Scheduler) -> bool:
 # --- trace prefix trees -------------------------------------------------
 
 
-@dataclass(eq=False, slots=True, weakref_slot=True)
 class TraceNode:
     """One node of a prefix tree; the root carries action None.
 
-    Nodes compare by identity: a node is a position in one tree.
+    children maps each next action to its node, in insertion order; meta
+    holds a tree's annotations.  Both start empty.  Nodes compare by
+    identity: a node is a position in one tree.  A plain class with
+    __slots__ (and a weakref slot), since every trace of a tree costs one
+    node.
     """
 
-    action: Action | None
-    state: int
-    depth: int
-    parent: "TraceNode | None" = None
-    children: dict[Action, "TraceNode"] = field(default_factory=dict)
-    meta: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("action", "state", "depth", "parent", "children", "meta", "__weakref__")
+
+    def __init__(
+        self, action: Action | None, state: int, depth: int, parent: "TraceNode | None" = None
+    ):
+        self.action = action
+        self.state = state
+        self.depth = depth
+        self.parent = parent
+        self.children: dict[Action, TraceNode] = {}
+        self.meta: dict[str, Any] = {}
 
     def trace(self) -> Trace:
         parts = []
@@ -284,10 +292,9 @@ class TracePrefixTree:
         return len(self.node_list)
 
     def extend(self, node: TraceNode, action: Action, state: int) -> TraceNode:
-        if action in node.children:
+        child = TraceNode(action, state, node.depth + 1, node)
+        if node.children.setdefault(action, child) is not child:  # hashes action once
             raise ModelError(f"duplicate child {action.label()} in prefix tree")
-        child = TraceNode(action=action, state=state, depth=node.depth + 1, parent=node)
-        node.children[action] = child
         self.node_list.append(child)
         return child
 
@@ -386,8 +393,9 @@ def _walk(
     at_cursor = _Memo(scheduled_at)
     advanced = _Memo(lambda key: w.advance(*key))
     moves = _Memo(steps)
-    verdict = _Memo(lambda key: problems[key[0]](a, key[1], key[2]))
+    verdicts = _Memo(lambda key: [problem(a, *key) for problem in problems])
     tree = TracePrefixTree(a.initial)
+    nodes = tree.node_list
     found: list[SchedulerCheck | None] = [None] * len(problems)
     running = len(problems)
     queue: deque[tuple[TraceNode, Any]] = deque([(tree.root, w.cursor())])
@@ -407,24 +415,25 @@ def _walk(
             continue
         scheduled = at_cursor[cur] if memo else scheduled_at(cur)
         if testing:
-            for i in range(len(problems)):
-                detail = None if found[i] else verdict[i, node.state, scheduled]
-                if detail is not None:
+            for i, detail in enumerate(verdicts[node.state, scheduled]):
+                if detail is not None and found[i] is None:
                     found[i] = SchedulerCheck(False, False, node.trace(), detail)
                     running -= 1
         grow = node.depth < depth
         if full or not (grow or (testing and node.depth < check_depth)):
             continue
+        below = node.depth + 1
+        leaf = below >= depth and not running  # a leaf at the depth bound is asked only by a test
+        children = node.children
         for act, t in moves[node.state, scheduled]:
-            if not grow:
-                child = TraceNode(act, t, node.depth + 1, node)
-            else:
-                child = tree.extend(node, act, t)
-                if len(tree.node_list) > limit:
+            child = TraceNode(act, t, below, node)
+            if grow:  # tree.extend, less its duplicate check: the steps' actions are distinct
+                children[act] = child
+                nodes.append(child)
+                if len(nodes) > limit:
                     full = True
                     break
-            # a leaf at the depth bound is asked only by a test
-            if child.depth >= depth and not running:
+            if leaf:
                 nxt = None
             else:
                 nxt = advanced[cur, act] if memo else w.advance(cur, act)

@@ -174,25 +174,31 @@ def build_f(
         return steps, None
 
     paths = _Memo(image_path)
-    for u in concrete.nodes():
+    image_nodes = image.node_list
+    stack = [concrete.root]  # concrete.nodes(), preorder, which fixes the image's order
+    while stack:
+        u = stack.pop()
         if not u.children:
             continue
+        stack.extend(reversed(u.children.values()))
         v = u.meta["image"]
-        scheduled = frozenset(u.children)  # = s1 choices that are enabled
+        scheduled = None  # s1's choices that are enabled, made when a step needs them
         for a, u2 in u.children.items():
             steps, stuck = paths[u.state, a, v.state]
             w = v
             for b, value, nxt_state in steps:
-                value = value or scheduled
+                if value is None:
+                    value = scheduled = scheduled or frozenset(u.children)
                 prev = w.meta.get("s2")
                 if prev is None:
                     w.meta["s2"] = value
                 elif prev is not value and prev != value:
                     _conflict(mt, w, prev, value)
                 child = w.children.get(b)
-                if child is None:
-                    child = image.extend(w, b, nxt_state)
-                    if len(image.node_list) > limit:
+                if child is None:  # image.extend, less its duplicate check
+                    child = w.children[b] = TraceNode(b, nxt_state, w.depth + 1, w)
+                    image_nodes.append(child)
+                    if len(image_nodes) > limit:
                         raise ContractViolation(
                             f"image tree exceeded the node budget {limit}"
                         )
@@ -278,10 +284,13 @@ class S2Scheduler(Scheduler):
         return None
 
     def scheduled(self, cur: tuple) -> frozenset[Action]:
-        value = self._value(cur)
+        image, at = cur
+        if image is self.mt.image:  # _value(cur), inline: a walk asks it at every node
+            value = at.meta.get("s2")
+        else:
+            value = self._value(cur)
         if value is not None:
             return value
-        image, at = cur
         trace = at if image is None else at.trace()
         value = self._value(self._fold(trace))
         while value is None:
@@ -337,38 +346,53 @@ def _preorder(tree: TracePrefixTree) -> tuple[list[TraceNode], dict[TraceNode, i
     return order, number, size
 
 
-class _Projections:
+class _Projections(dict):
     """Projections of node traces onto an alphabet, as ids in one trie.
 
     A node's id is its parent's id extended by its action when that
-    action is in the alphabet, so each node costs one lookup; equal ids
-    mean equal projections, across trees too.  Id 0 is the empty trace,
-    and ids count up in the order their (parent id, action) keys appear.
+    action is in the alphabet; equal ids mean equal projections, across
+    trees too.  Id 0 is the empty trace, and ids count up in the order
+    their (parent id, action) keys appear.  The mapping holds the id of
+    each node numbered.  number(tree.node_list) numbers a whole tree in
+    one parents-first pass, one parent lookup per node; looking up a node
+    not yet numbered numbers it and the ancestors it needs.
     """
 
     def __init__(self, sigma: frozenset[Action]):
+        super().__init__()
         self.sigma = sigma
         self.length = [0]
-        self._ids: dict[TraceNode, int] = {}
         self._child: dict[tuple[int, Action], int] = {}
 
+    def number(self, nodes: Iterable[TraceNode]) -> list[int]:
+        """The ids of nodes given parents first, such as a tree's node_list."""
+        child, length, sigma = self._child, self.length, self.sigma
+        out = []
+        for node in nodes:
+            parent = node.parent
+            pid = 0 if parent is None else self[parent]
+            a = node.action
+            if a in sigma:
+                key = (pid, a)
+                nxt = child.get(key)
+                if nxt is None:
+                    nxt = child[key] = len(length)
+                    length.append(length[pid] + 1)
+                pid = nxt
+            self[node] = pid
+            out.append(pid)
+        return out
+
     def id(self, node: TraceNode) -> int:
+        return self[node]
+
+    def __missing__(self, node: TraceNode) -> int:
         pending = []
         top: TraceNode | None = node
-        while top is not None and top not in self._ids:
+        while top is not None and top not in self:
             pending.append(top)
             top = top.parent
-        pid = 0 if top is None else self._ids[top]
-        for n in reversed(pending):
-            if n.action in self.sigma:
-                key = (pid, n.action)
-                nxt = self._child.get(key)
-                if nxt is None:
-                    nxt = self._child[key] = len(self.length)
-                    self.length.append(self.length[pid] + 1)
-                pid = nxt
-            self._ids[n] = pid
-        return pid
+        return self.number(reversed(pending))[-1]
 
     def trace(self, pid: int) -> Trace:
         keys = list(self._child)  # the key of id i is keys[i - 1]
@@ -399,10 +423,12 @@ def _check_projection(mt: MappedTraces) -> LemmaResult:
     and are certificate-related on the object component.
     """
     proj = _Projections(mt.gamma_p)
+    proj.number(mt.concrete.node_list)
+    proj.number(mt.image.node_list)
     checked = 0
     for u, v in mt.linked():
         checked += 1
-        if proj.id(u) != proj.id(v):
+        if proj[u] != proj[v]:
             return LemmaResult(1, False, f"projections differ at {_fmt(u.trace())}", checked)
         p1 = mt.prod1.part(u.state)
         p2 = mt.prod2.part(v.state)
@@ -425,9 +451,11 @@ def _check_common_prefix(mt: MappedTraces) -> LemmaResult:
     outside the program, call and return alphabet (internal or idle).
     """
     proj = _Projections(mt.gamma_p)
+    proj.number(mt.concrete.node_list)
+    proj.number(mt.image.node_list)
     groups: dict[int, list[TraceNode]] = {}
     for u, v in mt.linked():
-        groups.setdefault(proj.id(v), []).append(u)
+        groups.setdefault(proj[v], []).append(u)
     _, number, size = _preorder(mt.concrete)
     checked = 0
     for nodes in groups.values():
@@ -444,7 +472,7 @@ def _check_common_prefix(mt: MappedTraces) -> LemmaResult:
                     checked,
                 )
             # cur extends prev, so the surplus is observable iff the projection grew
-            if proj.length[proj.id(cur)] > proj.length[proj.id(prev)]:
+            if proj.length[proj[cur]] > proj.length[proj[prev]]:
                 return LemmaResult(
                     2,
                     False,
@@ -643,13 +671,17 @@ def _first_divergence(
         for x, y in level:
             if x.depth >= depth:
                 continue
-            for a, c in x.children.items():
-                d = y.children.get(a)
+            left, right = x.children, y.children
+            matched = 0
+            for a, c in left.items():
+                d = right.get(a)
                 if d is None:
                     found.append((c, False))
                 else:
                     shared.append((c, d))
-            found.extend((d, True) for a, d in y.children.items() if a not in x.children)
+                    matched += 1
+            if matched < len(right):
+                found.extend((d, True) for a, d in right.items() if a not in left)
         if found:
             side = {node.trace(): in_rhs for node, in_rhs in found}
             diff = _smallest(side)
@@ -747,17 +779,15 @@ def _projection_equality(
     depth: int,
 ) -> EqualityResult:
     proj = _Projections(sigma_p)  # one trie, so equal projections get equal ids
+    lhs = set(proj.number(mt.concrete.node_list))
+    rhs = set(proj.number(rhs_tree.node_list))
     lhs_cap = _complete_projection_length(mt.concrete, mt.depth, mt.prod1, proj)
     rhs_cap = _complete_projection_length(rhs_tree, depth2, mt.prod2, proj)
     caps = [c for c in (lhs_cap, rhs_cap, depth) if c is not None]
     bound = min(caps) if caps else None
-
-    def gather(tree: TracePrefixTree) -> set[int]:
-        ids = (proj.id(node) for node in tree.node_list)
-        return {i for i in ids if bound is None or proj.length[i] <= bound}
-
-    lhs = gather(mt.concrete)
-    rhs = gather(rhs_tree)
+    if bound is not None:
+        lhs = {i for i in lhs if proj.length[i] <= bound}
+        rhs = {i for i in rhs if proj.length[i] <= bound}
     if lhs == rhs:
         return EqualityResult(True, bound, None, len(lhs), len(rhs))
     shortest = min(proj.length[i] for i in lhs ^ rhs)

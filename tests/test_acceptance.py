@@ -710,3 +710,56 @@ def test_reports_are_reproducible_byte_for_byte(model_files, tmp_path, capsys):
         assert runs[0] == runs[1]
         # the battery exercised both holding and refuted verdicts
         assert [code for _, code, _ in runs[0][:7]] == [0, 0, 1, 0, 0, 0, 1]
+
+
+# the whole result list of each structural-check mutation above: which checks
+# fail, how many items each check examined, and every counterexample; the
+# counts and the first counterexample found depend on the traversal order
+MUTATION_RESULTS = {
+    "link_map_overshoots": [
+        (1, False, 15, "projections differ at call@1#1·ll@1·sc-ok@1·call@2#2·ll@2·sc-ok@2"
+         "·ret@1#0·ret@2#1·assign@1#0·assign@2#1·idle·idle·idle·idle"),
+        (2, True, 11, None),
+        (3, True, 21, None),
+        (4, True, 20, None),
+        (5, True, 17, None),
+    ],
+    "phantom_sibling_branches": [
+        (1, True, 23, None),
+        (2, False, 2, "phantom-a and phantom-b share image projections but neither extends the other"),
+        (3, True, 23, None),
+        (4, True, 19, None),
+        (5, True, 17, None),
+    ],
+    "link_map_shrinks": [
+        (1, True, 21, None),
+        (2, True, 12, None),
+        (3, False, 16, "image shrinks on step idle after call@1#1·ll@1·sc-ok@1·call@2#2·ll@2·sc-ok@2"
+         "·ret@1#0·ret@2#1·assign@1#0·assign@2#1·idle·idle·idle"),
+        (4, True, 18, None),
+        (5, True, 17, None),
+    ],
+    "shared_image_without_common_prefix": [
+        (1, True, 3, None),
+        (2, True, 0, None),
+        (3, True, 3, None),
+        (4, False, 3, "image prefix idle is shared by assign@1#0 and assign@1#1, "
+         "which share no governing concrete prefix"),
+        (5, True, 0, None),
+    ],
+    "scheduler_contradicts_annotations": [
+        (1, True, 21, None),
+        (2, True, 12, None),
+        (3, True, 21, None),
+        (4, True, 19, None),
+        (5, False, 0, "scheduler disagrees with the annotation at ε"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", MUTATION_RESULTS)
+def test_mutation_results_are_pinned(plain_rig, monkeypatch, case):
+    seen = []
+    monkeypatch.setitem(globals(), "expect_exactly", lambda results, *_: seen.append(results))
+    globals()[f"test_mutation_{case}"](plain_rig)
+    assert [(r.lemma, r.ok, r.checked, r.counterexample) for r in seen[0]] == MUTATION_RESULTS[case]

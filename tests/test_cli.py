@@ -946,6 +946,26 @@ def test_transform_report_and_table_bytes_are_pinned(models, tmp_path, capsys, s
     assert got == TRANSFORM_DIGESTS[(strategy, depth)]
 
 
+# sha256 of the check-lemmas stdout report, with the exit code, on 2-thread
+# plain FAA; the checked counts depend on the order the checks walk the trees
+LEMMAS_DIGESTS = {
+    ("object-first", "14"): (0, "594099ae73ec968bd4f6fa70ec9e63092cecc09fac4136af699c9977fa842b48"),
+    ("object-first", "200"): (0, "cc322718b40973a6c710ce6f1edda79189edfc9754d71c73e9f4be303ae497bd"),
+    ("object-first", "2000"): (0, "4989dfbeb1a8893d12e8f6e2423919d82c5283b9030c5d254daaeae8052d1ccc"),
+    ("fifo", "14"): (0, "84458ac8cbc7c6c1943effb460108aa7f65b615a4a4294fce0a363b57e403cab"),
+}
+
+
+@pytest.mark.parametrize("strategy, depth", LEMMAS_DIGESTS)
+def test_check_lemmas_report_bytes_are_pinned(models, capsys, strategy, depth):
+    code, out, _ = run(
+        capsys,
+        ["check-lemmas", models["prog"], models["plain"], models["spec"],
+         "--strategy", strategy, "--depth", depth],
+    )
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == LEMMAS_DIGESTS[(strategy, depth)]
+
+
 CASESTUDY_DIGEST = (0, "668758e61326dabb751d40c6c016f91e4b5d356c1d285a2ef9ed9ab4e3cbec06")
 
 
