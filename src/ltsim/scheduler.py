@@ -393,9 +393,8 @@ def _walk(
     at_cursor = _Memo(scheduled_at)
     advanced = _Memo(lambda key: w.advance(*key))
     moves = _Memo(steps)
-    verdicts = _Memo(lambda key: [problem(a, *key) for problem in problems])
+    verdict = _Memo(lambda key: problems[key[0]](a, key[1], key[2]))
     tree = TracePrefixTree(a.initial)
-    nodes = tree.node_list
     found: list[SchedulerCheck | None] = [None] * len(problems)
     running = len(problems)
     queue: deque[tuple[TraceNode, Any]] = deque([(tree.root, w.cursor())])
@@ -415,25 +414,24 @@ def _walk(
             continue
         scheduled = at_cursor[cur] if memo else scheduled_at(cur)
         if testing:
-            for i, detail in enumerate(verdicts[node.state, scheduled]):
-                if detail is not None and found[i] is None:
+            for i in range(len(problems)):
+                detail = None if found[i] else verdict[i, node.state, scheduled]
+                if detail is not None:
                     found[i] = SchedulerCheck(False, False, node.trace(), detail)
                     running -= 1
         grow = node.depth < depth
         if full or not (grow or (testing and node.depth < check_depth)):
             continue
-        below = node.depth + 1
-        leaf = below >= depth and not running  # a leaf at the depth bound is asked only by a test
-        children = node.children
         for act, t in moves[node.state, scheduled]:
-            child = TraceNode(act, t, below, node)
-            if grow:  # tree.extend, less its duplicate check: the steps' actions are distinct
-                children[act] = child
-                nodes.append(child)
-                if len(nodes) > limit:
+            if not grow:
+                child = TraceNode(act, t, node.depth + 1, node)
+            else:
+                child = tree.extend(node, act, t)
+                if len(tree.node_list) > limit:
                     full = True
                     break
-            if leaf:
+            # a leaf at the depth bound is asked only by a test
+            if child.depth >= depth and not running:
                 nxt = None
             else:
                 nxt = advanced[cur, act] if memo else w.advance(cur, act)

@@ -174,31 +174,25 @@ def build_f(
         return steps, None
 
     paths = _Memo(image_path)
-    image_nodes = image.node_list
-    stack = [concrete.root]  # concrete.nodes(), preorder, which fixes the image's order
-    while stack:
-        u = stack.pop()
+    for u in concrete.nodes():
         if not u.children:
             continue
-        stack.extend(reversed(u.children.values()))
         v = u.meta["image"]
-        scheduled = None  # s1's choices that are enabled, made when a step needs them
+        scheduled = frozenset(u.children)  # = s1 choices that are enabled
         for a, u2 in u.children.items():
             steps, stuck = paths[u.state, a, v.state]
             w = v
             for b, value, nxt_state in steps:
-                if value is None:
-                    value = scheduled = scheduled or frozenset(u.children)
+                value = value or scheduled
                 prev = w.meta.get("s2")
                 if prev is None:
                     w.meta["s2"] = value
                 elif prev is not value and prev != value:
                     _conflict(mt, w, prev, value)
                 child = w.children.get(b)
-                if child is None:  # image.extend, less its duplicate check
-                    child = w.children[b] = TraceNode(b, nxt_state, w.depth + 1, w)
-                    image_nodes.append(child)
-                    if len(image_nodes) > limit:
+                if child is None:
+                    child = image.extend(w, b, nxt_state)
+                    if len(image.node_list) > limit:
                         raise ContractViolation(
                             f"image tree exceeded the node budget {limit}"
                         )
@@ -284,13 +278,10 @@ class S2Scheduler(Scheduler):
         return None
 
     def scheduled(self, cur: tuple) -> frozenset[Action]:
-        image, at = cur
-        if image is self.mt.image:  # _value(cur), inline: a walk asks it at every node
-            value = at.meta.get("s2")
-        else:
-            value = self._value(cur)
+        value = self._value(cur)
         if value is not None:
             return value
+        image, at = cur
         trace = at if image is None else at.trace()
         value = self._value(self._fold(trace))
         while value is None:
