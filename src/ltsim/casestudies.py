@@ -36,7 +36,7 @@ from .simulation import (
 )
 from .transform import (
     build_f,
-    check_lemma,
+    check_all_lemmas,
     check_s2,
     construct_s2,
     unlink_trees,
@@ -506,7 +506,7 @@ def run_counterexample_suite(
         _, adm1, det1 = check_scheduler_tree(s1, prod_plain, depth, 0, budget=budget)
         mt = build_f(prod_plain, s1, prod_spec, plain_prog.certificate, depth, budget=budget)
         s2 = construct_s2(mt, budget=budget)
-        lemmas = [check_lemma(i, mt, s2) for i in (1, 2, 3, 4, 5)]
+        lemmas = check_all_lemmas(mt, s2)
         s2_checks = check_s2(
             mt, s2, prod_plain.alphabet.program, PROJECTION_STEPS, budget=budget
         )

@@ -35,7 +35,7 @@ from .lts import (
     sort_actions,
     validate_lasso,
 )
-from .modelio import dumps, format_lts_text, load_model, to_dot
+from .modelio import dumps, format_lts_text, load_model, to_dot, unique_keys
 from .scheduler import (
     STRATEGIES,
     check_admitted,
@@ -56,7 +56,7 @@ from .simulation import (
 )
 from .transform import (
     build_f,
-    check_lemma,
+    check_all_lemmas,
     check_s2,
     construct_s2,
     unlink_trees,
@@ -105,17 +105,9 @@ def _read(path: str) -> Lts:
     return load_model(_read_text(path))
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    # json.loads keeps only the last value of a repeated key, such as a second rank for one state
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        raise ParseError("malformed certificate: a JSON object repeats a key")
-    return obj
-
-
 def _read_certificate(path: str, a1: Lts, a2: Lts):
     try:
-        payload = json.loads(_read_text(path), object_pairs_hook=_unique_keys)
+        payload = json.loads(_read_text(path), object_pairs_hook=unique_keys("certificate"))
     except json.JSONDecodeError as e:
         raise ParseError(f"certificate is not JSON: {e.msg}", line=e.lineno, column=e.colno) from None
     return certificate_from_dict(payload, a1, a2)
@@ -390,7 +382,7 @@ def _cmd_transform_scheduler(args: argparse.Namespace) -> int:
 
 def _cmd_check_lemmas(args: argparse.Namespace) -> int:
     _prod1, mt, s2, cert_source = _load_transform(args)
-    results = [check_lemma(i, mt, s2) for i in (1, 2, 3, 4, 5)]
+    results = check_all_lemmas(mt, s2)
     unlink_trees(mt, s2)
     data = {
         "certificate": cert_source,

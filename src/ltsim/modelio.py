@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import Any
 
 from .errors import ModelError, ParseError
@@ -227,9 +227,22 @@ def dumps(lts: Lts) -> str:
     return json.dumps(lts_to_dict(lts), indent=2, sort_keys=True) + "\n"
 
 
+def unique_keys(what: str) -> Callable[[list[tuple[str, Any]]], dict]:
+    """object_pairs_hook for json.loads that raises ParseError on a
+    repeated key, where json.loads would silently keep the last value."""
+
+    def hook(pairs: list[tuple[str, Any]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            raise ParseError(f"malformed {what}: a JSON object repeats a key")
+        return obj
+
+    return hook
+
+
 def loads(text: str) -> Lts:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys("model"))
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from None
     return lts_from_dict(data)

@@ -232,7 +232,10 @@ class S2Scheduler(Scheduler):
     outside the image get the idle singleton, which no consistent trace
     ever reaches.  Queries past the bounded tree trigger a deeper
     rebuild up to a cap (the first depth plus twice the concrete state
-    count plus 8), then raise DepthExhausted.
+    count plus 8), then raise DepthExhausted.  A concrete tree without a
+    frontier (every trace ended before the depth) is already the tree at
+    every depth up to the cap, so a query it leaves open raises at once,
+    naming the cap.
 
     A cursor is an image-tree node, so a walk costs one child lookup per
     step.  In the unbuilt fringe, or on a tree that a deeper rebuild has
@@ -285,8 +288,10 @@ class S2Scheduler(Scheduler):
         trace = at if image is None else at.trace()
         value = self._value(self._fold(trace))
         while value is None:
-            if not self.auto_deepen or self.mt.depth >= self.max_depth:
+            if not self.auto_deepen:
                 raise DepthExhausted(len(trace) + 1, self.mt.depth)
+            if self.mt.depth >= self.max_depth or not self.mt.frontier():
+                raise DepthExhausted(len(trace) + 1, self.max_depth)
             self.mt = build_f(
                 self.mt.prod1,
                 self.mt.s1,
@@ -624,7 +629,8 @@ def check_lemma(lemma_id: int, mt: MappedTraces, s2: Scheduler | None = None) ->
 
 
 def check_all_lemmas(mt: MappedTraces, s2: Scheduler) -> list[LemmaResult]:
-    return [check_lemma(i, mt, s2) for i in (1, 2, 3, 4)] + [check_lemma(5, mt, s2)]
+    """The five structural checks, in order."""
+    return [check_lemma(i, mt, s2) for i in (1, 2, 3, 4, 5)]
 
 
 # --- trace set comparison -----------------------------------------------
@@ -681,23 +687,6 @@ def _first_divergence(
     return None
 
 
-def _image_depth(mt: MappedTraces, settled: int | None) -> int:
-    """Depth of the image comparison: the settled length, else the whole image."""
-    return settled if settled is not None else max(v.depth for v in mt.image.node_list)
-
-
-def check_image_equality(
-    mt: MappedTraces, s2: Scheduler, budget: int | None = None
-) -> EqualityResult:
-    """The abstract scheduler admits exactly the image prefixes, bounded.
-
-    Compares consistent traces of prod2 under s2 against image-tree
-    traces, both restricted to the settled image length.
-    """
-    depth2 = _image_depth(mt, mt.settled_image_length())
-    return _image_equality(mt, enumerate_traces(mt.prod2, s2, depth2, budget=budget), depth2)
-
-
 def _image_equality(mt: MappedTraces, rhs_tree: TracePrefixTree, depth2: int) -> EqualityResult:
     lhs_size = sum(1 for v in mt.image.node_list if v.depth <= depth2)
     found = _first_divergence(mt.image.root, rhs_tree.root, depth2)
@@ -742,24 +731,6 @@ def _complete_projection_length(
         if leaf.depth >= depth and not leaf.children and leaf.state not in saturated
     ]
     return min(caps) if caps else None
-
-
-def check_projection_equality(
-    mt: MappedTraces,
-    s2: Scheduler,
-    sigma_p: frozenset[Action],
-    depth: int,
-    budget: int | None = None,
-) -> EqualityResult:
-    """Projected trace sets of both scheduled systems coincide, bounded.
-
-    Projections are compared up to the largest length both bounded
-    trees are guaranteed to cover completely, additionally capped by
-    the requested depth.
-    """
-    depth2 = _image_depth(mt, mt.settled_image_length())
-    rhs_tree = enumerate_traces(mt.prod2, s2, depth2, budget=budget)
-    return _projection_equality(mt, rhs_tree, depth2, sigma_p, depth)
 
 
 def _projection_equality(
@@ -810,15 +781,21 @@ def check_s2(
 ) -> S2Checks:
     """Admission, determinism, image and projection equality of s2, from one walk.
 
-    The results, and any error, of check_admitted and
-    check_deterministic_scheduler to one less than the settled image
-    length (to mt.depth when the concrete tree closed early), then
-    check_image_equality and check_projection_equality(mt, s2, sigma_p,
-    depth); but s2's traces are walked, and the settled length found, once.
+    With L the settled image length, s2's traces of mt.prod2 are walked
+    once, to L.  They give what check_admitted and
+    check_deterministic_scheduler give to L - 1 (admitted, deterministic).
+    Their tree must equal the image tree cut at L (images), and its
+    projections onto sigma_p the concrete tree's (projections), compared
+    up to the longest projection both trees are sure to cover, capped by
+    depth.  When the concrete tree closed before mt.depth, L is the image
+    tree's depth and the first two checks run to mt.depth.  An error of
+    the walk, such as a spent budget, is raised.
     """
     settled = mt.settled_image_length()
-    depth2 = _image_depth(mt, settled)
-    check_depth = settled - 1 if settled is not None else mt.depth
+    if settled is None:
+        depth2, check_depth = max(v.depth for v in mt.image.node_list), mt.depth
+    else:
+        depth2, check_depth = settled, settled - 1
     tree, adm, det = check_scheduler_tree(s2, mt.prod2, check_depth, depth2, budget=budget)
     images = _image_equality(mt, tree, depth2)
     projections = _projection_equality(mt, tree, depth2, sigma_p, depth)

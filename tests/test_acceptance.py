@@ -55,9 +55,8 @@ from ltsim import (
     check_all_lemmas,
     check_deterministic_scheduler,
     check_forward,
-    check_image_equality,
     check_progressive,
-    check_projection_equality,
+    check_s2,
     construct_s2,
     dumps,
     find_divergence,
@@ -223,9 +222,10 @@ def test_terminating_variant_scheduler_transform(plain_rig):
         det = check_deterministic_scheduler(s2, plain_rig.prod2, walk)
         assert adm.ok, adm.detail
         assert det.ok, det.detail
-        images = check_image_equality(mt, s2)
+        s2_checks = check_s2(mt, s2, plain_rig.prod1.alphabet.program, 8)
+        images = s2_checks.images
         assert images.ok, images.counterexample
-        proj = check_projection_equality(mt, s2, plain_rig.prod1.alphabet.program, 8)
+        proj = s2_checks.projections
         assert proj.ok and proj.counterexample is None
         assert proj.compare_length == 8
         transform_ok = True
@@ -270,7 +270,8 @@ def test_random_object_pair_corpus():
             for depth in (16, 22, 30):
                 mt = build_f(prod1, s1, prod2, res.certificate, depth)
                 s2 = construct_s2(mt)
-                proj = check_projection_equality(mt, s2, prod1.alphabet.program, 8)
+                s2_checks = check_s2(mt, s2, prod1.alphabet.program, 8)
+                proj = s2_checks.projections
                 if proj.compare_length == 8:
                     break
 
@@ -278,7 +279,7 @@ def test_random_object_pair_corpus():
             walk = settled - 1 if settled is not None else mt.depth
             adm = check_admitted(s2, prod2, walk)
             det = check_deterministic_scheduler(s2, prod2, walk)
-            images = check_image_equality(mt, s2)
+            images = s2_checks.images
             good = (
                 adm.ok
                 and det.ok

@@ -192,6 +192,16 @@ def test_a_json_model_must_name_its_initial_state(tmp_path, capsys, initial):
     assert "model field 'initial'" in err
 
 
+def test_a_json_model_that_repeats_a_key_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"alphabet": {"internal": ["x"]}, "initial": "a", '
+        '"transitions": [["a", "x", "b"]], "transitions": []}'
+    )
+    code, out, err = run(capsys, ["check-det", str(bad)])
+    assert (code, out, err) == (3, "", "ltsim: malformed model: a JSON object repeats a key\n")
+
+
 MALFORMED_RANKS = {
     "list": [1, 2],
     "non-integer-key": {"x": 1},

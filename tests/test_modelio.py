@@ -113,6 +113,23 @@ def test_loads_rejects_malformed_json_shapes(alphabet, transitions):
         loads(json.dumps(payload))
 
 
+REPEATED_KEY_MODELS = {
+    # json.loads alone keeps the last of each: a one-state model without edges
+    "top-level": '{"alphabet": {"internal": ["x"]}, "initial": "a", '
+    '"transitions": [["a", "x", "b"]], "transitions": [], "initial": "b"}',
+    "alphabet-section": '{"alphabet": {"internal": ["x"], "internal": []}, '
+    '"initial": "a", "transitions": [["a", "x", "b"]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_KEY_MODELS))
+def test_a_json_model_that_repeats_a_key_is_a_parse_error(name):
+    for read in (loads, load_model):
+        with pytest.raises(ParseError) as e:
+            read(REPEATED_KEY_MODELS[name])
+        assert str(e.value) == "malformed model: a JSON object repeats a key"
+
+
 @pytest.mark.parametrize(
     "text, calls, rows",
     [

@@ -1,11 +1,9 @@
 """check_s2: the four checks of a derived scheduler from one walk.
 
-check_s2 must give what check_admitted, check_deterministic_scheduler,
-check_image_equality and check_projection_equality give when run one
-after the other, the way the command line ran them, error included, while
-asking the scheduler once per node of its tree.  Those four now share
-one walker with check_s2, so both are also compared with the walks as
-they were before (reference_walks.py).
+check_s2 must give what the four separate checks of reference_walks.py
+give when run one after the other, the way the command line once ran
+them, error included, while asking the scheduler once per node of its
+tree.
 """
 
 import gc
@@ -24,17 +22,14 @@ from reference_walks import (
     reference_check_projection_equality,
 )
 from ltsim import (
+    DepthExhausted,
     MaximalStrategy,
     ObjectFirstStrategy,
     S2Scheduler,
     Scheduler,
     TableScheduler,
     build_f,
-    check_admitted,
-    check_deterministic_scheduler,
-    check_image_equality,
     check_progressive,
-    check_projection_equality,
     check_s2,
     construct_s2,
     enumerate_traces,
@@ -59,9 +54,7 @@ def outcome(run):
         return ("raises", type(e).__name__, str(e))
 
 
-def separately(mt, s2, sigma_p, depth, budget=None, checks=(
-    check_admitted, check_deterministic_scheduler, check_image_equality, check_projection_equality
-)):
+def separately(mt, s2, sigma_p, depth, budget, checks):
     """The four checks in turn, as the command line used to run them."""
     admitted, deterministic, images, projections = checks
     settled = mt.settled_image_length()
@@ -88,10 +81,9 @@ def at_once(mt, s2, sigma_p, depth, budget=None):
 
 
 def assert_agree(mt, make_s2, sigma_p, depth, budget=None):
-    """All three ways, each on a fresh scheduler (S2 rebuilds itself deeper
+    """Both ways, each on a fresh scheduler (S2 rebuilds itself deeper
     when asked past its tree); results compare field by field."""
     want = separately(mt, make_s2(), sigma_p, depth, budget, REFERENCE)
-    assert separately(mt, make_s2(), sigma_p, depth, budget) == want, budget
     got = at_once(mt, make_s2(), sigma_p, depth, budget)
     assert got == want, (budget, got, want)
     return got
@@ -253,6 +245,32 @@ def test_no_frontier_results_are_pinned(plain):
 
 
 NO_FRONTIER_DIGEST = "aa3b94c9f1bf48765d7fdda89f46893195b52198f7ab55ee9abfb7c7a847b4b7"
+
+
+def test_no_frontier_s2_gives_up_without_rebuilding(plain, monkeypatch):
+    """A concrete tree that closed early is the tree at every depth, so S2
+    raises at the first query past it, naming its cap, and builds no
+    deeper tree."""
+    import ltsim.transform as transform
+
+    rebuilds = []
+    build = transform.build_f
+
+    def counting(*args, **kwargs):
+        rebuilds.append(args[4])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "build_f", counting)
+    asked = 0
+    for case, mt, make_s2 in no_frontier_cases(plain):
+        if case[2] != "s2":
+            continue
+        s2 = make_s2()
+        with pytest.raises(DepthExhausted) as e:
+            check_s2(mt, s2, plain[0].alphabet.program, 8)
+        assert e.value.have == s2.max_depth, case
+        asked += 1
+    assert (asked, rebuilds) == (10, [])
 
 
 # --- one walk -------------------------------------------------------------------

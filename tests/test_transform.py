@@ -24,10 +24,9 @@ from ltsim import (
     check_all_lemmas,
     check_deterministic_scheduler,
     check_forward,
-    check_image_equality,
     check_lemma,
     check_progressive,
-    check_projection_equality,
+    check_s2,
     construct_s2,
     mapping_m,
     product,
@@ -276,7 +275,7 @@ def test_s2_auto_deepens_and_exhausts():
 
 def test_image_equality_frozen(plain):
     mt, s2 = plain
-    eq = check_image_equality(mt, s2)
+    eq = check_s2(mt, s2, mt.prod1.alphabet.program, depth=8).images
     assert eq.ok, eq.counterexample
     assert eq.compare_length == 12
     assert eq.lhs_size == eq.rhs_size == 19
@@ -284,7 +283,7 @@ def test_image_equality_frozen(plain):
 
 def test_projection_equality_frozen(plain):
     mt, s2 = plain
-    eq = check_projection_equality(mt, s2, mt.prod1.alphabet.program, depth=8)
+    eq = check_s2(mt, s2, mt.prod1.alphabet.program, depth=8).projections
     assert eq.ok, eq.counterexample
     assert eq.compare_length == 8
     assert eq.lhs_size == eq.rhs_size == 5
@@ -302,7 +301,7 @@ def test_projection_equality_catches_a_wrong_scheduler(plain):
                 return mt.image.root.meta["s2"]
             return frozenset({idle2}) if mt.prod2.alphabet.idle else frozenset()
 
-    eq = check_projection_equality(mt, LazyS2(), mt.prod1.alphabet.program, depth=8)
+    eq = check_s2(mt, LazyS2(), mt.prod1.alphabet.program, depth=8).projections
     assert not eq.ok
     assert "projection" in eq.counterexample
 
@@ -396,13 +395,14 @@ def replay_counts(monkeypatch, parts, depth):
         mt = build_f(prod1, s1, prod2, cert, depth)
         s2 = construct_s2(mt)
         walk = mt.settled_image_length() - 1
+        s2_checks = check_s2(mt, s2, prod1.alphabet.program, depth)
         results = [
             check_admitted(s1, prod1, depth).ok,
             check_deterministic_scheduler(s1, prod1, depth).ok,
             check_admitted(s2, prod2, walk).ok,
             check_deterministic_scheduler(s2, prod2, walk).ok,
-            check_image_equality(mt, s2).ok,
-            check_projection_equality(mt, s2, prod1.alphabet.program, depth).ok,
+            s2_checks.images.ok,
+            s2_checks.projections.ok,
             *(r.ok for r in check_all_lemmas(mt, s2)),
         ]
     assert all(results), results
