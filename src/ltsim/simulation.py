@@ -9,9 +9,12 @@ a well-founded order that strictly decreases on every stuttering match
 
 The checker computes the greatest such F over all state pairs by row
 refinement over bitsets.  Each concrete state has one Python int whose
-bits are its related abstract states.  A step s1 -a-> t keeps exactly
-the abstract states whose a-matches land in t's row, the predecessor
-image of that row, so checking a row is one AND per step.  Rows start
+bit s2 is set iff abstract state s2 is related, so every row, image and
+mask is an |S2|-bit int; one helper decodes a row's set bits, clearing
+the lowest set bit in turn when the row is sparse and reading bin()'s
+digits when it is dense.  A step s1 -a-> t keeps exactly the abstract
+states whose a-matches land in t's row, the predecessor image of that
+row, so checking a row is one AND per step.  Rows start
 full; a worklist of concrete states re-checks a row whenever a successor
 row shrank, so a state's first check drops the partners with a step
 that has no match at all.  The worklist starts in DFS postorder,
@@ -48,7 +51,9 @@ shared: 2,470 blocks for the 8,901 steps of 4-thread FAA.
 validate_certificate reads nothing the checker built.  Every check but
 rank descent reads only a step's search key, the rows of s1 and t and
 the step's block, so it checks each distinct block once (239 for 3-thread
-FAA), and the rank check and the reporting stay per clause.
+FAA), and the rank check and the reporting stay per clause.  Within the
+blocks, each distinct (search key, s2, choice) value is replayed once:
+3,485 replays for the 22,112 clauses of those blocks on 4-thread FAA.
 """
 
 from __future__ import annotations
@@ -81,15 +86,38 @@ class ChoiceEntry(NamedTuple):
     target: int
 
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(row: int) -> Iterable[int]:
+    """The positions of the set bits of row, a non-negative int, ascending.
+
+    Clearing the lowest set bit costs a pass over the int per set bit, and
+    decoding the reversed digits of bin(row) one pass in all plus a step per
+    position, so a sparse row takes the first way and a dense one the second.
+    The two cost about the same where the count of set bits squared is 4 *
+    width (timed at widths from 64 to 46,000 bits); the first way is
+    quadratic on a full row.
+    """
+    width = row.bit_length()
+    if row.bit_count() ** 2 >= 4 * width:
+        return compress(range(width), bin(row)[:1:-1].encode().translate(_BINARY_DIGITS))
+    found = []
+    while row:
+        low = row & -row
+        found.append(low.bit_length() - 1)
+        row ^= low
+    return found
+
+
 class Relation(Set):
     """A set of (concrete state, abstract state) pairs held as bitset rows.
 
-    Bit 8 * s2 of row s1 is set iff (s1, s2) is in the relation; stride 8
-    makes to_bytes one 0/1 byte per abstract state, ready for compress.
-    Rows take few distinct values, so partners decodes each distinct row
-    value once.  Membership is one shift, the size a sum of bit counts,
-    and iteration yields the pairs in ascending order.  Elements are
-    pairs of non-negative ints: building one from anything else raises.
+    Bit s2 of row s1 is set iff (s1, s2) is in the relation.  Rows take
+    few distinct values, so partners decodes each distinct row value once.
+    Membership is one shift, the size a sum of bit counts, and iteration
+    yields the pairs in ascending order.  Elements are pairs of
+    non-negative ints: building one from anything else raises.
     """
 
     __slots__ = ("_rows", "_decoded")
@@ -107,7 +135,7 @@ class Relation(Set):
                 raise ValueError(f"pair ({s1}, {s2}) is not a pair of state numbers")
             if s1 >= len(rows):
                 rows.extend([0] * (s1 + 1 - len(rows)))
-            rows[s1] |= 1 << 8 * s2
+            rows[s1] |= 1 << s2
         return cls(rows)
 
     _from_iterable = from_pairs  # what the Set operators build their results with
@@ -119,10 +147,7 @@ class Relation(Set):
         row = self._rows[s1]
         found = self._decoded.get(row)
         if found is None:
-            width = (row.bit_length() + 7) // 8
-            found = self._decoded[row] = dict.fromkeys(
-                compress(range(width), row.to_bytes(width, "little"))
-            )
+            found = self._decoded[row] = dict.fromkeys(_bits(row))
         return found.keys()
 
     def __contains__(self, pair: object) -> bool:
@@ -132,7 +157,7 @@ class Relation(Set):
         rows = self._rows
         return (
             isinstance(s1, int) and isinstance(s2, int) and 0 <= s1 < len(rows) and s2 >= 0
-            and rows[s1] >> 8 * s2 & 1 == 1
+            and rows[s1] >> s2 & 1 == 1
         )
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
@@ -462,17 +487,17 @@ def _postorder(steps: list[list[tuple[int, int]]]) -> list[int]:
 def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, bool]:
     """Greatest relation over all pairs, and completeness.
 
-    Row refinement over bitsets: row[s1] has bit 8 * s2 set while (s1, s2)
-    is related, and into[k][t] bit 8 * s2 for each s2 where a match of
-    search code k lands in t; stride 8 makes to_bytes one 0/1 byte per
-    abstract state, ready for compress.  A step's code is that of its
-    action's MatchTable key, so all actions gamma hides share one code.  A
-    step s1 -k-> t keeps exactly the partners in the predecessor image of
-    row[t], the OR of into[k][t2] over the bits t2 of row[t], so a row
-    check is one AND per step.  States with equal rows have equal images,
-    so each image is computed once per distinct (code, row) value and kept
-    until the fixpoint ends.  Rows start full, and a full row's image under
-    k is every s2 with a k-match.  A worklist of concrete states, seeded in
+    Row refinement over bitsets: row[s1] has bit s2 set while (s1, s2) is
+    related, and into[k][t] has bit s2 set for each s2 where a match of
+    search code k lands in t, so every row, mask and image is an |S2|-bit
+    int.  A step's code is that of its action's MatchTable key, so all
+    actions gamma hides share one code.  A step s1 -k-> t keeps exactly the
+    partners in the predecessor image of row[t], the OR of into[k][t2] over
+    the bits t2 of row[t] (decoded by _bits), so a row check is one AND per
+    step.  States with equal rows have equal images, so each image is
+    computed once per distinct (code, row) value and kept until the
+    fixpoint ends.  Rows start full, and a full row's image under k is
+    every s2 with a k-match.  A worklist of concrete states, seeded in
     DFS postorder so that most rows are checked against successor rows that
     are already final, re-checks a row whenever a successor row shrank.
     The final rows are the returned Relation's rows.
@@ -492,12 +517,12 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
         preds[t].append(s)
     into = [[0] * n2 for _ in probe]
     for s2 in range(n2):
-        bit = 1 << 8 * s2
+        bit = 1 << s2
         for k, a in enumerate(probe):
             masks = into[k]
             for _, t in table.candidates(a, s2):
                 masks[t] |= bit
-    row = [int.from_bytes(b"\x01" * n2, "little")] * n1  # every pair related at first
+    row = [(1 << n2) - 1] * n1  # every pair related at first
     images: dict[tuple[int, int], int] = {}  # (k, row) -> predecessor image of row under k
     queue, queued = deque(_postorder(steps)), bytearray(b"\x01") * n1
     while queue:
@@ -508,7 +533,7 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
             image = images.get((k, row[t]))
             if image is None:
                 image, masks = 0, into[k]
-                for t2 in compress(range(n2), row[t].to_bytes(n2, "little")):
+                for t2 in _bits(row[t]):
                     image |= masks[t2]
                 images[(k, row[t])] = image
             kept &= image
@@ -544,14 +569,14 @@ def _first_sweep_meets_cut(
     is_cut = [bytearray(n2) for _ in probe]
     for k, s2 in cut:
         is_cut[k][s2] = 1
-    row = [int.from_bytes(b"\x01" * n2, "little")] * len(steps)
+    row = [(1 << n2) - 1] * len(steps)
     for s1, es in enumerate(steps):
         for s2 in range(n2):
             for k, t in es:
                 if is_cut[k][s2]:
                     return True
-                if not any(row[t] >> 8 * t2 & 1 for _, t2 in table.candidates(probe[k], s2)):
-                    row[s1] ^= 1 << 8 * s2
+                if not any(row[t] >> t2 & 1 for _, t2 in table.candidates(probe[k], s2)):
+                    row[s1] ^= 1 << s2
                     break
     return False
 
@@ -850,8 +875,12 @@ def validate_certificate(
     block, so each distinct block is checked once: memoized by (search key,
     own row, landing row), with messages that leave the action to be
     filled in, it counts as checked when it equals the block checked last
-    under that key.  The rank check stays per (s1, step), and problems are
-    reported per clause, in ascending pair order.
+    under that key.  Within a block, all but the landing check read only
+    the search key, s2 and the choice, so each distinct (search key, s2,
+    choice) is replayed once per call.  Both memos compare values, never
+    object identity, so a certificate built by the checker and one parsed
+    from a file are checked alike.  The rank check stays per (s1, step),
+    and problems are reported per clause, in ascending pair order.
     """
     problems: list[str] = []
 
@@ -869,6 +898,7 @@ def validate_certificate(
     # (search key, own row class, landing row class) -> the block checked last
     # under that key, its problems and its stutters
     checked: dict[tuple[Action | None, int, int], tuple[dict, Wrong, frozenset[int]]] = {}
+    replayed: dict = {}  # (search key, s2, choice) -> what _block_problems found replaying it
     for s1, row in enumerate(relation._rows):
         mine = relation.partners(s1)
         if s1 >= n1:
@@ -885,7 +915,7 @@ def validate_certificate(
             memo = checked.get(shape)
             if memo is None or memo[0] != block:
                 memo = checked[shape] = (block, *_block_problems(
-                    shape[0], block, mine, relation.partners(s1n), a2, gamma, bound
+                    shape[0], block, mine, relation.partners(s1n), a2, gamma, bound, replayed
                 ))
             _, wrong, stutters = memo
             if stutters and (witness is None or witness.of(s1n) < witness.of(s1)):
@@ -901,7 +931,7 @@ def validate_certificate(
                         f"rank does not descend on stutter ({s1}, {a.label()}, {s1n}): "
                         f"{witness.of(s1)} -> {witness.of(s1n)}"
                     )
-        if row >> 8 * n2:
+        if row >> n2:
             for s2 in mine:
                 if s2 >= n2:
                     report(f"pair ({s1}, {s2}) is outside the state ranges")
@@ -916,6 +946,7 @@ def _block_problems(
     a2: Lts,
     gamma: frozenset[Action],
     bound: int,
+    replayed: dict[tuple[Action | None, int, ChoiceEntry], tuple[list[str], bool]],
 ) -> tuple[Wrong, frozenset[int]]:
     """What is wrong with one step's block of choices at every state whose
     partners are mine and whose successor's partners are landing.
@@ -924,7 +955,9 @@ def _block_problems(
     None.  Returns, per partner s2 with a problem, its messages as
     templates to be filled with the concrete state s1, the action's label
     a and the successor s1n; and the partners whose choice stutters and
-    replays, which need a rank descent.
+    replays, which need a rank descent.  All but the landing check read
+    only key, s2 and the choice, so their messages, and whether alpha
+    replays, are kept in replayed per distinct (key, s2, choice) value.
     """
     n2 = a2.num_states
     want = () if key is None else (key,)
@@ -933,13 +966,14 @@ def _block_problems(
     for s2 in mine:
         if s2 >= n2:
             break  # outside the state ranges, reported per pair
-        heads = []  # messages that end in the clause, "({s1}, {a}, {s2})"
-        at_successor = None  # the landing message, which ends in the successor
         entry = block.get(s2)
         if entry is None:
-            heads.append("no choice for (")
-        else:
-            alpha, target = entry
+            wrong[s2] = [f"no choice for ({{s1}}, {{a}}, {s2})"]
+            continue
+        alpha, target = entry
+        replay = replayed.get((key, s2, entry))
+        if replay is None:
+            heads = []  # messages that end in the clause, "({s1}, {a}, {s2})"
             if len(alpha) > bound:
                 heads.append(f"alpha of length {len(alpha)} exceeds the bound {bound} at (")
             if tuple(filter(gamma.__contains__, alpha)) != want:
@@ -947,16 +981,19 @@ def _block_problems(
             landed = _run_from(a2, s2, alpha)
             if landed is None:
                 heads.append("alpha does not replay at (")
-            else:
-                if landed != target:
-                    heads.append(f"alpha lands in {landed}, recorded target {target} at (")
-                if target not in landing:
-                    at_successor = f"landing ({{s1n}}, {target}) not in relation"
-                if not alpha:
-                    stutters.append(s2)
-        if heads or at_successor:
-            found = [f"{head}{{s1}}, {{a}}, {s2})" for head in heads]
-            wrong[s2] = found + [at_successor] if at_successor else found
+            elif landed != target:
+                heads.append(f"alpha lands in {landed}, recorded target {target} at (")
+            replay = replayed[(key, s2, entry)] = (
+                [f"{head}{{s1}}, {{a}}, {s2})" for head in heads], landed is not None
+            )
+        found, replays = replay
+        if replays:
+            if target not in landing:
+                found = [*found, f"landing ({{s1n}}, {target}) not in relation"]
+            if not alpha:
+                stutters.append(s2)
+        if found:
+            wrong[s2] = found
     return wrong, frozenset(stutters)
 
 

@@ -432,11 +432,27 @@ def choice_digest(choice):
     return h.hexdigest()
 
 
+def relation_digest(relation):
+    """sha256 of the (s1, s2) stream, one line per pair in iteration order."""
+    h = hashlib.sha256()
+    for s1, s2 in relation:
+        h.update(f"{s1} {s2}\n".encode())
+    return h.hexdigest()
+
+
 # choice count and choice_digest per variant, recorded before choices were
 # kept per step block
 FOUR_THREAD_CHOICES = {
     "invalidating": (54_845, "87fa8e75d5a15b66446d2c4f181c9358328581bd587919e3c55ca7a761a8f654"),
     "plain": (53_313, "2f7677f60e07365b63e63bb5597917c8ad854d19ebdb50499fc28a77944a6181"),
+}
+
+
+# relation_digest per variant, recorded while rows kept abstract state s2
+# at bit 8 * s2
+FOUR_THREAD_RELATIONS = {
+    "invalidating": "5e8a6cb08e40ce3107ef02e6383fe5485e6fc1c1adacf473d313e36533a0a9b1",
+    "plain": "67e9b294f81cf85b49117d0c57551523ed6f77df686d19a180e77d6393e1b96f",
 }
 
 
@@ -446,9 +462,11 @@ FOUR_THREAD_CHOICES = {
 )
 def test_faa_four_threads_forward_pins(variant, size, deleted):
     # the only FAA case where the alpha bound cuts searches (none at 3 threads)
+    # and the only one with more than 255 abstract states
     a1, a2, gamma, bound = faa_case(variant, threads=4)
     res = check_forward(a1, a2, gamma, alpha_bound=bound)
     assert (len(res.relation), res.complete, res.deleted) == (size, False, deleted)
+    assert relation_digest(res.relation) == FOUR_THREAD_RELATIONS[variant]
     assert res.certificate is not None
     cert = res.certificate
     assert (len(cert.choice), choice_digest(cert.choice)) == FOUR_THREAD_CHOICES[variant]
@@ -573,7 +591,33 @@ def test_faa_three_threads_plain_progressive_at_default_recursion_limit():
 pair_sets = st.frozensets(st.tuples(st.integers(0, 9), st.integers(0, 40)), max_size=40)
 
 
-@given(pair_sets, pair_sets, st.tuples(st.integers(-3, 12), st.integers(-3, 45)))
+@st.composite
+def wide_pair_sets(draw):
+    """Pairs whose rows reach past bits 63, 255 and 729: sparse rows, and full
+    rows with a few gaps, so that both ways of decoding a row run.  Concrete
+    states draw from a few rows, so that equal rows occur."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.sampled_from([1, 63, 64, 65, 255, 256, 257, 729, 730, 1500]))
+        if draw(st.booleans()):
+            gaps = draw(st.frozensets(st.integers(0, width - 1), max_size=4))
+            rows.append(frozenset(range(width)) - gaps)
+        else:
+            rows.append(draw(st.frozensets(st.integers(0, width - 1), max_size=8)))
+    picks = draw(st.lists(st.sampled_from([frozenset(), *rows]), max_size=8))
+    return frozenset((s1, s2) for s1, row in enumerate(picks) for s2 in row)
+
+
+wide_probes = st.tuples(
+    st.integers(-1, 9), st.sampled_from([-1, 0, 62, 63, 64, 254, 255, 256, 728, 729, 1499, 1500])
+)
+
+
+@given(
+    st.one_of(pair_sets, wide_pair_sets()),
+    st.one_of(pair_sets, wide_pair_sets()),
+    st.one_of(st.tuples(st.integers(-3, 12), st.integers(-3, 45)), wide_probes),
+)
 def test_relation_behaves_like_a_frozenset_of_its_pairs(pairs, other, probe):
     rel = Relation.from_pairs(pairs)
     assert len(rel) == len(pairs)
@@ -593,6 +637,11 @@ def test_relation_behaves_like_a_frozenset_of_its_pairs(pairs, other, probe):
     assert hash(rel) == hash(pairs)
     assert all(tuple(rel.partners(s1)) == tuple(sorted(s2 for x, s2 in pairs if x == s1))
                for s1 in range(-1, 11))
+    classes = rel.row_classes(12)
+    rows = [frozenset(s2 for x, s2 in pairs if x == s1) for s1 in range(12)]
+    assert all(
+        (classes[x] == classes[y]) == (rows[x] == rows[y]) for x in range(12) for y in range(12)
+    )
 
 
 def test_relation_holds_only_pairs_of_state_numbers():
@@ -938,6 +987,95 @@ def test_each_distinct_block_is_checked_once(variant, monkeypatch):
     assert validate_certificate(cert, None, a1, a2) == (True, [])
     blocks = {id(block) for row in cert.choice._rows.values() for block in row.values()}
     assert len(calls) == len({id(block) for block in calls}) == len(blocks) == 239
+
+
+def count_replays(monkeypatch):
+    """A Counter of the (s2, alpha) of every _run_from call from now on."""
+    calls = collections.Counter()
+    run = ltsim.simulation._run_from
+
+    def counted(lts, s, seq):
+        calls[(s, tuple(seq))] += 1
+        return run(lts, s, seq)
+
+    monkeypatch.setattr(ltsim.simulation, "_run_from", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "shared, expected",
+    [
+        (
+            ChoiceEntry((A,), 1),
+            [
+                "projection mismatch at (0, i, 0)",
+                "landing (4, 1) not in relation",
+                "projection mismatch at (3, i, 0)",
+            ],
+        ),
+        (
+            ChoiceEntry((A,), 2),
+            [
+                "alpha lands in 1, recorded target 2 at (0, a, 0)",
+                "landing (1, 2) not in relation",
+                "projection mismatch at (0, i, 0)",
+                "alpha lands in 1, recorded target 2 at (0, i, 0)",
+                "alpha lands in 1, recorded target 2 at (3, a, 0)",
+                "landing (4, 2) not in relation",
+                "projection mismatch at (3, i, 0)",
+                "alpha lands in 1, recorded target 2 at (3, i, 0)",
+                "landing (5, 2) not in relation",
+            ],
+        ),
+        (
+            ChoiceEntry((I, A), 1),
+            [
+                "alpha does not replay at (0, a, 0)",
+                "projection mismatch at (0, i, 0)",
+                "alpha does not replay at (0, i, 0)",
+                "alpha does not replay at (3, a, 0)",
+                "projection mismatch at (3, i, 0)",
+                "alpha does not replay at (3, i, 0)",
+            ],
+        ),
+    ],
+    ids=["projection-under-one-key", "wrong-target", "no-replay"],
+)
+def test_a_choice_shared_under_two_search_keys_is_replayed_once_per_key(
+    shared, expected, monkeypatch
+):
+    """One choice value in the blocks of an observed and a hidden step at
+    two concrete states with equal rows but different landing rows: four
+    blocks, each checked, and two replays, one per search key.  The
+    problems are the per-clause reference's, byte for byte."""
+    abstract = make_lts([(0, A, 1), (0, I, 2)], 3, AL4)
+    concrete = make_lts([(0, A, 1), (0, I, 2), (3, A, 4), (3, I, 5)], 6, AL4)
+    relation = {(0, 0), (3, 0), (1, 1), (2, 1), (2, 2), (5, 1)}
+    choice = {(s1, a, 0): shared for s1 in (0, 3) for a in (A, I)}
+    cert = SimulationCertificate(relation, choice, GAMMA, 2)
+    calls = count_replays(monkeypatch)
+    got = validate_certificate(cert, None, concrete, abstract)
+    assert calls == {(0, shared.alpha): 2}
+    assert got == (False, expected)
+    assert got == reference_validate_certificate(cert, None, concrete, abstract)
+
+
+@pytest.mark.parametrize("variant", ["invalidating", "plain"])
+def test_each_distinct_choice_is_replayed_once(variant, monkeypatch):
+    """One replay per distinct (search key, s2, choice) value, for the
+    checker's certificate and for the same certificate read back from its
+    dict, whose entries are new objects."""
+    a1, a2, gamma, bound = faa_case(variant)
+    cert = check_forward(a1, a2, gamma, alpha_bound=bound).certificate
+    distinct = {(a if a in gamma else None, s2, e) for (_, a, s2), e in cert.choice.items()}
+    want = collections.Counter((s2, e.alpha) for _, s2, e in distinct)
+    parsed, _ = certificate_from_dict(certificate_to_dict(cert), a1, a2)
+    calls = count_replays(monkeypatch)
+    for checked in (cert, parsed):
+        calls.clear()
+        assert validate_certificate(checked, None, a1, a2) == (True, [])
+        assert calls == want
+    assert len(distinct) < len(cert.choice)
 
 
 def test_hidden_actions_sharing_a_memo_slot_keep_their_own_blocks():
