@@ -42,6 +42,11 @@ from .transform import (
     unlink_trees,
 )
 
+# enum members read as globals: ActionKind.X costs a slow class lookup each time
+_CALL, _RETURN, _PROGRAM, _INTERNAL, _IDLE = (
+    ActionKind.CALL, ActionKind.RETURN, ActionKind.PROGRAM, ActionKind.INTERNAL, ActionKind.IDLE
+)
+
 VARIANTS = ("invalidating", "plain")
 
 # Step (e) compares projected traces up to this length; a shorter
@@ -79,7 +84,7 @@ class FaaConfig:
 
 def _calls(cfg: FaaConfig) -> frozenset[Action]:
     return frozenset(
-        Action("call", ActionKind.CALL, thread=t, payload=k)
+        Action("call", _CALL, thread=t, payload=k)
         for t, k in zip(cfg.threads, cfg.addends)
     )
 
@@ -87,7 +92,7 @@ def _calls(cfg: FaaConfig) -> frozenset[Action]:
 def _returns(cfg: FaaConfig) -> frozenset[Action]:
     # every value the counter can pass through may come back
     return frozenset(
-        Action("ret", ActionKind.RETURN, thread=t, payload=v)
+        Action("ret", _RETURN, thread=t, payload=v)
         for t in cfg.threads
         for v in range(cfg.total + 1)
     )
@@ -95,7 +100,7 @@ def _returns(cfg: FaaConfig) -> frozenset[Action]:
 
 def _assigns(cfg: FaaConfig) -> frozenset[Action]:
     return frozenset(
-        Action("assign", ActionKind.PROGRAM, thread=t, payload=v)
+        Action("assign", _PROGRAM, thread=t, payload=v)
         for t in cfg.threads
         for v in range(cfg.total + 1)
     )
@@ -152,7 +157,7 @@ def build_faa_impl(cfg: FaaConfig) -> Lts:
         calls=_calls(cfg),
         returns=_returns(cfg),
         internal=frozenset(
-            Action(name, ActionKind.INTERNAL, thread=t)
+            Action(name, _INTERNAL, thread=t)
             for t in cfg.threads
             for name in ("ll", "sc-ok", "sc-fail")
         ),
@@ -167,23 +172,23 @@ def build_faa_impl(cfg: FaaConfig) -> Lts:
                 return (new_counter, new_link, pcs[:i] + (new_pc,) + pcs[i + 1:])
 
             if pc == ("pre",):
-                yield Action("call", ActionKind.CALL, t, k), at(("f2",))
+                yield Action("call", _CALL, t, k), at(("f2",))
             elif pc == ("f2",):
                 yield (
-                    Action("ll", ActionKind.INTERNAL, t),
+                    Action("ll", _INTERNAL, t),
                     at(("f3", counter), new_link=t if invalidating else link),
                 )
             elif pc[0] == "f3":
                 n = pc[1]
                 if (link == t) if invalidating else (counter == n):
                     yield (
-                        Action("sc-ok", ActionKind.INTERNAL, t),
+                        Action("sc-ok", _INTERNAL, t),
                         at(("f4", n), new_counter=n + k, new_link=0 if invalidating else link),
                     )
                 else:
-                    yield Action("sc-fail", ActionKind.INTERNAL, t), at(("f2",))
+                    yield Action("sc-fail", _INTERNAL, t), at(("f2",))
             elif pc[0] == "f4":
-                yield Action("ret", ActionKind.RETURN, t, pc[1]), at(("done",))
+                yield Action("ret", _RETURN, t, pc[1]), at(("done",))
 
     def label(st: tuple) -> str:
         counter, link, pcs = st
@@ -205,7 +210,7 @@ def build_faa_spec(cfg: FaaConfig) -> Lts:
         calls=_calls(cfg),
         returns=_returns(cfg),
         internal=frozenset(
-            Action("lin", ActionKind.INTERNAL, thread=t, payload=v)
+            Action("lin", _INTERNAL, thread=t, payload=v)
             for t in cfg.threads
             for v in range(cfg.total + 1)
         ),
@@ -220,14 +225,14 @@ def build_faa_spec(cfg: FaaConfig) -> Lts:
                 return (new_counter, sts[:i] + (new_st,) + sts[i + 1:])
 
             if here == ("pre",):
-                yield Action("call", ActionKind.CALL, t, k), at(("called",))
+                yield Action("call", _CALL, t, k), at(("called",))
             elif here == ("called",):
                 yield (
-                    Action("lin", ActionKind.INTERNAL, t, counter),
+                    Action("lin", _INTERNAL, t, counter),
                     at(("lin", counter), new_counter=counter + k),
                 )
             elif here[0] == "lin":
-                yield Action("ret", ActionKind.RETURN, t, here[1]), at(("done",))
+                yield Action("ret", _RETURN, t, here[1]), at(("done",))
 
     def label(st: tuple) -> str:
         counter, sts = st
@@ -258,12 +263,12 @@ def build_program(cfg: FaaConfig) -> Lts:
                 return st[:i] + (new_st,) + st[i + 1:]
 
             if here == ("ready",):
-                yield Action("call", ActionKind.CALL, t, k), at(("wait",))
+                yield Action("call", _CALL, t, k), at(("wait",))
             elif here == ("wait",):
                 for v in range(cfg.total + 1):
-                    yield Action("ret", ActionKind.RETURN, t, v), at(("got", v))
+                    yield Action("ret", _RETURN, t, v), at(("got", v))
             elif here[0] == "got":
-                yield Action("assign", ActionKind.PROGRAM, t, here[1]), at(("done",))
+                yield Action("assign", _PROGRAM, t, here[1]), at(("done",))
 
     initial = tuple(("ready",) for _ in cfg.threads)
     return _closure(alphabet, initial, steps, lambda st: _points(cfg, st))
@@ -286,12 +291,12 @@ class LlAlternatorStrategy(Strategy):
 
     def decide(self, state: int, mem: Hashable) -> frozenset[Action]:
         enabled = sort_actions(self.lts.enabled(state))
-        non_idle = [a for a in enabled if a.kind is not ActionKind.IDLE]
+        non_idle = [a for a in enabled if a.kind is not _IDLE]
         for name in self._preferred:
             hits = [a for a in non_idle if a.name == name]
             if hits:
                 return frozenset(hits[:1])
-        other = [a for a in non_idle if a.kind is not ActionKind.PROGRAM]
+        other = [a for a in non_idle if a.kind is not _PROGRAM]
         if other:
             return frozenset(other[:1])
         if non_idle:

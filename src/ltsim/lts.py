@@ -4,10 +4,12 @@ States are dense integer indices with an optional side table of
 human-readable labels.  Actions carry their classification (program,
 call, return, internal, idle) so alphabet membership is a field lookup,
 and argument/return values are part of action identity, which keeps the
-transition function single-valued.  An action's hash, order key and
-label are computed once, when it is built; pickling and copying rebuild
-them from the fields, because str hashes differ between processes.  An
-alphabet's derived sets are computed once too.
+transition function single-valued.  An action is a tuple of its fields,
+hashed in C by tuple's slot with the value a dataclass over the same
+fields gives (see ``Action``).  Its order key and label are computed
+once, when it is built; pickling and copying rebuild it from the fields,
+because str hashes differ between processes.  An alphabet's derived sets
+are computed once too.
 
 Every LTS is built by one path from per-state rows (``Lts._fill``): it
 validates each transition once, sorts each row once into canonical
@@ -38,37 +40,49 @@ class ActionKind(str, Enum):
     IDLE = "idle"
 
 
-@dataclass(frozen=True)
-class Action:
-    """A named event; equality is (name, kind, thread, payload)."""
+@dataclass(frozen=True, eq=False, init=False)
+class Action(tuple):
+    """A named event; equality is (name, kind, thread, payload).
+
+    Actions key the dicts and sets of every layer, so hashing one must not
+    be a Python call.  An Action is therefore a tuple of its four fields
+    and uses tuple's C hash: hash(a) == hash((name, kind, thread,
+    payload)), the value a dataclass over the same fields gives, so set
+    and dict orders are those of a dataclass.  Equality stays strict: an
+    Action equals only Actions, never its plain field tuple.  Being a
+    tuple, an Action has a len, can be indexed and iterated, and
+    json.dumps writes it as a list.  The order key and the label are
+    computed once, in ``__new__``.
+    """
 
     name: str
     kind: ActionKind
     thread: int | None = None
     payload: int | None = None
 
-    def __post_init__(self) -> None:
-        key = (
-            self.name,
-            self.kind.value,
-            -1 if self.thread is None else self.thread,
-            float("-inf") if self.payload is None else self.payload,
-        )
-        label = self.name
-        if self.thread is not None:
-            label += f"@{self.thread}"
-        if self.payload is not None:
-            label += f"#{self.payload}"
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash((self.name, self.kind, self.thread, self.payload)))
-        object.__setattr__(self, "_label", label)
+    def __new__(cls, name: str, kind: ActionKind, thread: int | None = None, payload: int | None = None):
+        self = tuple.__new__(cls, (name, kind, thread, payload))
+        label = name
+        if thread is not None:
+            label += f"@{thread}"
+        if payload is not None:
+            label += f"#{payload}"
+        key = (name, kind.value, -1 if thread is None else thread, float("-inf") if payload is None else payload)
+        vars(self).update(name=name, kind=kind, thread=thread, payload=payload, _key=key, _label=label)
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = tuple.__hash__  # a class defining __eq__ would otherwise get None
+
+    # both overridden: tuple's own would equate an Action with its field tuple
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
     def __reduce__(self):
-        # str hashes are salted per process: rebuild the cached hash on load
-        return (type(self), (self.name, self.kind, self.thread, self.payload))
+        # rebuild through __new__, which takes the fields, not one tuple
+        return (type(self), tuple(self))
 
     def label(self) -> str:
         """Canonical string form: name[@thread][#payload]."""

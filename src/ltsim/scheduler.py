@@ -26,6 +26,9 @@ from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 from .errors import BudgetExceeded, ModelError
 from .lts import Action, ActionKind, Lasso, Lts, Trace, find_cycle, sort_actions
 
+# enum members read as globals: ActionKind.X costs a slow class lookup each time
+_IDLE = ActionKind.IDLE
+
 DEFAULT_NODE_BUDGET = 1_000_000
 
 
@@ -195,7 +198,7 @@ class FifoStrategy(Strategy):
         enabled = self.lts.enabled(state)
         queue: tuple = mem  # type: ignore[assignment]
         for tag in queue:
-            hits = sort_actions(a for a in enabled if a.thread == tag and a.kind is not ActionKind.IDLE)
+            hits = sort_actions(a for a in enabled if a.thread == tag and a.kind is not _IDLE)
             if hits:
                 return frozenset({hits[0]})
         idle = self.lts.alphabet.idle

@@ -361,8 +361,13 @@ class MatchTable:
     (u, b) after emitting the observable action b; restricted to one
     key's nodes it visits them in the order a search for that key alone
     would, so each key gets the same candidates and the same cut status.
-    cut holds the keys, among those asked for, whose search the bound
-    cut short.
+
+    column(key) is matches(key, s2) for every s2, indexed by s2, in one
+    call; it is built once per key, after one search per abstract state,
+    and the loops that ask one key at many s2 read it instead.  cut holds
+    the (key, s2) pairs, among those asked for one at a time or through a
+    column, whose search the bound cut short: a column records exactly the
+    pairs that asking each of its entries would.
     """
 
     def __init__(self, a2: Lts, gamma: frozenset[Action], alpha_bound: int):
@@ -375,6 +380,7 @@ class MatchTable:
         self._found: dict[int, dict[Action | None, tuple[ChoiceEntry, ...]]] = {}
         # s2 -> (the bound cut every key, the keys it cut), for the s2 where it cut any
         self._cut_at: dict[int, tuple[bool, set[Action | None]]] = {}
+        self._columns: dict[Action | None, list[tuple[ChoiceEntry, ...]]] = {}
 
     def key(self, a: Action) -> Action | None:
         """The action part of a's cache key: a itself if observable, else None."""
@@ -393,6 +399,20 @@ class MatchTable:
             if every or key in keys:
                 self.cut.add((key, s2))
         return found.get(key, ())
+
+    def column(self, key: Action | None) -> list[tuple[ChoiceEntry, ...]]:
+        """matches(key, s2) for every abstract state s2, indexed by s2."""
+        column = self._columns.get(key)
+        if column is None:
+            found, states = self._found, range(self.a2.num_states)
+            for s2 in states:
+                if s2 not in found:
+                    found[s2] = self._search(s2)
+            column = self._columns[key] = [found[s2].get(key, ()) for s2 in states]
+            for s2, (every, keys) in self._cut_at.items():
+                if every or key in keys:
+                    self.cut.add((key, s2))
+        return column
 
     def _search(self, s2: int) -> dict[Action | None, tuple[ChoiceEntry, ...]]:
         gamma = self.gamma
@@ -503,25 +523,23 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
     The final rows are the returned Relation's rows.
     """
     n1, n2 = a1.num_states, a2.num_states
-    code: dict[Action | None, int] = {}  # per MatchTable key
-    probe: list[Action] = []  # an action of each code, to search with
+    code: dict[Action | None, int] = {}  # per MatchTable key, numbered in order of first use
     # (code, successor) per step of s1, in canonical order
     steps: list[list[tuple[int, int]]] = [[] for _ in range(n1)]
     preds: list[list[int]] = [[] for _ in range(n1)]  # sources of the edges into s1
     for s, a, t in a1.edges():
-        key = table.key(a)
-        if key not in code:
-            code[key] = len(probe)
-            probe.append(a)
-        steps[s].append((code[key], t))
+        k = code.setdefault(table.key(a), len(code))
+        steps[s].append((k, t))
         preds[t].append(s)
-    into = [[0] * n2 for _ in probe]
-    for s2 in range(n2):
-        bit = 1 << s2
-        for k, a in enumerate(probe):
-            masks = into[k]
-            for _, t in table.candidates(a, s2):
+    columns = [table.column(key) for key in code]  # columns[k][s2]: the matches of code k at s2
+    into = []
+    for column in columns:
+        masks = [0] * n2
+        for s2, cands in enumerate(column):
+            bit = 1 << s2
+            for _, t in cands:
                 masks[t] |= bit
+        into.append(masks)
     row = [(1 << n2) - 1] * n1  # every pair related at first
     images: dict[tuple[int, int], int] = {}  # (k, row) -> predecessor image of row under k
     queue, queued = deque(_postorder(steps)), bytearray(b"\x01") * n1
@@ -545,15 +563,14 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
                     queue.append(p)
 
     complete = not table.cut or not _first_sweep_meets_cut(
-        table, probe, steps, [(code[key], s2) for key, s2 in table.cut]
+        columns, steps, [(code[key], s2) for key, s2 in table.cut]
     )
     shared: dict[int, int] = {}  # one object per distinct final row
     return Relation([shared.setdefault(r, r) for r in row]), complete
 
 
 def _first_sweep_meets_cut(
-    table: MatchTable,
-    probe: list[Action],
+    columns: list[list[tuple[ChoiceEntry, ...]]],
     steps: list[list[tuple[int, int]]],
     cut: list[tuple[int, int]],
 ) -> bool:
@@ -564,9 +581,11 @@ def _first_sweep_meets_cut(
     shrinking relation.  Every search it ever consults, it consults in its
     first sweep, since a pair surviving that sweep had all its steps
     checked there; so replaying the first sweep decides it exactly.
+    columns[k][s2] are the matches of code k at s2, and cut the (code, s2)
+    pairs whose search the bound cut short.
     """
-    n2 = table.a2.num_states
-    is_cut = [bytearray(n2) for _ in probe]
+    n2 = len(columns[0])
+    is_cut = [bytearray(n2) for _ in columns]
     for k, s2 in cut:
         is_cut[k][s2] = 1
     row = [(1 << n2) - 1] * len(steps)
@@ -575,7 +594,7 @@ def _first_sweep_meets_cut(
             for k, t in es:
                 if is_cut[k][s2]:
                     return True
-                if not any(row[t] >> t2 & 1 for _, t2 in table.candidates(probe[k], s2)):
+                if not any(row[t] >> t2 & 1 for _, t2 in columns[k][s2]):
                     row[s1] ^= 1 << s2
                     break
     return False
@@ -601,9 +620,10 @@ def _greedy_choice(a1: Lts, relation: Relation, table: MatchTable) -> Choices:
             block = blocks.get(shape)
             if block is None:
                 landing = relation.partners(s1n)
+                cands = table.column(shape[0])
                 block = blocks[shape] = {}
                 for s2 in mine:
-                    for entry in table.matches(shape[0], s2):
+                    for entry in cands[s2]:
                         if entry.target in landing:
                             block[s2] = entry
                             break

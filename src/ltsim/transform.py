@@ -37,6 +37,9 @@ from .scheduler import (
 )
 from .simulation import SimulationCertificate
 
+# enum members read as globals: ActionKind.X costs a slow class lookup each time
+_PROGRAM, _IDLE = ActionKind.PROGRAM, ActionKind.IDLE
+
 
 def _fmt(trace: Trace) -> str:
     return "·".join(a.label() for a in trace) if trace else "ε"
@@ -54,9 +57,9 @@ def mapping_m(
     internal) use the certificate's fixed choice for the object-state
     pair, so the same inputs always give the same sequence.
     """
-    if a.kind is ActionKind.PROGRAM:
+    if a.kind is _PROGRAM:
         return (a,)
-    if a.kind is ActionKind.IDLE:
+    if a.kind is _IDLE:
         raise ContractViolation("the idle action has no object-level mapping")
     if (cs, as_) not in cert.relation:
         raise ContractViolation(f"object states ({cs}, {as_}) are not related")

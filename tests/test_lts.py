@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -84,10 +85,11 @@ def old_key(a):
     )
 
 
-def faa_actions():
-    """Every action of the FAA case-study models, both variants, two sizes."""
+def faa_actions(configs=(((1, 2), (1, 2)), ((1, 2, 3), (1, 1, 1)))):
+    """Every action of the FAA case-study models, both variants, at each
+    (threads, addends) of configs."""
     out = set()
-    for threads, addends in (((1, 2), (1, 2)), ((1, 2, 3), (1, 1, 1))):
+    for threads, addends in configs:
         for variant in ("invalidating", "plain"):
             cfg = FaaConfig(threads, addends, variant)
             for lts in (build_faa_impl(cfg), build_faa_spec(cfg), build_program(cfg)):
@@ -121,6 +123,38 @@ def test_a_copied_action_is_equal_with_an_equal_hash(clone):
         b = clone(a)
         assert b == a and hash(b) == hash(a) and b.key() == a.key()
         assert b in {a} and {b: 1}[a] == 1
+        assert type(b) is Action and (b.name, b.kind, b.thread, b.payload) == (a.name, a.kind, a.thread, a.payload)
+        assert b.label() == a.label() and repr(b) == repr(a)
+
+
+def test_an_action_hashes_as_its_field_tuple():
+    actions = faa_actions([(tuple(range(1, n + 1)), (1,) * n) for n in (2, 3, 4)])
+    assert len(actions) > 60
+    for a in actions:
+        fields = (a.name, a.kind, a.thread, a.payload)
+        assert hash(a) == hash(fields)
+        assert a != fields and not a == fields and fields != a
+        assert a not in {fields} and fields not in {a}
+    assert hash(IDLE) == hash(("idle", ActionKind.IDLE, None, None))
+
+
+def test_an_action_hashes_in_c():
+    assert not isinstance(Action.__hash__, types.FunctionType)
+
+
+def test_an_action_is_frozen_and_replace_changes_one_field():
+    a = Action("call", ActionKind.CALL, 2, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.thread = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del a.name
+    b = dataclasses.replace(a, payload=7)
+    assert (b.name, b.kind, b.thread, b.payload) == ("call", ActionKind.CALL, 2, 7)
+    assert b.label() == "call@2#7" and b.key() == old_key(b) and hash(b) == hash(("call", ActionKind.CALL, 2, 7))
+    assert b != a and a.payload == 5
+    assert [f.name for f in dataclasses.fields(a)] == ["name", "kind", "thread", "payload"]
+    assert Action(name="x", kind=ActionKind.CALL) == Action("x", ActionKind.CALL, None, None)
+    assert repr(a) == "Action(call@2#5:call)"
 
 
 def test_an_action_pickled_under_another_hash_seed_is_found_in_a_local_set():

@@ -1,7 +1,9 @@
 import collections
 import hashlib
 import itertools
+import os
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -546,6 +548,79 @@ def test_shared_searches_equal_unshared_ones():
         a1, a2, gamma, _ = faa_case(variant)
         for bound in (1, 2, 3, 4):
             assert_table_matches_per_action_searches(a1, a2, gamma, bound)
+
+
+def column_cases():
+    """differential_cases(), then 3-thread FAA, both variants, at bounds 1-4."""
+    yield from differential_cases()
+    for variant in ("invalidating", "plain"):
+        a1, a2, gamma, _ = faa_case(variant)
+        for bound in (1, 2, 3, 4):
+            yield a1, a2, gamma, bound
+
+
+def test_a_column_holds_each_match_and_records_the_same_cut():
+    for a1, a2, gamma, bound in column_cases():
+        by_column = MatchTable(a2, gamma, bound)
+        one_by_one = MatchTable(a2, gamma, bound)
+        keys = {by_column.key(a) for a in a1.alphabet.all_actions | a2.alphabet.all_actions}
+        for key in sorted(keys, key=lambda k: (k is not None, k and k.key())):
+            column = by_column.column(key)
+            assert len(column) == a2.num_states
+            for s2 in range(a2.num_states):
+                assert column[s2] == one_by_one.matches(key, s2)
+            assert by_column.cut == one_by_one.cut
+            assert by_column.column(key) is column
+
+
+# (case count, incomplete count, sha256 of the "1"/"0" complete flags of
+# check_forward over column_cases()), recorded before columns were read
+COMPLETE_FLAGS = (1208, 406, "be5f4e81bc004d92f5c6a0ae4ebe67008bc5f293dd5853a7d10298146d225060")
+
+
+def test_complete_flags_are_pinned():
+    flags = "".join(
+        "1" if check_forward(a1, a2, gamma, alpha_bound=bound).complete else "0"
+        for a1, a2, gamma, bound in column_cases()
+    )
+    assert (len(flags), flags.count("0"), hashlib.sha256(flags.encode()).hexdigest()) == COMPLETE_FLAGS
+
+
+@pytest.mark.parametrize("variant", ["invalidating", "plain"])
+def test_check_forward_makes_no_per_lookup_python_calls(variant):
+    """check_forward and validate_certificate on 3-thread FAA call no
+    __hash__ written in ltsim, and ask MatchTable.matches at most once per
+    (key, s2), never for a key whose column was read."""
+    a1, a2, gamma, bound = faa_case(variant)
+    package = os.path.dirname(ltsim.simulation.__file__)
+    matches, column = MatchTable.matches.__code__, MatchTable.column.__code__
+    hashes = collections.Counter()
+    asked = collections.Counter()
+    columns = set()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_name == "__hash__" and code.co_filename.startswith(package):
+            hashes[code.co_qualname] += 1
+        elif code is matches:
+            asked[(frame.f_locals["key"], frame.f_locals["s2"])] += 1
+        elif code is column:
+            columns.add(frame.f_locals["key"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        cert = check_forward(a1, a2, gamma, alpha_bound=bound).certificate
+        ok = validate_certificate(cert, None, a1, a2)
+    finally:
+        sys.setprofile(previous)
+    assert ok == (True, [])
+    assert hashes == {}
+    assert all(n == 1 for n in asked.values())
+    assert not any(key in columns for key, _ in asked)
+    assert columns  # the fixpoint and greedy read columns
 
 
 # --- recursion-free checks ----------------------------------------------------
