@@ -20,7 +20,17 @@ from typing import Any, Callable, Hashable, Iterator
 
 from .composition import product
 from .errors import ModelError
-from .lts import Action, ActionKind, Alphabet, Lts, LtsBuilder, find_cycle, sort_actions, validate_lasso
+from .lts import (
+    Action,
+    ActionKind,
+    Alphabet,
+    Lts,
+    _idle_completed,
+    action,
+    find_cycle,
+    sort_actions,
+    validate_lasso,
+)
 from .scheduler import (
     Strategy,
     check_scheduler_tree,
@@ -84,7 +94,7 @@ class FaaConfig:
 
 def _calls(cfg: FaaConfig) -> frozenset[Action]:
     return frozenset(
-        Action("call", _CALL, thread=t, payload=k)
+        action("call", _CALL, thread=t, payload=k)
         for t, k in zip(cfg.threads, cfg.addends)
     )
 
@@ -92,7 +102,7 @@ def _calls(cfg: FaaConfig) -> frozenset[Action]:
 def _returns(cfg: FaaConfig) -> frozenset[Action]:
     # every value the counter can pass through may come back
     return frozenset(
-        Action("ret", _RETURN, thread=t, payload=v)
+        action("ret", _RETURN, thread=t, payload=v)
         for t in cfg.threads
         for v in range(cfg.total + 1)
     )
@@ -100,7 +110,7 @@ def _returns(cfg: FaaConfig) -> frozenset[Action]:
 
 def _assigns(cfg: FaaConfig) -> frozenset[Action]:
     return frozenset(
-        Action("assign", _PROGRAM, thread=t, payload=v)
+        action("assign", _PROGRAM, thread=t, payload=v)
         for t in cfg.threads
         for v in range(cfg.total + 1)
     )
@@ -120,22 +130,26 @@ def _closure(
     steps: Callable[[Hashable], Iterator[tuple[Action, Hashable]]],
     label: Callable[[Hashable], str],
 ) -> Lts:
-    """Breadth-first build from a semantic initial state, labelling each
-    state once."""
-    builder = LtsBuilder(alphabet)
-    names = {initial: label(initial)}
-    builder.set_initial(names[initial])
-    queue = deque([initial])
-    while queue:
-        st = queue.popleft()
-        src = names[st]
-        for action, nxt in steps(st):
-            dst = names.get(nxt)
-            if dst is None:
-                dst = names[nxt] = label(nxt)
-                queue.append(nxt)
-            builder.add(src, action, dst)
-    return builder.build(complete=True)
+    """Breadth-first build from a semantic initial state: states are
+    numbered in order of discovery and labelled once, and each state with
+    no step gets an idle self-loop."""
+    index = {initial: 0}
+    states = [initial]
+    rows: list[dict[Action, int]] = []
+    for st in states:  # grows as the search discovers states
+        row: dict[Action, int] = {}
+        for a, nxt in steps(st):
+            t = index.get(nxt)
+            if t is None:
+                t = index[nxt] = len(states)
+                states.append(nxt)
+            if row.setdefault(a, t) != t:
+                raise ModelError(
+                    f"duplicate transition ({label(st)!r}, {a.label()}) with two successors"
+                )
+        rows.append(row)
+    labels = [label(st) for st in states]
+    return Lts._from_rows(alphabet, 0, _idle_completed(rows, alphabet.idle), labels)
 
 
 # --- the two counter implementations --------------------------------------
@@ -157,7 +171,7 @@ def build_faa_impl(cfg: FaaConfig) -> Lts:
         calls=_calls(cfg),
         returns=_returns(cfg),
         internal=frozenset(
-            Action(name, _INTERNAL, thread=t)
+            action(name, _INTERNAL, thread=t)
             for t in cfg.threads
             for name in ("ll", "sc-ok", "sc-fail")
         ),
@@ -172,23 +186,23 @@ def build_faa_impl(cfg: FaaConfig) -> Lts:
                 return (new_counter, new_link, pcs[:i] + (new_pc,) + pcs[i + 1:])
 
             if pc == ("pre",):
-                yield Action("call", _CALL, t, k), at(("f2",))
+                yield action("call", _CALL, t, k), at(("f2",))
             elif pc == ("f2",):
                 yield (
-                    Action("ll", _INTERNAL, t),
+                    action("ll", _INTERNAL, t),
                     at(("f3", counter), new_link=t if invalidating else link),
                 )
             elif pc[0] == "f3":
                 n = pc[1]
                 if (link == t) if invalidating else (counter == n):
                     yield (
-                        Action("sc-ok", _INTERNAL, t),
+                        action("sc-ok", _INTERNAL, t),
                         at(("f4", n), new_counter=n + k, new_link=0 if invalidating else link),
                     )
                 else:
-                    yield Action("sc-fail", _INTERNAL, t), at(("f2",))
+                    yield action("sc-fail", _INTERNAL, t), at(("f2",))
             elif pc[0] == "f4":
-                yield Action("ret", _RETURN, t, pc[1]), at(("done",))
+                yield action("ret", _RETURN, t, pc[1]), at(("done",))
 
     def label(st: tuple) -> str:
         counter, link, pcs = st
@@ -210,7 +224,7 @@ def build_faa_spec(cfg: FaaConfig) -> Lts:
         calls=_calls(cfg),
         returns=_returns(cfg),
         internal=frozenset(
-            Action("lin", _INTERNAL, thread=t, payload=v)
+            action("lin", _INTERNAL, thread=t, payload=v)
             for t in cfg.threads
             for v in range(cfg.total + 1)
         ),
@@ -225,14 +239,14 @@ def build_faa_spec(cfg: FaaConfig) -> Lts:
                 return (new_counter, sts[:i] + (new_st,) + sts[i + 1:])
 
             if here == ("pre",):
-                yield Action("call", _CALL, t, k), at(("called",))
+                yield action("call", _CALL, t, k), at(("called",))
             elif here == ("called",):
                 yield (
-                    Action("lin", _INTERNAL, t, counter),
+                    action("lin", _INTERNAL, t, counter),
                     at(("lin", counter), new_counter=counter + k),
                 )
             elif here[0] == "lin":
-                yield Action("ret", _RETURN, t, here[1]), at(("done",))
+                yield action("ret", _RETURN, t, here[1]), at(("done",))
 
     def label(st: tuple) -> str:
         counter, sts = st
@@ -263,12 +277,12 @@ def build_program(cfg: FaaConfig) -> Lts:
                 return st[:i] + (new_st,) + st[i + 1:]
 
             if here == ("ready",):
-                yield Action("call", _CALL, t, k), at(("wait",))
+                yield action("call", _CALL, t, k), at(("wait",))
             elif here == ("wait",):
                 for v in range(cfg.total + 1):
-                    yield Action("ret", _RETURN, t, v), at(("got", v))
+                    yield action("ret", _RETURN, t, v), at(("got", v))
             elif here[0] == "got":
-                yield Action("assign", _PROGRAM, t, here[1]), at(("done",))
+                yield action("assign", _PROGRAM, t, here[1]), at(("done",))
 
     initial = tuple(("ready",) for _ in cfg.threads)
     return _closure(alphabet, initial, steps, lambda st: _points(cfg, st))

@@ -4,9 +4,13 @@ A command that reaches a verdict prints one JSON report to stdout,
 reproducible byte for byte for identical inputs; wall-clock timing,
 when requested, goes to stderr so it never perturbs the report.  Exit
 codes: 0 the checked property holds (or the requested artifact was
-produced), 1 it is refuted with a witness in the report, 2 the verdict
-is unknown because a bound or budget ran out, 3 the inputs were
-unusable, 4 an internal error (a bug; the traceback goes to stderr).
+produced), 1 it is refuted, 2 the verdict is unknown because a bound or
+budget ran out, 3 the inputs were unusable, 4 an internal error (a bug;
+the traceback goes to stderr).  A refutation carries a witness in the
+report from check-det, check-admitted, find-divergence, check-lemmas
+and validate-cert, and a stutter cycle from check-prog-fwd's "no"; it
+carries none yet from check-fwd's "refuted", check-prog-fwd's
+"no-forward" or idle-complete.
 A raised depth or node bound (2), unusable input (3) and an internal
 error (4) leave stdout empty and say why on stderr.
 """
@@ -20,7 +24,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .casestudies import FaaConfig, run_counterexample_suite
 from .composition import product
@@ -47,10 +51,10 @@ from .simulation import (
     SCHEMA_VERSION,
     ProgressWitness,
     SimulationCertificate,
+    certificate_chunks,
     certificate_from_dict,
     check_forward,
     check_progressive,
-    dumps_certificate,
     stutter_cycle_to_dict,
     validate_certificate,
 )
@@ -113,9 +117,11 @@ def _read_certificate(path: str, a1: Lts, a2: Lts):
     return certificate_from_dict(payload, a1, a2)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str | Iterable[str]) -> None:
+    """Write a text, or the chunks of one as they come, to path."""
     try:
-        Path(path).write_text(text)
+        with Path(path).open("w") as f:
+            f.writelines((text,) if isinstance(text, str) else text)
     except OSError as e:
         raise ParseError(f"cannot write {path}: {e.strerror}") from None
 
@@ -249,7 +255,7 @@ def _certified(
     data["certificate_valid"] = ok
     data["problems"] = problems
     if args.cert_out:
-        _write(args.cert_out, dumps_certificate(cert, witness))
+        _write(args.cert_out, certificate_chunks(cert, witness))
         data["certificate_written"] = args.cert_out
     return _verdict(args, ok, data)
 

@@ -44,8 +44,8 @@ class AlphabetMismatch(LtsimError):
 class BudgetExceeded(LtsimError):
     """An exploration exceeded its configured node budget."""
 
-    def __init__(self, budget: int):
-        super().__init__(f"node budget of {budget} exceeded")
+    def __init__(self, budget: int, message: str | None = None):
+        super().__init__(message or f"node budget of {budget} exceeded")
         self.budget = budget
 
 

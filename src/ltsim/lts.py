@@ -8,15 +8,17 @@ transition function single-valued.  An action is a tuple of its fields,
 hashed in C by tuple's slot with the value a dataclass over the same
 fields gives (see ``Action``).  Its order key and label are computed
 once, when it is built; pickling and copying rebuild it from the fields,
-because str hashes differ between processes.  An alphabet's derived sets
-are computed once too.
+because str hashes differ between processes.  ``action`` and
+``parse_action`` hand out one shared object per field tuple, so the
+models a process builds or loads meet their actions by identity.  An
+alphabet's derived sets are computed once too.
 
 Every LTS is built by one path from per-state rows (``Lts._fill``): it
 validates each transition once, sorts each row once into canonical
 action order and keeps the row dicts.  ``Lts(...)`` buckets its
 (state, action) -> state mapping into rows and takes that path; the
-model reader, the product, ``idle_complete`` and ``LtsBuilder`` hand
-rows to it through ``Lts._from_rows``.
+model reader, the product, ``idle_complete``, ``LtsBuilder`` and the
+case-study builders hand rows to it through ``Lts._from_rows``.
 """
 
 from __future__ import annotations
@@ -99,27 +101,39 @@ class Action(tuple):
 _ACTION_RE = re.compile(r"^(?P<name>[^@#\s,]+)(@(?P<thread>\d+))?(#(?P<payload>-?\d+))?$")
 
 
-def parse_action(text: str, kind: ActionKind) -> Action:
-    """Parse the canonical label form back into an Action of a given kind.
+# The one table of shared actions, keyed by the field tuple: lru_cache
+# keys a call by its arguments as given, so every call passes all four,
+# by position (through ``action``), or equal fields would map to two keys.
+_interned = lru_cache(maxsize=1 << 16)(Action)
 
-    Equal actions parse to one shared object, so that the actions of two
-    models loaded in one process compare by identity, not field by field.
+
+def action(name: str, kind: ActionKind, thread: int | None = None, payload: int | None = None) -> Action:
+    """The shared Action with these fields.
+
+    Actions made here or parsed by ``parse_action`` are one object per
+    field tuple, so the models built or loaded in one process compare
+    their actions by identity, never by a Python ``__eq__``.
     """
+    return _interned(name, kind, thread, payload)
+
+
+def parse_action(text: str, kind: ActionKind) -> Action:
+    """Parse the canonical label form back into the shared Action of a given kind."""
     return _parse_action(text.strip(), kind)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 16)  # the parse of each label, done once; the action is shared
 def _parse_action(text: str, kind: ActionKind) -> Action:
     m = _ACTION_RE.match(text)
     if m is None:
         raise ParseError(f"malformed action {text!r}")
     thread = m.group("thread")
     payload = m.group("payload")
-    return Action(
-        name=m.group("name"),
-        kind=kind,
-        thread=None if thread is None else int(thread),
-        payload=None if payload is None else int(payload),
+    return _interned(
+        m.group("name"),
+        kind,
+        None if thread is None else int(thread),
+        None if payload is None else int(payload),
     )
 
 
@@ -130,7 +144,7 @@ def sort_actions(actions: Iterable[Action]) -> list[Action]:
     return sorted(actions, key=_KEY)
 
 
-IDLE = Action("idle", ActionKind.IDLE)
+IDLE = action("idle", ActionKind.IDLE)
 
 Trace = tuple[Action, ...]
 

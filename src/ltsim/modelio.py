@@ -2,7 +2,8 @@
 
 Two interchangeable surface syntaxes, a line-oriented text form and a
 JSON form, plus a Graphviz export.  Both writers are canonical: the
-same model always serializes to the same bytes.
+same model always serializes to the same bytes.  The JSON layout
+helpers here also write certificates (``simulation``).
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import islice
+from json.encoder import encode_basestring_ascii as json_string  # the C one, if built
 from typing import Any
 
 from .errors import ModelError, ParseError
@@ -171,19 +174,76 @@ def format_lts_text(lts: Lts) -> str:
     return "\n".join(lines) + "\n"
 
 
+# --- JSON layout -------------------------------------------------------
+#
+# The JSON writers (models here, certificates in simulation) produce the
+# bytes of json.dumps(data, indent=2, sort_keys=True) + "\n" without it:
+# with an indent, json.dumps always runs its pure-Python encoder, one
+# generator step per value.  Here each row of a large array (a transition,
+# a choice, a pair) is one %-format of a template laid out once, its
+# strings escaped by the C escaper json.dumps uses.
+
+_ROW_SEP = ",\n    "  # between the rows of an array at nesting level 1
+
+
+def json_block(items: Iterable[str], level: int, brackets: str = "[]") -> str:
+    """A JSON array at nesting level (or, with brackets "{}", an object
+    whose "key: value" members are the items), each item already laid
+    out for level + 1; empty, it is the bare brackets."""
+    pad = "\n" + "  " * (level + 1)
+    body = ("," + pad).join(items)
+    if not body:
+        return brackets
+    return f"{brackets[0]}{pad}{body}\n{'  ' * level}{brackets[1]}"
+
+
+def json_object(fields: Mapping[str, str], level: int) -> str:
+    """A JSON object at nesting level, keys sorted, each value already
+    laid out for level + 1."""
+    return json_block((f"{json_string(k)}: {fields[k]}" for k in sorted(fields)), level, "{}")
+
+
+def json_document(fields: Mapping[str, str | Iterable[str]]) -> Iterator[str]:
+    """A top-level JSON object and its final newline, in chunks, keys sorted.
+
+    A str value is already laid out for level 1; any other value is the
+    rows of an array, each laid out for level 2, which are read and
+    joined a batch at a time.
+    """
+    head = "{\n  "
+    for key in sorted(fields):
+        value = fields[key]
+        yield f"{head}{json_string(key)}: "
+        head = ",\n  "
+        if isinstance(value, str):
+            yield value
+            continue
+        rows = iter(value)
+        lead = "[\n    "
+        while batch := _ROW_SEP.join(islice(rows, 4096)):
+            yield lead
+            yield batch
+            lead = _ROW_SEP
+        yield "\n  ]" if lead == _ROW_SEP else "[]"
+    yield "\n}\n"
+
+
 # --- JSON format -------------------------------------------------------
 
 
 def lts_to_dict(lts: Lts) -> dict[str, Any]:
+    state = [lts.label_of(s) for s in range(lts.num_states)]
+    label = {a: a.label() for a in lts.alphabet.all_actions}
     return {
         "alphabet": {
             section: [x.label() for x in sort_actions(getattr(lts.alphabet, section))]
             for section in _SECTION_KINDS
         },
-        "initial": lts.label_of(lts.initial),
+        "initial": state[lts.initial],
         "transitions": sorted(
-            [lts.label_of(s), action.label(), lts.label_of(t)]
-            for s, action, t in lts.edges()
+            [state[s], label[a], state[t]]
+            for s in range(lts.num_states)
+            for a, t in lts.out_edges(s)
         ),
     }
 
@@ -224,7 +284,15 @@ def lts_from_dict(data: Mapping[str, Any]) -> Lts:
 
 
 def dumps(lts: Lts) -> str:
-    return json.dumps(lts_to_dict(lts), indent=2, sort_keys=True) + "\n"
+    """The JSON form: json.dumps(lts_to_dict(lts), indent=2, sort_keys=True) + "\n"."""
+    data = lts_to_dict(lts)
+    sections = {k: json_block(map(json_string, v), 2) for k, v in data["alphabet"].items()}
+    row = json_block(("%s",) * 3, 2)  # a [src, action, dst] row, to fill in
+    return "".join(json_document({
+        "alphabet": json_object(sections, 1),
+        "initial": json_string(data["initial"]),
+        "transitions": (row % tuple(map(json_string, r)) for r in data["transitions"]),
+    }))
 
 
 def unique_keys(what: str) -> Callable[[list[tuple[str, Any]]], dict]:

@@ -58,7 +58,6 @@ blocks, each distinct (search key, s2, choice) value is replayed once:
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict, deque
 from collections.abc import ItemsView, Iterable, Iterator, KeysView, Mapping, Sequence, Set
 from dataclasses import dataclass
@@ -67,6 +66,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, ContractViolation, ParseError
 from .lts import Action, Lts, Trace, find_cycle
+from .modelio import json_block, json_document, json_object, json_string
 
 SCHEMA_VERSION = 1
 MAX_DIAGNOSTICS = 20  # problems validate_certificate lists before it stops recording
@@ -1157,7 +1157,46 @@ def stutter_cycle_to_dict(cycle: StutterCycle) -> dict:
     }
 
 
+def certificate_chunks(
+    cert: SimulationCertificate, witness: ProgressWitness | None = None
+) -> Iterator[str]:
+    """The text of dumps_certificate in chunks, made as they are read.
+
+    Reads the certificate directly, with no dict per choice: a choice is
+    one row template filled in, and each action label and each distinct
+    alpha is escaped once.
+    """
+    pair = json_block(("%s", "%s"), 2)
+    choice = json_object(dict.fromkeys(("action", "alpha", "s1", "s2", "target"), "%s"), 2)
+    alphas: dict[Trace, str] = {}
+
+    def choices() -> Iterator[str]:
+        for s1, row in cert.choice._rows.items():
+            for a, block in row.items():
+                label = json_string(a.label())
+                for s2, entry in block.items():
+                    alpha = alphas.get(entry.alpha)
+                    if alpha is None:
+                        alpha = alphas[entry.alpha] = json_block(
+                            [json_string(b.label()) for b in entry.alpha], 3
+                        )
+                    yield choice % (label, alpha, s1, s2, entry.target)
+
+    fields: dict[str, str | Iterable[str]] = {
+        "schema_version": str(SCHEMA_VERSION),
+        "gamma": json_block(map(json_string, sorted(a.label() for a in cert.gamma)), 1),
+        "alpha_bound": str(cert.alpha_bound),
+        "relation": map(pair.__mod__, cert.relation),
+        "choices": choices(),
+    }
+    if witness is not None:
+        fields["ranks"] = json_object({str(s): str(r) for s, r in witness.rank.items()}, 1)
+    return json_document(fields)
+
+
 def dumps_certificate(
     cert: SimulationCertificate, witness: ProgressWitness | None = None
 ) -> str:
-    return json.dumps(certificate_to_dict(cert, witness), indent=2, sort_keys=True) + "\n"
+    """The JSON form: json.dumps(certificate_to_dict(cert, witness), indent=2,
+    sort_keys=True) + "\n"."""
+    return "".join(certificate_chunks(cert, witness))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .composition import ProductLts
-from .errors import ContractViolation, DepthExhausted
+from .errors import BudgetExceeded, ContractViolation, DepthExhausted
 from .lts import Action, ActionKind, Lts, Trace, sort_actions
 from .scheduler import (
     Scheduler,
@@ -196,9 +196,7 @@ def build_f(
                 if child is None:
                     child = image.extend(w, b, nxt_state)
                     if len(image.node_list) > limit:
-                        raise ContractViolation(
-                            f"image tree exceeded the node budget {limit}"
-                        )
+                        raise BudgetExceeded(limit, f"image tree exceeded the node budget {limit}")
                 w = child
             if stuck is not None:
                 raise ContractViolation(

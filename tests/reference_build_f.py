@@ -2,14 +2,16 @@
 per distinct (state, action, image state): every step of every concrete
 node is mapped and replayed on its own.
 
-Kept unchanged as the reference that tests compare build_f with: trees,
-annotations, conflicts and the error raised.
+Kept as the reference that tests compare build_f with: trees,
+annotations, conflicts and the error raised.  Its one change since is
+the type of the image tree's budget error, BudgetExceeded (a spent
+bound) where it was ContractViolation, as in build_f.
 """
 
 from __future__ import annotations
 
 from ltsim.composition import ProductLts
-from ltsim.errors import ContractViolation
+from ltsim.errors import BudgetExceeded, ContractViolation
 from ltsim.lts import Action, Trace, sort_actions
 from ltsim.scheduler import Scheduler, TraceNode, TracePrefixTree, node_budget
 from ltsim.simulation import SimulationCertificate
@@ -87,9 +89,7 @@ def reference_build_f(
                 if child is None:
                     child = image.extend(w, b, nxt_state)
                     if image.size > limit:
-                        raise ContractViolation(
-                            f"image tree exceeded the node budget {limit}"
-                        )
+                        raise BudgetExceeded(limit, f"image tree exceeded the node budget {limit}")
                 w = child
             u2.meta["image"] = w
     return mt

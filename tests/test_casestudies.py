@@ -3,6 +3,9 @@ import json
 import pytest
 
 from ltsim import (
+    IDLE,
+    Action,
+    ActionKind,
     ModelError,
     ObjectFirstStrategy,
     check_admitted,
@@ -89,6 +92,45 @@ def test_impl_alphabet(models):
     # the atomic side linearizes internally instead
     _, _, spec, _ = models
     assert {a.name for a in spec.alphabet.internal} == {"lin"}
+
+
+def test_the_models_of_one_config_share_their_actions():
+    """Every action of the impls, spec and program of one config, in the
+    alphabets and on the edges, is one object per field tuple."""
+    cfg = FaaConfig((1, 2, 3), (1, 1, 1))
+    built = [
+        build_faa_impl(cfg),
+        build_faa_impl(FaaConfig(cfg.threads, cfg.addends, "plain")),
+        build_faa_spec(cfg),
+        build_program(cfg),
+    ]
+    shared = {}
+    for m in built:
+        for a in (*m.alphabet.all_actions, *(a for _, a, _ in m.edges())):
+            assert shared.setdefault(tuple(a), a) is a, a
+    assert len(shared) == 1 + 3 + 3 * 4 + 3 * 3 + 3 * 4 + 3 * 4  # idle, call, ret, ll/sc, lin, assign
+
+
+def test_the_check_path_makes_no_python_action_comparison(monkeypatch):
+    """check_forward and validate_certificate on builder-built 4-thread
+    invalidating FAA compare no two actions by Action.__eq__ or __ne__:
+    every lookup meets the very object it stored."""
+    cfg = FaaConfig((1, 2, 3, 4), (1, 1, 1, 1))
+    impl, spec = build_faa_impl(cfg), build_faa_spec(cfg)
+    calls = []
+    for name in ("__eq__", "__ne__"):
+        original = getattr(Action, name)
+
+        def counted(self, other, original=original, name=name):
+            calls.append(name)
+            return original(self, other)
+
+        monkeypatch.setattr(Action, name, counted)
+    assert Action("x", ActionKind.IDLE) != IDLE and calls  # the counters are in place
+    calls.clear()
+    cert = check_forward(impl, spec, impl.alphabet.cr, alpha_bound=4).certificate
+    assert validate_certificate(cert, None, impl, spec) == (True, [])
+    assert calls == []
 
 
 # --- plain forward simulation holds ----------------------------------------------

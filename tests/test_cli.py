@@ -719,6 +719,30 @@ def test_simulation_report_and_certificate_bytes_are_pinned(
     assert got == SIMULATION_DIGESTS[(command, variant)]
 
 
+# sha256 of the model files of 3-thread FAA and of what idle-complete -o and
+# product --out write from them, recorded when json.dumps wrote them; the
+# check-fwd --cert-out bytes are pinned in SIMULATION_DIGESTS
+WRITTEN_DIGESTS = {
+    "spec": "8f5028a41b22db895c6787791052ecc26850b834b03490a65fee44b9f198b9ae",
+    "invalidating": "84e2e2a81b73b9c0ec5abce6f4ababa39c406e6f60a91a023ff66abb8320f661",
+    "plain": "22a6fef308fd2b85d05397d75c70e38b8a99c752d6c4b6032e152d7c41804967",
+    "prog": "1943fca6636b90d9150ed5bc731c79e97e8808d257c4f4572a35be077f9e3c82",
+    "idle-complete": "84e2e2a81b73b9c0ec5abce6f4ababa39c406e6f60a91a023ff66abb8320f661",
+    "product": "8e49203e3e45f463d8724b939d8196f126f39ad731a28e29d03b03b1c949f0b6",
+}
+
+
+def test_written_model_bytes_are_pinned(faa3_models, tmp_path, capsys):
+    files = {**faa3_models, "prog": tmp_path / "prog.json"}
+    files["prog"].write_text(dumps(build_program(FaaConfig((1, 2, 3), (1, 1, 1)))))
+    files["idle-complete"] = tmp_path / "x.json"
+    files["product"] = tmp_path / "prod.json"
+    assert run(capsys, ["idle-complete", files["invalidating"], "-o", str(files["idle-complete"])])[0] == 0
+    assert run(capsys, ["product", str(files["prog"]), files["invalidating"], "--out", str(files["product"])])[0] == 0
+    got = {name: hashlib.sha256(open(path, "rb").read()).hexdigest() for name, path in files.items()}
+    assert got == WRITTEN_DIGESTS
+
+
 @pytest.mark.parametrize("wrong_first", [True, False], ids=["wrong-first", "wrong-last"])
 def test_a_choice_given_twice_is_an_input_error(faa3_models, tmp_path, capsys, wrong_first):
     # a duplicate used to be accepted, the later entry silently winning
@@ -813,6 +837,30 @@ def test_transform_scheduler_rejects_a_non_simulating_pair(models, tmp_path, cap
     )
     assert code == 3
     assert "no forward simulation" in err
+
+
+def test_an_image_tree_over_the_budget_is_unknown(tmp_path, capsys):
+    """The concrete object returns right after the call and the abstract one
+    needs lin before ret, so the image tree outgrows the concrete tree:
+    a budget between their sizes is spent in build_f (exit 2), not an
+    unusable input (exit 3)."""
+    texts = {
+        "prog": "calls: op\nreturns: ret\ninitial: p0\np0 -- op -> p1\np1 -- ret -> p2\n",
+        "concrete": "calls: op\nreturns: ret\ninitial: a\na -- op -> b\nb -- ret -> a\n",
+        "abstract": "calls: op\nreturns: ret\ninternal: lin\ninitial: a\n"
+        "a -- op -> b\nb -- lin -> c\nc -- ret -> a\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    argv = ["transform-scheduler", *(str(tmp_path / f"{name}.txt") for name in texts), "--depth", "4"]
+    code, out, _ = run(capsys, argv)
+    data = report(out)["data"]
+    assert code == 0
+    budget = data["concrete_tree_size"]
+    assert budget < data["image_tree_size"]
+    code, out, err = run(capsys, [*argv, "--budget", str(budget)])
+    assert (code, out) == (2, "")
+    assert err == f"ltsim: bound exhausted: image tree exceeded the node budget {budget}\n"
 
 
 def test_check_lemmas_cli_reports_every_check(models, prog_cert, capsys):
