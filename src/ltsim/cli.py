@@ -7,10 +7,11 @@ codes: 0 the checked property holds (or the requested artifact was
 produced), 1 it is refuted, 2 the verdict is unknown because a bound or
 budget ran out, 3 the inputs were unusable, 4 an internal error (a bug;
 the traceback goes to stderr).  A refutation carries a witness in the
-report from check-det, check-admitted, find-divergence, check-lemmas
-and validate-cert, and a stutter cycle from check-prog-fwd's "no"; it
+report from check-admitted, find-divergence, check-lemmas and
+validate-cert, and a stutter cycle from check-prog-fwd's "no"; it
 carries none yet from check-fwd's "refuted", check-prog-fwd's
-"no-forward" or idle-complete.
+"no-forward" or idle-complete.  check-det never refutes: the loader
+refuses a nondeterministic model as unusable input (3).
 A raised depth or node bound (2), unusable input (3) and an internal
 error (4) leave stdout empty and say why on stderr.
 """
@@ -179,13 +180,9 @@ def _trace_labels(trace: Sequence[Action]) -> list[str]:
 
 
 def _cmd_check_det(args: argparse.Namespace) -> int:
-    lts = _read(args.model)
-    ok, witness = check_deterministic(lts)
-    data: dict[str, Any] = {"states": lts.num_states}
-    if witness is not None:
-        state, action = witness
-        data["witness"] = {"state": state, "action": action.label()}
-    return _verdict(args, ok, data)
+    lts = _read(args.model)  # the loader refuses a nondeterministic model as unusable input
+    ok, _ = check_deterministic(lts)
+    return _verdict(args, ok, {"states": lts.num_states})
 
 
 def _cmd_idle_complete(args: argparse.Namespace) -> int:

@@ -97,9 +97,6 @@ class TableScheduler(Scheduler):
     def schedule(self, trace: Trace) -> frozenset[Action]:
         return self._table.get(tuple(trace), frozenset())
 
-    def items(self) -> Iterator[tuple[Trace, frozenset[Action]]]:
-        return iter(self._table.items())
-
 
 class Strategy(Scheduler):
     """Scheduler realized by replaying the trace on an LTS with finite memory.

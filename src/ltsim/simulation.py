@@ -24,16 +24,19 @@ the fixpoint ends: states with equal rows share one, and one image costs
 an OR per abstract state in the row.  The result is a Relation, a Set
 over the final rows that decodes each distinct row value once, when its
 partners are first asked for.  One breadth-first search per abstract
-state finds the matches of every concrete action.  In the worst case
-every row shrinks one partner at a time and every image is new,
-O(|E1|*|S2|^2) ORs of |S2|-bit ints; on the case studies the rows shrink
-fast and few images are computed.
+state, run before refinement starts, finds the matches of every
+concrete action; after that the match table is only read, one search
+key at every abstract state, with the states where the bound cut that
+key's search short.  In the worst case every row shrinks one partner at
+a time and every image is new, O(|E1|*|S2|^2) ORs of |S2|-bit ints; on
+the case studies the rows shrink fast and few images are computed.
 
 complete is False when the alpha bound cut short a search that a sweep
 refinement (pairs in product order, each pair's steps in canonical
 order until one fails) would consult; such a sweep consults every
-search in its first round, so that round is replayed when any search
-was cut.  A missing certificate is then inconclusive.
+search in its first round, so that round is replayed when the search
+of any key a concrete step uses was cut.  A missing certificate is then
+inconclusive.
 
 The choice of alpha per (pair, step) prefers non-empty matches, so a
 step gets alpha = empty only when nothing else lands in F within the
@@ -347,27 +350,25 @@ def sufficient_alpha_bound(a2: Lts) -> int:
 
 
 class MatchTable:
-    """Per (concrete action, abstract state) candidate matches, cached.
+    """Per (concrete action, abstract state) candidate matches, found once.
 
     Candidates are ChoiceEntry (alpha, landing) pairs with alpha's
     projection onto gamma equal to the action's, one entry per reachable
     landing, in shortest-then-canonical order; the empty alpha comes last
     so that consumers prefer progress over stuttering.  The search reads the
-    action only when it is in gamma, so its cache key is (a, s2) for an
-    observable action and (None, s2) for every action gamma hides.
+    action only when it is in gamma, so its key is a for an observable
+    action and None for every action gamma hides.
 
-    One breadth-first search from s2 serves every key at s2.  Its nodes
-    are (u, None) before any observable action, shared by all keys, and
-    (u, b) after emitting the observable action b; restricted to one
-    key's nodes it visits them in the order a search for that key alone
-    would, so each key gets the same candidates and the same cut status.
+    One breadth-first search from each abstract state s2, run when the
+    table is built, serves every key at s2.  Its nodes are (u, None)
+    before any observable action, shared by all keys, and (u, b) after
+    emitting the observable action b; restricted to one key's nodes it
+    visits them in the order a search for that key alone would, so each
+    key gets the same candidates and the same cut status.
 
-    column(key) is matches(key, s2) for every s2, indexed by s2, in one
-    call; it is built once per key, after one search per abstract state,
-    and the loops that ask one key at many s2 read it instead.  cut holds
-    the (key, s2) pairs, among those asked for one at a time or through a
-    column, whose search the bound cut short: a column records exactly the
-    pairs that asking each of its entries would.
+    column(key) is a key's candidates at every s2, indexed by s2, built
+    once per key; cut(key) is the abstract states where the bound cut that
+    key's search short.  No call changes what a later one returns.
     """
 
     def __init__(self, a2: Lts, gamma: frozenset[Action], alpha_bound: int):
@@ -376,43 +377,25 @@ class MatchTable:
         self.a2 = a2
         self.gamma = gamma
         self.alpha_bound = alpha_bound
-        self.cut: set[tuple[Action | None, int]] = set()  # keys whose search the bound cut short
-        self._found: dict[int, dict[Action | None, tuple[ChoiceEntry, ...]]] = {}
         # s2 -> (the bound cut every key, the keys it cut), for the s2 where it cut any
         self._cut_at: dict[int, tuple[bool, set[Action | None]]] = {}
+        self._found = [self._search(s2) for s2 in range(a2.num_states)]
         self._columns: dict[Action | None, list[tuple[ChoiceEntry, ...]]] = {}
 
     def key(self, a: Action) -> Action | None:
-        """The action part of a's cache key: a itself if observable, else None."""
+        """a's search key: a itself if observable, else None."""
         return a if a in self.gamma else None
 
-    def candidates(self, a: Action, s2: int) -> tuple[ChoiceEntry, ...]:
-        return self.matches(self.key(a), s2)
-
-    def matches(self, key: Action | None, s2: int) -> tuple[ChoiceEntry, ...]:
-        """The candidates of every action whose cache key is key."""
-        found = self._found.get(s2)
-        if found is None:
-            found = self._found[s2] = self._search(s2)
-        if s2 in self._cut_at:
-            every, keys = self._cut_at[s2]
-            if every or key in keys:
-                self.cut.add((key, s2))
-        return found.get(key, ())
-
     def column(self, key: Action | None) -> list[tuple[ChoiceEntry, ...]]:
-        """matches(key, s2) for every abstract state s2, indexed by s2."""
+        """The candidates of every action whose key is key, indexed by abstract state."""
         column = self._columns.get(key)
         if column is None:
-            found, states = self._found, range(self.a2.num_states)
-            for s2 in states:
-                if s2 not in found:
-                    found[s2] = self._search(s2)
-            column = self._columns[key] = [found[s2].get(key, ()) for s2 in states]
-            for s2, (every, keys) in self._cut_at.items():
-                if every or key in keys:
-                    self.cut.add((key, s2))
+            column = self._columns[key] = [found.get(key, ()) for found in self._found]
         return column
+
+    def cut(self, key: Action | None) -> list[int]:
+        """The abstract states, ascending, where the bound cut key's search short."""
+        return [s2 for s2, (every, keys) in self._cut_at.items() if every or key in keys]
 
     def _search(self, s2: int) -> dict[Action | None, tuple[ChoiceEntry, ...]]:
         gamma = self.gamma
@@ -562,9 +545,8 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
                     queued[p] = 1
                     queue.append(p)
 
-    complete = not table.cut or not _first_sweep_meets_cut(
-        columns, steps, [(code[key], s2) for key, s2 in table.cut]
-    )
+    cut = [(k, s2) for key, k in code.items() for s2 in table.cut(key)]
+    complete = not cut or not _first_sweep_meets_cut(columns, steps, cut)
     shared: dict[int, int] = {}  # one object per distinct final row
     return Relation([shared.setdefault(r, r) for r in row]), complete
 
@@ -763,7 +745,7 @@ def _backtrack(
         nonlocal spent
         s1, s2 = obligations[i]
         a, s1n = steps_of(s1)[j]
-        for entry in table.candidates(a, s2):
+        for entry in table.column(table.key(a))[s2]:
             alpha, t = entry
             if (s1n, t) not in relation:
                 continue
@@ -1031,10 +1013,10 @@ def validate_stutter_cycle(
     the bound lands the step back in the relation.
     """
     problems: list[str] = []
-    table = MatchTable(a2, frozenset(gamma), alpha_bound)
     edges = cycle.edges
     if not edges:
         return False, ["empty cycle"]
+    table = MatchTable(a2, frozenset(gamma), alpha_bound)
     for i, e in enumerate(edges):
         if a1.step(e.source, e.action) != e.target:
             problems.append(f"edge {i} is not a transition of the concrete LTS")
@@ -1048,7 +1030,7 @@ def validate_stutter_cycle(
                 problems.append(f"edge {i}: partner {s2} not related to {e.source}")
             if any(
                 alpha and (e.target, t) in relation
-                for alpha, t in table.candidates(e.action, s2)
+                for alpha, t in table.column(table.key(e.action))[s2]
             ):
                 problems.append(
                     f"edge {i}: partner {s2} has a non-stuttering match"

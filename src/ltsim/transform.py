@@ -351,8 +351,8 @@ class _Projections(dict):
     trees too.  Id 0 is the empty trace, and ids count up in the order
     their (parent id, action) keys appear.  The mapping holds the id of
     each node numbered.  number(tree.node_list) numbers a whole tree in
-    one parents-first pass, one parent lookup per node; looking up a node
-    not yet numbered numbers it and the ancestors it needs.
+    one parents-first pass, one parent lookup per node; a tree is numbered
+    before any of its nodes is looked up.
     """
 
     def __init__(self, sigma: frozenset[Action]):
@@ -379,17 +379,6 @@ class _Projections(dict):
             self[node] = pid
             out.append(pid)
         return out
-
-    def id(self, node: TraceNode) -> int:
-        return self[node]
-
-    def __missing__(self, node: TraceNode) -> int:
-        pending = []
-        top: TraceNode | None = node
-        while top is not None and top not in self:
-            pending.append(top)
-            top = top.parent
-        return self.number(reversed(pending))[-1]
 
     def trace(self, pid: int) -> Trace:
         keys = list(self._child)  # the key of id i is keys[i - 1]
@@ -723,11 +712,11 @@ def _complete_projection_length(
 
     A frontier leaf that can still reach a program action caps the
     guarantee at the program actions already on its path; None means no
-    cap (every frontier leaf is saturated).
+    cap (every frontier leaf is saturated).  proj must have numbered tree.
     """
     saturated = _saturated_states(prod, proj.sigma)
     caps = [
-        proj.length[proj.id(leaf)]
+        proj.length[proj[leaf]]
         for leaf in tree.node_list
         if leaf.depth >= depth and not leaf.children and leaf.state not in saturated
     ]

@@ -4,7 +4,8 @@ forced to stutter for every partner as they were found before they were
 read off the greedy blocks: by a rescan of every partner's candidates.
 
 Kept unchanged as the references that tests compare _greedy_choice and
-_forced_everywhere_edges with.
+_forced_everywhere_edges with, except that a partner's candidates are
+read off its search key's MatchTable column.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def reference_greedy_choice(
         steps = [(a, table.key(a), relation.partners(s1n)) for a, s1n in a1.out_edges(s1)]
         for s2 in mine:
             for a, key, landing in steps:
-                for entry in table.matches(key, s2):
+                for entry in table.column(key)[s2]:
                     if entry.target in landing:
                         choice[(s1, a, s2)] = entry
                         break
@@ -42,9 +43,9 @@ def reference_forced_everywhere_edges(
         if not mine:
             continue
         for a, s1n in a1.out_edges(s1):
-            landing = relation.partners(s1n)
+            landing, column = relation.partners(s1n), table.column(table.key(a))
             if all(
-                not any(alpha and t in landing for alpha, t in table.candidates(a, s2))
+                not any(alpha and t in landing for alpha, t in column[s2])
                 for s2 in mine
             ):
                 out.append(StutterEdge(s1, a, s1n, tuple(mine)))

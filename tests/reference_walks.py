@@ -4,7 +4,8 @@ walk the traces themselves, and each equality check enumerates its own
 tree of the abstract scheduler.
 
 Kept unchanged as the reference that tests compare the shared walk and
-check_s2 with, error included.
+check_s2 with, error included, except that the projection check numbers
+both trees before it reads a node's projection id.
 """
 
 from __future__ import annotations
@@ -183,13 +184,15 @@ def reference_check_projection_equality(
     rhs_tree = reference_enumerate_traces(mt.prod2, s2, depth2, budget=budget)
 
     proj = _Projections(sigma_p)  # one trie, so equal projections get equal ids
+    proj.number(mt.concrete.node_list)
+    proj.number(rhs_tree.node_list)
     lhs_cap = _complete_projection_length(mt.concrete, mt.depth, mt.prod1, proj)
     rhs_cap = _complete_projection_length(rhs_tree, depth2, mt.prod2, proj)
     caps = [c for c in (lhs_cap, rhs_cap, depth) if c is not None]
     bound = min(caps) if caps else None
 
     def gather(tree: TracePrefixTree) -> set[int]:
-        ids = (proj.id(node) for node in tree.nodes())
+        ids = (proj[node] for node in tree.nodes())
         return {i for i in ids if bound is None or proj.length[i] <= bound}
 
     lhs = gather(mt.concrete)

@@ -413,6 +413,26 @@ def test_check_det_holds_on_a_loadable_model(models, capsys):
     assert rep["data"] == {"states": 33}
 
 
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("nd.txt", "calls: c\ninitial: s\ns -- c -> a\ns -- c -> b\n", " (line 4)"),
+        ("nd.json", json.dumps({
+            "alphabet": {"calls": ["c"]}, "initial": "s",
+            "transitions": [["s", "c", "a"], ["s", "c", "b"]],
+        }), ""),
+    ],
+    ids=["text", "json"],
+)
+def test_check_det_refuses_a_nondeterministic_model_as_input(tmp_path, capsys, name, text, where):
+    # the model reader refuses it, so check-det never gets to refute
+    model = tmp_path / name
+    model.write_text(text)
+    code, out, err = run(capsys, ["check-det", str(model)])
+    assert (code, out) == (3, "")
+    assert err == f"ltsim: nondeterministic: ('s', 'c') already maps to 'a'{where}\n"
+
+
 def incomplete_model():
     t = Action("step", ActionKind.PROGRAM)
     alphabet = Alphabet(frozenset({t}), frozenset(), frozenset(), frozenset())
@@ -530,6 +550,18 @@ def test_check_admitted_is_exact_for_strategies(models, capsys):
     assert rep["data"] == {"strategy": "maximal", "complete": True}
 
 
+def test_check_admitted_refutes_with_the_trace_to_a_state_that_enables_nothing(tmp_path, capsys):
+    model = tmp_path / "stuck.txt"
+    model.write_text("program: p\ninitial: s\ns -- p -> t\n")
+    code, out, _ = run(capsys, ["check-admitted", str(model)])
+    rep = report(out)
+    assert (code, rep["verdict"]) == (1, "refuted")
+    assert rep["data"] == {
+        "strategy": "maximal", "complete": True,
+        "witness": ["p"], "detail": "scheduled set is empty",
+    }
+
+
 # --- simulation commands ----------------------------------------------------
 
 
@@ -570,6 +602,42 @@ def test_check_fwd_malformed_gamma_is_an_input_error(models, capsys):
     )
     assert code == 3
     assert "bad --gamma" in err
+
+
+def write_models(root, **texts):
+    paths = []
+    for name, text in texts.items():
+        (root / f"{name}.txt").write_text(text)
+        paths.append(str(root / f"{name}.txt"))
+    return paths
+
+
+def test_check_fwd_refutes_when_the_observable_actions_differ(tmp_path, capsys):
+    models = write_models(
+        tmp_path,
+        calls_a="calls: a\ninitial: s\ns -- a -> t\n",
+        calls_b="calls: b\ninitial: s\ns -- b -> t\n",
+    )
+    code, out, _ = run(capsys, ["check-fwd", *models])
+    rep = report(out)
+    assert (code, rep["verdict"]) == (1, "refuted")
+    assert rep["data"] == {"alpha_bound": 4, "complete": True, "deletions": 2, "relation_size": 2}
+
+
+def test_check_fwd_is_unknown_when_the_only_match_is_beyond_the_alpha_bound(tmp_path, capsys):
+    # the abstract object reaches a only after three silent steps
+    models = write_models(
+        tmp_path,
+        concrete="calls: a\ninitial: s\ns -- a -> t\n",
+        abstract="calls: a\ninternal: i\ninitial: s\n"
+        "s -- i -> u\nu -- i -> v\nv -- i -> w\nw -- a -> t\n",
+    )
+    code, out, _ = run(capsys, ["check-fwd", *models, "--alpha-bound", "3"])
+    rep = report(out)
+    assert (code, rep["verdict"]) == (2, "unknown")
+    assert rep["data"] == {"alpha_bound": 3, "complete": False, "deletions": 2, "relation_size": 8}
+    code, out, _ = run(capsys, ["check-fwd", *models, "--alpha-bound", "4"])
+    assert (code, report(out)["verdict"]) == (0, "holds")
 
 
 def test_check_prog_fwd_refutes_the_invalidating_object(models, capsys):

@@ -32,9 +32,9 @@ from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec
 import ltsim.simulation
 from ltsim.simulation import (
     MatchTable,
+    StutterCycle,
     StutterEdge,
     _forced_everywhere_edges,
-    _greatest_relation,
     _ranks_from_edges,
     _stutter_cycle,
 )
@@ -62,14 +62,19 @@ def obs_chain(*actions):
 # --- the match table ------------------------------------------------------
 
 
+def candidates(table, a, s2):
+    """a's candidates at s2, read off its search key's column."""
+    return table.column(table.key(a))[s2]
+
+
 def test_candidates_shape_and_order():
     # b0 --i--> b1 --a--> b2, looking for matches of a at b0
     m = obs_chain(I, A)
     table = MatchTable(m, GAMMA, alpha_bound=4)
-    cands = table.candidates(A, 0)
+    cands = candidates(table, A, 0)
     assert cands == (((I, A), 2),)
     # a silent step has the stutter candidate, last
-    silent = table.candidates(I, 0)
+    silent = candidates(table, I, 0)
     assert silent[-1] == ((), 0)
     assert ((I,), 1) in silent
 
@@ -80,7 +85,7 @@ def test_candidates_include_silent_loop_back_to_start():
     stutter on every terminal idle loop."""
     m = make_lts([(0, I, 1), (1, J, 0)], 2, AL4)
     table = MatchTable(m, GAMMA, alpha_bound=4)
-    cands = table.candidates(I, 0)
+    cands = candidates(table, I, 0)
     assert ((I, J), 0) in cands
     assert cands[-1] == ((), 0)
 
@@ -88,7 +93,7 @@ def test_candidates_include_silent_loop_back_to_start():
 def test_candidates_one_entry_per_landing():
     m = make_lts([(0, I, 1), (0, J, 1), (1, A, 2)], 3, AL4)
     table = MatchTable(m, GAMMA, alpha_bound=4)
-    cands = table.candidates(A, 0)
+    cands = candidates(table, A, 0)
     # two silent routes, one landing: only the first (canonical) survives
     assert cands == (((I, A), 2),)
 
@@ -136,7 +141,7 @@ def test_mismatched_observable_refutes():
     assert (0, 0) not in res.relation
     # no landing of a at abstract state 0 is related to the concrete successor
     table = MatchTable(abstract, GAMMA, alpha_bound=4)
-    assert all((1, t) not in res.relation for _, t in table.candidates(A, 0))
+    assert all((1, t) not in res.relation for _, t in candidates(table, A, 0))
 
 
 def test_deletion_cascades_to_predecessors():
@@ -196,6 +201,17 @@ def test_progressive_no_when_every_partner_stutters():
     )
     assert ok, problems
     assert sorted(res.cycle.states()) == [0, 1]
+
+
+def test_a_cycle_that_stutters_on_an_observable_step_is_rejected():
+    """An observable step's matches are searched under its own key: a
+    emitted once lands back in the relation, so its stutter is not forced."""
+    concrete = make_lts([(0, A, 1), (1, J, 0)], 2, AL4)
+    abstract = make_lts([(0, A, 1)], 2, AL4)
+    cycle = StutterCycle((StutterEdge(0, A, 1, (0,)), StutterEdge(1, J, 0, (1,))))
+    ok, problems = validate_stutter_cycle(cycle, concrete, abstract, GAMMA, 4, {(0, 0), (1, 1)})
+    assert not ok
+    assert problems == ["edge 0: partner 0 has a non-stuttering match"]
 
 
 def test_progressive_no_via_complete_search():
@@ -338,9 +354,16 @@ def sweep_oracle(a1, a2, gamma, alpha_bound):
 
     Sweeps all pairs in product order until none is deleted.  Returns the
     relation, the deletion count, complete and the greedy choices;
-    complete is False when a search it consulted was cut.
+    complete is False when a search it consulted was cut.  Candidates and
+    cut status come from per_action_search, not from MatchTable.
     """
-    table = MatchTable(a2, frozenset(gamma), alpha_bound)
+    searched = {}  # (a, s2) -> (candidates, cut), for each pair consulted
+
+    def cands(a, s2):
+        if (a, s2) not in searched:
+            searched[(a, s2)] = per_action_search(a2, gamma, alpha_bound, a, s2)
+        return searched[(a, s2)][0]
+
     relation = {
         (s1, s2)
         for s1 in range(a1.num_states)
@@ -355,18 +378,18 @@ def sweep_oracle(a1, a2, gamma, alpha_bound):
                 continue
             for a, s1n in a1.out_edges(s1):
                 if not any(
-                    (s1n, t) in relation for _, t in table.candidates(a, s2)
+                    (s1n, t) in relation for _, t in cands(a, s2)
                 ):
                     relation.discard((s1, s2))
                     deletions.append((s1, s2, a))
                     changed = True
                     break
-    complete = not table.cut  # a fresh table searched exactly what the sweep consulted
+    complete = not any(cut for _, cut in searched.values())
     choice = {}
     if (a1.initial, a2.initial) in relation:
         for s1, s2 in sorted(relation):
             for a, s1n in a1.out_edges(s1):
-                for alpha, t in table.candidates(a, s2):
+                for alpha, t in cands(a, s2):
                     if (s1n, t) in relation:
                         choice[(s1, a, s2)] = (alpha, t)
                         break
@@ -522,21 +545,12 @@ def per_action_search(a2, gamma, alpha_bound, a, s2):
 
 def assert_table_matches_per_action_searches(a1, a2, gamma, bound):
     table = MatchTable(a2, gamma, bound)
-    _greatest_relation(a1, a2, table)  # fill the table in the fixpoint's order
     actions = sorted(a1.alphabet.all_actions | a2.alphabet.all_actions, key=Action.key)
-    oracle = {
-        (a, s2): per_action_search(a2, gamma, bound, a, s2)
-        for a in actions
-        for s2 in range(a2.num_states)
-    }
-    # the fixpoint asks every step's key at every s2, and cut holds only those
-    asked = {a for _, a, _ in a1.edges()}
-    assert table.cut == {
-        (a if a in gamma else None, s2) for (a, s2), (_, cut) in oracle.items() if a in asked and cut
-    }
-    for (a, s2), (found, cut) in oracle.items():
-        assert table.candidates(a, s2) == found
-        assert ((a if a in gamma else None, s2) in table.cut) == cut
+    for a in actions:
+        key = table.key(a)
+        found, cut = zip(*(per_action_search(a2, gamma, bound, a, s2) for s2 in range(a2.num_states)))
+        assert table.column(key) == list(found)
+        assert table.cut(key) == [s2 for s2, c in enumerate(cut) if c]
 
 
 def test_shared_searches_equal_unshared_ones():
@@ -559,18 +573,33 @@ def column_cases():
             yield a1, a2, gamma, bound
 
 
+def search_keys(table, a1, a2):
+    """Each search key of a1's and a2's actions, with one action it serves."""
+    actions = sorted(a1.alphabet.all_actions | a2.alphabet.all_actions, key=Action.key)
+    return {table.key(a): a for a in reversed(actions)}
+
+
 def test_a_column_holds_each_match_and_records_the_same_cut():
     for a1, a2, gamma, bound in column_cases():
-        by_column = MatchTable(a2, gamma, bound)
-        one_by_one = MatchTable(a2, gamma, bound)
-        keys = {by_column.key(a) for a in a1.alphabet.all_actions | a2.alphabet.all_actions}
-        for key in sorted(keys, key=lambda k: (k is not None, k and k.key())):
-            column = by_column.column(key)
+        table = MatchTable(a2, gamma, bound)
+        for key, a in search_keys(table, a1, a2).items():
+            column = table.column(key)
             assert len(column) == a2.num_states
-            for s2 in range(a2.num_states):
-                assert column[s2] == one_by_one.matches(key, s2)
-            assert by_column.cut == one_by_one.cut
-            assert by_column.column(key) is column
+            searches = [per_action_search(a2, gamma, bound, a, s2) for s2 in range(a2.num_states)]
+            assert column == [found for found, _ in searches]
+            assert table.cut(key) == [s2 for s2, (_, cut) in enumerate(searches) if cut]
+            assert table.column(key) is column
+
+
+def test_columns_and_cuts_do_not_depend_on_the_order_they_are_read():
+    for a1, a2, gamma, bound in column_cases():
+        one, other = MatchTable(a2, gamma, bound), MatchTable(a2, gamma, bound)
+        keys = list(search_keys(one, a1, a2))
+        first = {key: (one.column(key), one.cut(key)) for key in keys}  # column, then cut
+        cuts = {key: other.cut(key) for key in reversed(keys)}  # every cut before any column
+        for key in reversed(keys):
+            assert other.column(key) == first[key][0]
+            assert cuts[key] == first[key][1] == one.cut(key) == other.cut(key)
 
 
 # (case count, incomplete count, sha256 of the "1"/"0" complete flags of
@@ -589,13 +618,11 @@ def test_complete_flags_are_pinned():
 @pytest.mark.parametrize("variant", ["invalidating", "plain"])
 def test_check_forward_makes_no_per_lookup_python_calls(variant):
     """check_forward and validate_certificate on 3-thread FAA call no
-    __hash__ written in ltsim, and ask MatchTable.matches at most once per
-    (key, s2), never for a key whose column was read."""
+    __hash__ written in ltsim, and read MatchTable columns."""
     a1, a2, gamma, bound = faa_case(variant)
     package = os.path.dirname(ltsim.simulation.__file__)
-    matches, column = MatchTable.matches.__code__, MatchTable.column.__code__
+    column = MatchTable.column.__code__
     hashes = collections.Counter()
-    asked = collections.Counter()
     columns = set()
 
     def profile(frame, event, arg):
@@ -604,8 +631,6 @@ def test_check_forward_makes_no_per_lookup_python_calls(variant):
         code = frame.f_code
         if code.co_name == "__hash__" and code.co_filename.startswith(package):
             hashes[code.co_qualname] += 1
-        elif code is matches:
-            asked[(frame.f_locals["key"], frame.f_locals["s2"])] += 1
         elif code is column:
             columns.add(frame.f_locals["key"])
 
@@ -618,8 +643,6 @@ def test_check_forward_makes_no_per_lookup_python_calls(variant):
         sys.setprofile(previous)
     assert ok == (True, [])
     assert hashes == {}
-    assert all(n == 1 for n in asked.values())
-    assert not any(key in columns for key, _ in asked)
     assert columns  # the fixpoint and greedy read columns
 
 

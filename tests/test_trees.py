@@ -149,18 +149,18 @@ def test_one_pass_numbering_gives_the_partition_of_the_projections():
         nodes = lhs.node_list + rhs.node_list
         passed = _Projections(sigma)
         ids = passed.number(lhs.node_list) + passed.number(rhs.node_list)
-        asked = _Projections(sigma)  # per node, ancestors first numbered on demand
-        shuffled = rng.sample(nodes, len(nodes))
-        by_node = dict(zip(map(id, shuffled), map(asked.id, shuffled)))
+        walked = _Projections(sigma)  # each tree in preorder, the rhs tree first
+        walked.number(rhs.nodes())
+        walked.number(lhs.nodes())
         trace_of: dict[int, tuple] = {}
-        asked_of: dict[int, int] = {}
+        walked_of: dict[int, int] = {}
         for node, i in zip(nodes, ids):
             want = project(node.trace(), sigma)
             assert trace_of.setdefault(i, want) == want, seed  # equal ids, equal projections
-            assert asked_of.setdefault(i, by_node[id(node)]) == by_node[id(node)], seed
-            assert passed.length[i] == len(want) == asked.length[by_node[id(node)]], seed
+            assert walked_of.setdefault(i, walked[node]) == walked[node], seed
+            assert passed.length[i] == len(want) == walked.length[walked[node]], seed
             assert passed[node] == i and passed.trace(i) == want, seed
         # distinct ids, distinct projections, in both numberings
-        assert len(set(trace_of.values())) == len(trace_of) == len(set(asked_of.values())), seed
+        assert len(set(trace_of.values())) == len(trace_of) == len(set(walked_of.values())), seed
         sizes[len(trace_of) > 3] += 1
     assert sizes[True] >= 20, sizes  # a tenth of the pairs have more than three
