@@ -247,14 +247,14 @@ def is_consistent(tau: Sequence[Action], s: Scheduler) -> bool:
 class TraceNode:
     """One node of a prefix tree; the root carries action None.
 
-    children maps each next action to its node, in insertion order; meta
-    holds a tree's annotations.  Both start empty.  Nodes compare by
+    children maps each next action to its node, in insertion order, and
+    starts empty; image and scheduled, None until build_f sets them,
+    annotate a mapped trace tree (see MappedTraces).  Nodes compare by
     identity: a node is a position in one tree.  A plain class with
-    __slots__ (and a weakref slot), since every trace of a tree costs one
-    node.
+    __slots__ and a weakref slot, as every trace of a tree is one node.
     """
 
-    __slots__ = ("action", "state", "depth", "parent", "children", "meta", "__weakref__")
+    __slots__ = ("action", "state", "depth", "parent", "children", "image", "scheduled", "__weakref__")
 
     def __init__(
         self, action: Action | None, state: int, depth: int, parent: "TraceNode | None" = None
@@ -264,7 +264,8 @@ class TraceNode:
         self.depth = depth
         self.parent = parent
         self.children: dict[Action, TraceNode] = {}
-        self.meta: dict[str, Any] = {}
+        self.image: TraceNode | None = None
+        self.scheduled: frozenset[Action] | None = None
 
     def trace(self) -> Trace:
         parts = []

@@ -1010,31 +1010,35 @@ def validate_stutter_cycle(
     """Replay a stutter cycle: real steps, closed, and stuttering is forced.
 
     Forced means: for each recorded partner, no non-empty alpha within
-    the bound lands the step back in the relation.
+    the bound lands the step back in the relation.  A state outside its
+    LTS is a problem, and such a partner's match is not searched.
     """
     problems: list[str] = []
     edges = cycle.edges
     if not edges:
         return False, ["empty cycle"]
+    n1, n2 = a1.num_states, a2.num_states
     table = MatchTable(a2, frozenset(gamma), alpha_bound)
     for i, e in enumerate(edges):
-        if a1.step(e.source, e.action) != e.target:
+        outside = [(end, s) for end, s in (("source", e.source), ("target", e.target)) if not 0 <= s < n1]
+        for end, s in outside:
+            problems.append(f"edge {i}: {end} {s} is outside the concrete states")
+        if not outside and a1.step(e.source, e.action) != e.target:
             problems.append(f"edge {i} is not a transition of the concrete LTS")
         nxt = edges[(i + 1) % len(edges)]
         if e.target != nxt.source:
             problems.append(f"edge {i} does not chain into edge {(i + 1) % len(edges)}")
         if not e.partners:
             problems.append(f"edge {i} records no abstract partner")
+        column = table.column(table.key(e.action))
         for s2 in e.partners:
+            if not 0 <= s2 < n2:
+                problems.append(f"edge {i}: partner {s2} is outside the abstract states")
+                continue
             if (e.source, s2) not in relation:
                 problems.append(f"edge {i}: partner {s2} not related to {e.source}")
-            if any(
-                alpha and (e.target, t) in relation
-                for alpha, t in table.column(table.key(e.action))[s2]
-            ):
-                problems.append(
-                    f"edge {i}: partner {s2} has a non-stuttering match"
-                )
+            if any(alpha and (e.target, t) in relation for alpha, t in column[s2]):
+                problems.append(f"edge {i}: partner {s2} has a non-stuttering match")
     return (not problems, problems)
 
 

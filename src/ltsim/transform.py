@@ -78,8 +78,8 @@ def mapping_m(
 class MappedTraces:
     """Bounded concrete trace tree with its abstract image tree.
 
-    Every concrete node u carries meta["image"], the image-tree node of
-    its mapped trace; image nodes carry meta["s2"], the scheduled set
+    Every concrete node u carries u.image, the image-tree node of its
+    mapped trace; an image node v carries v.scheduled, the scheduled set
     derived from the governing diagram (None while the bounded tree
     cannot determine it).  conflicts records
     image nodes that two diagrams tried to annotate differently, which
@@ -99,12 +99,9 @@ class MappedTraces:
     def gamma_p(self) -> frozenset[Action]:
         return self.prod1.alphabet.gamma_p
 
-    def link(self, node: TraceNode) -> TraceNode:
-        return node.meta["image"]
-
     def linked(self) -> Iterator[tuple[TraceNode, TraceNode]]:
         for node in self.concrete.nodes():
-            yield node, node.meta["image"]
+            yield node, node.image
 
     def frontier(self) -> list[TraceNode]:
         """Concrete leaves sitting at the depth bound (truncated futures), in insertion order."""
@@ -119,7 +116,7 @@ class MappedTraces:
         frontier = self.frontier()
         if not frontier:
             return None
-        return min(self.link(u).depth for u in frontier)
+        return min(u.image.depth for u in frontier)
 
 
 def build_f(
@@ -155,7 +152,7 @@ def build_f(
     image = TracePrefixTree(prod2.initial)
     mt = MappedTraces(concrete, image, prod1, prod2, cert, s1, depth)
 
-    concrete.root.meta["image"] = image.root
+    concrete.root.image = image.root
 
     def image_path(key: tuple[int, Action, int]) -> tuple[list[tuple], Action | None]:
         """One concrete step's image, as (action, annotation, prod2 state
@@ -180,16 +177,16 @@ def build_f(
     for u in concrete.nodes():
         if not u.children:
             continue
-        v = u.meta["image"]
+        v = u.image
         scheduled = frozenset(u.children)  # = s1 choices that are enabled
         for a, u2 in u.children.items():
             steps, stuck = paths[u.state, a, v.state]
             w = v
             for b, value, nxt_state in steps:
                 value = value or scheduled
-                prev = w.meta.get("s2")
+                prev = w.scheduled
                 if prev is None:
-                    w.meta["s2"] = value
+                    w.scheduled = value
                 elif prev is not value and prev != value:
                     _conflict(mt, w, prev, value)
                 child = w.children.get(b)
@@ -203,7 +200,7 @@ def build_f(
                     f"image of {_fmt(u2.trace())} does not replay: "
                     f"{stuck.label()} not enabled after {_fmt(w.trace())}"
                 )
-            u2.meta["image"] = w
+            u2.image = w
     return mt
 
 
@@ -267,7 +264,7 @@ class S2Scheduler(Scheduler):
         child = at.children.get(a)
         if child is not None:
             return (image, child)
-        value = at.meta.get("s2")
+        value = at.scheduled
         if value is None or (a in value and self.mt.prod2.step(at.state, a) is not None):
             return (None, at.trace() + (a,))  # inside the unbuilt fringe
         return _OFF_IMAGE
@@ -276,7 +273,7 @@ class S2Scheduler(Scheduler):
         """Scheduled set at a cursor, None when the current tree leaves it open."""
         image, at = cur
         if image is self.mt.image:
-            return at.meta.get("s2")
+            return at.scheduled
         if at is None:
             return frozenset({self.mt.prod2.alphabet.idle})
         return None
@@ -476,13 +473,13 @@ def _check_unique_diagram(mt: MappedTraces) -> LemmaResult:
     images are prefix-monotone along every concrete step, and no two
     diagrams annotated one image node differently.
     """
-    if mt.link(mt.concrete.root) is not mt.image.root:
+    if mt.concrete.root.image is not mt.image.root:
         return LemmaResult(3, False, "the empty trace does not map to the empty trace", 1)
     checked = 1
     for u, v in mt.linked():
         for a, u2 in u.children.items():
             checked += 1
-            v2 = mt.link(u2)
+            v2 = u2.image
             node, hops = v2, v2.depth - v.depth
             if hops < 0:
                 return LemmaResult(
@@ -516,7 +513,7 @@ def _check_common_origin(mt: MappedTraces) -> LemmaResult:
     # a walk up from each user's image first touches them
     users: dict[TraceNode, tuple[int, int, int, int] | None] = {}
     for i, u in enumerate(order):
-        image = v = mt.link(u)
+        image = v = u.image
         while v is not None and v not in users:
             users[v] = None
             v = v.parent
@@ -534,7 +531,7 @@ def _check_common_origin(mt: MappedTraces) -> LemmaResult:
         below_v: dict[TraceNode, bool] = {v: True}
         for i, u in enumerate(order):
             path = []
-            w: TraceNode | None = mt.link(u)
+            w: TraceNode | None = u.image
             while w is not None and w not in below_v:
                 path.append(w)
                 w = w.parent
@@ -573,7 +570,7 @@ def _check_step_equivalence(mt: MappedTraces, s2: Scheduler) -> LemmaResult:
     while stack:
         v, cur = stack.pop()
         stack.extend((c, w.advance(cur, a)) for a, c in reversed(v.children.items()))
-        value = v.meta.get("s2")
+        value = v.scheduled
         if value is None:
             continue  # beyond what the bounded tree determines
         scheduled = w.scheduled(cur)

@@ -51,12 +51,12 @@ def reference_build_f(
     image = TracePrefixTree(prod2.initial)
     mt = MappedTraces(concrete, image, prod1, prod2, cert, s1, depth)
 
-    concrete.root.meta["image"] = image.root
+    concrete.root.image = image.root
 
     def annotate(w: TraceNode, value: frozenset[Action]) -> None:
-        prev = w.meta.get("s2")
+        prev = w.scheduled
         if prev is None:
-            w.meta["s2"] = value
+            w.scheduled = value
         elif prev != value:
             mt.conflicts.append(
                 f"image node {_fmt(w.trace())} scheduled as "
@@ -67,7 +67,7 @@ def reference_build_f(
     for u in concrete.nodes():
         if not u.children:
             continue
-        v = u.meta["image"]
+        v = u.image
         scheduled = frozenset(u.children)  # = s1 choices that are enabled
         for a, u2 in u.children.items():
             if a == idle1:
@@ -91,5 +91,5 @@ def reference_build_f(
                     if image.size > limit:
                         raise BudgetExceeded(limit, f"image tree exceeded the node budget {limit}")
                 w = child
-            u2.meta["image"] = w
+            u2.image = w
     return mt

@@ -551,8 +551,8 @@ def test_mutation_link_map_overshoots(plain_rig):
         taken = {project(v.trace(), mt.gamma_p) for _, v in mt.linked()}
         hit = None
         for u in mt.concrete.leaves():
-            v = mt.link(u)
-            if v.meta.get("s2") is not None:
+            v = u.image
+            if v.scheduled is not None:
                 continue  # an annotated image node would also trip check 5
             for g in sorted(plain_rig.prod1.alphabet.program, key=lambda a: a.label()):
                 if project(v.trace(), mt.gamma_p) + (g,) not in taken:
@@ -562,7 +562,7 @@ def test_mutation_link_map_overshoots(plain_rig):
                 break
         assert hit is not None
         u, v, g = hit
-        u.meta["image"] = mt.image.extend(v, g, v.state)
+        u.image = mt.image.extend(v, g, v.state)
         expect_exactly(check_all_lemmas(mt, s2), 1, "projections differ")
 
 
@@ -572,7 +572,7 @@ def test_mutation_phantom_sibling_branches(plain_rig):
         root = mt.concrete.root
         for name in ("phantom-a", "phantom-b"):
             node = mt.concrete.extend(root, internal(name), root.state)
-            node.meta["image"] = mt.link(root)
+            node.image = root.image
         expect_exactly(check_all_lemmas(mt, s2), 2, "neither extends the other")
 
 
@@ -582,13 +582,13 @@ def test_mutation_link_map_shrinks(plain_rig):
         idle2 = plain_rig.prod2.alphabet.idle
         hit = None
         for u in mt.concrete.leaves():
-            v = mt.link(u)
+            v = u.image
             if v.depth >= 2 and v.action == idle2 and v.parent.action == idle2:
                 hit = (u, v)
                 break
         assert hit is not None
         u, v = hit
-        u.meta["image"] = v.parent.parent
+        u.image = v.parent.parent
         expect_exactly(check_all_lemmas(mt, s2), 3, "image shrinks on step")
 
 
@@ -603,9 +603,9 @@ def test_mutation_shared_image_without_common_prefix(plain_rig):
         image = TracePrefixTree(prod2.initial)
         mid = image.extend(image.root, prod2.alphabet.idle, prod2.initial)
         mt = MappedTraces(concrete, image, prod1, prod2, plain_rig.cert, plain_rig.s1, 3)
-        concrete.root.meta["image"] = image.root
-        left.meta["image"] = image.extend(mid, a, prod2.initial)
-        right.meta["image"] = image.extend(mid, b, prod2.initial)
+        concrete.root.image = image.root
+        left.image = image.extend(mid, a, prod2.initial)
+        right.image = image.extend(mid, b, prod2.initial)
         results = check_all_lemmas(mt, s2)
         expect_exactly(results, 4, "share no governing concrete prefix")
         assert results[4].checked == 0  # nothing annotated, nothing to disagree with

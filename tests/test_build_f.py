@@ -35,10 +35,10 @@ def plain():
 def mapped(mt):
     """Both trees, preorder, with every link and annotation spelled out."""
     concrete = tuple(
-        (u.trace(), u.state, tuple(u.children), u.meta["image"].trace()) for u in mt.concrete.nodes()
+        (u.trace(), u.state, tuple(u.children), u.image.trace()) for u in mt.concrete.nodes()
     )
     image = tuple(
-        (v.trace(), v.state, tuple(v.children), v.meta.get("s2")) for v in mt.image.nodes()
+        (v.trace(), v.state, tuple(v.children), v.scheduled) for v in mt.image.nodes()
     )
     return concrete, image, tuple(mt.conflicts)
 
@@ -76,7 +76,7 @@ def object_steps(prod1, prod2, mt):
     for u in mt.concrete.nodes():
         for a in u.children:
             if a in prod1.alphabet.cr or a in prod1.alphabet.internal:
-                keys.setdefault((prod1.part(u.state).obj, a, prod2.part(u.meta["image"].state).obj), None)
+                keys.setdefault((prod1.part(u.state).obj, a, prod2.part(u.image.state).obj), None)
     return list(keys)
 
 
@@ -150,9 +150,9 @@ def test_build_f_raises_the_same_error_when_an_image_does_not_replay(plain, at):
     key = object_steps(prod1, prod2, good)[at]
     # the concrete node where the step is first mapped
     u = next(u for u in good.concrete.nodes() for a in u.children
-             if (prod1.part(u.state).obj, a, prod2.part(u.meta["image"].state).obj) == key)
+             if (prod1.part(u.state).obj, a, prod2.part(u.image.state).obj) == key)
     choices = dict(cert.choice.items())
-    choices[key] = choices[key]._replace(alpha=long_detour(prod2, u.meta["image"].state, 8))
+    choices[key] = choices[key]._replace(alpha=long_detour(prod2, u.image.state, 8))
     broken = tampered(cert, choices=choices)
     outcomes = assert_agree(prod1, s1, prod2, broken, u.depth + 1, (None, *range(0, 30)))
     kinds = {got[2].split(" ")[0] + " " + got[2].split(" ")[1] for got in outcomes if got[0] == "raises"}

@@ -150,7 +150,7 @@ def test_an_internal_error_exits_4_not_refuted(models, capsys, monkeypatch):
     def broken(lts):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("ltsim.cli.check_deterministic", broken)
+    monkeypatch.setattr("ltsim.cli.load_model", broken)
     code, out, err = run(capsys, ["check-det", models["impl"]])
     assert code == 4
     assert out == ""

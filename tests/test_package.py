@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import ltsim
+from ltsim import TraceNode
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +28,9 @@ def test_the_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, f"{README}:Library", "exec"), {})
     assert capsys.readouterr().out == "no\nyes\n"
+
+
+def test_the_readme_names_exactly_the_trace_node_slots():
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"A `TraceNode` is a plain class with `__slots__` \((.*?)\)", text).group(1)
+    assert tuple(re.findall(r"`(\w+)`", listed)) == TraceNode.__slots__

@@ -214,6 +214,40 @@ def test_a_cycle_that_stutters_on_an_observable_step_is_rejected():
     assert problems == ["edge 0: partner 0 has a non-stuttering match"]
 
 
+@pytest.mark.parametrize(
+    "edges, relation, expected",
+    [
+        # partner -1 would index the match column from its end, at the
+        # sink state 1 that has no match, and the cycle would validate
+        (
+            ((0, I, 1, (-1,)), (1, J, 0, (-1,))),
+            {(0, -1), (1, -1)},
+            ["edge 0: partner -1 is outside the abstract states",
+             "edge 1: partner -1 is outside the abstract states"],
+        ),
+        # partner 2 is past the end of the match column
+        (
+            ((0, I, 1, (0, 2)), (1, J, 0, (1,))),
+            {(0, 0), (0, 2), (1, 1)},
+            ["edge 0: partner 2 is outside the abstract states"],
+        ),
+        # source -1 would read state 1, whose step j does reach 0
+        (
+            ((-1, J, 0, (1,)), (0, I, -1, (1,))),
+            {(-1, 1), (0, 1)},
+            ["edge 0: source -1 is outside the concrete states",
+             "edge 1: target -1 is outside the concrete states"],
+        ),
+    ],
+    ids=["partner-below", "partner-past", "source-and-target"],
+)
+def test_a_cycle_state_outside_its_lts_is_a_problem(edges, relation, expected):
+    concrete = make_lts([(0, I, 1), (1, J, 0)], 2, AL4)
+    abstract = make_lts([(0, A, 1)], 2, AL4)
+    cycle = StutterCycle(tuple(StutterEdge(*e) for e in edges))
+    assert validate_stutter_cycle(cycle, concrete, abstract, GAMMA, 4, relation) == (False, expected)
+
+
 def test_progressive_no_via_complete_search():
     """Concrete silent loop against a finite silent chain: each single
     pair has an escape, but every landing assignment ends up cycling, so

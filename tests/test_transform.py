@@ -28,11 +28,13 @@ from ltsim import (
     check_progressive,
     check_s2,
     construct_s2,
+    enumerate_traces,
     mapping_m,
     product,
     sufficient_alpha_bound,
 )
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_program
+from ltsim.scheduler import check_scheduler_tree
 
 from conftest import PinnedScheduler, folded, internal, make_lts
 
@@ -97,9 +99,26 @@ def test_mapping_m_requires_a_choice(plain):
 def test_build_f_links_every_node(plain):
     mt, _ = plain
     nodes = list(mt.concrete.nodes())
-    assert all("image" in u.meta for u in nodes)
-    assert mt.link(mt.concrete.root) is mt.image.root
+    assert all(u.image is not None for u in nodes)
+    assert mt.concrete.root.image is mt.image.root
     assert mt.conflicts == []
+
+
+def test_each_annotation_lives_on_its_own_tree(plain):
+    """image only on concrete nodes and scheduled only on image nodes;
+    the trees of a scheduler walk carry neither, and no node has a
+    __dict__ to hold anything else."""
+    mt, s2 = plain
+    assert all(u.image is not None and u.scheduled is None for u in mt.concrete.node_list)
+    assert all(v.image is None for v in mt.image.node_list)
+    assert any(v.scheduled is not None for v in mt.image.node_list)
+    walked, _, _ = check_scheduler_tree(s2, mt.prod2, 4, 4)
+    enumerated = enumerate_traces(mt.prod1, mt.s1, 4)
+    for tree in (walked, enumerated):
+        assert tree.size > 1
+        assert all(n.image is None and n.scheduled is None for n in tree.node_list)
+    for node in (mt.concrete.root, mt.image.root, walked.root, enumerated.root):
+        assert not hasattr(node, "__dict__")
 
 
 def test_build_f_frozen_shape(plain):
@@ -183,10 +202,10 @@ def chain_mapping(depth: int) -> MappedTraces:
     x = internal("x")
     concrete, image = TracePrefixTree(0), TracePrefixTree(0)
     u, v = concrete.root, image.root
-    u.meta["image"] = v
+    u.image = v
     for _ in range(depth):
         u, v = concrete.extend(u, x, 0), image.extend(v, x, 0)
-        u.meta["image"] = v
+        u.image = v
     return MappedTraces(concrete, image, None, None, None, None, depth)
 
 
@@ -204,7 +223,7 @@ def test_common_origin_check_reports_unrelated_preimages():
     mt = chain_mapping(0)
     root, w = mt.concrete.root, mt.image.extend(mt.image.root, x, 0)
     for a in (x, y):
-        mt.concrete.extend(root, a, 0).meta["image"] = w
+        mt.concrete.extend(root, a, 0).image = w
     res = check_lemma(4, mt)
     assert not res.ok and res.checked == 2
     assert res.counterexample == (
@@ -218,7 +237,7 @@ def test_common_origin_check_reports_unrelated_preimages():
 def test_s2_schedules_image_annotations(plain):
     mt, s2 = plain
     for v in mt.image.nodes():
-        value = v.meta.get("s2")
+        value = v.scheduled
         if value is not None:
             assert s2.schedule(v.trace()) == value
 
@@ -229,7 +248,7 @@ def test_s2_idles_off_image(plain):
     ghost = Action("never", ActionKind.CALL, thread=9)
     assert s2.schedule((ghost,)) == {idle2}
     # a real prefix continued by a non-scheduled action is also off-image
-    root_value = mt.image.root.meta["s2"]
+    root_value = mt.image.root.scheduled
     off = next(
         a
         for a, _ in mt.prod2.out_edges(mt.prod2.initial)
@@ -256,10 +275,10 @@ def test_s2_auto_deepens_and_exhausts():
     prod1, prod2 = product(prog, impl), product(prog, spec)
     shallow = build_f(prod1, ObjectFirstStrategy(prod1), prod2, res.certificate, depth=4)
     deep = build_f(prod1, ObjectFirstStrategy(prod1), prod2, res.certificate, depth=14)
-    target = next(v for v in deep.image.nodes() if v.depth == 8 and v.meta.get("s2"))
+    target = next(v for v in deep.image.nodes() if v.depth == 8 and v.scheduled)
 
     s2 = construct_s2(shallow)
-    assert s2.schedule(target.trace()) == target.meta["s2"]
+    assert s2.schedule(target.trace()) == target.scheduled
     assert s2.mt.depth > 4  # the tree was rebuilt deeper
 
     frozen = construct_s2(
@@ -298,7 +317,7 @@ def test_projection_equality_catches_a_wrong_scheduler(plain):
     class LazyS2:
         def schedule(self, trace):
             if len(trace) == 0:
-                return mt.image.root.meta["s2"]
+                return mt.image.root.scheduled
             return frozenset({idle2}) if mt.prod2.alphabet.idle else frozenset()
 
     eq = check_s2(mt, LazyS2(), mt.prod1.alphabet.program, depth=8).projections
@@ -327,7 +346,7 @@ def test_s2_cursor_fold_agrees_with_schedule(plain):
     on, off = [], []
     for v in mt.image.nodes():
         trace = v.trace()
-        value = v.meta.get("s2")
+        value = v.scheduled
         if value is not None:
             on.append(trace)
             for a in actions:
@@ -341,14 +360,14 @@ def test_s2_cursor_fold_agrees_with_schedule(plain):
             assert folded(s, t) == s.schedule(t), t
     assert all(s2.schedule(t) == {idle2} for t in off)
     for t in on:
-        assert folded(s2, t) == mt.image.find(t).meta["s2"]
+        assert folded(s2, t) == mt.image.find(t).scheduled
 
 
 def test_s2_cursors_survive_auto_deepening(plain_parts):
     prod1, prod2, cert = plain_parts
     deep = build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, depth=14)
     reference = construct_s2(deep, auto_deepen=False)
-    target = next(v for v in deep.image.nodes() if v.depth == 8 and v.meta.get("s2"))
+    target = next(v for v in deep.image.nodes() if v.depth == 8 and v.scheduled)
     trace = target.trace()
 
     s2 = construct_s2(build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, depth=4))
@@ -360,14 +379,14 @@ def test_s2_cursors_survive_auto_deepening(plain_parts):
     for a in trace[2:]:
         fringe = s2.advance(fringe, a)  # past the shallow tree
     assert s2.mt is built
-    assert s2.scheduled(fringe) == target.meta["s2"]
+    assert s2.scheduled(fringe) == target.scheduled
     assert s2.mt is not built and s2.mt.depth > 4  # the tree was rebuilt deeper
     # the cursor from before the rebuild still answers, and still advances
     assert s2.scheduled(early) == reference.schedule(trace[:2])
-    assert folded(s2, trace[2:], early) == target.meta["s2"]
+    assert folded(s2, trace[2:], early) == target.scheduled
     for v in deep.image.nodes():
-        if v.meta.get("s2") is not None and v.depth <= 8:
-            assert folded(s2, v.trace()) == s2.schedule(v.trace()) == v.meta["s2"]
+        if v.scheduled is not None and v.depth <= 8:
+            assert folded(s2, v.trace()) == s2.schedule(v.trace()) == v.scheduled
 
     frozen = construct_s2(
         build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, depth=4), auto_deepen=False
@@ -442,7 +461,7 @@ def test_common_origin_check_matches_the_reference_on_scrambled_links(plain_part
         mt = build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, depth=16)
         concrete, image = list(mt.concrete.nodes()), list(mt.image.nodes())
         for u in rng.sample(concrete, rng.randint(1, 4)):
-            u.meta["image"] = rng.choice(image)
+            u.image = rng.choice(image)
         ok, checked, where = common_origin_reference(mt)
         res = check_lemma(4, mt)
         assert (res.ok, res.checked) == (ok, checked), seed

@@ -37,8 +37,8 @@ def test_a_node_builds_by_keyword_and_by_position():
     child = TraceNode(a, 3, 1, root)
     assert (root.action, root.state, root.depth, root.parent) == (None, 0, 0, None)
     assert (child.action, child.state, child.depth, child.parent) == (a, 3, 1, root)
-    assert root.children == {} and root.meta == {}
-    assert child.children is not root.children and child.meta is not root.meta
+    assert root.children == {} and root.image is None and root.scheduled is None
+    assert child.children is not root.children and child.image is child.scheduled is None
     assert child.trace() == (a,)
 
 
