@@ -13,13 +13,16 @@ carries none yet from check-fwd's "refuted", check-prog-fwd's
 "no-forward" or idle-complete.  check-det never refutes: the loader
 refuses a nondeterministic model as unusable input (3).
 A raised depth or node bound (2), unusable input (3) and an internal
-error (4) leave stdout empty and say why on stderr.
+error (4) leave stdout empty and say why on stderr.  find-divergence
+reports "unknown" (2) for a registered scheduler that is not a strategy
+over the product, whose reachable behaviour it cannot enumerate.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -42,6 +45,7 @@ from .lts import (
 from .modelio import dumps, format_lts_text, load_model, to_dot, unique_keys
 from .scheduler import (
     STRATEGIES,
+    Strategy,
     check_admitted,
     enumerate_traces,
     find_divergence,
@@ -218,13 +222,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     lts = _read(args.model)
     sched = make_scheduler(args.strategy, lts)
     tree = enumerate_traces(lts, sched, args.depth, budget=args.budget)
-    traces = [_trace_labels(t) for t in tree.traces()]
+    listed = itertools.islice(tree.nodes(), args.max_traces)
     data = {
         "strategy": args.strategy,
         "depth": args.depth,
         "tree_size": tree.size,
-        "traces": traces[: args.max_traces],
-        "truncated_listing": len(traces) > args.max_traces,
+        "traces": [_trace_labels(v.trace()) for v in listed],
+        "truncated_listing": tree.size > args.max_traces,
     }
     _emit(args, "holds", data)
     return EXIT_HOLDS
@@ -407,6 +411,9 @@ def _cmd_find_divergence(args: argparse.Namespace) -> int:
     prod = product(prog, obj)
     sched = make_scheduler(args.strategy, prod)
     gamma = _resolve_gamma(args.gamma, prod)
+    if not (isinstance(sched, Strategy) and sched.lts is prod):  # find_divergence checks nothing
+        _emit(args, "unknown", {"strategy": args.strategy, "note": "not a strategy over the product"})
+        return EXIT_UNKNOWN
     lasso = find_divergence(prod, sched, gamma, budget=args.budget)
     if lasso is None:
         _emit(args, "holds", {"strategy": args.strategy})

@@ -366,7 +366,8 @@ def _walk(
     budget: int | None,
     problems: Sequence[Problem] = (),
     check_depth: int = -1,
-) -> tuple[TracePrefixTree, list[SchedulerCheck]]:
+    along: TracePrefixTree | None = None,
+) -> tuple[Any, list[SchedulerCheck]]:
     """The consistent traces to depth, and each problem's first node.
 
     One breadth-first walk asks s once per node it expands, or, for a
@@ -378,6 +379,12 @@ def _walk(
     the one separate walks would raise, tests first.  A node's ordered
     steps and test verdicts depend only on its state and scheduled set,
     so they are computed once per distinct pair.
+
+    The walk builds a tree of its own, which it returns.  Given along, a
+    tree of a, it follows that tree instead and leaves it as it was: a
+    step along has reuses along's node, any other step gets a new node
+    outside along, and the walk returns the list of nodes it walked to
+    depth, parents first, in place of a tree.
     """
     limit = node_budget(budget)
     w = walker(s)
@@ -395,7 +402,8 @@ def _walk(
     advanced = _Memo(lambda key: w.advance(*key))
     moves = _Memo(steps)
     verdict = _Memo(lambda key: problems[key[0]](a, key[1], key[2]))
-    tree = TracePrefixTree(a.initial)
+    tree = TracePrefixTree(a.initial) if along is None else along
+    walked = tree.node_list if along is None else [tree.root]
     found: list[SchedulerCheck | None] = [None] * len(problems)
     running = len(problems)
     queue: deque[tuple[TraceNode, Any]] = deque([(tree.root, w.cursor())])
@@ -424,11 +432,14 @@ def _walk(
         if full or not (grow or (testing and node.depth < check_depth)):
             continue
         for act, t in moves[node.state, scheduled]:
-            if not grow:
+            child = node.children.get(act)  # along's node for the step; a new tree has none
+            if child is None:
                 child = TraceNode(act, t, node.depth + 1, node)
-            else:
-                child = tree.extend(node, act, t)
-                if len(tree.node_list) > limit:
+                if grow and along is None:
+                    node.children[act] = child
+            if grow:
+                walked.append(child)
+                if len(walked) > limit:
                     full = True
                     break
             # a leaf at the depth bound is asked only by a test
@@ -439,7 +450,7 @@ def _walk(
             queue.append((child, nxt))
     if full:
         raise BudgetExceeded(limit)
-    return tree, [f or SchedulerCheck(True, False) for f in found]
+    return tree if along is None else walked, [f or SchedulerCheck(True, False) for f in found]
 
 
 # --- admissibility and determinism --------------------------------------
@@ -502,15 +513,17 @@ def _check_scheduled(
     budget: int | None,
     problems: Sequence[Problem],
     tree_depth: int = 0,
-) -> tuple[TracePrefixTree, list[SchedulerCheck]]:
+    along: TracePrefixTree | None = None,
+) -> tuple[Any, list[SchedulerCheck]]:
     """The consistent traces to tree_depth, and per problem its first trace.
 
     Exact over the (state, memory) graph for strategies over a; for
     other schedulers, the walk of the tree also tests the traces up to
-    depth, and the nodes tested count against the budget.
+    depth, and the nodes tested count against the budget.  The traces
+    are a tree, or the nodes walked along a given tree (see _walk).
     """
     if not (isinstance(s, Strategy) and s.lts is a):
-        return _walk(a, s, tree_depth, budget, problems, depth)
+        return _walk(a, s, tree_depth, budget, problems, depth, along)
     decided: dict[tuple[int, Hashable], frozenset[Action]] = {}
     access, _ = _strategy_graph(s, node_budget(budget), decided)
     checks = [SchedulerCheck(True, True)] * len(problems)
@@ -520,7 +533,7 @@ def _check_scheduled(
             if detail is not None:
                 checks[i] = SchedulerCheck(False, True, trace, detail)
                 break
-    return enumerate_traces(a, s, tree_depth, budget), checks
+    return _walk(a, s, tree_depth, budget, along=along)[0], checks
 
 
 def _not_admitted(a: Lts, state: int, scheduled: frozenset[Action]) -> str | None:
@@ -558,12 +571,21 @@ def check_deterministic_scheduler(
 
 
 def check_scheduler_tree(
-    s: Scheduler, a: Lts, depth: int, tree_depth: int, budget: int | None = None
-) -> tuple[TracePrefixTree, SchedulerCheck, SchedulerCheck]:
+    s: Scheduler,
+    a: Lts,
+    depth: int,
+    tree_depth: int,
+    budget: int | None = None,
+    along: TracePrefixTree | None = None,
+) -> tuple[Any, SchedulerCheck, SchedulerCheck]:
     """enumerate_traces to tree_depth with check_admitted and
-    check_deterministic_scheduler to depth, from one walk of the traces."""
+    check_deterministic_scheduler to depth, from one walk of the traces.
+
+    Given along, a tree of a, the walk follows it without changing it
+    and gives the list of nodes walked instead of a tree (see _walk).
+    """
     tree, (adm, det) = _check_scheduled(
-        s, a, depth, budget, [_not_admitted, _not_deterministic], tree_depth
+        s, a, depth, budget, [_not_admitted, _not_deterministic], tree_depth, along
     )
     return tree, adm, det
 
@@ -583,7 +605,8 @@ def find_divergence(
     Silent means outside gamma_p and not idle.  Exact for strategies
     over prod: a cycle in the reachable (state, memory) graph repeats
     forever, so a found lasso is a real divergence and absence of one
-    is a proof.  Opaque schedulers get no witness (bounded verdict).
+    is a proof.  Any other scheduler is not searched at all: None then
+    proves nothing (the command line reports such a run as unknown).
     """
     if not (isinstance(s, Strategy) and s.lts is prod):
         return None

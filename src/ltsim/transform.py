@@ -13,7 +13,10 @@ Every check walks its trees once and computes what it needs of a node
 from the node's parent: the scheduler's cursor (S2's is its image-tree
 node), the projection as an id in a trie, or preorder spans for
 ancestry.  No check replays a trace from the root, so each is linear in
-tree size; traces are spelled out only for counterexamples.
+tree size; traces are spelled out only for counterexamples.  S2's
+traces are walked along the image tree itself, reusing its nodes, so
+checking S2 copies no tree: a node is made only where a step of S2
+leaves the image.
 """
 
 from __future__ import annotations
@@ -625,7 +628,13 @@ def check_all_lemmas(mt: MappedTraces, s2: Scheduler) -> list[LemmaResult]:
 
 @dataclass(frozen=True)
 class EqualityResult:
-    """Outcome of a bounded trace-set comparison."""
+    """Outcome of a bounded trace-set comparison.
+
+    For image equality, lhs_size counts the image nodes to the compare
+    length and rhs_size the nodes of S2's walk; for projection equality
+    both count distinct projections.  counterexample names the smallest
+    trace (by length, then canonical order) on one side only.
+    """
 
     ok: bool
     compare_length: int | None  # None means unbounded (both sides saturated)
@@ -639,49 +648,42 @@ def _smallest(traces: Iterable[Trace]) -> Trace:
     return min(traces, key=lambda t: (len(t), tuple(a.key() for a in t)))
 
 
-def _first_divergence(
-    lhs: TraceNode, rhs: TraceNode, depth: int
-) -> tuple[Trace, bool] | None:
-    """Smallest trace in exactly one of two trees, lhs cut at depth.
+def _image_equality(image: TracePrefixTree, walked: list[TraceNode], depth2: int) -> EqualityResult:
+    """The image tree cut at depth2 against the tree of a walk along it.
 
-    Walks both trees in step, level by level; the smallest difference
-    is a child of a shared node, so the first level with one holds it.
-    Returns the trace and whether it is in rhs.
+    walked lists the walk's nodes, parents first: image nodes, and new
+    nodes where a step leaves the image.  The differences are the new
+    nodes whose parent is an image node (only scheduled) and the image
+    children of walked image nodes that the walk does not take (only an
+    image prefix).  Each lies one step below a node both trees share, so
+    the smallest lies at the least depth with any.
     """
-    level = [(lhs, rhs)]
-    while level:
-        found: list[tuple[TraceNode, bool]] = []
-        shared = []
-        for x, y in level:
-            if x.depth >= depth:
-                continue
-            left, right = x.children, y.children
-            matched = 0
-            for a, c in left.items():
-                d = right.get(a)
-                if d is None:
-                    found.append((c, False))
-                else:
-                    shared.append((c, d))
-                    matched += 1
-            if matched < len(right):
-                found.extend((d, True) for a, d in right.items() if a not in left)
-        if found:
-            side = {node.trace(): in_rhs for node, in_rhs in found}
-            diff = _smallest(side)
-            return diff, side[diff]
-        level = shared
-    return None
-
-
-def _image_equality(mt: MappedTraces, rhs_tree: TracePrefixTree, depth2: int) -> EqualityResult:
-    lhs_size = sum(1 for v in mt.image.node_list if v.depth <= depth2)
-    found = _first_divergence(mt.image.root, rhs_tree.root, depth2)
-    if found is None:
-        return EqualityResult(True, depth2, None, lhs_size, rhs_tree.size)
-    diff, in_rhs = found
-    side = "only scheduled" if in_rhs else "only an image prefix"
-    return EqualityResult(False, depth2, f"{_fmt(diff)} is {side}", lhs_size, rhs_tree.size)
+    lhs_size = sum(1 for v in image.node_list if v.depth <= depth2)
+    off: set[TraceNode] = set()
+    found: list[tuple[TraceNode, bool]] = []
+    for c in walked[1:]:
+        parent = c.parent
+        if parent in off:
+            off.add(c)
+        elif parent.children.get(c.action) is not c:  # type: ignore[union-attr]
+            off.add(c)
+            found.append((c, True))
+    if len(walked) - len(off) < lhs_size:  # some image node is not walked
+        on = set(walked) - off
+        found.extend(
+            (d, False)
+            for v in on
+            if v.depth < depth2
+            for d in v.children.values()
+            if d not in on
+        )
+    if not found:
+        return EqualityResult(True, depth2, None, lhs_size, len(walked))
+    first = min(node.depth for node, _ in found)
+    side = {node.trace(): in_rhs for node, in_rhs in found if node.depth == first}
+    diff = _smallest(side)
+    kind = "only scheduled" if side[diff] else "only an image prefix"
+    return EqualityResult(False, depth2, f"{_fmt(diff)} is {kind}", lhs_size, len(walked))
 
 
 def _saturated_states(prod: Lts, sigma_p: frozenset[Action]) -> set[int]:
@@ -703,35 +705,37 @@ def _saturated_states(prod: Lts, sigma_p: frozenset[Action]) -> set[int]:
 
 
 def _complete_projection_length(
-    tree: TracePrefixTree, depth: int, prod: Lts, proj: _Projections
+    nodes: list[TraceNode], depth: int, prod: Lts, proj: _Projections
 ) -> int | None:
-    """Largest projection length the bounded tree is guaranteed to cover.
+    """Largest projection length the bounded traces are guaranteed to cover.
 
-    A frontier leaf that can still reach a program action caps the
-    guarantee at the program actions already on its path; None means no
-    cap (every frontier leaf is saturated).  proj must have numbered tree.
+    nodes are a tree's nodes, or a walk's, cut at depth, so a node at
+    depth is a leaf of the frontier.  A frontier leaf that can still
+    reach a program action caps the guarantee at the program actions
+    already on its path; None means no cap (every frontier leaf is
+    saturated).  proj must have numbered nodes.
     """
     saturated = _saturated_states(prod, proj.sigma)
     caps = [
         proj.length[proj[leaf]]
-        for leaf in tree.node_list
-        if leaf.depth >= depth and not leaf.children and leaf.state not in saturated
+        for leaf in nodes
+        if leaf.depth >= depth and leaf.state not in saturated
     ]
     return min(caps) if caps else None
 
 
 def _projection_equality(
     mt: MappedTraces,
-    rhs_tree: TracePrefixTree,
+    walked: list[TraceNode],
     depth2: int,
     sigma_p: frozenset[Action],
     depth: int,
 ) -> EqualityResult:
     proj = _Projections(sigma_p)  # one trie, so equal projections get equal ids
     lhs = set(proj.number(mt.concrete.node_list))
-    rhs = set(proj.number(rhs_tree.node_list))
-    lhs_cap = _complete_projection_length(mt.concrete, mt.depth, mt.prod1, proj)
-    rhs_cap = _complete_projection_length(rhs_tree, depth2, mt.prod2, proj)
+    rhs = set(proj.number(walked))
+    lhs_cap = _complete_projection_length(mt.concrete.node_list, mt.depth, mt.prod1, proj)
+    rhs_cap = _complete_projection_length(walked, depth2, mt.prod2, proj)
     caps = [c for c in (lhs_cap, rhs_cap, depth) if c is not None]
     bound = min(caps) if caps else None
     if bound is not None:
@@ -769,22 +773,26 @@ def check_s2(
     """Admission, determinism, image and projection equality of s2, from one walk.
 
     With L the settled image length, s2's traces of mt.prod2 are walked
-    once, to L.  They give what check_admitted and
+    once, to L, along mt.image: a step the image tree has reuses its
+    node, and only a step that leaves the image makes a node, which
+    stays out of mt.image.  The walk gives what check_admitted and
     check_deterministic_scheduler give to L - 1 (admitted, deterministic).
-    Their tree must equal the image tree cut at L (images), and its
-    projections onto sigma_p the concrete tree's (projections), compared
-    up to the longest projection both trees are sure to cover, capped by
-    depth.  When the concrete tree closed before mt.depth, L is the image
-    tree's depth and the first two checks run to mt.depth.  An error of
-    the walk, such as a spent budget, is raised.
+    Its traces must be those of the image tree cut at L (images), and
+    their projections onto sigma_p the concrete tree's (projections),
+    compared up to the longest projection both sides are sure to cover,
+    capped by depth.  When the concrete tree closed before mt.depth, L
+    is the image tree's depth and the first two checks run to mt.depth.
+    An error of the walk, such as a spent budget, is raised; the budget
+    counts the walk's nodes, reused or not.
     """
     settled = mt.settled_image_length()
     if settled is None:
         depth2, check_depth = max(v.depth for v in mt.image.node_list), mt.depth
     else:
         depth2, check_depth = settled, settled - 1
-    tree, adm, det = check_scheduler_tree(s2, mt.prod2, check_depth, depth2, budget=budget)
-    images = _image_equality(mt, tree, depth2)
-    projections = _projection_equality(mt, tree, depth2, sigma_p, depth)
-    tree.unlink()
+    walked, adm, det = check_scheduler_tree(
+        s2, mt.prod2, check_depth, depth2, budget=budget, along=mt.image
+    )
+    images = _image_equality(mt.image, walked, depth2)
+    projections = _projection_equality(mt, walked, depth2, sigma_p, depth)
     return S2Checks(settled, adm, det, images, projections)

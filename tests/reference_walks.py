@@ -5,7 +5,9 @@ tree of the abstract scheduler.
 
 Kept unchanged as the reference that tests compare the shared walk and
 check_s2 with, error included, except that the projection check numbers
-both trees before it reads a node's projection id.
+both trees before it reads a node's projection id.  The two tree
+comparisons that the reference equality checks use are kept here with
+them.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from ltsim.scheduler import (
 from ltsim.transform import (
     EqualityResult,
     MappedTraces,
-    _complete_projection_length,
-    _first_divergence,
     _fmt,
     _Projections,
+    _saturated_states,
     _smallest,
 )
 
@@ -144,6 +145,59 @@ def reference_check_deterministic_scheduler(
         return None
 
     return _check_scheduled(s, prod, depth, budget, problem)
+
+
+def _first_divergence(
+    lhs: TraceNode, rhs: TraceNode, depth: int
+) -> tuple[tuple[Action, ...], bool] | None:
+    """Smallest trace in exactly one of two trees, lhs cut at depth.
+
+    Walks both trees in step, level by level; the smallest difference
+    is a child of a shared node, so the first level with one holds it.
+    Returns the trace and whether it is in rhs.
+    """
+    level = [(lhs, rhs)]
+    while level:
+        found: list[tuple[TraceNode, bool]] = []
+        shared = []
+        for x, y in level:
+            if x.depth >= depth:
+                continue
+            left, right = x.children, y.children
+            matched = 0
+            for a, c in left.items():
+                d = right.get(a)
+                if d is None:
+                    found.append((c, False))
+                else:
+                    shared.append((c, d))
+                    matched += 1
+            if matched < len(right):
+                found.extend((d, True) for a, d in right.items() if a not in left)
+        if found:
+            side = {node.trace(): in_rhs for node, in_rhs in found}
+            diff = _smallest(side)
+            return diff, side[diff]
+        level = shared
+    return None
+
+
+def _complete_projection_length(
+    tree: TracePrefixTree, depth: int, prod: Lts, proj: _Projections
+) -> int | None:
+    """Largest projection length the bounded tree is guaranteed to cover.
+
+    A frontier leaf that can still reach a program action caps the
+    guarantee at the program actions already on its path; None means no
+    cap (every frontier leaf is saturated).  proj must have numbered tree.
+    """
+    saturated = _saturated_states(prod, proj.sigma)
+    caps = [
+        proj.length[proj[leaf]]
+        for leaf in tree.node_list
+        if leaf.depth >= depth and not leaf.children and leaf.state not in saturated
+    ]
+    return min(caps) if caps else None
 
 
 def reference_check_image_equality(

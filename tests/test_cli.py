@@ -13,10 +13,11 @@ import json
 
 import pytest
 
-from ltsim import Action, ActionKind, Alphabet, Lts, is_idle_complete
+from ltsim import Action, ActionKind, Alphabet, Lts, Scheduler, TraceNode, is_idle_complete
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_program
 from ltsim.cli import _build_parser, main
 from ltsim.modelio import dumps, load_model
+from ltsim.scheduler import STRATEGIES
 
 REPORT_KEYS = {"schema_version", "command", "seed", "verdict", "data"}
 
@@ -535,6 +536,28 @@ def test_simulate_truncates_the_listing_not_the_tree(models, capsys):
     assert data["truncated_listing"] is True
 
 
+def test_simulate_spells_out_only_the_traces_it_lists(models, capsys, monkeypatch):
+    argv = ["simulate", models["impl"], "--depth", "6", "--max-traces"]
+    _, out, _ = run(capsys, argv + ["100000"])
+    full = report(out)["data"]
+    size = full["tree_size"]
+    assert len(full["traces"]) == size > 5 and full["truncated_listing"] is False
+    spelled = []
+    trace = TraceNode.trace
+
+    def counting(node):
+        spelled.append(node)
+        return trace(node)
+
+    monkeypatch.setattr(TraceNode, "trace", counting)
+    for listed in (5, size - 1, size):
+        spelled.clear()
+        code, out, _ = run(capsys, argv + [str(listed)])
+        data = report(out)["data"]
+        assert code == 0 and len(spelled) == listed
+        assert data == {**full, "traces": full["traces"][:listed], "truncated_listing": listed < size}
+
+
 def test_simulate_budget_exhaustion_is_unknown(models, capsys):
     code, out, err = run(capsys, ["simulate", models["impl"], "--depth", "8", "--budget", "3"])
     assert code == 2
@@ -972,6 +995,59 @@ def test_find_divergence_clears_the_plain_object(models, capsys):
     assert rep["data"] == {"strategy": "ll-alternator"}
 
 
+LOOP_PROGRAM = """program:
+calls: call@1#1
+returns: ret@1#0
+internal:
+initial: p0
+p0 -- call@1#1 -> p1
+p1 -- ret@1#0 -> p2
+"""
+
+# after the call, the internal u·v loop can run forever
+LOOP_OBJECT = """program:
+calls: call@1#1
+returns: ret@1#0
+internal: u, v
+initial: o0
+o0 -- call@1#1 -> o1
+o1 -- u -> o2
+o2 -- v -> o1
+o1 -- ret@1#0 -> o3
+"""
+
+
+class EveryAction(Scheduler):
+    """A plain scheduler, not a strategy: every action after every trace."""
+
+    def __init__(self, lts):
+        self.lts = lts
+
+    def schedule(self, trace):
+        return self.lts.alphabet.all_actions
+
+
+@pytest.fixture
+def every_action(monkeypatch):
+    monkeypatch.setitem(STRATEGIES, "every-action", EveryAction)
+    _build_parser.cache_clear()  # the parser offers the strategies registered when it was built
+    yield
+    monkeypatch.undo()
+    _build_parser.cache_clear()
+
+
+def test_find_divergence_is_unknown_for_a_scheduler_that_is_no_strategy(tmp_path, capsys, every_action):
+    prog, obj = tmp_path / "prog.txt", tmp_path / "obj.txt"
+    prog.write_text(LOOP_PROGRAM)
+    obj.write_text(LOOP_OBJECT)
+    code, out, _ = run(capsys, ["find-divergence", str(prog), str(obj), "--strategy", "maximal"])
+    assert (code, report(out)["data"]["cycle"]) == (1, ["u", "v"])
+    code, out, err = run(capsys, ["find-divergence", str(prog), str(obj), "--strategy", "every-action"])
+    rep = report(out)
+    assert (code, rep["verdict"], err) == (2, "unknown", "")
+    assert rep["data"] == {"strategy": "every-action", "note": "not a strategy over the product"}
+
+
 def test_run_casestudy_cli(capsys):
     code, out, _ = run(capsys, ["run-casestudy"])
     rep = report(out)
@@ -1048,6 +1124,11 @@ TRANSFORM_DIGESTS = {
         0,
         "82f18736693122a51f60f577cd6571bdaaa8b7f0fb197244a247fa700b361306",
         "6a84dbd2330964ac79d9f93f3f2a045326dbcd9987d9cec00155801be457da61",
+    ),
+    ("object-first", "2000"): (
+        0,
+        "7fcc944c7dcff602dda107b36541e692b12f23f856af1c64f2e3e480596adf77",
+        "cbaeec678e58c634c3cdeddde68cdf0405e6e88a1c3965ae7aec057c7be0aa57",
     ),
     ("fifo", "14"): (
         0,

@@ -9,7 +9,6 @@ tree.
 import gc
 import hashlib
 import random
-import weakref
 from collections import Counter
 
 import pytest
@@ -28,6 +27,7 @@ from ltsim import (
     S2Scheduler,
     Scheduler,
     TableScheduler,
+    TraceNode,
     build_f,
     check_progressive,
     check_s2,
@@ -42,7 +42,6 @@ from ltsim import (
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_program
 from ltsim.cli import main
 from ltsim.modelio import dumps
-from ltsim.scheduler import check_scheduler_tree
 
 STRATEGIES = ("maximal", "object-first", "fifo")
 
@@ -154,10 +153,11 @@ def planted(prod2):
         "mixed": ((call1,), frozenset({lin1, call2})),
         "contradicts": ((), frozenset({prod2.alphabet.idle})),
         "mixed-deep": ((call1, lin1), frozenset({lin1, call2})),
+        "off-image": ((call1,), frozenset({call2})),  # enabled, but the image takes lin1
     }
 
 
-@pytest.mark.parametrize("name", ["empty", "disabled", "mixed", "contradicts", "mixed-deep"])
+@pytest.mark.parametrize("name", ["empty", "disabled", "mixed", "contradicts", "mixed-deep", "off-image"])
 def test_one_walk_agrees_on_planted_mutants(plain, name):
     prod1, prod2, cert = plain
     at, value = planted(prod2)[name]
@@ -168,6 +168,18 @@ def test_one_walk_agrees_on_planted_mutants(plain, name):
         )
         if budget is None:
             assert not all(check.ok for check in got[1:])
+
+
+@pytest.mark.parametrize("strategy", [MaximalStrategy, ObjectFirstStrategy])
+def test_one_walk_agrees_for_a_strategy_over_the_abstract_product(plain, strategy):
+    """Checked exactly over its (state, memory) graph, and walked along
+    the image tree like S2."""
+    prod1, prod2, cert = plain
+    mt = build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, 14)
+    for budget in (None, *range(0, 30)):
+        got = assert_agree(mt, lambda: strategy(prod2), prod1.alphabet.program, 8, budget)
+        if budget is None:
+            assert got[1].complete and got[2].complete
 
 
 class OpaqueMaximal(Scheduler):
@@ -325,24 +337,28 @@ def test_transform_scheduler_budget_sweep_is_pinned(model_files, capsys):
 BUDGET_SWEEP_DIGEST = "d82a5aafed033c84be8fec6426991ea94ec4585815b4432802ed8dc6ece3f325"
 
 
-def test_check_s2_frees_its_tree_on_return(plain, monkeypatch):
-    """No cyclic garbage left for the collector: the next command would
-    otherwise run on top of it (peak memory of a round of commands)."""
-    import ltsim.transform as transform
-
+def test_check_s2_on_an_agreeing_s2_makes_no_node_and_no_garbage(plain, monkeypatch):
+    """S2 walks the image tree itself: where its moves are the image
+    children, no node is made, and nothing is left for the cyclic
+    collector (the next command would otherwise run on top of it)."""
     prod1, prod2, cert = plain
     mt = build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, 200)
-    roots = []
+    before = [(v, dict(v.children)) for v in mt.image.node_list]
+    made = []
+    init = TraceNode.__init__
 
-    def keeping(*args, **kwargs):
-        tree, adm, det = check_scheduler_tree(*args, **kwargs)
-        roots.append(weakref.ref(tree.root))
-        return tree, adm, det
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(transform, "check_scheduler_tree", keeping)
+    monkeypatch.setattr(TraceNode, "__init__", counting)
+    gc.collect()
     gc.disable()
     try:
-        assert check_s2(mt, construct_s2(mt), prod1.alphabet.program, 8).images.ok
-        assert roots and roots[0]() is None
+        checks = check_s2(mt, construct_s2(mt), prod1.alphabet.program, 8)
+        garbage = gc.collect()
     finally:
         gc.enable()
+    assert checks.ok and checks.images.rhs_size == checks.images.lhs_size > 200
+    assert made == [] and garbage == 0
+    assert [(v, v.children) for v in mt.image.node_list] == before

@@ -1,21 +1,25 @@
-"""Trace prefix trees: the node contract, and the two tree comparisons of
+"""Trace prefix trees: the node contract, and the tree comparisons of
 transform checked against brute force over the trees' trace sets.
 
-_first_divergence walks two trees level by level and scans a right-hand
-node's children only when some went unmatched; _Projections numbers a
-whole tree in one parents-first pass.  Both are compared here with what
-they stand for, on seeded random tree pairs.
+_image_equality compares a tree with a walk along it, which reuses the
+tree's nodes and makes new ones only off the tree; _first_divergence,
+the comparison of two whole trees that reference_walks.py keeps, walks
+them level by level and scans a right-hand node's children only when
+some went unmatched; _Projections numbers a whole tree in one
+parents-first pass.  Each is compared here with what it stands for, on
+seeded random tree pairs.
 """
 
 import random
 import weakref
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
 from conftest import internal, prog_action
+from reference_walks import _first_divergence
 from ltsim import ModelError, TraceNode, TracePrefixTree
-from ltsim.transform import _first_divergence, _Projections
+from ltsim.transform import _fmt, _image_equality, _Projections
 
 ACTIONS = [internal(n) for n in "abc"] + [prog_action(n) for n in "xyz"]
 
@@ -135,6 +139,45 @@ def test_first_divergence_matches_the_trace_set_difference():
             got = _first_divergence(lhs.root, rhs.root, depth)
             assert got == brute_divergence(lhs, rhs, depth), (seed, depth)
             outcomes[None if got is None else got[1]] += 1
+    assert min(outcomes[None], outcomes[True], outcomes[False]) >= 50, outcomes
+
+
+def walk_along(lhs, rhs, depth):
+    """The nodes a walk of rhs's traces to depth lists along lhs, breadth
+    first: lhs's node where lhs has the trace, a new node outside lhs
+    elsewhere."""
+    walked = [lhs.root]
+    queue = deque([(rhs.root, lhs.root)])
+    while queue:
+        y, x = queue.popleft()
+        if y.depth >= depth:
+            continue
+        for a, d in y.children.items():
+            c = x.children.get(a)
+            if c is None:
+                c = TraceNode(a, d.state, d.depth, x)
+            walked.append(c)
+            queue.append((d, c))
+    return walked
+
+
+def test_image_equality_matches_the_trace_set_difference():
+    outcomes = Counter()
+    for seed, rng, lhs, rhs in tree_pairs(400):
+        deepest = max(v.depth for v in lhs.node_list + rhs.node_list)
+        for depth in {0, rng.randint(0, deepest + 1), deepest + 1}:
+            before = [(v, dict(v.children)) for v in lhs.node_list]
+            got = _image_equality(lhs, walk_along(lhs, rhs, depth), depth)
+            assert [(v, v.children) for v in lhs.node_list] == before, seed  # lhs unchanged
+            want = brute_divergence(lhs, rhs, depth)
+            sizes = tuple(sum(1 for v in t.node_list if v.depth <= depth) for t in (lhs, rhs))
+            if want is None:
+                assert (got.ok, got.counterexample) == (True, None), (seed, depth)
+            else:
+                side = "only scheduled" if want[1] else "only an image prefix"
+                assert (got.ok, got.counterexample) == (False, f"{_fmt(want[0])} is {side}"), (seed, depth)
+            assert (got.compare_length, got.lhs_size, got.rhs_size) == (depth, *sizes), (seed, depth)
+            outcomes[None if want is None else want[1]] += 1
     assert min(outcomes[None], outcomes[True], outcomes[False]) >= 50, outcomes
 
 
