@@ -16,12 +16,21 @@ A raised depth or node bound (2), unusable input (3) and an internal
 error (4) leave stdout empty and say why on stderr.  find-divergence
 reports "unknown" (2) for a registered scheduler that is not a strategy
 over the product, whose reachable behaviour it cannot enumerate.
+
+main runs the command with Python's cyclic garbage collector paused and
+restores the state it found when the command returns, however it
+returns.  A command's data holds no reference cycles (the trace trees
+are unlinked before it returns), so reference counting frees it, and
+the collector would only rescan a large live heap and find nothing.
+The pause is process-wide, so main is not meant to be called from
+concurrent threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import sys
@@ -230,6 +239,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "traces": [_trace_labels(v.trace()) for v in listed],
         "truncated_listing": tree.size > args.max_traces,
     }
+    tree.unlink()
     _emit(args, "holds", data)
     return EXIT_HOLDS
 
@@ -454,6 +464,21 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 # --- parser ---------------------------------------------------------------
 
 
+class _StrategyNames:
+    """--strategy choices: the names in STRATEGIES when the arguments are
+    parsed, so a strategy registered after the parser was built is offered
+    too.  Help and error text list them sorted."""
+
+    def __contains__(self, name: object) -> bool:
+        return name in STRATEGIES
+
+    def __iter__(self):
+        return iter(sorted(STRATEGIES))
+
+
+_STRATEGY_NAMES = _StrategyNames()
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ltsim", description=__doc__)
@@ -485,13 +510,13 @@ def _build_parser() -> _Parser:
 
     p = cmd("simulate", _cmd_simulate, "enumerate scheduled traces", budget)
     p.add_argument("model")
-    p.add_argument("--strategy", default="maximal", choices=sorted(STRATEGIES))
+    p.add_argument("--strategy", default="maximal", choices=_STRATEGY_NAMES)
     p.add_argument("--depth", type=_count, default=8)
     p.add_argument("--max-traces", type=_count, default=50)
 
     p = cmd("check-admitted", _cmd_check_admitted, "non-empty, all-enabled scheduling", budget)
     p.add_argument("model")
-    p.add_argument("--strategy", default="maximal", choices=sorted(STRATEGIES))
+    p.add_argument("--strategy", default="maximal", choices=_STRATEGY_NAMES)
     p.add_argument("--depth", type=_count, default=8)
 
     p = cmd("check-fwd", _cmd_check_fwd, "greatest forward simulation")
@@ -522,7 +547,7 @@ def _build_parser() -> _Parser:
         p.add_argument("program")
         p.add_argument("concrete")
         p.add_argument("abstract")
-        p.add_argument("--strategy", default="object-first", choices=sorted(STRATEGIES))
+        p.add_argument("--strategy", default="object-first", choices=_STRATEGY_NAMES)
         p.add_argument("--depth", type=_count, default=12)
         p.add_argument("--gamma", default="cr")
         p.add_argument("--alpha-bound", type=int, default=4)
@@ -533,7 +558,7 @@ def _build_parser() -> _Parser:
     p = cmd("find-divergence", _cmd_find_divergence, "silent cycle under a strategy", budget)
     p.add_argument("program")
     p.add_argument("object")
-    p.add_argument("--strategy", default="ll-alternator", choices=sorted(STRATEGIES))
+    p.add_argument("--strategy", default="ll-alternator", choices=_STRATEGY_NAMES)
     p.add_argument("--gamma", default="gamma-p")
 
     p = cmd("run-casestudy", _cmd_run_casestudy, "the counter contrast, end to end", budget)
@@ -549,12 +574,20 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The handler runs with the cyclic garbage collector paused; the
+    collector's state is restored when it returns or raises.  The pause
+    is process-wide, so main is not meant for concurrent threads.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "cmd", None) is None:
         parser.print_help(sys.stderr)
         return EXIT_INPUT
     start = time.monotonic()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.handler(args)
     except (BudgetExceeded, DepthExhausted) as e:
@@ -567,6 +600,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("ltsim: internal error", file=sys.stderr)
         traceback.print_exc()
         code = EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
     if args.timing:
         print(f"ltsim: {args.cmd}: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code

@@ -8,6 +8,7 @@ the exit code grades the verdict: 0 holds, 1 refuted, 2 unknown,
 """
 
 import argparse
+import gc
 import hashlib
 import json
 
@@ -17,7 +18,8 @@ from ltsim import Action, ActionKind, Alphabet, Lts, Scheduler, TraceNode, is_id
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_program
 from ltsim.cli import _build_parser, main
 from ltsim.modelio import dumps, load_model
-from ltsim.scheduler import STRATEGIES
+from ltsim.scheduler import STRATEGIES, register_strategy
+from ltsim.simulation import certificate_chunks, check_forward
 
 REPORT_KEYS = {"schema_version", "command", "seed", "verdict", "data"}
 
@@ -1030,10 +1032,6 @@ class EveryAction(Scheduler):
 @pytest.fixture
 def every_action(monkeypatch):
     monkeypatch.setitem(STRATEGIES, "every-action", EveryAction)
-    _build_parser.cache_clear()  # the parser offers the strategies registered when it was built
-    yield
-    monkeypatch.undo()
-    _build_parser.cache_clear()
 
 
 def test_find_divergence_is_unknown_for_a_scheduler_that_is_no_strategy(tmp_path, capsys, every_action):
@@ -1046,6 +1044,22 @@ def test_find_divergence_is_unknown_for_a_scheduler_that_is_no_strategy(tmp_path
     rep = report(out)
     assert (code, rep["verdict"], err) == (2, "unknown", "")
     assert rep["data"] == {"strategy": "every-action", "note": "not a strategy over the product"}
+
+
+def test_a_strategy_registered_after_the_first_call_is_offered(models, capsys):
+    run(capsys, ["check-det", models["impl"]])  # the parser is built here
+    register_strategy("every-action-late", EveryAction)
+    try:
+        code, out, err = run(
+            capsys, ["simulate", models["impl"], "--strategy", "every-action-late", "--depth", "2"]
+        )
+    finally:
+        del STRATEGIES["every-action-late"]
+    assert (code, err) == (0, "")
+    assert report(out)["data"]["strategy"] == "every-action-late"
+    with pytest.raises(SystemExit):  # and it is gone again once unregistered
+        main(["simulate", models["impl"], "--strategy", "every-action-late"])
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_run_casestudy_cli(capsys):
@@ -1191,3 +1205,138 @@ def test_a_json_row_field_that_is_not_a_non_empty_string_exits_3(tmp_path, capsy
     code, out, err = run(capsys, ["check-det", str(model)])
     assert (code, out) == (3, "")
     assert "not a non-empty string" in err
+
+
+# --- the collector pause ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def faa_sizes(tmp_path_factory):
+    """FAA model files at 2 and 3 threads (addends all 1): program, both
+    object variants, spec, and a check-fwd certificate of the invalidating
+    object."""
+    root = tmp_path_factory.mktemp("faa_sizes")
+    sizes = {}
+    for n in (2, 3):
+        threads = tuple(range(1, n + 1))
+        cfg = FaaConfig(threads, (1,) * n)
+        ltss = {
+            "prog": build_program(cfg),
+            "impl": build_faa_impl(cfg),
+            "plain": build_faa_impl(FaaConfig(threads, (1,) * n, "plain")),
+            "spec": build_faa_spec(cfg),
+        }
+        paths = {}
+        for name, lts in ltss.items():
+            paths[name] = root / f"{name}{n}.json"
+            paths[name].write_text(dumps(lts))
+        impl, spec = ltss["impl"], ltss["spec"]
+        res = check_forward(impl, spec, impl.alphabet.cr | spec.alphabet.cr, alpha_bound=4)
+        paths["cert"] = root / f"cert{n}.json"
+        paths["cert"].write_text("".join(certificate_chunks(res.certificate, None)))
+        sizes[n] = {k: str(p) for k, p in paths.items()}
+    return sizes
+
+
+def _on_faa(command, *files):
+    return lambda m, n: [command, *(m[n][f] for f in files)]
+
+
+def _at_depth(command, *files):
+    return lambda m, n: [command, *(m[2][f] for f in files), "--depth", str(n)]
+
+
+# every subcommand, with its arguments at a size, and a small and a larger size
+GROWING = {
+    "check-det": (_on_faa("check-det", "impl"), (2, 3)),
+    "idle-complete": (_on_faa("idle-complete", "impl"), (2, 3)),
+    "product": (_on_faa("product", "prog", "impl"), (2, 3)),
+    "export-dot": (_on_faa("export-dot", "impl"), (2, 3)),
+    "check-fwd": (_on_faa("check-fwd", "impl", "spec"), (2, 3)),
+    "check-prog-fwd": (_on_faa("check-prog-fwd", "impl", "spec"), (2, 3)),
+    "validate-cert": (_on_faa("validate-cert", "impl", "spec", "cert"), (2, 3)),
+    "find-divergence": (_on_faa("find-divergence", "prog", "impl"), (2, 3)),
+    "simulate": (_at_depth("simulate", "prog"), (8, 20)),
+    "check-admitted": (_at_depth("check-admitted", "prog"), (8, 20)),
+    "transform-scheduler": (_at_depth("transform-scheduler", "prog", "plain", "spec"), (20, 200)),
+    "check-lemmas": (_at_depth("check-lemmas", "prog", "plain", "spec"), (20, 200)),
+    "run-casestudy": (lambda m, n: ["run-casestudy", "--depth", "12", "--addends", n], ("1,1", "1,2")),
+}
+
+
+def _cyclic_garbage(capsys, argv):
+    """Objects that only the cyclic collector frees after main(argv) ran
+    with the collector off, and the exit code."""
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        code = main(argv)
+        return gc.collect(), code
+    finally:
+        if collecting:
+            gc.enable()
+        capsys.readouterr()
+
+
+def test_every_subcommand_is_checked_for_growing_garbage():
+    assert set(GROWING) == {name for name, _, _ in _subcommands()}
+
+
+@pytest.mark.parametrize("command", GROWING)
+def test_no_command_leaves_cyclic_garbage_that_grows_with_its_input(faa_sizes, capsys, command):
+    """main runs a command with the collector paused, which is safe only
+    while what a command leaves to the collector does not grow with its
+    input."""
+    argv, (small, large) = GROWING[command]
+    main(argv(faa_sizes, small))  # a first call may fill caches
+    capsys.readouterr()
+    garbage = {}
+    for size in (small, large):
+        garbage[size], code = _cyclic_garbage(capsys, argv(faa_sizes, size))
+        assert code in (0, 1)
+    assert garbage[small] == garbage[large]
+
+
+def _fail_to_load(text):
+    raise RuntimeError("boom")
+
+
+# exit path -> (argv from the shared model files, the code or argparse exit,
+# load_model replaced with one that fails)
+EXIT_PATHS = {
+    "holds": (lambda m: ["check-det", m["impl"]], 0, False),
+    "refuted": (lambda m: ["find-divergence", m["prog"], m["impl"]], 1, False),
+    "bound-exhausted": (lambda m: ["simulate", m["impl"], "--depth", "8", "--budget", "3"], 2, False),
+    "unusable-input": (lambda m: ["check-det", "/nonexistent/model.json"], 3, False),
+    "internal-error": (lambda m: ["check-det", m["impl"]], 4, True),
+    "argparse": (lambda m: ["simulate", m["impl"], "--strategy", "nope"], SystemExit, False),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("path", EXIT_PATHS)
+def test_main_restores_the_collector_state_it_found(models, capsys, monkeypatch, path, collecting):
+    argv, expected, broken = EXIT_PATHS[path]
+    seen = []
+
+    def recording(text, load=_fail_to_load if broken else load_model):
+        seen.append(gc.isenabled())
+        return load(text)
+
+    monkeypatch.setattr("ltsim.cli.load_model", recording)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if expected is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv(models))
+        else:
+            assert main(argv(models)) == expected
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert after is collecting
+    assert True not in seen  # each model was loaded with the collector paused
+    assert bool(seen) == (path not in ("unusable-input", "argparse"))
