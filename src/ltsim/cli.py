@@ -111,7 +111,13 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        try:
+            with open(path) as f:
+                return f.read()
+        except OSError:
+            # open fails on "" and on a trailing slash, which Path reads as
+            # "." and as the file itself; retrying keeps what Path gives
+            return Path(path).read_text()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:

@@ -51,6 +51,13 @@ algorithms, where states with equal rows form one block (Gentilini,
 Piazza and Policriti, 2003), each distinct block is computed once and
 shared: 2,470 blocks for the 8,901 steps of 4-thread FAA.
 
+When the greedy choices settle neither yes nor no, check_progressive
+drops them and searches depth-first over (obligation, step) choice
+points for landings whose stutter graph stays acyclic.  The search keeps
+an explicit undo stack, one int per open choice point, and its choices
+in Choices layout as it makes them, so its memory is its answer plus a
+list slot per open choice point (8,677 on 4-thread plain FAA).
+
 validate_certificate reads nothing the checker built.  Every check but
 rank descent reads only a step's search key, the rows of s1 and t and
 the step's block, so it checks each distinct block once (239 for 3-thread
@@ -212,10 +219,26 @@ class Choices(Mapping):
             if s2 in block:
                 raise ValueError(f"choice ({s1}, {a.label()}, {s2}) is given twice")
             block[s2] = entry
-        return cls({
-            s1: {a: dict(sorted(row[a].items())) for a in sorted(row, key=Action.key)}
-            for s1, row in sorted(rows.items())
-        })
+        return cls.from_rows(rows)
+
+    @classmethod
+    def from_rows(cls, rows: dict[int, BlockRow]) -> Choices:
+        """Choices over rows of non-empty blocks, put in iteration order.
+
+        rows is taken over: a row or block out of order is rebuilt in its
+        place, and one already in order, as a certificate file's items
+        come, is kept as it is.
+        """
+        for s1, row in rows.items():
+            keys = [a.key() for a in row]
+            if keys != sorted(keys):
+                row = rows[s1] = {a: row[a] for a in sorted(row, key=Action.key)}
+            for a, block in row.items():
+                if list(block) != sorted(block):
+                    row[a] = dict(sorted(block.items()))
+        if list(rows) != sorted(rows):
+            rows = dict(sorted(rows.items()))
+        return cls(rows)
 
     def get(self, key: object, default: ChoiceEntry | None = None) -> ChoiceEntry | None:
         try:
@@ -702,29 +725,37 @@ def _backtrack(
     relation: Relation,
     table: MatchTable,
     budget: int,
-) -> tuple[dict[tuple[int, Action, int], ChoiceEntry], set[tuple[int, int]]] | None:
+) -> tuple[Choices, Relation] | None:
     """Complete search for a choice assignment with an acyclic stutter graph.
 
     Explores only pairs reached from the initial pair through the chosen
     landings, and returns the choices with the reached set, which is the
     certificate relation.  Raises BudgetExceeded when the tried-assignment
     count passes the budget.  The search is depth-first over choice points
-    (obligation, step), one suspended generator per open choice point, so
-    its depth is bounded by memory rather than by the recursion limit.
+    (obligation, step), in the order obligations are reached and steps and
+    candidates are listed.  Every step of every obligation before the one
+    being tried is an open choice point, so an explicit undo stack holds
+    one int per open choice point, its obligation and step implied by its
+    depth: the position of its next candidate, and whether the landing
+    applied there added the landing pair and the stutter edge, which
+    retracting it removes.  So an open choice point costs a list slot, not
+    a Python frame, and the depth is bounded by memory rather than by the
+    recursion limit.  The choices are kept in Choices layout as they are
+    made.
     """
     init = (a1.initial, a2.initial)
     spent = 0
     obligations: list[tuple[int, int]] = [init]
     supported: set[tuple[int, int]] = {init}
-    choice: dict[tuple[int, Action, int], ChoiceEntry] = {}
+    rows: dict[int, BlockRow] = {}  # the choices made: s1 -> action -> s2 -> entry
     stutter: set[tuple[int, Action, int]] = set()
     stutter_succ: dict[int, list[int]] = {}  # adjacency of the stutter edges
-    steps: dict[int, list[tuple[Action, int]]] = {}
+    actions: dict[int, list[Action]] = {}  # the actions of s1's steps, in canonical order
 
-    def steps_of(s1: int) -> list[tuple[Action, int]]:
-        if s1 not in steps:
-            steps[s1] = list(a1.out_edges(s1))
-        return steps[s1]
+    def actions_of(s1: int) -> list[Action]:
+        if s1 not in actions:
+            actions[s1] = [a for a, _ in a1.out_edges(s1)]
+        return actions[s1]
 
     def stutter_reaches(src: int, dst: int) -> bool:
         seen = {src}
@@ -739,13 +770,19 @@ def _backtrack(
                     stack.append(y)
         return False
 
-    def attempts(i: int, j: int) -> Iterator[bool]:
-        """Apply each admissible landing for step j of obligation i in turn;
-        resuming retracts the one applied last."""
-        nonlocal spent
+    undo: list[int] = []  # per open choice point: next position << 2 | added pair << 1 | added edge
+    i = j = pos = 0  # the choice point to try, and its next candidate's position
+    while True:
+        while i < len(obligations) and j == len(actions_of(obligations[i][0])):
+            i, j = i + 1, 0
+        if i == len(obligations):
+            return Choices.from_rows(rows), Relation.from_pairs(supported)
         s1, s2 = obligations[i]
-        a, s1n = steps_of(s1)[j]
-        for entry in table.column(table.key(a))[s2]:
+        a = actions_of(s1)[j]
+        s1n = a1.step(s1, a)
+        cands = table.column(table.key(a))[s2]
+        for pos in range(pos, len(cands)):
+            entry = cands[pos]
             alpha, t = entry
             if (s1n, t) not in relation:
                 continue
@@ -753,7 +790,6 @@ def _backtrack(
             if spent > budget:
                 raise BudgetExceeded(budget)
             is_stutter = not alpha
-            edge = (s1, a, s1n)
             if is_stutter and (s1 == s1n or stutter_reaches(s1n, s1)):
                 continue  # would close a stutter cycle
             added_pair = (s1n, t) not in supported
@@ -762,34 +798,41 @@ def _backtrack(
                 obligations.append((s1n, t))
             # another obligation may already force this edge to stutter;
             # only the choice point that inserted it may remove it
+            edge = (s1, a, s1n)
             added_edge = is_stutter and edge not in stutter
             if added_edge:
                 stutter.add(edge)
                 stutter_succ.setdefault(s1, []).append(s1n)
-            choice[(s1, a, s2)] = entry
-            yield True
-            del choice[(s1, a, s2)]
-            if added_edge:
-                stutter.discard(edge)
+            rows.setdefault(s1, {}).setdefault(a, {})[s2] = entry
+            undo.append((pos + 1) << 2 | added_pair << 1 | added_edge)
+            j, pos = j + 1, 0
+            break
+        else:
+            # no landing left here: retract the newest open choice point, the
+            # step before this one, which then tries its next candidate
+            if not undo:
+                return None
+            record = undo.pop()
+            pos = record >> 2
+            j -= 1
+            while j < 0:
+                i -= 1
+                j = len(actions_of(obligations[i][0])) - 1
+            s1, s2 = obligations[i]
+            a = actions_of(s1)[j]
+            s1n = a1.step(s1, a)
+            row = rows[s1]
+            t = row[a].pop(s2).target
+            if not row[a]:
+                del row[a]  # the later steps of s1 were retracted first
+                if not row:
+                    del rows[s1]
+            if record & 1:
+                stutter.discard((s1, a, s1n))
                 stutter_succ[s1].remove(s1n)
-            if added_pair:
+            if record & 2:
                 supported.discard((s1n, t))
                 obligations.pop()
-
-    frames: list[tuple[int, int, Iterator[bool]]] = []
-    i = j = 0  # the next choice point to open
-    while True:
-        while i < len(obligations) and j == len(steps_of(obligations[i][0])):
-            i, j = i + 1, 0
-        if i == len(obligations):
-            return choice, supported
-        frames.append((i, j, attempts(i, j)))
-        # resume the newest choice point that has a landing left to try
-        while not next(frames[-1][2], False):
-            frames.pop()
-            if not frames:
-                return None
-        i, j = frames[-1][0], frames[-1][1] + 1
 
 
 def check_progressive(
@@ -803,9 +846,11 @@ def check_progressive(
 
     The greedy assignment stutters only where forced, so its stutter
     graph acyclic settles yes immediately.  A cycle of steps forced for
-    every partner settles no.  Between the two, a budgeted complete
-    backtracking over landings decides; running out of budget is an
-    unknown carrying the best cycle found.
+    every partner settles no.  Between the two, the greedy choices are
+    freed and a budgeted complete backtracking over landings decides,
+    holding only the relation, the match table and the greedy cycle
+    besides its own undo stack; running out of budget is an unknown
+    carrying that cycle.
     """
     gamma = frozenset(gamma)
     table = MatchTable(a2, gamma, alpha_bound)
@@ -826,6 +871,7 @@ def check_progressive(
                 note="every abstract partner stutters on each cycle step",
                 relation=relation,
             )
+        del choice, edges  # free the greedy choices before the search
         try:
             solved = _backtrack(a1, a2, relation, table, backtrack_budget)
         except BudgetExceeded:
@@ -844,8 +890,8 @@ def check_progressive(
                 note="no landing assignment admits a rank (complete search)",
                 relation=relation,
             )
-        choice, reached = solved
-        cert_relation, edges = Relation.from_pairs(reached), _stutter_edges(a1, choice)
+        choice, cert_relation = solved
+        edges = _stutter_edges(a1, choice)
     cert = SimulationCertificate(cert_relation, choice, gamma, alpha_bound)
     witness = _ranks_from_edges(edges, a1.num_states)
     return ProgressiveResult(

@@ -160,6 +160,25 @@ def test_an_internal_error_exits_4_not_refuted(models, capsys, monkeypatch):
     assert "Traceback" in err and "RuntimeError: boom" in err
 
 
+def test_an_empty_path_reads_as_the_current_directory(models, capsys):
+    assert run(capsys, ["check-det", ""]) == (3, "", "ltsim: cannot read : Is a directory\n")
+    assert run(capsys, ["validate-cert", models["plain"], models["spec"], ""]) == (
+        3, "", "ltsim: cannot read : Is a directory\n"
+    )
+
+
+@pytest.mark.parametrize("suffix", ["/", "/."])
+def test_a_file_path_with_a_trailing_slash_reads_the_file(models, tmp_path, capsys, suffix):
+    cert = str(tmp_path / "cert.json")
+    argv = ["check-fwd", models["plain"], models["spec"], "--gamma", "cr"]
+    assert run(capsys, argv + ["--cert-out", cert])[0] == 0
+    check = ["validate-cert", models["plain"], models["spec"], cert]
+    for command in (argv, check):
+        code, out, err = run(capsys, [p + suffix if p.endswith(".json") else p for p in command])
+        assert (code, out, err) == run(capsys, command)
+        assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("command", ["validate-cert", "transform-scheduler"])
 def test_unusable_certificate_files_are_input_errors(models, tmp_path, capsys, command):
     def argv(cert):
@@ -810,6 +829,28 @@ def test_simulation_report_and_certificate_bytes_are_pinned(
         hashlib.sha256(cert.read_bytes()).hexdigest() if cert.exists() else None,
     )
     assert got == SIMULATION_DIGESTS[(command, variant)]
+
+
+# sha256 of the check-prog-fwd stdout report and --cert-out file on 4-thread
+# plain FAA (addends all 1, gamma cr, alpha bound 4), the one FAA case whose
+# progressive "yes" comes from the backtracking search
+FOUR_THREAD_PROGRESSIVE_DIGESTS = (
+    "c2523d65f49a252805272fe3f256c9686f17b018e4243ab00716d4aa0bf762f4",
+    "ff37b5b264e3866d18b99c3e5acbd515f0b1b3ffcac35d82633a35887c075dcd",
+)
+
+
+def test_four_thread_plain_progressive_bytes_are_pinned(tmp_path, capsys):
+    cfg = FaaConfig((1, 2, 3, 4), (1, 1, 1, 1), "plain")
+    impl, spec, cert = tmp_path / "plain.json", tmp_path / "spec.json", tmp_path / "cert.json"
+    impl.write_text(dumps(build_faa_impl(cfg)))
+    spec.write_text(dumps(build_faa_spec(cfg)))
+    argv = ["check-prog-fwd", str(impl), str(spec), "--gamma", "cr", "--alpha-bound", "4"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and report(out)["data"]["verdict"] == "yes"
+    assert run(capsys, argv + ["--cert-out", str(cert)])[0] == 0
+    got = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(cert.read_bytes()).hexdigest())
+    assert got == FOUR_THREAD_PROGRESSIVE_DIGESTS
 
 
 # sha256 of the model files of 3-thread FAA and of what idle-complete -o and

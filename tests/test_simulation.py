@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -30,16 +31,20 @@ from ltsim import (
 )
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec
 import ltsim.simulation
+from ltsim.errors import BudgetExceeded
 from ltsim.simulation import (
     MatchTable,
     StutterCycle,
     StutterEdge,
+    _backtrack,
     _forced_everywhere_edges,
+    _greatest_relation,
     _ranks_from_edges,
     _stutter_cycle,
 )
 
 from conftest import internal, make_lts, oracle_union, random_lts
+from reference_backtrack import reference_backtrack
 from reference_greedy import reference_forced_everywhere_edges, reference_greedy_choice
 from reference_validator import reference_validate_certificate
 
@@ -717,6 +722,69 @@ def test_faa_three_threads_plain_progressive_at_default_recursion_limit():
     assert ok, problems
 
 
+# --- the backtracking search -------------------------------------------------
+
+
+def search_outcome(search, a1, a2, relation, table, budget):
+    """What a search answers: "budget" when it runs out, None for no, else its
+    choices as (key, entry) items in Choices order and its reached pairs."""
+    try:
+        found = search(a1, a2, relation, table, budget)
+    except BudgetExceeded:
+        return "budget"
+    if found is None:
+        return None
+    choice, reached = found
+    return list(Choices.from_items(choice.items()).items()), set(reached)
+
+
+def test_backtrack_agrees_with_the_generator_search():
+    """The undo stack explores in the generator search's order and spends
+    what it spends, so at every budget both give the same answer."""
+    seen = collections.Counter()
+    for a1, a2, gamma, bound in [*differential_cases(), faa_case("plain")]:
+        table = MatchTable(a2, gamma, bound)
+        relation, _ = _greatest_relation(a1, a2, table)
+        if (a1.initial, a2.initial) not in relation:
+            continue
+        for budget in (0, 50, 2_000):
+            got = search_outcome(_backtrack, a1, a2, relation, table, budget)
+            assert got == search_outcome(reference_backtrack, a1, a2, relation, table, budget)
+            seen[budget, "yes" if got and got != "budget" else got] += 1
+    for budget in (50, 2_000):
+        assert seen[budget, "yes"] and seen[budget, None] and seen[budget, "budget"]
+
+
+def test_backtrack_spends_what_the_generator_search_spends_on_faa():
+    a1, a2, gamma, bound = faa_case("plain")
+    table = MatchTable(a2, gamma, bound)
+    relation, _ = _greatest_relation(a1, a2, table)
+    for search in (_backtrack, reference_backtrack):
+        with pytest.raises(BudgetExceeded):
+            search(a1, a2, relation, table, 654)
+        assert search(a1, a2, relation, table, 655) is not None
+
+
+def test_four_thread_plain_progressive_stays_under_8_mb():
+    """An open choice point costs one undo slot, not a suspended frame.
+
+    The generator search peaked at about 12 MB here, the undo stack at
+    about 6 MB (tracemalloc, Python 3.11).  Every choice of the certificate was
+    an open choice point at once, more of them than the recursion limit
+    allows frames.
+    """
+    a1, a2, gamma, bound = faa_case("plain", threads=4)
+    tracemalloc.start()
+    try:
+        res = check_progressive(a1, a2, gamma, alpha_bound=bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.verdict == "yes"
+    assert len(res.certificate.choice) > sys.getrecursionlimit()
+    assert peak < 8_000_000
+
+
 # --- the row-backed relation ------------------------------------------------
 
 
@@ -977,6 +1045,29 @@ def test_choices_behave_like_a_dict_of_their_items(d, probes, key, entry):
         k, e = next(iter(d.items()))
         with pytest.raises(ValueError):
             Choices.from_items([*d.items(), (k, e)])
+
+
+def test_choices_from_items_in_any_order_iterate_alike():
+    a1, a2, gamma, bound = faa_case("plain")
+    items = list(check_progressive(a1, a2, gamma, alpha_bound=bound).certificate.choice.items())
+    shuffled = items[:]
+    random.Random(5).shuffle(shuffled)
+    built = [Choices.from_items(order) for order in (items, shuffled, items[::-1])]
+    assert built[0] == built[1] == built[2]
+    assert [list(c.items()) for c in built] == [items] * 3
+
+
+def test_choices_from_rows_rebuilds_only_what_is_out_of_order():
+    first, second = sorted([A, B], key=Action.key)
+    e = ChoiceEntry((), 0)
+    ordered, reversed_block, late = {0: e, 2: e}, {5: e, 1: e}, {3: e}
+    row0 = {first: ordered, second: reversed_block}
+    row1 = {second: late, first: ordered}
+    c = Choices.from_rows({1: row1, 0: row0})
+    assert list(c._rows) == [0, 1]
+    assert c._rows[0] is row0 and c._rows[0][first] is ordered
+    assert list(c._rows[0][second]) == [1, 5]
+    assert list(c._rows[1]) == [first, second] and c._rows[1][second] is late
 
 
 def shared_blocks(cert, a1):
