@@ -49,7 +49,6 @@ from .transform import (
     check_all_lemmas,
     check_s2,
     construct_s2,
-    unlink_trees,
 )
 
 # enum members read as globals: ActionKind.X costs a slow class lookup each time
@@ -529,7 +528,6 @@ def run_counterexample_suite(
         s2_checks = check_s2(
             mt, s2, prod_plain.alphabet.program, PROJECTION_STEPS, budget=budget
         )
-        unlink_trees(mt, s2)
         checks_ok = adm1.ok and det1.ok and all(l.ok for l in lemmas) and s2_checks.ok
         projections = s2_checks.projections
         compared = projections.compare_length

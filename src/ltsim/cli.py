@@ -19,9 +19,10 @@ over the product, whose reachable behaviour it cannot enumerate.
 
 main runs the command with Python's cyclic garbage collector paused and
 restores the state it found when the command returns, however it
-returns.  A command's data holds no reference cycles (the trace trees
-are unlinked before it returns), so reference counting frees it, and
-the collector would only rescan a large live heap and find nothing.
+returns.  A command's data holds no reference cycles (a trace tree
+links a child to its parent, and a parent to its children only by
+position), so reference counting frees it, and the collector would
+only rescan a large live heap and find nothing.
 The pause is process-wide, so main is not meant to be called from
 concurrent threads.
 """
@@ -76,7 +77,6 @@ from .transform import (
     check_all_lemmas,
     check_s2,
     construct_s2,
-    unlink_trees,
 )
 
 EXIT_HOLDS = 0
@@ -245,7 +245,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "traces": [_trace_labels(v.trace()) for v in listed],
         "truncated_listing": tree.size > args.max_traces,
     }
-    tree.unlink()
     _emit(args, "holds", data)
     return EXIT_HOLDS
 
@@ -397,14 +396,12 @@ def _cmd_transform_scheduler(args: argparse.Namespace) -> int:
             + "\n",
         )
         data["table_written"] = args.table_out
-    unlink_trees(mt, s2)
     return _verdict(args, checks.ok, data)
 
 
 def _cmd_check_lemmas(args: argparse.Namespace) -> int:
     _prod1, mt, s2, cert_source = _load_transform(args)
     results = check_all_lemmas(mt, s2)
-    unlink_trees(mt, s2)
     data = {
         "certificate": cert_source,
         "results": [
@@ -582,7 +579,8 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    The handler runs with the cyclic garbage collector paused; the
+    The handler runs with the cyclic garbage collector paused, as what
+    it builds holds no reference cycle (see the module docstring); the
     collector's state is restored when it returns or raises.  The pause
     is process-wide, so main is not meant for concurrent threads.
     """

@@ -247,10 +247,12 @@ def is_consistent(tau: Sequence[Action], s: Scheduler) -> bool:
 class TraceNode:
     """One node of a prefix tree; the root carries action None.
 
-    children maps each next action to its node, in insertion order, and
-    starts empty; image and scheduled, None until build_f sets them,
+    children maps each next action to its node's position in the tree's
+    node_list, in insertion order, and starts empty; parent is the parent
+    node itself.  So a tree holds no reference cycle, and reference
+    counting frees it.  image and scheduled, None until build_f sets them,
     annotate a mapped trace tree (see MappedTraces).  Nodes compare by
-    identity: a node is a position in one tree.  A plain class with
+    identity: a node is one place in one tree.  A plain class with
     __slots__ and a weakref slot, as every trace of a tree is one node.
     """
 
@@ -263,7 +265,7 @@ class TraceNode:
         self.state = state
         self.depth = depth
         self.parent = parent
-        self.children: dict[Action, TraceNode] = {}
+        self.children: dict[Action, int] = {}
         self.image: TraceNode | None = None
         self.scheduled: frozenset[Action] | None = None
 
@@ -281,7 +283,8 @@ class TracePrefixTree:
 
     node_list holds every node in insertion order, so a parent before
     its children; a walk whose result does not depend on the order
-    iterates it rather than the preorder of nodes().
+    iterates it rather than the preorder of nodes().  Children name their
+    nodes by position in it, so it is only ever appended to.
     """
 
     def __init__(self, root_state: int):
@@ -293,24 +296,19 @@ class TracePrefixTree:
         return len(self.node_list)
 
     def extend(self, node: TraceNode, action: Action, state: int) -> TraceNode:
-        child = TraceNode(action, state, node.depth + 1, node)
-        if node.children.setdefault(action, child) is not child:  # hashes action once
+        i = len(self.node_list)
+        if node.children.setdefault(action, i) != i:  # hashes action once
             raise ModelError(f"duplicate child {action.label()} in prefix tree")
+        child = TraceNode(action, state, node.depth + 1, node)
         self.node_list.append(child)
         return child
 
-    def unlink(self) -> None:
-        """Drop every parent link, so that the tree is freed as soon as it
-        is unreferenced rather than by the cyclic collector.  trace() of
-        its nodes is meaningless afterwards."""
-        for node in self.node_list:
-            node.parent = None
-
     def nodes(self) -> Iterator[TraceNode]:
         """All nodes, preorder, children in insertion (canonical) order."""
-        stack = [self.root]
+        nodes = self.node_list
+        stack = [0]
         while stack:
-            node = stack.pop()
+            node = nodes[stack.pop()]
             yield node
             stack.extend(reversed(node.children.values()))
 
@@ -321,9 +319,9 @@ class TracePrefixTree:
     def find(self, trace: Sequence[Action]) -> TraceNode | None:
         node = self.root
         for a in trace:
-            node = node.children.get(a)
-            if node is None:
+            if a not in node.children:
                 return None
+            node = self.node_list[node.children[a]]
         return node
 
     def leaves(self) -> Iterator[TraceNode]:
@@ -384,7 +382,8 @@ def _walk(
     tree of a, it follows that tree instead and leaves it as it was: a
     step along has reuses along's node, any other step gets a new node
     outside along, and the walk returns the list of nodes it walked to
-    depth, parents first, in place of a tree.
+    depth, parents first, in place of a tree.  A node outside the tree, a
+    test's or one off along, is in no children map, only linked to its parent.
     """
     limit = node_budget(budget)
     w = walker(s)
@@ -432,11 +431,13 @@ def _walk(
         if full or not (grow or (testing and node.depth < check_depth)):
             continue
         for act, t in moves[node.state, scheduled]:
-            child = node.children.get(act)  # along's node for the step; a new tree has none
-            if child is None:
+            i = node.children.get(act)  # along's node for the step; a new tree has none
+            if i is None:
                 child = TraceNode(act, t, node.depth + 1, node)
                 if grow and along is None:
-                    node.children[act] = child
+                    node.children[act] = len(walked)  # walked is the tree's node_list
+            else:
+                child = tree.node_list[i]
             if grow:
                 walked.append(child)
                 if len(walked) > limit:

@@ -741,7 +741,8 @@ def _backtrack(
     retracting it removes.  So an open choice point costs a list slot, not
     a Python frame, and the depth is bounded by memory rather than by the
     recursion limit.  The choices are kept in Choices layout as they are
-    made.
+    made, and blocks of equal content are made one object when the search
+    succeeds, as _greedy_choice shares them.
     """
     init = (a1.initial, a2.initial)
     spent = 0
@@ -776,6 +777,11 @@ def _backtrack(
         while i < len(obligations) and j == len(actions_of(obligations[i][0])):
             i, j = i + 1, 0
         if i == len(obligations):
+            shared: dict[tuple, dict[int, ChoiceEntry]] = {}  # equal blocks become one
+            for row in rows.values():
+                for b, block in row.items():
+                    items = tuple(sorted(block.items()))
+                    row[b] = shared.get(items) or shared.setdefault(items, dict(items))
             return Choices.from_rows(rows), Relation.from_pairs(supported)
         s1, s2 = obligations[i]
         a = actions_of(s1)[j]

@@ -177,12 +177,14 @@ def build_f(
         return steps, None
 
     paths = _Memo(image_path)
+    concrete_nodes, image_nodes = concrete.node_list, image.node_list
     for u in concrete.nodes():
         if not u.children:
             continue
         v = u.image
         scheduled = frozenset(u.children)  # = s1 choices that are enabled
-        for a, u2 in u.children.items():
+        for a, i in u.children.items():
+            u2 = concrete_nodes[i]
             steps, stuck = paths[u.state, a, v.state]
             w = v
             for b, value, nxt_state in steps:
@@ -192,12 +194,13 @@ def build_f(
                     w.scheduled = value
                 elif prev is not value and prev != value:
                     _conflict(mt, w, prev, value)
-                child = w.children.get(b)
-                if child is None:
-                    child = image.extend(w, b, nxt_state)
-                    if len(image.node_list) > limit:
+                j = w.children.get(b)
+                if j is None:
+                    w = image.extend(w, b, nxt_state)
+                    if len(image_nodes) > limit:
                         raise BudgetExceeded(limit, f"image tree exceeded the node budget {limit}")
-                w = child
+                else:
+                    w = image_nodes[j]
             if stuck is not None:
                 raise ContractViolation(
                     f"image of {_fmt(u2.trace())} does not replay: "
@@ -238,9 +241,9 @@ class S2Scheduler(Scheduler):
     every depth up to the cap, so a query it leaves open raises at once,
     naming the cap.
 
-    A cursor is an image-tree node, so a walk costs one child lookup per
-    step.  In the unbuilt fringe, or on a tree that a deeper rebuild has
-    since replaced, it falls back to the trace itself.
+    A cursor is an image-tree node and its tree, so a walk costs one
+    child lookup per step.  In the unbuilt fringe, or on a tree that a
+    deeper rebuild has since replaced, it falls back to the trace itself.
     """
 
     def __init__(
@@ -264,9 +267,9 @@ class S2Scheduler(Scheduler):
             return cur if at is None else (None, at + (a,))
         if image is not self.mt.image:  # on a tree a rebuild has replaced
             return (None, at.trace() + (a,))
-        child = at.children.get(a)
-        if child is not None:
-            return (image, child)
+        i = at.children.get(a)
+        if i is not None:
+            return (image, image.node_list[i])
         value = at.scheduled
         if value is None or (a in value and self.mt.prod2.step(at.state, a) is not None):
             return (None, at.trace() + (a,))  # inside the unbuilt fringe
@@ -313,17 +316,6 @@ def construct_s2(
 ) -> S2Scheduler:
     """The abstract scheduler derived from a mapped trace tree."""
     return S2Scheduler(mt, auto_deepen=auto_deepen, budget=budget)
-
-
-def unlink_trees(mt: MappedTraces, s2: S2Scheduler) -> None:
-    """Unlink the trees of mt and of the deeper rebuild s2 made, if any.
-
-    A node and its parent refer to each other, so without this the trees
-    wait for the cyclic collector.  Call it once no trace() is needed.
-    """
-    for m in (mt,) if s2.mt is mt else (mt, s2.mt):
-        m.concrete.unlink()
-        m.image.unlink()
 
 
 # --- per-node facts computed from the parent ----------------------------
@@ -479,8 +471,10 @@ def _check_unique_diagram(mt: MappedTraces) -> LemmaResult:
     if mt.concrete.root.image is not mt.image.root:
         return LemmaResult(3, False, "the empty trace does not map to the empty trace", 1)
     checked = 1
+    nodes = mt.concrete.node_list
     for u, v in mt.linked():
-        for a, u2 in u.children.items():
+        for a, i in u.children.items():
+            u2 = nodes[i]
             checked += 1
             v2 = u2.image
             node, hops = v2, v2.depth - v.depth
@@ -569,10 +563,11 @@ def _check_step_equivalence(mt: MappedTraces, s2: Scheduler) -> LemmaResult:
     """
     w = walker(s2)
     checked = 0
+    nodes = mt.image.node_list
     stack = [(mt.image.root, w.cursor())]  # preorder, each node with its cursor
     while stack:
         v, cur = stack.pop()
-        stack.extend((c, w.advance(cur, a)) for a, c in reversed(v.children.items()))
+        stack.extend((nodes[i], w.advance(cur, a)) for a, i in reversed(v.children.items()))
         value = v.scheduled
         if value is None:
             continue  # beyond what the bounded tree determines
@@ -652,8 +647,8 @@ def _image_equality(image: TracePrefixTree, walked: list[TraceNode], depth2: int
     """The image tree cut at depth2 against the tree of a walk along it.
 
     walked lists the walk's nodes, parents first: image nodes, and new
-    nodes where a step leaves the image.  The differences are the new
-    nodes whose parent is an image node (only scheduled) and the image
+    nodes where a step the image lacks leaves it.  The differences are the
+    new nodes whose parent is an image node (only scheduled) and the image
     children of walked image nodes that the walk does not take (only an
     image prefix).  Each lies one step below a node both trees share, so
     the smallest lies at the least depth with any.
@@ -665,7 +660,7 @@ def _image_equality(image: TracePrefixTree, walked: list[TraceNode], depth2: int
         parent = c.parent
         if parent in off:
             off.add(c)
-        elif parent.children.get(c.action) is not c:  # type: ignore[union-attr]
+        elif c.action not in parent.children:  # type: ignore[union-attr]
             off.add(c)
             found.append((c, True))
     if len(walked) - len(off) < lhs_size:  # some image node is not walked
@@ -674,8 +669,8 @@ def _image_equality(image: TracePrefixTree, walked: list[TraceNode], depth2: int
             (d, False)
             for v in on
             if v.depth < depth2
-            for d in v.children.values()
-            if d not in on
+            for i in v.children.values()
+            if (d := image.node_list[i]) not in on
         )
     if not found:
         return EqualityResult(True, depth2, None, lhs_size, len(walked))

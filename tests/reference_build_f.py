@@ -3,9 +3,10 @@ per distinct (state, action, image state): every step of every concrete
 node is mapped and replayed on its own.
 
 Kept as the reference that tests compare build_f with: trees,
-annotations, conflicts and the error raised.  Its one change since is
+annotations, conflicts and the error raised.  Its changes since are
 the type of the image tree's budget error, BudgetExceeded (a spent
-bound) where it was ContractViolation, as in build_f.
+bound) where it was ContractViolation, as in build_f, and reading a
+child as a position in its tree's node_list.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def reference_build_f(
             continue
         v = u.image
         scheduled = frozenset(u.children)  # = s1 choices that are enabled
-        for a, u2 in u.children.items():
+        for a, i in u.children.items():
+            u2 = concrete.node_list[i]
             if a == idle1:
                 alpha: Trace = (idle2,) if prod2.step(v.state, idle2) is not None else ()
             else:
@@ -85,11 +87,13 @@ def reference_build_f(
                         f"image of {_fmt(u2.trace())} does not replay: "
                         f"{b.label()} not enabled after {_fmt(w.trace())}"
                     )
-                child = w.children.get(b)
-                if child is None:
+                j = w.children.get(b)
+                if j is None:
                     child = image.extend(w, b, nxt_state)
                     if image.size > limit:
                         raise BudgetExceeded(limit, f"image tree exceeded the node budget {limit}")
+                else:
+                    child = image.node_list[j]
                 w = child
             u2.image = w
     return mt

@@ -5,7 +5,8 @@ tree of the abstract scheduler.
 
 Kept unchanged as the reference that tests compare the shared walk and
 check_s2 with, error included, except that the projection check numbers
-both trees before it reads a node's projection id.  The two tree
+both trees before it reads a node's projection id and that a child is
+read as a position in its tree's node_list.  The two tree
 comparisons that the reference equality checks use are kept here with
 them.
 """
@@ -148,7 +149,7 @@ def reference_check_deterministic_scheduler(
 
 
 def _first_divergence(
-    lhs: TraceNode, rhs: TraceNode, depth: int
+    lhs: TracePrefixTree, rhs: TracePrefixTree, depth: int
 ) -> tuple[tuple[Action, ...], bool] | None:
     """Smallest trace in exactly one of two trees, lhs cut at depth.
 
@@ -156,7 +157,7 @@ def _first_divergence(
     is a child of a shared node, so the first level with one holds it.
     Returns the trace and whether it is in rhs.
     """
-    level = [(lhs, rhs)]
+    level = [(lhs.root, rhs.root)]
     while level:
         found: list[tuple[TraceNode, bool]] = []
         shared = []
@@ -165,15 +166,15 @@ def _first_divergence(
                 continue
             left, right = x.children, y.children
             matched = 0
-            for a, c in left.items():
-                d = right.get(a)
-                if d is None:
-                    found.append((c, False))
+            for a, i in left.items():
+                j = right.get(a)
+                if j is None:
+                    found.append((lhs.node_list[i], False))
                 else:
-                    shared.append((c, d))
+                    shared.append((lhs.node_list[i], rhs.node_list[j]))
                     matched += 1
             if matched < len(right):
-                found.extend((d, True) for a, d in right.items() if a not in left)
+                found.extend((rhs.node_list[j], True) for a, j in right.items() if a not in left)
         if found:
             side = {node.trace(): in_rhs for node, in_rhs in found}
             diff = _smallest(side)
@@ -212,7 +213,7 @@ def reference_check_image_equality(
     depth2 = settled if settled is not None else max(v.depth for v in mt.image.nodes())
     rhs_tree = reference_enumerate_traces(mt.prod2, s2, depth2, budget=budget)
     lhs_size = sum(1 for v in mt.image.nodes() if v.depth <= depth2)
-    found = _first_divergence(mt.image.root, rhs_tree.root, depth2)
+    found = _first_divergence(mt.image, rhs_tree, depth2)
     if found is None:
         return EqualityResult(True, depth2, None, lhs_size, rhs_tree.size)
     diff, in_rhs = found

@@ -1339,6 +1339,29 @@ def test_no_command_leaves_cyclic_garbage_that_grows_with_its_input(faa_sizes, c
     assert garbage[small] == garbage[large]
 
 
+# tree-walking commands at depth 200 with a --budget that runs out in the
+# walk, and a small and a larger budget
+EXHAUSTED = {
+    "simulate": (_at_depth("simulate", "prog"), (200, 392)),
+    "transform-scheduler": (_at_depth("transform-scheduler", "prog", "plain", "spec"), (200, 392)),
+    "check-lemmas": (_at_depth("check-lemmas", "prog", "plain", "spec"), (200, 392)),
+}
+
+
+@pytest.mark.parametrize("command", EXHAUSTED)
+def test_a_spent_budget_leaves_no_cyclic_garbage_that_grows_with_it(faa_sizes, capsys, command):
+    """A walk that runs out of budget drops the tree it was building (exit
+    2); reference counting must free that tree as well."""
+    argv, budgets = EXHAUSTED[command]
+    main(argv(faa_sizes, 20))  # a first call may fill caches
+    capsys.readouterr()
+    garbage = {}
+    for budget in budgets:
+        garbage[budget], code = _cyclic_garbage(capsys, [*argv(faa_sizes, 200), "--budget", str(budget)])
+        assert code == 2
+    assert garbage[budgets[0]] == garbage[budgets[1]]
+
+
 def _fail_to_load(text):
     raise RuntimeError("boom")
 

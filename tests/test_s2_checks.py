@@ -29,6 +29,7 @@ from ltsim import (
     TableScheduler,
     TraceNode,
     build_f,
+    check_all_lemmas,
     check_progressive,
     check_s2,
     construct_s2,
@@ -39,7 +40,13 @@ from ltsim import (
     sort_actions,
     sufficient_alpha_bound,
 )
-from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_program
+from ltsim.casestudies import (
+    FaaConfig,
+    build_faa_impl,
+    build_faa_spec,
+    build_program,
+    run_counterexample_suite,
+)
 from ltsim.cli import main
 from ltsim.modelio import dumps
 
@@ -362,3 +369,62 @@ def test_check_s2_on_an_agreeing_s2_makes_no_node_and_no_garbage(plain, monkeypa
     assert checks.ok and checks.images.rhs_size == checks.images.lhs_size > 200
     assert made == [] and garbage == 0
     assert [(v, v.children) for v in mt.image.node_list] == before
+
+
+# --- trees without reference cycles ---------------------------------------------
+
+
+def assert_positions_hold(tree):
+    """The node at each child position has that node as parent, the key as
+    its action and is one deeper, and find() reaches every node."""
+    nodes = tree.node_list
+    for node in nodes:
+        for a, i in node.children.items():
+            child = nodes[i]
+            assert (child.parent, child.action, child.depth) == (node, a, node.depth + 1)
+        assert tree.find(node.trace()) is node
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_children_are_positions_in_their_own_tree(plain, strategy):
+    prod1, prod2, cert = plain
+    s1 = make_scheduler(strategy, prod1)
+    assert_positions_hold(enumerate_traces(prod1, s1, 10))
+    mt = build_f(prod1, s1, prod2, cert, 10)
+    assert_positions_hold(mt.concrete)
+    assert_positions_hold(mt.image)
+    before = [(v, dict(v.children)) for v in mt.image.node_list]
+    check_s2(mt, construct_s2(mt), prod1.alphabet.program, 10)
+    assert [(v, v.children) for v in mt.image.node_list] == before
+    assert_positions_hold(mt.image)
+
+
+@pytest.mark.parametrize("depth", [0, 20, 200])
+def test_library_tree_calls_leave_no_cyclic_garbage(plain, depth):
+    """A trace tree holds no reference cycle, so no call that builds one
+    leaves anything to the cyclic collector, and no clean-up call exists."""
+    prod1, prod2, cert = plain
+    s1 = ObjectFirstStrategy(prod1)
+
+    def transform():
+        mt = build_f(prod1, s1, prod2, cert, depth)
+        s2 = construct_s2(mt)
+        check_s2(mt, s2, prod1.alphabet.program, depth)
+        check_all_lemmas(mt, s2)
+
+    calls = {
+        "enumerate_traces": lambda: enumerate_traces(prod1, s1, depth),
+        "build_f": lambda: build_f(prod1, s1, prod2, cert, depth),
+        "check_s2 and check_all_lemmas": transform,
+        "run_counterexample_suite": lambda: run_counterexample_suite(depth=depth),
+    }
+    garbage = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            garbage[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == dict.fromkeys(calls, 0)

@@ -765,6 +765,16 @@ def test_backtrack_spends_what_the_generator_search_spends_on_faa():
         assert search(a1, a2, relation, table, 655) is not None
 
 
+def test_backtrack_answers_equal_blocks_with_one_object():
+    a1, a2, gamma, bound = faa_case("plain")
+    table = MatchTable(a2, gamma, bound)
+    relation, _ = _greatest_relation(a1, a2, table)
+    choice, _ = _backtrack(a1, a2, relation, table, 1_000_000)
+    blocks = [block for row in choice._rows.values() for block in row.values()]
+    distinct = {tuple(block.items()) for block in blocks}
+    assert len(set(map(id, blocks))) == len(distinct) < len(blocks)
+
+
 def test_four_thread_plain_progressive_stays_under_8_mb():
     """An open choice point costs one undo slot, not a suspended frame.
 

@@ -62,7 +62,7 @@ def test_a_duplicate_extend_raises_and_changes_nothing():
     with pytest.raises(ModelError, match=r"^duplicate child a in prefix tree$"):
         tree.extend(tree.root, a, 5)
     assert tree.root.children == children and list(tree.root.children) == [a, b]
-    assert tree.root.children[a] is first and first.state == 1
+    assert tree.node_list[tree.root.children[a]] is first and first.state == 1
     assert tree.node_list == listed and tree.size == 3
 
 
@@ -90,7 +90,7 @@ def perturbed_copy(rng, tree, depth, rate):
     pairs = [(tree.root, out.root)]
     while pairs:
         x, y = pairs.pop()
-        kids = list(x.children.items())
+        kids = [(a, tree.node_list[i]) for a, i in x.children.items()]
         rng.shuffle(kids)
         for a, c in kids:
             if rng.random() >= rate:
@@ -101,7 +101,8 @@ def perturbed_copy(rng, tree, depth, rate):
             stack = [(grown.root, out.extend(y, rng.choice(extra), 0))]
             while stack:
                 g, h = stack.pop()
-                for a, c in g.children.items():
+                for a, i in g.children.items():
+                    c = grown.node_list[i]
                     stack.append((c, out.extend(h, a, c.state)))
     return out
 
@@ -136,7 +137,7 @@ def test_first_divergence_matches_the_trace_set_difference():
     for seed, rng, lhs, rhs in tree_pairs(400):
         deepest = max(v.depth for v in lhs.node_list + rhs.node_list)
         for depth in {0, rng.randint(0, deepest + 1), deepest + 1}:
-            got = _first_divergence(lhs.root, rhs.root, depth)
+            got = _first_divergence(lhs, rhs, depth)
             assert got == brute_divergence(lhs, rhs, depth), (seed, depth)
             outcomes[None if got is None else got[1]] += 1
     assert min(outcomes[None], outcomes[True], outcomes[False]) >= 50, outcomes
@@ -152,10 +153,10 @@ def walk_along(lhs, rhs, depth):
         y, x = queue.popleft()
         if y.depth >= depth:
             continue
-        for a, d in y.children.items():
-            c = x.children.get(a)
-            if c is None:
-                c = TraceNode(a, d.state, d.depth, x)
+        for a, j in y.children.items():
+            d = rhs.node_list[j]
+            i = x.children.get(a)
+            c = TraceNode(a, d.state, d.depth, x) if i is None else lhs.node_list[i]
             walked.append(c)
             queue.append((d, c))
     return walked

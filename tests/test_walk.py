@@ -151,13 +151,3 @@ def test_node_list_holds_every_node_parents_first(prods):
     assert set(map(id, listed)) == set(map(id, tree.nodes()))
     position = {id(v): i for i, v in enumerate(listed)}
     assert all(position[id(v.parent)] < position[id(v)] for v in listed[1:])
-
-
-def test_unlink_clears_every_parent_link(prods):
-    prod1, _ = prods
-    tree = enumerate_traces(prod1, MaximalStrategy(prod1), 4)
-    deep = next(v for v in tree.node_list if v.depth == 4)
-    trace = deep.trace()
-    tree.unlink()
-    assert all(v.parent is None for v in tree.node_list)
-    assert tree.find(trace) is deep  # the children links stay
