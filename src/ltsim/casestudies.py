@@ -523,11 +523,9 @@ def run_counterexample_suite(
         s1 = LlAlternatorStrategy(prod_plain)
         _, adm1, det1 = check_scheduler_tree(s1, prod_plain, depth, 0, budget=budget)
         mt = build_f(prod_plain, s1, prod_spec, plain_prog.certificate, depth, budget=budget)
-        s2 = construct_s2(mt, budget=budget)
+        s2 = construct_s2(mt)
         lemmas = check_all_lemmas(mt, s2)
-        s2_checks = check_s2(
-            mt, s2, prod_plain.alphabet.program, PROJECTION_STEPS, budget=budget
-        )
+        s2_checks = check_s2(mt, s2, PROJECTION_STEPS, budget=budget)
         checks_ok = adm1.ok and det1.ok and all(l.ok for l in lemmas) and s2_checks.ok
         projections = s2_checks.projections
         compared = projections.compare_length

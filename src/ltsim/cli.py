@@ -354,13 +354,12 @@ def _load_transform(args: argparse.Namespace):
     prod2 = product(prog, obj2)
     s1 = make_scheduler(args.strategy, prod1)
     mt = build_f(prod1, s1, prod2, cert, args.depth, budget=args.budget)
-    s2 = construct_s2(mt, budget=args.budget)
-    return prod1, mt, s2, cert_source
+    return mt, construct_s2(mt), cert_source
 
 
 def _cmd_transform_scheduler(args: argparse.Namespace) -> int:
-    prod1, mt, s2, cert_source = _load_transform(args)
-    checks = check_s2(mt, s2, prod1.alphabet.program, args.depth, budget=args.budget)
+    mt, s2, cert_source = _load_transform(args)
+    checks = check_s2(mt, s2, args.depth, budget=args.budget)
     data: dict[str, Any] = {
         "certificate": cert_source,
         "strategy": args.strategy,
@@ -400,7 +399,7 @@ def _cmd_transform_scheduler(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_lemmas(args: argparse.Namespace) -> int:
-    _prod1, mt, s2, cert_source = _load_transform(args)
+    mt, s2, cert_source = _load_transform(args)
     results = check_all_lemmas(mt, s2)
     data = {
         "certificate": cert_source,
@@ -467,21 +466,6 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 # --- parser ---------------------------------------------------------------
 
 
-class _StrategyNames:
-    """--strategy choices: the names in STRATEGIES when the arguments are
-    parsed, so a strategy registered after the parser was built is offered
-    too.  Help and error text list them sorted."""
-
-    def __contains__(self, name: object) -> bool:
-        return name in STRATEGIES
-
-    def __iter__(self):
-        return iter(sorted(STRATEGIES))
-
-
-_STRATEGY_NAMES = _StrategyNames()
-
-
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ltsim", description=__doc__)
@@ -513,13 +497,13 @@ def _build_parser() -> _Parser:
 
     p = cmd("simulate", _cmd_simulate, "enumerate scheduled traces", budget)
     p.add_argument("model")
-    p.add_argument("--strategy", default="maximal", choices=_STRATEGY_NAMES)
+    p.add_argument("--strategy", default="maximal", choices=STRATEGIES)
     p.add_argument("--depth", type=_count, default=8)
     p.add_argument("--max-traces", type=_count, default=50)
 
     p = cmd("check-admitted", _cmd_check_admitted, "non-empty, all-enabled scheduling", budget)
     p.add_argument("model")
-    p.add_argument("--strategy", default="maximal", choices=_STRATEGY_NAMES)
+    p.add_argument("--strategy", default="maximal", choices=STRATEGIES)
     p.add_argument("--depth", type=_count, default=8)
 
     p = cmd("check-fwd", _cmd_check_fwd, "greatest forward simulation")
@@ -550,7 +534,7 @@ def _build_parser() -> _Parser:
         p.add_argument("program")
         p.add_argument("concrete")
         p.add_argument("abstract")
-        p.add_argument("--strategy", default="object-first", choices=_STRATEGY_NAMES)
+        p.add_argument("--strategy", default="object-first", choices=STRATEGIES)
         p.add_argument("--depth", type=_count, default=12)
         p.add_argument("--gamma", default="cr")
         p.add_argument("--alpha-bound", type=int, default=4)
@@ -561,7 +545,7 @@ def _build_parser() -> _Parser:
     p = cmd("find-divergence", _cmd_find_divergence, "silent cycle under a strategy", budget)
     p.add_argument("program")
     p.add_argument("object")
-    p.add_argument("--strategy", default="ll-alternator", choices=_STRATEGY_NAMES)
+    p.add_argument("--strategy", default="ll-alternator", choices=STRATEGIES)
     p.add_argument("--gamma", default="gamma-p")
 
     p = cmd("run-casestudy", _cmd_run_casestudy, "the counter contrast, end to end", budget)

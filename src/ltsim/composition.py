@@ -33,9 +33,7 @@ _ObjectSide = tuple[dict[Action, int], list[tuple[Action, int]]]
 class ProductLts(Lts):
     """Product LTS remembering which component pair each state is."""
 
-    def __init__(self, *args, parts: list[ProductState], **kwargs):
-        super().__init__(*args, **kwargs)
-        self.parts: tuple[ProductState, ...] = tuple(parts)
+    parts: tuple[ProductState, ...]
 
     def part(self, s: int) -> ProductState:
         return self.parts[s]

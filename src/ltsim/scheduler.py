@@ -202,10 +202,11 @@ class FifoStrategy(Strategy):
         return frozenset({idle}) if idle in enabled else frozenset()
 
 
+# kept in name order, which help and error texts list
 STRATEGIES: dict[str, Callable[[Lts], Scheduler]] = {
+    "fifo": FifoStrategy,
     "maximal": MaximalStrategy,
     "object-first": ObjectFirstStrategy,
-    "fifo": FifoStrategy,
 }
 
 
@@ -216,13 +217,15 @@ def register_strategy(name: str, factory: Callable[[Lts], Scheduler]) -> None:
     update_memory() pure (see Strategy).
     """
     STRATEGIES[name] = factory
+    for key in sorted(STRATEGIES):
+        STRATEGIES[key] = STRATEGIES.pop(key)
 
 
 def make_scheduler(name: str, lts: Lts) -> Scheduler:
     try:
         factory = STRATEGIES[name]
     except KeyError:
-        known = ", ".join(sorted(STRATEGIES))
+        known = ", ".join(STRATEGIES)
         raise ModelError(f"unknown strategy {name!r} (known: {known})") from None
     return factory(lts)
 
@@ -253,10 +256,10 @@ class TraceNode:
     counting frees it.  image and scheduled, None until build_f sets them,
     annotate a mapped trace tree (see MappedTraces).  Nodes compare by
     identity: a node is one place in one tree.  A plain class with
-    __slots__ and a weakref slot, as every trace of a tree is one node.
+    __slots__, as every trace of a tree is one node.
     """
 
-    __slots__ = ("action", "state", "depth", "parent", "children", "image", "scheduled", "__weakref__")
+    __slots__ = ("action", "state", "depth", "parent", "children", "image", "scheduled")
 
     def __init__(
         self, action: Action | None, state: int, depth: int, parent: "TraceNode | None" = None

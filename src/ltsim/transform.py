@@ -86,7 +86,8 @@ class MappedTraces:
     derived from the governing diagram (None while the bounded tree
     cannot determine it).  conflicts records
     image nodes that two diagrams tried to annotate differently, which
-    a deterministic concrete scheduler never produces.
+    a deterministic concrete scheduler never produces.  budget is the
+    node budget build_f was given, which a deeper rebuild reuses.
     """
 
     concrete: TracePrefixTree
@@ -97,6 +98,7 @@ class MappedTraces:
     s1: Scheduler
     depth: int
     conflicts: list[str] = field(default_factory=list)
+    budget: int | None = None
 
     @property
     def gamma_p(self) -> frozenset[Action]:
@@ -153,7 +155,7 @@ def build_f(
 
     concrete = enumerate_traces(prod1, s1, depth, budget=limit)
     image = TracePrefixTree(prod2.initial)
-    mt = MappedTraces(concrete, image, prod1, prod2, cert, s1, depth)
+    mt = MappedTraces(concrete, image, prod1, prod2, cert, s1, depth, budget=budget)
 
     concrete.root.image = image.root
 
@@ -234,28 +236,27 @@ class S2Scheduler(Scheduler):
     scheduler's set when the next image action is a program, call or
     return action, and the singleton next action otherwise.  Traces
     outside the image get the idle singleton, which no consistent trace
-    ever reaches.  Queries past the bounded tree trigger a deeper
-    rebuild up to a cap (the first depth plus twice the concrete state
-    count plus 8), then raise DepthExhausted.  A concrete tree without a
-    frontier (every trace ended before the depth) is already the tree at
-    every depth up to the cap, so a query it leaves open raises at once,
-    naming the cap.
+    ever reaches.
+
+    A query the tree leaves open is answered by rebuilding the mapped
+    trees 4 deeper, with mt's budget, up to a cap (the first depth plus
+    twice the concrete state count plus 8), and only where a deeper tree
+    can answer it.  A deeper tree adds concrete nodes only below frontier
+    leaves, whose images are at least the settled image length L deep, so
+    the image tree and its annotations shorter than L never change.  So
+    S2 rebuilds only for a trace of at least L actions whose first L are
+    a path of the image tree, and otherwise, or with no frontier (every
+    concrete trace ended before the depth), or at the cap, raises
+    DepthExhausted at once, naming the cap.
 
     A cursor is an image-tree node and its tree, so a walk costs one
     child lookup per step.  In the unbuilt fringe, or on a tree that a
     deeper rebuild has since replaced, it falls back to the trace itself.
     """
 
-    def __init__(
-        self,
-        mt: MappedTraces,
-        auto_deepen: bool = True,
-        budget: int | None = None,
-    ):
+    def __init__(self, mt: MappedTraces):
         self.mt = mt
-        self.auto_deepen = auto_deepen
         self.max_depth = mt.depth + 2 * mt.prod1.num_states + 8
-        self.budget = budget
 
     def cursor(self) -> tuple:
         image = self.mt.image
@@ -292,17 +293,17 @@ class S2Scheduler(Scheduler):
         trace = at if image is None else at.trace()
         value = self._value(self._fold(trace))
         while value is None:
-            if not self.auto_deepen:
-                raise DepthExhausted(len(trace) + 1, self.mt.depth)
-            if self.mt.depth >= self.max_depth or not self.mt.frontier():
+            mt = self.mt
+            settled = mt.settled_image_length()
+            if (
+                settled is None
+                or len(trace) < settled
+                or mt.image.find(trace[:settled]) is None
+                or mt.depth >= self.max_depth
+            ):
                 raise DepthExhausted(len(trace) + 1, self.max_depth)
             self.mt = build_f(
-                self.mt.prod1,
-                self.mt.s1,
-                self.mt.prod2,
-                self.mt.cert,
-                min(self.mt.depth + 4, self.max_depth),
-                budget=self.budget,
+                mt.prod1, mt.s1, mt.prod2, mt.cert, min(mt.depth + 4, self.max_depth), budget=mt.budget
             )
             value = self._value(self._fold(trace))
         return value
@@ -311,11 +312,9 @@ class S2Scheduler(Scheduler):
         return self.scheduled(self._fold(trace))
 
 
-def construct_s2(
-    mt: MappedTraces, auto_deepen: bool = True, budget: int | None = None
-) -> S2Scheduler:
-    """The abstract scheduler derived from a mapped trace tree."""
-    return S2Scheduler(mt, auto_deepen=auto_deepen, budget=budget)
+def construct_s2(mt: MappedTraces) -> S2Scheduler:
+    """The abstract scheduler derived from a mapped trace tree (see S2Scheduler)."""
+    return S2Scheduler(mt)
 
 
 # --- per-node facts computed from the parent ----------------------------
@@ -719,14 +718,8 @@ def _complete_projection_length(
     return min(caps) if caps else None
 
 
-def _projection_equality(
-    mt: MappedTraces,
-    walked: list[TraceNode],
-    depth2: int,
-    sigma_p: frozenset[Action],
-    depth: int,
-) -> EqualityResult:
-    proj = _Projections(sigma_p)  # one trie, so equal projections get equal ids
+def _projection_equality(mt: MappedTraces, walked: list[TraceNode], depth2: int, depth: int) -> EqualityResult:
+    proj = _Projections(mt.prod1.alphabet.program)  # one trie, so equal projections get equal ids
     lhs = set(proj.number(mt.concrete.node_list))
     rhs = set(proj.number(walked))
     lhs_cap = _complete_projection_length(mt.concrete.node_list, mt.depth, mt.prod1, proj)
@@ -762,9 +755,7 @@ class S2Checks(NamedTuple):
         return self.admitted.ok and self.deterministic.ok and self.images.ok and self.projections.ok
 
 
-def check_s2(
-    mt: MappedTraces, s2: Scheduler, sigma_p: frozenset[Action], depth: int, budget: int | None = None
-) -> S2Checks:
+def check_s2(mt: MappedTraces, s2: Scheduler, depth: int, budget: int | None = None) -> S2Checks:
     """Admission, determinism, image and projection equality of s2, from one walk.
 
     With L the settled image length, s2's traces of mt.prod2 are walked
@@ -773,10 +764,11 @@ def check_s2(
     stays out of mt.image.  The walk gives what check_admitted and
     check_deterministic_scheduler give to L - 1 (admitted, deterministic).
     Its traces must be those of the image tree cut at L (images), and
-    their projections onto sigma_p the concrete tree's (projections),
-    compared up to the longest projection both sides are sure to cover,
-    capped by depth.  When the concrete tree closed before mt.depth, L
-    is the image tree's depth and the first two checks run to mt.depth.
+    their projections onto mt.prod1's program actions the concrete
+    tree's (projections), compared up to the longest projection both
+    sides are sure to cover, capped by depth.  When the concrete tree
+    closed before mt.depth, L is the image tree's depth and the first two
+    checks run to mt.depth.
     An error of the walk, such as a spent budget, is raised; the budget
     counts the walk's nodes, reused or not.
     """
@@ -789,5 +781,5 @@ def check_s2(
         s2, mt.prod2, check_depth, depth2, budget=budget, along=mt.image
     )
     images = _image_equality(mt.image, walked, depth2)
-    projections = _projection_equality(mt, walked, depth2, sigma_p, depth)
+    projections = _projection_equality(mt, walked, depth2, depth)
     return S2Checks(settled, adm, det, images, projections)

@@ -67,4 +67,6 @@ def reference_product(prog: Lts, obj: Lts) -> ProductLts:
             transitions[(s, alphabet.idle)] = s
 
     labels = [f"{prog.label_of(ps.prog)}|{obj.label_of(ps.obj)}" for ps in parts]
-    return ProductLts(alphabet, len(parts), 0, transitions, labels, parts=parts)
+    prod = ProductLts(alphabet, len(parts), 0, transitions, labels)
+    prod.parts = tuple(parts)
+    return prod

@@ -9,6 +9,14 @@ both trees before it reads a node's projection id and that a child is
 read as a position in its tree's node_list.  The two tree
 comparisons that the reference equality checks use are kept here with
 them.
+
+ReferenceS2 is the derived scheduler as it was before one rule decided
+when it rebuilds its mapped trees: asked at a trace its tree leaves
+open, it rebuilds them 4 deeper until the trace is answered, the cap is
+reached or the tree has no frontier.  Kept as the reference that tests
+compare S2Scheduler's answers and rebuild counts with, except that its
+switch to never rebuild is gone and a rebuild uses the budget recorded
+on the mapped trees.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable
 
-from ltsim.errors import BudgetExceeded
+from ltsim.errors import BudgetExceeded, DepthExhausted
 from ltsim.lts import Action, Lts, sort_actions
 from ltsim.scheduler import (
     Scheduler,
@@ -31,10 +39,12 @@ from ltsim.scheduler import (
 from ltsim.transform import (
     EqualityResult,
     MappedTraces,
+    S2Scheduler,
     _fmt,
     _Projections,
     _saturated_states,
     _smallest,
+    build_f,
 )
 
 
@@ -259,3 +269,30 @@ def reference_check_projection_equality(
     diff = _smallest(side)
     kind = "abstract-only" if side[diff] else "concrete-only"
     return EqualityResult(False, bound, f"{kind} projection {_fmt(diff)}", len(lhs), len(rhs))
+
+
+class ReferenceS2(S2Scheduler):
+    """S2Scheduler with the rebuild loop it had before: a query the tree
+    leaves open rebuilds the mapped trees 4 deeper, up to the cap, unless
+    the concrete tree has no frontier."""
+
+    def scheduled(self, cur: tuple) -> frozenset[Action]:
+        value = self._value(cur)
+        if value is not None:
+            return value
+        image, at = cur
+        trace = at if image is None else at.trace()
+        value = self._value(self._fold(trace))
+        while value is None:
+            if self.mt.depth >= self.max_depth or not self.mt.frontier():
+                raise DepthExhausted(len(trace) + 1, self.max_depth)
+            self.mt = build_f(
+                self.mt.prod1,
+                self.mt.s1,
+                self.mt.prod2,
+                self.mt.cert,
+                min(self.mt.depth + 4, self.max_depth),
+                budget=self.mt.budget,
+            )
+            value = self._value(self._fold(trace))
+        return value

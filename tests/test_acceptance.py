@@ -222,7 +222,7 @@ def test_terminating_variant_scheduler_transform(plain_rig):
         det = check_deterministic_scheduler(s2, plain_rig.prod2, walk)
         assert adm.ok, adm.detail
         assert det.ok, det.detail
-        s2_checks = check_s2(mt, s2, plain_rig.prod1.alphabet.program, 8)
+        s2_checks = check_s2(mt, s2, 8)
         images = s2_checks.images
         assert images.ok, images.counterexample
         proj = s2_checks.projections
@@ -270,7 +270,7 @@ def test_random_object_pair_corpus():
             for depth in (16, 22, 30):
                 mt = build_f(prod1, s1, prod2, res.certificate, depth)
                 s2 = construct_s2(mt)
-                s2_checks = check_s2(mt, s2, prod1.alphabet.program, 8)
+                s2_checks = check_s2(mt, s2, 8)
                 proj = s2_checks.projections
                 if proj.compare_length == 8:
                     break

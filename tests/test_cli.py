@@ -97,6 +97,34 @@ def test_the_cached_parser_answers_alike_twice(capsys, argv, code):
     assert exits(capsys, argv) == first
 
 
+STRATEGY_TEXT_ARGVS = (
+    ["--help"],
+    ["simulate", "--help"],
+    ["find-divergence", "--help"],
+    ["transform-scheduler", "--help"],
+    ["check-lemmas", "--help"],
+    ["check-admitted", "--help"],
+    ["simulate", "model.json", "--strategy", "nope"],
+    ["transform-scheduler", "p.json", "c.json", "a.json", "--strategy", "nope"],
+)
+
+
+def test_the_strategy_choices_read_alike_in_help_and_errors(capsys, monkeypatch):
+    """Every text that lists the --strategy choices, pinned byte for byte
+    at a fixed terminal width: the registered names in sorted order."""
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in STRATEGY_TEXT_ARGVS:
+        code, out, err = exits(capsys, argv)
+        assert code == (0 if argv[-1] == "--help" else 3), argv
+        digest.update(f"{argv} {code}\n{out}\n{err}\n".encode())
+    assert "'fifo', 'll-alternator', 'maximal', 'object-first'" in err
+    assert digest.hexdigest() == STRATEGY_TEXT_DIGEST
+
+
+STRATEGY_TEXT_DIGEST = "ca3b4e1b68eceb08815b739f87eba715bf8085a6abf613d19603d5f4caf45520"
+
+
 def test_a_seed_does_not_carry_over_to_the_next_call(models, capsys):
     _, seeded, _ = run(capsys, ["check-det", models["impl"], "--seed", "7"])
     _, plain, _ = run(capsys, ["check-det", models["impl"]])

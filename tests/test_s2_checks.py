@@ -8,6 +8,7 @@ tree.
 
 import gc
 import hashlib
+import json
 import random
 from collections import Counter
 
@@ -15,6 +16,7 @@ import pytest
 
 from conftest import PinnedScheduler, derived_object_pair, make_universal_client
 from reference_walks import (
+    ReferenceS2,
     reference_check_admitted,
     reference_check_deterministic_scheduler,
     reference_check_image_equality,
@@ -82,15 +84,15 @@ REFERENCE = (
 )
 
 
-def at_once(mt, s2, sigma_p, depth, budget=None):
-    return outcome(lambda: tuple(check_s2(mt, s2, sigma_p, depth, budget=budget)))
+def at_once(mt, s2, depth, budget=None):
+    return outcome(lambda: tuple(check_s2(mt, s2, depth, budget=budget)))
 
 
 def assert_agree(mt, make_s2, sigma_p, depth, budget=None):
     """Both ways, each on a fresh scheduler (S2 rebuilds itself deeper
     when asked past its tree); results compare field by field."""
     want = separately(mt, make_s2(), sigma_p, depth, budget, REFERENCE)
-    got = at_once(mt, make_s2(), sigma_p, depth, budget)
+    got = at_once(mt, make_s2(), depth, budget)
     assert got == want, (budget, got, want)
     return got
 
@@ -242,7 +244,6 @@ def no_frontier_cases(plain):
             mt = build_f(prod1, s1, prod2, cert, depth)
             assert mt.settled_image_length() is None
             yield (k, depth, "s2"), mt, lambda: construct_s2(mt)
-            yield (k, depth, "frozen"), mt, lambda: construct_s2(mt, auto_deepen=False)
             # opaque, so walked to the depth like S2, and defined past the image tree
             yield (k, depth, "maximal"), mt, lambda: OpaqueMaximal(prod2)
 
@@ -263,7 +264,7 @@ def test_no_frontier_results_are_pinned(plain):
     assert digest == NO_FRONTIER_DIGEST
 
 
-NO_FRONTIER_DIGEST = "aa3b94c9f1bf48765d7fdda89f46893195b52198f7ab55ee9abfb7c7a847b4b7"
+NO_FRONTIER_DIGEST = "c0c6540284ba3287b5aeda3b9e147da321e71eb5bafab4eb2df0c0775d011c68"
 
 
 def test_no_frontier_s2_gives_up_without_rebuilding(plain, monkeypatch):
@@ -286,10 +287,138 @@ def test_no_frontier_s2_gives_up_without_rebuilding(plain, monkeypatch):
             continue
         s2 = make_s2()
         with pytest.raises(DepthExhausted) as e:
-            check_s2(mt, s2, plain[0].alphabet.program, 8)
+            check_s2(mt, s2, 8)
         assert e.value.have == s2.max_depth, case
         asked += 1
     assert (asked, rebuilds) == (10, [])
+
+
+# --- when S2 rebuilds its trees ---------------------------------------------------
+
+
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """The depths S2Scheduler and ReferenceS2 rebuild their mapped trees
+    to, listed apart under "s2" and "reference"."""
+    import ltsim.transform as transform
+    import reference_walks
+
+    seen = {"s2": [], "reference": []}
+    for module, name in ((transform, "s2"), (reference_walks, "reference")):
+
+        def counting(*args, _build=module.build_f, _seen=seen[name], **kwargs):
+            _seen.append(args[4])
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_f", counting)
+    return seen
+
+
+def random_queries(mt, rng, n, length):
+    """n traces of mt.prod2, each of fewer than length actions: mostly a
+    step of the image tree, else an action enabled after the trace, and
+    now and then any action, so that some leave the image or its tree."""
+    prod2, nodes = mt.prod2, mt.image.node_list
+    actions = sort_actions(prod2.alphabet.all_actions)
+    for _ in range(n):
+        v, state, trace = mt.image.root, prod2.initial, []
+        for _ in range(rng.randrange(length)):
+            steps = list(v.children.items()) if v is not None else []
+            if steps and rng.random() < 0.8:
+                a, i = rng.choice(steps)
+            else:
+                enabled = sort_actions(prod2.enabled(state)) if state is not None else ()
+                a = rng.choice(enabled if enabled and rng.random() < 0.9 else actions)
+                i = v.children.get(a) if v is not None else None
+            v = None if i is None else nodes[i]
+            state = None if state is None else prod2.step(state, a)
+            trace.append(a)
+        yield tuple(trace)
+
+
+class StopsOnOneBranch(Scheduler):
+    """Object-first, except that it schedules both calls first, and on the
+    branch where thread 2 calls first schedules the other call and then
+    nothing: the concrete trace ends after two steps, well above the
+    settled image length."""
+
+    def __init__(self, lts):
+        self.of = ObjectFirstStrategy(lts)
+        self.calls = lts.alphabet.calls
+
+    def schedule(self, trace):
+        if not trace:
+            return self.calls & self.of.lts.enabled(self.of.lts.initial)
+        if trace[0].thread != 2:
+            return self.of.schedule(trace)
+        called = {a.thread for a in trace if a in self.calls}
+        return frozenset(a for a in self.calls if a.thread not in called)
+
+
+def test_s2_answers_like_the_rebuild_loop_with_no_more_rebuilds(plain, rebuilds):
+    """Random queries on FAA and the seeded corpus, for every registered
+    strategy and one that stops on a branch: the same value or the same
+    error as the loop that rebuilt whenever its tree left a query open,
+    and S2's rebuilds are the first of the loop's."""
+    rigs = [plain] + [(prod1, prod2, cert) for _, prod1, prod2, cert in random_pairs()[:12]]
+    rng = random.Random(2021)
+    kinds = Counter()
+    for prod1, prod2, cert in rigs:
+        for strategy in ("fifo", "ll-alternator", "maximal", "object-first", StopsOnOneBranch):
+            s1 = strategy(prod1) if callable(strategy) else make_scheduler(strategy, prod1)
+            for depth in (0, 1, 3, 6):
+                mt = build_f(prod1, s1, prod2, cert, depth, budget=2_000)
+                for trace in random_queries(mt, rng, 3, depth + 12):
+                    for done in rebuilds.values():
+                        done.clear()
+                    got = outcome(lambda: construct_s2(mt).schedule(trace))
+                    want = outcome(lambda: ReferenceS2(mt).schedule(trace))
+                    assert got == want, (strategy, depth, trace)
+                    assert rebuilds["s2"] == rebuilds["reference"][: len(rebuilds["s2"])]
+                    fewer = len(rebuilds["s2"]) < len(rebuilds["reference"])
+                    kinds[got[1] if isinstance(got, tuple) else "value", fewer] += 1
+    assert sum(kinds.values()) == 13 * 5 * 4 * 3
+    # only a query no depth answers is refused before the cap
+    assert set(kinds) == {("value", False), ("BudgetExceeded", False), ("DepthExhausted", True)}
+
+
+def test_s2_refuses_a_dead_end_above_the_settled_length_without_rebuilding(plain, rebuilds):
+    """Asked at the image of the trace that stopped, S2 raises what the
+    rebuild loop raised after rebuilding 27 times to its cap."""
+    prod1, prod2, cert = plain
+    mt = build_f(prod1, StopsOnOneBranch(prod1), prod2, cert, 14)
+    (stopped,) = (v for v in mt.image.node_list if v.scheduled is None and v.depth < 12)
+    assert mt.settled_image_length() == 12 and stopped.depth == 2
+    errors = []
+    for make_s2 in (construct_s2, ReferenceS2):
+        with pytest.raises(DepthExhausted) as e:
+            check_s2(mt, make_s2(mt), 14)
+        errors.append(str(e.value))
+    assert errors == ["query needs construction depth >= 3, built to 122"] * 2
+    assert rebuilds["s2"] == []
+    assert rebuilds["reference"] == list(range(18, 122, 4)) + [122]
+
+
+@pytest.mark.parametrize("strategy", ["fifo", "ll-alternator", "maximal", "object-first"])
+def test_transform_scheduler_at_depth_0_rebuilds_once_to_answer_the_root(
+    model_files, capsys, rebuilds, strategy
+):
+    """The root alone is walked at depth 0, and no tree of depth 0
+    annotates it, so S2 rebuilds once, 4 deeper; from depth 1 on, no
+    registered strategy rebuilds."""
+    verdicts = []
+    for depth in ("0", "1"):
+        code = main(["transform-scheduler", *model_files, "--depth", depth, "--strategy", strategy])
+        verdicts.append((code, json.loads(capsys.readouterr().out)["verdict"]))
+        assert rebuilds["s2"] == ([4] if depth == "0" else []), depth
+        rebuilds["s2"].clear()
+    assert verdicts == [(1, "refuted")] * 2 if strategy == "maximal" else [(0, "holds")] * 2
+
+
+def test_run_casestudy_at_depth_0_rebuilds_once(capsys, rebuilds):
+    assert main(["run-casestudy", "--depth", "0"]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "unknown"
+    assert rebuilds["s2"] == [4]
 
 
 # --- one walk -------------------------------------------------------------------
@@ -362,7 +491,7 @@ def test_check_s2_on_an_agreeing_s2_makes_no_node_and_no_garbage(plain, monkeypa
     gc.collect()
     gc.disable()
     try:
-        checks = check_s2(mt, construct_s2(mt), prod1.alphabet.program, 8)
+        checks = check_s2(mt, construct_s2(mt), 8)
         garbage = gc.collect()
     finally:
         gc.enable()
@@ -394,7 +523,7 @@ def test_children_are_positions_in_their_own_tree(plain, strategy):
     assert_positions_hold(mt.concrete)
     assert_positions_hold(mt.image)
     before = [(v, dict(v.children)) for v in mt.image.node_list]
-    check_s2(mt, construct_s2(mt), prod1.alphabet.program, 10)
+    check_s2(mt, construct_s2(mt), 10)
     assert [(v, v.children) for v in mt.image.node_list] == before
     assert_positions_hold(mt.image)
 
@@ -409,7 +538,7 @@ def test_library_tree_calls_leave_no_cyclic_garbage(plain, depth):
     def transform():
         mt = build_f(prod1, s1, prod2, cert, depth)
         s2 = construct_s2(mt)
-        check_s2(mt, s2, prod1.alphabet.program, depth)
+        check_s2(mt, s2, depth)
         check_all_lemmas(mt, s2)
 
     calls = {

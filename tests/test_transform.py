@@ -10,7 +10,6 @@ from ltsim import (
     ActionKind,
     Alphabet,
     ContractViolation,
-    DepthExhausted,
     IDLE,
     Lts,
     MappedTraces,
@@ -281,20 +280,13 @@ def test_s2_auto_deepens_and_exhausts():
     assert s2.schedule(target.trace()) == target.scheduled
     assert s2.mt.depth > 4  # the tree was rebuilt deeper
 
-    frozen = construct_s2(
-        build_f(prod1, ObjectFirstStrategy(prod1), prod2, res.certificate, depth=4),
-        auto_deepen=False,
-    )
-    with pytest.raises(DepthExhausted):
-        frozen.schedule(target.trace())
-
 
 # --- trace set comparisons -------------------------------------------------------
 
 
 def test_image_equality_frozen(plain):
     mt, s2 = plain
-    eq = check_s2(mt, s2, mt.prod1.alphabet.program, depth=8).images
+    eq = check_s2(mt, s2, depth=8).images
     assert eq.ok, eq.counterexample
     assert eq.compare_length == 12
     assert eq.lhs_size == eq.rhs_size == 19
@@ -302,7 +294,7 @@ def test_image_equality_frozen(plain):
 
 def test_projection_equality_frozen(plain):
     mt, s2 = plain
-    eq = check_s2(mt, s2, mt.prod1.alphabet.program, depth=8).projections
+    eq = check_s2(mt, s2, depth=8).projections
     assert eq.ok, eq.counterexample
     assert eq.compare_length == 8
     assert eq.lhs_size == eq.rhs_size == 5
@@ -320,7 +312,7 @@ def test_projection_equality_catches_a_wrong_scheduler(plain):
                 return mt.image.root.scheduled
             return frozenset({idle2}) if mt.prod2.alphabet.idle else frozenset()
 
-    eq = check_s2(mt, LazyS2(), mt.prod1.alphabet.program, depth=8).projections
+    eq = check_s2(mt, LazyS2(), depth=8).projections
     assert not eq.ok
     assert "projection" in eq.counterexample
 
@@ -340,7 +332,7 @@ def plain_parts():
 
 def test_s2_cursor_fold_agrees_with_schedule(plain):
     mt, _ = plain
-    s2 = construct_s2(mt, auto_deepen=False)
+    s2 = construct_s2(mt)
     idle2 = mt.prod2.alphabet.idle
     actions = sorted(mt.prod2.alphabet.all_actions, key=lambda a: a.key())
     on, off = [], []
@@ -366,7 +358,7 @@ def test_s2_cursor_fold_agrees_with_schedule(plain):
 def test_s2_cursors_survive_auto_deepening(plain_parts):
     prod1, prod2, cert = plain_parts
     deep = build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, depth=14)
-    reference = construct_s2(deep, auto_deepen=False)
+    reference = construct_s2(deep)
     target = next(v for v in deep.image.nodes() if v.depth == 8 and v.scheduled)
     trace = target.trace()
 
@@ -388,12 +380,6 @@ def test_s2_cursors_survive_auto_deepening(plain_parts):
         if v.scheduled is not None and v.depth <= 8:
             assert folded(s2, v.trace()) == s2.schedule(v.trace()) == v.scheduled
 
-    frozen = construct_s2(
-        build_f(prod1, ObjectFirstStrategy(prod1), prod2, cert, depth=4), auto_deepen=False
-    )
-    with pytest.raises(DepthExhausted):
-        folded(frozen, trace)
-
 
 def replay_counts(monkeypatch, parts, depth):
     """Calls that rebuild or replay a trace from the root, over every tree walk."""
@@ -414,7 +400,7 @@ def replay_counts(monkeypatch, parts, depth):
         mt = build_f(prod1, s1, prod2, cert, depth)
         s2 = construct_s2(mt)
         walk = mt.settled_image_length() - 1
-        s2_checks = check_s2(mt, s2, prod1.alphabet.program, depth)
+        s2_checks = check_s2(mt, s2, depth)
         results = [
             check_admitted(s1, prod1, depth).ok,
             check_deterministic_scheduler(s1, prod1, depth).ok,

@@ -11,7 +11,6 @@ seeded random tree pairs.
 """
 
 import random
-import weakref
 from collections import Counter, deque
 
 import pytest
@@ -27,10 +26,9 @@ ACTIONS = [internal(n) for n in "abc"] + [prog_action(n) for n in "xyz"]
 # --- the node contract ------------------------------------------------------
 
 
-def test_a_node_is_slotted_and_weakly_referable():
+def test_a_node_is_slotted():
     node = TraceNode(None, 0, 0)
     assert not hasattr(node, "__dict__")
-    assert weakref.ref(node)() is node
     with pytest.raises(AttributeError):
         node.extra = 1
 
