@@ -10,13 +10,19 @@ refines it progressively, and only the invalidating variant lets a
 scheduler starve the program of its assignments.  The suite at the
 bottom runs that contrast end to end, including the scheduler
 transformation on the terminating variant.
+
+One interleaving engine, `_interleave`, builds the three models.  A
+state is a shared part and one control point per thread; the shared
+part is the counter and its link in the implementations, the counter
+in the reference object, and nothing in the client.  Each builder
+gives only how one thread moves from its point, given the shared part.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 from .composition import product
 from .errors import ModelError
@@ -65,7 +71,11 @@ PROJECTION_STEPS = 8
 
 @dataclass(frozen=True)
 class FaaConfig:
-    """Workload shape: one fetch-and-add per thread, with these addends."""
+    """Workload shape: one fetch-and-add per thread, with these addends.
+
+    Thread ids start at 1: the invalidating counter's link 0 means "no
+    holder", so a thread 0 could store on a link another thread took.
+    """
 
     threads: tuple[int, ...] = (1, 2)
     addends: tuple[int, ...] = (1, 2)
@@ -80,6 +90,8 @@ class FaaConfig:
             raise ModelError("each thread needs exactly one addend")
         if len(set(self.threads)) != len(self.threads):
             raise ModelError("thread ids must be distinct")
+        if any(t < 1 for t in self.threads):
+            raise ModelError("thread ids must be positive")
         if any(k < 1 for k in self.addends):
             raise ModelError("addends must be positive")
 
@@ -115,39 +127,74 @@ def _assigns(cfg: FaaConfig) -> frozenset[Action]:
     )
 
 
-def _points(cfg: FaaConfig, points: tuple[tuple, ...]) -> str:
-    """State-label part per thread: `t<id>:<point>`, then `(<value>)` if any."""
-    return " ".join(
-        f"t{t}:{p[0]}" + (f"({p[1]})" if len(p) > 1 else "")
-        for t, p in zip(cfg.threads, points)
-    )
-
-
-def _closure(
+def _interleave(
+    cfg: FaaConfig,
     alphabet: Alphabet,
-    initial: Hashable,
-    steps: Callable[[Hashable], Iterator[tuple[Action, Hashable]]],
-    label: Callable[[Hashable], str],
+    shared: Hashable,
+    start: tuple,
+    move: Callable[[int, tuple, Hashable], Iterable[tuple[Action, tuple, Hashable]]],
+    prefix: Callable[[Hashable], str],
 ) -> Lts:
-    """Breadth-first build from a semantic initial state: states are
-    numbered in order of discovery and labelled once, and each state with
-    no step gets an idle self-loop."""
+    """Breadth-first build of cfg's threads interleaved over a shared part.
+
+    A state is a shared part and one control point per thread, first
+    `shared` and `start`.  move(i, point, shared) lists thread i's
+    (action, point, shared) moves; it is asked once per distinct
+    argument triple.  Moves are taken thread by thread, then in move's
+    order; states are numbered as found, and one with no move gets an
+    idle self-loop.  A label is prefix(shared), unless empty, then per
+    thread `t<id>:<name>` and `(<value>)` if any, each part made once.
+    """
+    # shared parts (thread None) and points are numbered as they appear,
+    # so that a state is a flat tuple of ints: (shared, each thread's point)
+    numbers: dict[tuple[int | None, Hashable], int] = {}
+    values: list[Hashable] = []
+    texts: list[str] = []  # each number's label part
+
+    def number(i: int | None, x: Hashable) -> int:
+        n = numbers.get((i, x))
+        if n is None:
+            n = numbers[i, x] = len(values)
+            values.append(x)
+            texts.append(
+                prefix(x) if i is None
+                else f"t{cfg.threads[i]}:{x[0]}" + (f"({x[1]})" if len(x) > 1 else "")
+            )
+        return n
+
+    def label(st: tuple[int, ...]) -> str:
+        return " ".join(filter(None, map(texts.__getitem__, st)))
+
+    initial = (number(None, shared), *(number(i, start) for i in range(len(cfg.threads))))
     index = {initial: 0}
     states = [initial]
+    # (point, shared) -> moves, each (action, (point,), (shared,)): the
+    # 1-tuples make a successor four concatenations
+    memo: dict[tuple[int, int], list[tuple[Action, tuple[int], tuple[int]]]] = {}
     rows: list[dict[Action, int]] = []
     for st in states:  # grows as the search discovers states
         row: dict[Action, int] = {}
-        for a, nxt in steps(st):
-            t = index.get(nxt)
-            if t is None:
-                t = index[nxt] = len(states)
-                states.append(nxt)
-            if row.setdefault(a, t) != t:
-                raise ModelError(
-                    f"duplicate transition ({label(st)!r}, {a.label()}) with two successors"
-                )
+        for i in range(1, len(st)):  # st[i] is thread i - 1's point
+            moves = memo.get((st[i], st[0]))
+            if moves is None:
+                moves = memo[st[i], st[0]] = [
+                    (a, (number(i - 1, p),), (number(None, x),))
+                    for a, p, x in move(i - 1, values[st[i]], values[st[0]])
+                ]
+            if moves:
+                head, tail = st[1:i], st[i + 1:]
+            for a, p, x in moves:
+                nxt = x + head + p + tail
+                t = index.get(nxt)
+                if t is None:
+                    t = index[nxt] = len(states)
+                    states.append(nxt)
+                if row.setdefault(a, t) != t:
+                    raise ModelError(
+                        f"duplicate transition ({label(st)!r}, {a.label()}) with two successors"
+                    )
         rows.append(row)
-    labels = [label(st) for st in states]
+    labels = list(map(label, states))
     return Lts._from_rows(alphabet, 0, _idle_completed(rows, alphabet.idle), labels)
 
 
@@ -157,12 +204,12 @@ def _closure(
 def build_faa_impl(cfg: FaaConfig) -> Lts:
     """Counter looping load-link / store-conditional until the store lands.
 
-    Thread control points: pre (not called), f2 (about to load-link),
-    f3(n) (loaded n, about to try the store), f4(n) (store landed, will
-    return n), done.  The invalidating variant gives the link to the
-    most recent load-link and fails any store by a non-holder; the
-    plain variant fails a store only when the counter moved since the
-    load.
+    The shared part is (counter, link holder), 0 holding none.  Thread
+    control points: pre (not called), f2 (about to load-link), f3(n)
+    (loaded n, about to try the store), f4(n) (store landed, will return
+    n), done.  The invalidating variant gives the link to the most
+    recent load-link and fails any store by a non-holder; the plain
+    variant fails a store only when the counter moved since the load.
     """
     invalidating = cfg.variant == "invalidating"
     alphabet = Alphabet(
@@ -176,47 +223,33 @@ def build_faa_impl(cfg: FaaConfig) -> Lts:
         ),
     )
 
-    def steps(st: tuple) -> Iterator[tuple[Action, tuple]]:
-        counter, link, pcs = st
-        for i, (t, k) in enumerate(zip(cfg.threads, cfg.addends)):
-            pc = pcs[i]
+    def move(i: int, pc: tuple, shared: tuple[int, int]) -> Iterator[tuple]:
+        counter, link = shared
+        t, k = cfg.threads[i], cfg.addends[i]
+        if pc == ("pre",):
+            yield action("call", _CALL, t, k), ("f2",), shared
+        elif pc == ("f2",):
+            yield action("ll", _INTERNAL, t), ("f3", counter), (counter, t if invalidating else link)
+        elif pc[0] == "f3":
+            n = pc[1]
+            if (link == t) if invalidating else (counter == n):
+                yield action("sc-ok", _INTERNAL, t), ("f4", n), (n + k, 0 if invalidating else link)
+            else:
+                yield action("sc-fail", _INTERNAL, t), ("f2",), shared
+        elif pc[0] == "f4":
+            yield action("ret", _RETURN, t, pc[1]), ("done",), shared
 
-            def at(new_pc: tuple, new_counter: int = counter, new_link: int = link) -> tuple:
-                return (new_counter, new_link, pcs[:i] + (new_pc,) + pcs[i + 1:])
+    def prefix(shared: tuple[int, int]) -> str:
+        return f"n={shared[0]} link={shared[1]}" if invalidating else f"n={shared[0]}"
 
-            if pc == ("pre",):
-                yield action("call", _CALL, t, k), at(("f2",))
-            elif pc == ("f2",):
-                yield (
-                    action("ll", _INTERNAL, t),
-                    at(("f3", counter), new_link=t if invalidating else link),
-                )
-            elif pc[0] == "f3":
-                n = pc[1]
-                if (link == t) if invalidating else (counter == n):
-                    yield (
-                        action("sc-ok", _INTERNAL, t),
-                        at(("f4", n), new_counter=n + k, new_link=0 if invalidating else link),
-                    )
-                else:
-                    yield action("sc-fail", _INTERNAL, t), at(("f2",))
-            elif pc[0] == "f4":
-                yield action("ret", _RETURN, t, pc[1]), at(("done",))
-
-    def label(st: tuple) -> str:
-        counter, link, pcs = st
-        owner = f" link={link}" if invalidating else ""
-        return f"n={counter}{owner} {_points(cfg, pcs)}"
-
-    initial = (0, 0, tuple(("pre",) for _ in cfg.threads))
-    return _closure(alphabet, initial, steps, label)
+    return _interleave(cfg, alphabet, (0, 0), ("pre",), move, prefix)
 
 
 def build_faa_spec(cfg: FaaConfig) -> Lts:
     """Atomic counter: each operation takes effect in one internal step.
 
-    The internal action carries the value the operation fetched, which
-    the later return repeats.
+    The shared part is the counter.  The internal action carries the
+    value the operation fetched, which the later return repeats.
     """
     alphabet = Alphabet(
         program=frozenset(),
@@ -229,37 +262,24 @@ def build_faa_spec(cfg: FaaConfig) -> Lts:
         ),
     )
 
-    def steps(st: tuple) -> Iterator[tuple[Action, tuple]]:
-        counter, sts = st
-        for i, (t, k) in enumerate(zip(cfg.threads, cfg.addends)):
-            here = sts[i]
+    def move(i: int, here: tuple, counter: int) -> Iterator[tuple]:
+        t, k = cfg.threads[i], cfg.addends[i]
+        if here == ("pre",):
+            yield action("call", _CALL, t, k), ("called",), counter
+        elif here == ("called",):
+            yield action("lin", _INTERNAL, t, counter), ("lin", counter), counter + k
+        elif here[0] == "lin":
+            yield action("ret", _RETURN, t, here[1]), ("done",), counter
 
-            def at(new_st: tuple, new_counter: int = counter) -> tuple:
-                return (new_counter, sts[:i] + (new_st,) + sts[i + 1:])
-
-            if here == ("pre",):
-                yield action("call", _CALL, t, k), at(("called",))
-            elif here == ("called",):
-                yield (
-                    action("lin", _INTERNAL, t, counter),
-                    at(("lin", counter), new_counter=counter + k),
-                )
-            elif here[0] == "lin":
-                yield action("ret", _RETURN, t, here[1]), at(("done",))
-
-    def label(st: tuple) -> str:
-        counter, sts = st
-        return f"n={counter} {_points(cfg, sts)}"
-
-    initial = (0, tuple(("pre",) for _ in cfg.threads))
-    return _closure(alphabet, initial, steps, label)
+    return _interleave(cfg, alphabet, 0, ("pre",), move, lambda counter: f"n={counter}")
 
 
 def build_program(cfg: FaaConfig) -> Lts:
     """Client that calls once per thread and assigns the fetched value.
 
     Per thread: call, wait for the return, assign the returned value to
-    a thread-local, stop.  Threads interleave freely.
+    a thread-local, stop.  Threads interleave freely; the shared part is
+    None.
     """
     alphabet = Alphabet(
         program=_assigns(cfg),
@@ -268,23 +288,17 @@ def build_program(cfg: FaaConfig) -> Lts:
         internal=frozenset(),
     )
 
-    def steps(st: tuple) -> Iterator[tuple[Action, tuple]]:
-        for i, (t, k) in enumerate(zip(cfg.threads, cfg.addends)):
-            here = st[i]
+    def move(i: int, here: tuple, shared: None) -> Iterator[tuple]:
+        t = cfg.threads[i]
+        if here == ("ready",):
+            yield action("call", _CALL, t, cfg.addends[i]), ("wait",), None
+        elif here == ("wait",):
+            for v in range(cfg.total + 1):
+                yield action("ret", _RETURN, t, v), ("got", v), None
+        elif here[0] == "got":
+            yield action("assign", _PROGRAM, t, here[1]), ("done",), None
 
-            def at(new_st: tuple) -> tuple:
-                return st[:i] + (new_st,) + st[i + 1:]
-
-            if here == ("ready",):
-                yield action("call", _CALL, t, k), at(("wait",))
-            elif here == ("wait",):
-                for v in range(cfg.total + 1):
-                    yield action("ret", _RETURN, t, v), at(("got", v))
-            elif here[0] == "got":
-                yield action("assign", _PROGRAM, t, here[1]), at(("done",))
-
-    initial = tuple(("ready",) for _ in cfg.threads)
-    return _closure(alphabet, initial, steps, lambda st: _points(cfg, st))
+    return _interleave(cfg, alphabet, None, ("ready",), move, lambda _: "")
 
 
 # --- the starving scheduler ------------------------------------------------

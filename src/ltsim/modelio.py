@@ -157,18 +157,65 @@ def parse_lts_text(text: str) -> Lts:
     return _assemble(alphabet, initial, rows)
 
 
+def _state_labels(lts: Lts) -> tuple[list[str], list[int]]:
+    """Each state's label, and the states in label order.
+
+    A label that two states share raises ModelError: both writers name
+    states by label, so the two would read back as one.
+    """
+    labels = [lts.label_of(s) for s in range(lts.num_states)]
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    for s, t in zip(order, order[1:]):
+        if labels[s] == labels[t]:
+            raise ModelError(f"states {min(s, t)} and {max(s, t)} share the label {labels[s]!r}")
+    return labels, order
+
+
+def _text_fault(label: str) -> bool:
+    """Would a state label not read back from a transition line as itself?"""
+    head, colon, _ = label.partition(":")
+    return (
+        label != label.strip()
+        or label.splitlines() != [label]  # also when empty
+        or "//" in label
+        or "--" in label
+        or (colon != "" and head.strip().lower() in (*_SECTION_KINDS, "initial"))
+    )
+
+
+def _text_action_fault(a: Action) -> bool:
+    """Would an action's label not read back in its section, or on a
+    transition line, as the same action?"""
+    label = a.label()
+    try:
+        back = parse_action(label, a.kind)
+    except ParseError:
+        return True
+    return back != a or "//" in label or "->" in label
+
+
 def format_lts_text(lts: Lts) -> str:
-    """Canonical text form; parse(format(m)) reproduces m up to state order."""
+    """Canonical text form; parse(format(m)) reproduces m up to state order.
+
+    Raises ModelError, naming the label, for a model the text form cannot
+    carry: an action label that does not read back as its action or holds
+    `//` or `->`, or a state label that is empty, shared by two states,
+    padded with whitespace, broken over lines, holds `//` or `--`, or
+    begins like a section line (`calls:`, `initial:`).
+    """
+    bad = next((a for a in sort_actions(lts.alphabet.all_actions) if _text_action_fault(a)), None)
+    if bad is not None:
+        raise ModelError(f"action label {bad.label()!r} cannot be written in the text form")
+    state, _ = _state_labels(lts)
+    bad_state = next((x for x in state if _text_fault(x)), None)
+    if bad_state is not None:
+        raise ModelError(f"state label {bad_state!r} cannot be written in the text form")
     lines = [
         f"{section}: " + ", ".join(x.label() for x in sort_actions(getattr(lts.alphabet, section)))
         for section in _SECTION_KINDS
     ]
-    lines.append(f"initial: {lts.label_of(lts.initial)}")
-    rows = sorted(
-        (lts.label_of(s), act, lts.label_of(t))
-        for s, action, t in lts.edges()
-        for act in [action.label()]
-    )
+    lines.append(f"initial: {state[lts.initial]}")
+    rows = sorted((state[s], action.label(), state[t]) for s, action, t in lts.edges())
     for src, act, dst in rows:
         lines.append(f"{src} -- {act} -> {dst}")
     return "\n".join(lines) + "\n"
@@ -284,14 +331,36 @@ def lts_from_dict(data: Mapping[str, Any]) -> Lts:
 
 
 def dumps(lts: Lts) -> str:
-    """The JSON form: json.dumps(lts_to_dict(lts), indent=2, sort_keys=True) + "\n"."""
-    data = lts_to_dict(lts)
-    sections = {k: json_block(map(json_string, v), 2) for k, v in data["alphabet"].items()}
+    """The JSON form: json.dumps(lts_to_dict(lts), indent=2, sort_keys=True) + "\n".
+
+    Raises ModelError when two states share a label, which would read
+    back as one state.  Each label is escaped once.  As labels are then
+    distinct, the sorted rows are each state's, states in label order,
+    and within a state in action-label order (an alphabet's labels are
+    distinct too); they are laid out one state at a time.
+    """
+    labels, order = _state_labels(lts)
+    escaped = list(map(json_string, labels))
+    alphabet = lts.alphabet
+    by_label = sorted(alphabet.all_actions, key=Action.label)
+    action = {a: json_string(a.label()) for a in by_label}
+    rank = {a: i for i, a in enumerate(by_label)}.__getitem__
     row = json_block(("%s",) * 3, 2)  # a [src, action, dst] row, to fill in
+
+    def rows() -> Iterator[str]:
+        for s in order:
+            src, out = escaped[s], lts._out[s]  # the row itself, not an iterator over it
+            for a in sorted(out, key=rank) if len(out) > 1 else out:
+                yield row % (src, action[a], escaped[out[a]])
+
+    sections = {
+        k: json_block([action[a] for a in sort_actions(getattr(alphabet, k))], 2)
+        for k in _SECTION_KINDS
+    }
     return "".join(json_document({
         "alphabet": json_object(sections, 1),
-        "initial": json_string(data["initial"]),
-        "transitions": (row % tuple(map(json_string, r)) for r in data["transitions"]),
+        "initial": escaped[lts.initial],
+        "transitions": rows(),
     }))
 
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -23,13 +24,22 @@ from ltsim import (
     validate_lasso,
     validate_stutter_cycle,
 )
+from ltsim import casestudies
 from ltsim.casestudies import (
     FaaConfig,
     LlAlternatorStrategy,
+    _interleave,
     build_faa_impl,
     build_faa_spec,
     build_program,
     run_counterexample_suite,
+)
+from ltsim.lts import Alphabet, action
+from ltsim.modelio import dumps
+from reference_casestudies import (
+    reference_build_faa_impl,
+    reference_build_faa_spec,
+    reference_build_program,
 )
 
 
@@ -56,6 +66,10 @@ def test_config_validation():
         FaaConfig(threads=(1, 1), addends=(1, 2))
     with pytest.raises(ModelError, match="positive"):
         FaaConfig(threads=(1,), addends=(0,))
+    with pytest.raises(ModelError, match="thread ids must be positive"):
+        FaaConfig(threads=(0, 1), addends=(1, 1))
+    with pytest.raises(ModelError, match="thread ids must be positive"):
+        FaaConfig(threads=(2, -1), addends=(1, 1))
     assert FaaConfig().total == 3
 
 
@@ -131,6 +145,77 @@ def test_the_check_path_makes_no_python_action_comparison(monkeypatch):
     cert = check_forward(impl, spec, impl.alphabet.cr, alpha_bound=4).certificate
     assert validate_certificate(cert, None, impl, spec) == (True, [])
     assert calls == []
+
+
+# --- the interleaving engine ------------------------------------------------------
+
+ENGINE_CONFIGS = [
+    ((1,), (1,)),
+    ((1, 2), (2, 1)),
+    ((3, 1), (1, 3)),
+    ((1, 2, 3), (2, 1, 1)),
+    ((2, 5, 7), (1, 3, 2)),
+    ((1, 2, 3, 4), (1, 2, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("threads, addends", ENGINE_CONFIGS)
+def test_the_builders_write_what_the_per_state_searches_wrote(threads, addends):
+    pairs = [
+        (build_faa_impl, reference_build_faa_impl, "invalidating"),
+        (build_faa_impl, reference_build_faa_impl, "plain"),
+        (build_faa_spec, reference_build_faa_spec, "invalidating"),
+        (build_program, reference_build_program, "invalidating"),
+    ]
+    for build, reference, variant in pairs:
+        cfg = FaaConfig(threads, addends, variant)
+        got, want = build(cfg), reference(cfg)
+        assert got.labels == want.labels
+        assert dumps(got) == dumps(want)
+
+
+def test_each_thread_move_is_asked_once(monkeypatch):
+    """Per build, move is asked once per distinct (thread, point, shared):
+    380 times for 4-thread invalidating FAA, where asking each thread at
+    each state would take 2,841 x 4."""
+    asked = Counter()
+
+    def counting(cfg, alphabet, shared, start, move, prefix):
+        def counted(i, point, now):
+            asked[i, point, now] += 1
+            return move(i, point, now)
+
+        return _interleave(cfg, alphabet, shared, start, counted, prefix)
+
+    monkeypatch.setattr(casestudies, "_interleave", counting)
+    cfg = FaaConfig((1, 2, 3, 4), (1, 1, 1, 1))
+    for build, variant, distinct in (
+        (build_faa_impl, "invalidating", 380),
+        (build_faa_impl, "plain", 128),
+        (build_faa_spec, "invalidating", 88),
+        (build_program, "invalidating", 32),  # 4,096 states
+    ):
+        asked.clear()
+        build(FaaConfig(cfg.threads, cfg.addends, variant))
+        assert set(asked.values()) == {1}
+        assert len(asked) == distinct
+
+
+@pytest.mark.parametrize(
+    "shared, prefix, label", [(None, lambda _: "", "t1:pre"), (7, str, "7 t1:pre")], ids=["bare", "prefixed"]
+)
+def test_a_move_with_two_successors_for_one_action_is_refused(shared, prefix, label):
+    go = action("go", ActionKind.INTERNAL, 1)
+    alphabet = Alphabet(frozenset(), frozenset(), frozenset(), frozenset({go}))
+
+    def move(i, point, now):
+        if point == ("pre",):
+            yield go, ("left",), now
+            yield go, ("right",), now
+
+    with pytest.raises(ModelError) as e:
+        _interleave(FaaConfig((1,), (1,)), alphabet, shared, ("pre",), move, prefix)
+    assert str(e.value) == f"duplicate transition ({label!r}, go@1) with two successors"
 
 
 # --- plain forward simulation holds ----------------------------------------------

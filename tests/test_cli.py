@@ -517,6 +517,33 @@ def test_idle_complete_writes_a_completed_model(tmp_path, capsys, suffix):
     assert report(out)["data"]["already_complete"] is True
 
 
+@pytest.mark.parametrize(
+    "state, act, bad",
+    [("a--b", "go", "state label 'a--b'"), ("a", "a->b", "action label 'a->b'")],
+)
+def test_idle_complete_writes_no_text_file_it_cannot_carry(tmp_path, capsys, state, act, bad):
+    # each loads from JSON, and its text form did not read back as the
+    # model (tests/test_modelio.py has every case)
+    src, dst = tmp_path / "model.json", tmp_path / "out.txt"
+    src.write_text(json.dumps(
+        {"alphabet": {"program": [act]}, "initial": state, "transitions": [[state, act, "z"]]}
+    ))
+    code, out, err = run(capsys, ["idle-complete", str(src), "-o", str(dst)])
+    assert (code, out) == (3, "")
+    assert err == f"ltsim: {bad} cannot be written in the text form\n"
+    assert not dst.exists()
+
+
+def test_product_writes_no_file_that_merges_two_states(tmp_path, capsys):
+    prog, obj, dst = tmp_path / "prog.txt", tmp_path / "obj.txt", tmp_path / "prod.json"
+    prog.write_text("program: go\ninitial: a\na -- go -> a|b\n")
+    obj.write_text("internal: tick\ninitial: b|c\nb|c -- tick -> c\n")
+    code, out, err = run(capsys, ["product", str(prog), str(obj), "--out", str(dst)])
+    assert (code, out) == (3, "")
+    assert err == "ltsim: states 0 and 3 share the label 'a|b|c'\n"
+    assert not dst.exists()
+
+
 def test_product_reports_sizes_and_writes(models, tmp_path, capsys):
     out_path = tmp_path / "prod.json"
     code, out, _ = run(capsys, ["product", models["prog"], models["impl"], "-o", str(out_path)])
@@ -894,6 +921,28 @@ WRITTEN_DIGESTS = {
 }
 
 
+# sha256 of the model files of 4-thread FAA (addends all 1), recorded when
+# the builders were each a search over semantic state tuples
+FOUR_THREAD_WRITTEN_DIGESTS = {
+    "invalidating": "4cc8788207e342e199011ac8369ab72285873863f77615f0a9c0afca30f01afc",
+    "plain": "099de4a1f097458d6a123b7e2680462c4e014eb1aa434f64eb5643746a7168fa",
+    "spec": "cac659acc8df7ffbcdb002244b1ca558a3dfd8ea14fdb13a6bc8f060446c1155",
+    "prog": "ef43621098f648bbf1f5e6677f18d46a164084e72571ab5ee63226982eb6ff0f",
+}
+
+
+def test_four_thread_model_bytes_are_pinned():
+    cfg = {v: FaaConfig((1, 2, 3, 4), (1, 1, 1, 1), v) for v in ("invalidating", "plain")}
+    built = {
+        "invalidating": build_faa_impl(cfg["invalidating"]),
+        "plain": build_faa_impl(cfg["plain"]),
+        "spec": build_faa_spec(cfg["plain"]),
+        "prog": build_program(cfg["plain"]),
+    }
+    got = {name: hashlib.sha256(dumps(m).encode()).hexdigest() for name, m in built.items()}
+    assert got == FOUR_THREAD_WRITTEN_DIGESTS
+
+
 def test_written_model_bytes_are_pinned(faa3_models, tmp_path, capsys):
     files = {**faa3_models, "prog": tmp_path / "prog.json"}
     files["prog"].write_text(dumps(build_program(FaaConfig((1, 2, 3), (1, 1, 1)))))
@@ -1166,6 +1215,14 @@ def test_run_casestudy_rejects_bad_configs(capsys):
     code, _, err = run(capsys, ["run-casestudy", "--threads", "1,1"])
     assert code == 3
     assert "distinct" in err
+
+
+def test_run_casestudy_rejects_thread_id_0(capsys):
+    # link 0 means "no holder": thread 0's store used to land on a link
+    # another thread took, and the suite read "refuted"
+    code, out, err = run(capsys, ["run-casestudy", "--threads", "0,1", "--addends", "1,1"])
+    assert (code, out) == (3, "")
+    assert err == "ltsim: thread ids must be positive\n"
 
 
 # --- reproducibility --------------------------------------------------------

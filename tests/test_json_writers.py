@@ -7,6 +7,7 @@ certificate_to_dict(c, w): both *_to_dict functions are the oracles.
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from ltsim import (
     ChoiceEntry,
     Choices,
     Lts,
+    ModelError,
     ProgressWitness,
     Relation,
     SimulationCertificate,
@@ -114,7 +116,12 @@ def test_labels_that_need_escaping():
     st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1), max_size=4, unique=True),
 )
 def test_any_labels(state_labels, action_names):
-    assert_model_bytes(awkward_model(state_labels, action_names))
+    m = awkward_model(state_labels, action_names)
+    if len(set(state_labels)) < len(state_labels):  # the two states would read back as one
+        with pytest.raises(ModelError, match="share the label"):
+            dumps(m)
+    else:
+        assert_model_bytes(m)
 
 
 def test_empty_sections_and_no_transitions():
@@ -133,3 +140,23 @@ def test_certificates_with_empty_parts_and_ranks():
         assert_certificate_bytes(cert, ProgressWitness({}))
         # rank keys sort as strings: "10" before "2"
         assert_certificate_bytes(cert, ProgressWitness({s: s % 3 for s in range(12)}))
+
+
+def test_writing_the_four_thread_counter_stays_under_3_2_mb():
+    """Each label is escaped once, and the rows are laid out a state at a
+    time: no row list of the whole model is held.
+
+    Above the held model this writer peaks at about 2.83 MB (tracemalloc,
+    Python 3.11), the one that sorted one [src, action, dst] list per
+    transition at about 3.19 MB, and one that sorted 6-tuples and kept
+    every escaped label at about 3.66 MB.
+    """
+    m = build_faa_impl(FaaConfig((1, 2, 3, 4), (1, 1, 1, 1), "invalidating"))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        dumps(m)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_200_000

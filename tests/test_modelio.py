@@ -1,13 +1,14 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from ltsim import (
     Action,
     ActionKind,
     Alphabet,
     Lts,
+    ModelError,
     ParseError,
     dumps,
     format_lts_text,
@@ -248,3 +249,108 @@ def test_a_json_row_field_that_is_not_a_non_empty_string_is_a_parse_error(row):
     payload = {"alphabet": {"calls": ["c"]}, "initial": "s", "transitions": [row]}
     with pytest.raises(ParseError, match="not a non-empty string"):
         loads(json.dumps(payload))
+
+
+# --- property: a writer refuses what would read back as another model --------
+
+
+# labels near the text form's separators, and any text at all
+LABEL_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.text(alphabet="ab -/>:#@,\n\r\x1c\u2028", max_size=8),
+    st.sampled_from(["q", " q", "initial: q", "Calls:x", "INITIAL :q", "idle", "a->b", "x//y"]),
+)
+
+
+# action names the loaders read back, so that only a state label can fault
+READABLE_NAMES = st.one_of(
+    st.from_regex(r"[^@#\s,]+", fullmatch=True), st.sampled_from(["a->b", "x//y", "c:d", "e--"])
+)
+
+
+@st.composite
+def labelled_models(draw, names=LABEL_TEXT.filter(bool), threads=st.integers(-1, 12)):
+    state_labels = draw(st.lists(LABEL_TEXT, min_size=1, max_size=5))
+    n = len(state_labels)
+    actions = draw(st.lists(
+        st.builds(
+            Action,
+            names,
+            st.sampled_from([k for k in ActionKind if k is not ActionKind.IDLE]),
+            st.none() | threads,
+            st.none() | st.integers(-3, 12),
+        ),
+        max_size=4,
+    ))
+    try:
+        alphabet = Alphabet(*(frozenset(a for a in actions if a.kind is k) for k in (
+            ActionKind.PROGRAM, ActionKind.CALL, ActionKind.RETURN, ActionKind.INTERNAL
+        )))
+    except ModelError:  # a label used twice, or the idle action's
+        reject()
+    transitions = {
+        (s, a): s if a == alphabet.idle else draw(st.integers(0, n - 1))
+        for s in range(n)
+        for a in sorted(alphabet.all_actions, key=Action.label)
+        if draw(st.booleans())
+    }
+    return Lts(alphabet, n, draw(st.integers(0, n - 1)), transitions, state_labels)
+
+
+def assert_reads_back(m, back):
+    assert back.label_of(back.initial) == m.label_of(m.initial)
+    assert edge_labels(back) == edge_labels(m)
+    assert back.alphabet == m.alphabet
+
+
+def refused(write, m):
+    """Write m; None when the writer refuses it, naming one of its labels."""
+    try:
+        return write(m)
+    except ModelError as e:
+        labels = [m.label_of(s) for s in range(m.num_states)]
+        labels += [a.label() for a in m.alphabet.all_actions]
+        assert any(repr(x) in str(e) for x in labels), e
+        return None
+
+
+@given(labelled_models())
+def test_the_text_writer_writes_only_what_reads_back_as_the_model(m):
+    text = refused(format_lts_text, m)
+    if text is not None:
+        assert_reads_back(m, parse_lts_text(text))
+
+
+@given(labelled_models(READABLE_NAMES, st.integers(0, 12)))
+def test_the_json_writer_writes_only_what_reads_back_as_the_model(m):
+    labels = [m.label_of(s) for s in range(m.num_states)]
+    text = refused(dumps, m)
+    if text is None:
+        assert len(set(labels)) < len(labels)
+        return
+    try:
+        back = loads(text)
+    except ParseError:  # no model at all: JSON names no state by ""
+        assert "" in labels
+        return
+    assert_reads_back(m, back)
+
+
+@pytest.mark.parametrize(
+    "state_labels, act, bad",
+    [
+        (("a--b", "z"), "go", "state label 'a--b'"),
+        (("x // y", "z"), "go", "state label 'x // y'"),
+        (("initial: q", "z"), "go", "state label 'initial: q'"),
+        (("a", "z"), "a->b", "action label 'a->b'"),
+        (("a", "z"), "x//y", "action label 'x//y'"),
+        ((" q", "q"), "go", "state label ' q'"),
+        (("q", "q"), "go", "states 0 and 1 share the label 'q'"),
+    ],
+)
+def test_the_text_writer_names_the_label_it_cannot_carry(state_labels, act, bad):
+    a = Action(act, ActionKind.PROGRAM)
+    m = Lts(Alphabet(frozenset({a}), frozenset(), frozenset(), frozenset()), 2, 0, {(0, a): 1}, state_labels)
+    with pytest.raises(ModelError) as e:
+        format_lts_text(m)
+    assert str(e.value).startswith(bad)
