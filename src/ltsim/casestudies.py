@@ -33,7 +33,7 @@ from .lts import (
     Lts,
     _idle_completed,
     action,
-    find_cycle,
+    depth_first,
     sort_actions,
     validate_lasso,
 )
@@ -388,7 +388,7 @@ def _labels(actions: Iterator[Action]) -> list[str]:
 
 def _non_idle_acyclic(prod: Lts) -> tuple[bool, str | None]:
     idle = prod.alphabet.idle
-    found = find_cycle(
+    found, _ = depth_first(
         range(prod.num_states), lambda s: [(a, t) for a, t in prod.out_edges(s) if a != idle]
     )
     if found is None:

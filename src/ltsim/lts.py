@@ -19,6 +19,14 @@ action order and keeps the row dicts.  ``Lts(...)`` buckets its
 (state, action) -> state mapping into rows and takes that path; the
 model reader, the product, ``idle_complete``, ``LtsBuilder`` and the
 case-study builders hand rows to it through ``Lts._from_rows``.
+
+``depth_first`` is the package's one depth-first search: one pass gives
+its first cycle and the postorder of every node it reached.  The
+progressive backtracking's ``stutter_reaches`` keeps an early exit, as it
+runs per candidate on a graph that changes with every choice, and the
+breadth-first searches (``Lts.reachable``, the strategy graph,
+``MatchTable``'s search, the sink check) keep their own loops, as their
+order is public or shows in report bytes.
 """
 
 from __future__ import annotations
@@ -98,7 +106,7 @@ class Action(tuple):
         return f"Action({self.label()}:{self.kind.value})"
 
 
-_ACTION_RE = re.compile(r"^(?P<name>[^@#\s,]+)(@(?P<thread>\d+))?(#(?P<payload>-?\d+))?$")
+_ACTION_RE = re.compile(r"(?P<name>[^@#\s,]+)(@(?P<thread>\d+))?(#(?P<payload>-?\d+))?")
 
 
 # The one table of shared actions, keyed by the field tuple: lru_cache
@@ -117,14 +125,11 @@ def action(name: str, kind: ActionKind, thread: int | None = None, payload: int 
     return _interned(name, kind, thread, payload)
 
 
-def parse_action(text: str, kind: ActionKind) -> Action:
-    """Parse the canonical label form back into the shared Action of a given kind."""
-    return _parse_action(text.strip(), kind)
-
-
 @lru_cache(maxsize=1 << 16)  # the parse of each label, done once; the action is shared
-def _parse_action(text: str, kind: ActionKind) -> Action:
-    m = _ACTION_RE.match(text)
+def parse_action(text: str, kind: ActionKind) -> Action:
+    """Parse the canonical label form, name[@thread][#payload] and nothing
+    around it, back into the shared Action of a given kind."""
+    m = _ACTION_RE.fullmatch(text)
     if m is None:
         raise ParseError(f"malformed action {text!r}")
     thread = m.group("thread")
@@ -417,43 +422,45 @@ _Node = TypeVar("_Node", bound=Hashable)
 _Label = TypeVar("_Label")
 
 
-def find_cycle(
+def depth_first(
     starts: Iterable[_Node], succ: Callable[[_Node], Iterable[tuple[_Label, _Node]]]
-) -> tuple[_Node, tuple[_Label, ...]] | None:
-    """The first cycle met by an iterative back-edge DFS (Tarjan, 1972).
+) -> tuple[tuple[_Node, tuple[_Label, ...]] | None, list[_Node]]:
+    """The package's one depth-first search: its first cycle and its postorder.
 
-    Starts are tried in the given order and successors in the order succ
-    yields its (label, node) pairs.  Returns the node the back edge
-    closes on and the labels around the cycle from that node back to
-    itself, or None when no cycle is reachable from the starts.  Depth
-    is bounded by memory, not by the recursion limit.
+    An iterative DFS that classifies back edges (Tarjan, 1972).  Starts are
+    tried in the given order and successors in the order succ yields its
+    (label, node) pairs, and the search always runs to the end.  The cycle
+    is the first back edge's: the node the edge closes on and the labels
+    around the cycle from that node back to itself, or None when no cycle
+    is reachable from the starts.  The postorder lists every node reached
+    once, each after the nodes its edges reach first.  Depth is bounded by
+    memory, not by the recursion limit.
     """
-    color: dict[_Node, int] = {}  # 1 = on the DFS path, 2 = done
+    on_path: dict[_Node, bool] = {}  # every node reached; True while it is on the DFS path
+    order: list[_Node] = []
+    cycle: tuple[_Node, tuple[_Label, ...]] | None = None
     for start in starts:
-        if start in color:
+        if start in on_path:
             continue
-        color[start] = 1
-        stack: list[tuple[_Node, Iterator[tuple[_Label, _Node]]]] = [(start, iter(succ(start)))]
-        path: list[_Label] = []  # labels of the edges between stack entries
+        on_path[start] = True
+        # per entry: a node, its unread successors, the label of the edge into it
+        stack = [(start, iter(succ(start)), None)]
         while stack:
-            node, it = stack[-1]
-            step = next(it, None)
-            if step is None:
-                color[node] = 2
+            node, it, _ = stack[-1]
+            for label, nxt in it:
+                mark = on_path.get(nxt)
+                if mark is None:
+                    on_path[nxt] = True
+                    stack.append((nxt, iter(succ(nxt)), label))
+                    break
+                if mark and cycle is None:
+                    i = next(i for i, entry in enumerate(stack) if entry[0] == nxt)
+                    cycle = nxt, tuple(entry[2] for entry in stack[i + 1:]) + (label,)
+            else:
                 stack.pop()
-                if path:
-                    path.pop()
-                continue
-            label, nxt = step
-            mark = color.get(nxt)
-            if mark == 1:
-                idx = next(i for i, (n, _) in enumerate(stack) if n == nxt)
-                return nxt, tuple(path[idx:]) + (label,)
-            if mark is None:
-                color[nxt] = 1
-                path.append(label)
-                stack.append((nxt, iter(succ(nxt))))
-    return None
+                on_path[node] = False
+                order.append(node)
+    return cycle, order
 
 
 def project(tau: Sequence[Action], gamma: Iterable[Action]) -> Trace:

@@ -404,18 +404,23 @@ _KIND_STYLE = {
 
 
 def to_dot(lts: Lts, name: str = "lts") -> str:
-    """Graphviz digraph; the initial state is marked with an incoming arrow."""
+    """Graphviz digraph; the initial state is marked with an incoming arrow.
+
+    Nodes are named by state label, so a label that two states share
+    raises ModelError, as in the other writers.
+    """
 
     def q(s: str) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
+    labels, _ = _state_labels(lts)
     lines = [f"digraph {q(name)} {{", "  rankdir=LR;", "  node [shape=ellipse];"]
     lines.append('  __start [shape=point,label=""];')
-    lines.append(f"  __start -> {q(lts.label_of(lts.initial))};")
-    for s in range(lts.num_states):
-        lines.append(f"  {q(lts.label_of(s))};")
+    lines.append(f"  __start -> {q(labels[lts.initial])};")
+    for label in labels:
+        lines.append(f"  {q(label)};")
     rows = sorted(
-        ((lts.label_of(s), action, lts.label_of(t)) for s, action, t in lts.edges()),
+        ((labels[s], action, labels[t]) for s, action, t in lts.edges()),
         key=lambda r: (r[0], r[1].key(), r[2]),
     )
     for src, action, dst in rows:

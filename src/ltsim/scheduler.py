@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, ModelError
-from .lts import Action, ActionKind, Lasso, Lts, Trace, find_cycle, sort_actions
+from .lts import Action, ActionKind, Lasso, Lts, Trace, depth_first, sort_actions
 
 # enum members read as globals: ActionKind.X costs a slow class lookup each time
 _IDLE = ActionKind.IDLE
@@ -621,5 +621,5 @@ def find_divergence(
     def silent_succ(node: tuple[int, Hashable]) -> list[tuple[Action, tuple[int, Hashable]]]:
         return [(a, t) for a, t in edges[node] if a not in gamma and a != idle]
 
-    found = find_cycle(access, silent_succ)
+    found, _ = depth_first(access, silent_succ)
     return None if found is None else Lasso(stem=access[found[0]], cycle=found[1])

@@ -17,9 +17,9 @@ states whose a-matches land in t's row, the predecessor image of that
 row, so checking a row is one AND per step.  Rows start
 full; a worklist of concrete states re-checks a row whenever a successor
 row shrank, so a state's first check drops the partners with a step
-that has no match at all.  The worklist starts in DFS postorder,
-successors first, so most rows are checked once, against final
-successor rows.  Images are memoized by (action key, row value) until
+that has no match at all.  The worklist starts in the postorder of
+lts.depth_first, the package's one depth-first search, successors
+first, so most rows are checked once, against final successor rows.  Images are memoized by (action key, row value) until
 the fixpoint ends: states with equal rows share one, and one image costs
 an OR per abstract state in the row.  The result is a Relation, a Set
 over the final rows that decodes each distinct row value once, when its
@@ -51,12 +51,16 @@ algorithms, where states with equal rows form one block (Gentilini,
 Piazza and Policriti, 2003), each distinct block is computed once and
 shared: 2,470 blocks for the 8,901 steps of 4-thread FAA.
 
+check_progressive builds the greedy stutter graph once: one depth_first
+gives its cycle or, when there is none, the postorder of its ranks.
 When the greedy choices settle neither yes nor no, check_progressive
 drops them and searches depth-first over (obligation, step) choice
-points for landings whose stutter graph stays acyclic.  The search keeps
-an explicit undo stack, one int per open choice point, and its choices
-in Choices layout as it makes them, so its memory is its answer plus a
-list slot per open choice point (8,677 on 4-thread plain FAA).
+points for landings whose stutter graph stays acyclic, testing each
+stuttering candidate with an early-exit reachability search of its own.
+The search keeps an explicit undo stack, one int per open choice point,
+and its choices in Choices layout as it makes them, so its memory is its
+answer plus a list slot per open choice point (8,677 on 4-thread plain
+FAA).
 
 validate_certificate reads nothing the checker built.  Every check but
 rank descent reads only a step's search key, the rows of s1 and t and
@@ -75,7 +79,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, ContractViolation, ParseError
-from .lts import Action, Lts, Trace, find_cycle
+from .lts import Action, Lts, Trace, depth_first
 from .modelio import json_block, json_document, json_object, json_string
 
 SCHEMA_VERSION = 1
@@ -484,32 +488,6 @@ def _run_from(lts: Lts, s: int, seq: Sequence[Action]) -> int | None:
 # --- greatest fixpoint --------------------------------------------------
 
 
-def _postorder(steps: list[list[tuple[int, int]]]) -> list[int]:
-    """Every state once, each after the states its steps reach first.
-
-    An iterative DFS over the step lists, roots in ascending state order,
-    so its depth is bounded by memory rather than by the recursion limit.
-    """
-    order: list[int] = []
-    seen = bytearray(len(steps))
-    for root in range(len(steps)):
-        if seen[root]:
-            continue
-        seen[root] = 1
-        stack = [(root, iter(steps[root]))]
-        while stack:
-            s, it = stack[-1]
-            for _, t in it:
-                if not seen[t]:
-                    seen[t] = 1
-                    stack.append((t, iter(steps[t])))
-                    break
-            else:
-                stack.pop()
-                order.append(s)
-    return order
-
-
 def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, bool]:
     """Greatest relation over all pairs, and completeness.
 
@@ -548,7 +526,7 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
         into.append(masks)
     row = [(1 << n2) - 1] * n1  # every pair related at first
     images: dict[tuple[int, int], int] = {}  # (k, row) -> predecessor image of row under k
-    queue, queued = deque(_postorder(steps)), bytearray(b"\x01") * n1
+    queue, queued = deque(depth_first(range(n1), steps.__getitem__)[1]), bytearray(b"\x01") * n1
     while queue:
         s1 = queue.popleft()
         queued[s1] = 0
@@ -667,15 +645,6 @@ def check_forward(
 # --- progressive check --------------------------------------------------
 
 
-def _stutter_cycle(edges: Iterable[StutterEdge]) -> tuple[StutterEdge, ...] | None:
-    """One cycle of stutter edges, sources tried in ascending order."""
-    succ: dict[int, list[tuple[StutterEdge, int]]] = {}
-    for e in edges:
-        succ.setdefault(e.source, []).append((e, e.target))
-    found = find_cycle(sorted(succ), lambda s: succ.get(s, ()))
-    return None if found is None else found[1]
-
-
 def _stutter_edges(a1: Lts, choice: Mapping) -> list[StutterEdge]:
     """One edge per stuttering choice, in the order of choice's items."""
     return [
@@ -685,20 +654,26 @@ def _stutter_edges(a1: Lts, choice: Mapping) -> list[StutterEdge]:
     ]
 
 
-def _ranks_from_edges(edges: Iterable[StutterEdge], num_states: int) -> ProgressWitness:
-    """Longest-path ranks over the stutter DAG: every edge strictly descends.
+def _stutter_ranks(
+    edges: Iterable[StutterEdge], num_states: int
+) -> tuple[tuple[StutterEdge, ...] | None, ProgressWitness | None]:
+    """One cycle of stutter edges, or longest-path ranks when there is none.
 
-    States are ranked in _postorder's DFS order, each after the states its
-    edges reach, so a deep DAG needs no recursion; acyclicity is
-    established by the caller.
+    One depth_first over the stutter graph, sources tried in ascending
+    order, gives both: its first cycle, or else a postorder in which each
+    state is ranked after the states its edges reach, so every edge
+    strictly descends and a deep graph needs no recursion.
     """
-    succ: list[list[tuple[Action, int]]] = [[] for _ in range(num_states)]
+    succ: dict[int, list[tuple[StutterEdge, int]]] = {}
     for e in edges:
-        succ[e.source].append((e.action, e.target))
+        succ.setdefault(e.source, []).append((e, e.target))
+    found, order = depth_first(sorted(succ), lambda s: succ.get(s, ()))
+    if found is not None:
+        return found[1], None
     rank = [0] * num_states
-    for s in _postorder(succ):
-        rank[s] = max((rank[t] + 1 for _, t in succ[s]), default=0)
-    return ProgressWitness(dict(enumerate(rank)))
+    for s in order:
+        rank[s] = max((rank[t] + 1 for _, t in succ.get(s, ())), default=0)
+    return None, ProgressWitness(dict(enumerate(rank)))
 
 
 def _forced_everywhere_edges(a1: Lts, choice: Choices) -> list[StutterEdge]:
@@ -865,10 +840,10 @@ def check_progressive(
         return ProgressiveResult(verdict="no-forward", complete=complete, relation=relation)
 
     choice = _greedy_choice(a1, relation, table)
-    cert_relation, edges = relation, _stutter_edges(a1, choice)
-    cycle = _stutter_cycle(edges)
+    cert_relation = relation
+    cycle, witness = _stutter_ranks(_stutter_edges(a1, choice), a1.num_states)
     if cycle is not None:
-        forced_cycle = _stutter_cycle(_forced_everywhere_edges(a1, choice))
+        forced_cycle = _stutter_ranks(_forced_everywhere_edges(a1, choice), a1.num_states)[0]
         if forced_cycle is not None:
             return ProgressiveResult(
                 verdict="no",
@@ -877,7 +852,7 @@ def check_progressive(
                 note="every abstract partner stutters on each cycle step",
                 relation=relation,
             )
-        del choice, edges  # free the greedy choices before the search
+        del choice  # free the greedy choices before the search
         try:
             solved = _backtrack(a1, a2, relation, table, backtrack_budget)
         except BudgetExceeded:
@@ -897,9 +872,8 @@ def check_progressive(
                 relation=relation,
             )
         choice, cert_relation = solved
-        edges = _stutter_edges(a1, choice)
+        witness = _stutter_ranks(_stutter_edges(a1, choice), a1.num_states)[1]
     cert = SimulationCertificate(cert_relation, choice, gamma, alpha_bound)
-    witness = _ranks_from_edges(edges, a1.num_states)
     return ProgressiveResult(
         verdict="yes", certificate=cert, witness=witness, complete=complete,
         relation=relation,
@@ -1063,14 +1037,19 @@ def validate_stutter_cycle(
 
     Forced means: for each recorded partner, no non-empty alpha within
     the bound lands the step back in the relation.  A state outside its
-    LTS is a problem, and such a partner's match is not searched.
+    LTS is a problem, and such a partner's match is not searched; nor is
+    any match when the bound is below 1, which is a problem too.
     """
     problems: list[str] = []
     edges = cycle.edges
     if not edges:
         return False, ["empty cycle"]
     n1, n2 = a1.num_states, a2.num_states
-    table = MatchTable(a2, frozenset(gamma), alpha_bound)
+    table = None
+    if alpha_bound < 1:
+        problems.append(f"alpha bound {alpha_bound} is below 1")
+    else:
+        table = MatchTable(a2, frozenset(gamma), alpha_bound)
     for i, e in enumerate(edges):
         outside = [(end, s) for end, s in (("source", e.source), ("target", e.target)) if not 0 <= s < n1]
         for end, s in outside:
@@ -1082,14 +1061,14 @@ def validate_stutter_cycle(
             problems.append(f"edge {i} does not chain into edge {(i + 1) % len(edges)}")
         if not e.partners:
             problems.append(f"edge {i} records no abstract partner")
-        column = table.column(table.key(e.action))
+        column = None if table is None else table.column(table.key(e.action))
         for s2 in e.partners:
             if not 0 <= s2 < n2:
                 problems.append(f"edge {i}: partner {s2} is outside the abstract states")
                 continue
             if (e.source, s2) not in relation:
                 problems.append(f"edge {i}: partner {s2} not related to {e.source}")
-            if any(alpha and (e.target, t) in relation for alpha, t in column[s2]):
+            if column is not None and any(alpha and (e.target, t) in relation for alpha, t in column[s2]):
                 problems.append(f"edge {i}: partner {s2} has a non-stuttering match")
     return (not problems, problems)
 

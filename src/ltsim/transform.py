@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .composition import ProductLts
 from .errors import BudgetExceeded, ContractViolation, DepthExhausted
-from .lts import Action, ActionKind, Lts, Trace, sort_actions
+from .lts import Action, ActionKind, Lts, Trace, depth_first, sort_actions
 from .scheduler import (
     Scheduler,
     SchedulerCheck,
@@ -681,21 +681,16 @@ def _image_equality(image: TracePrefixTree, walked: list[TraceNode], depth2: int
 
 
 def _saturated_states(prod: Lts, sigma_p: frozenset[Action]) -> set[int]:
-    """States from which no program action is reachable any more."""
-    can: set[int] = set()
-    pred: dict[int, list[int]] = {}
+    """States from which no program action is reachable any more: those
+    depth_first does not reach backwards from the program edges' sources."""
+    pred: list[list[tuple[Action, int]]] = [[] for _ in range(prod.num_states)]
+    starts = []
     for s, a, t in prod.edges():
-        pred.setdefault(t, []).append(s)
+        pred[t].append((a, s))
         if a in sigma_p:
-            can.add(s)
-    queue = list(can)
-    while queue:
-        t = queue.pop()
-        for s in pred.get(t, ()):
-            if s not in can:
-                can.add(s)
-                queue.append(s)
-    return {s for s in range(prod.num_states) if s not in can}
+            starts.append(s)
+    _, can = depth_first(starts, pred.__getitem__)
+    return set(range(prod.num_states)).difference(can)
 
 
 def _complete_projection_length(

@@ -11,6 +11,7 @@ import argparse
 import gc
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +251,13 @@ def test_a_json_model_that_repeats_a_key_is_an_input_error(tmp_path, capsys):
     )
     code, out, err = run(capsys, ["check-det", str(bad)])
     assert (code, out, err) == (3, "", "ltsim: malformed model: a JSON object repeats a key\n")
+
+
+def test_a_json_action_label_padded_with_whitespace_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"alphabet": {"program": ["go", " q"]}, "initial": "s", "transitions": []}))
+    code, out, err = run(capsys, ["check-det", str(bad)])
+    assert (code, out, err) == (3, "", "ltsim: malformed action ' q'\n")
 
 
 MALFORMED_RANKS = {
@@ -950,7 +958,7 @@ def test_written_model_bytes_are_pinned(faa3_models, tmp_path, capsys):
     files["product"] = tmp_path / "prod.json"
     assert run(capsys, ["idle-complete", files["invalidating"], "-o", str(files["idle-complete"])])[0] == 0
     assert run(capsys, ["product", str(files["prog"]), files["invalidating"], "--out", str(files["product"])])[0] == 0
-    got = {name: hashlib.sha256(open(path, "rb").read()).hexdigest() for name, path in files.items()}
+    got = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for name, path in files.items()}
     assert got == WRITTEN_DIGESTS
 
 

@@ -34,7 +34,7 @@ from ltsim import (
 )
 
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_program
-from ltsim.lts import find_cycle
+from ltsim.lts import depth_first
 
 from conftest import internal, make_lts, prog_action
 
@@ -343,24 +343,24 @@ def succ_of(graph):
 
 
 def test_find_cycle_on_a_self_loop():
-    assert find_cycle([0], succ_of({0: [("a", 0)]})) == (0, ("a",))
+    assert depth_first([0], succ_of({0: [("a", 0)]}))[0] == (0, ("a",))
 
 
 def test_find_cycle_reachable_only_from_the_second_start():
     graph = {0: [("a", 1)], 2: [("b", 3)], 3: [("c", 4)], 4: [("d", 3)]}
-    assert find_cycle([0, 2], succ_of(graph)) == (3, ("c", "d"))
-    assert find_cycle([0], succ_of(graph)) is None
+    assert depth_first([0, 2], succ_of(graph))[0] == (3, ("c", "d"))
+    assert depth_first([0], succ_of(graph))[0] is None
 
 
 def test_find_cycle_on_a_dag_is_none():
     graph = {0: [("a", 1), ("b", 2)], 1: [("c", 3)], 2: [("d", 3)], 3: [("e", 4)]}
-    assert find_cycle(range(5), succ_of(graph)) is None
+    assert depth_first(range(5), succ_of(graph))[0] is None
 
 
 def test_find_cycle_start_order_decides_the_cycle():
     graph = {0: [("a", 1)], 1: [("b", 0)], 5: [("c", 6)], 6: [("d", 5)]}
-    assert find_cycle([0, 5], succ_of(graph)) == (0, ("a", "b"))
-    assert find_cycle([5, 0], succ_of(graph)) == (5, ("c", "d"))
+    assert depth_first([0, 5], succ_of(graph))[0] == (0, ("a", "b"))
+    assert depth_first([5, 0], succ_of(graph))[0] == (5, ("c", "d"))
 
 
 def test_find_cycle_on_a_long_chain_needs_no_recursion():
@@ -368,7 +368,7 @@ def test_find_cycle_on_a_long_chain_needs_no_recursion():
     assert n > sys.getrecursionlimit()
     graph = {i: [(i, i + 1)] for i in range(n - 1)}
     graph[n - 1] = [(n - 1, 0)]
-    node, labels = find_cycle([0], succ_of(graph))
+    node, labels = depth_first([0], succ_of(graph))[0]
     assert node == 0
     assert labels == tuple(range(n))
 

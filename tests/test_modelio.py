@@ -17,6 +17,7 @@ from ltsim import (
     lts_from_dict,
     lts_to_dict,
     parse_lts_text,
+    product,
     to_dot,
 )
 
@@ -193,6 +194,25 @@ def test_to_dot_marks_initial_and_quotes():
     assert '__start -> "empty";' in dot
     assert 'digraph "x\\"y"' in dot
     assert '"pending" -> "full" [label="commit",color=gray40];' in dot
+
+
+def test_to_dot_refuses_states_that_share_a_label():
+    # the product labels (a, b|c) and (a|b, c) alike; Graphviz would draw one node
+    program = parse_lts_text("program: t\ninitial: a\na -- t -> a|b\n")
+    obj = parse_lts_text("internal: u\ninitial: b|c\nb|c -- u -> c\n")
+    m = product(program, obj)
+    with pytest.raises(ModelError, match=r"states 0 and 3 share the label 'a\|b\|c'"):
+        to_dot(m)
+
+
+@pytest.mark.parametrize("label", ["go ", " q", "\x01\x1f", "go\n"])
+def test_a_json_action_label_is_read_as_written(label):
+    # stripped, each of these read as another action; the text form strips
+    # its comma-list entries before they are parsed, so only JSON could carry one
+    data = {"alphabet": {"program": ["go", label]}, "initial": "s", "transitions": []}
+    with pytest.raises(ParseError) as e:
+        loads(json.dumps(data))
+    assert str(e.value) == f"malformed action {label!r}"
 
 
 # --- property: parse inverts format for arbitrary small models ---------------

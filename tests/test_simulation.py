@@ -39,8 +39,7 @@ from ltsim.simulation import (
     _backtrack,
     _forced_everywhere_edges,
     _greatest_relation,
-    _ranks_from_edges,
-    _stutter_cycle,
+    _stutter_ranks,
 )
 
 from conftest import internal, make_lts, oracle_union, random_lts
@@ -251,6 +250,25 @@ def test_a_cycle_state_outside_its_lts_is_a_problem(edges, relation, expected):
     abstract = make_lts([(0, A, 1)], 2, AL4)
     cycle = StutterCycle(tuple(StutterEdge(*e) for e in edges))
     assert validate_stutter_cycle(cycle, concrete, abstract, GAMMA, 4, relation) == (False, expected)
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_a_cycle_under_a_bound_below_one_is_a_problem(bound):
+    """Reported as validate_certificate reports it, not raised; the other
+    checks still run, and no match is searched."""
+    a1, a2, gamma, _ = faa_case("invalidating", threads=2)
+    res = check_progressive(a1, a2, gamma, alpha_bound=4)
+    assert res.verdict == "no"
+    assert validate_stutter_cycle(res.cycle, a1, a2, gamma, 4, res.relation) == (True, [])
+    below = f"alpha bound {bound} is below 1"
+    assert validate_stutter_cycle(res.cycle, a1, a2, gamma, bound, res.relation) == (False, [below])
+    # a partner that is not related, and one with a non-stuttering match at bound 4
+    concrete = make_lts([(0, A, 1), (1, J, 0)], 2, AL4)
+    abstract = make_lts([(0, A, 1)], 2, AL4)
+    cycle = StutterCycle((StutterEdge(0, A, 1, (0,)), StutterEdge(1, J, 0, (1,))))
+    assert validate_stutter_cycle(cycle, concrete, abstract, GAMMA, bound, {(0, 0)}) == (
+        False, [below, "edge 1: partner 1 not related to 1"]
+    )
 
 
 def test_progressive_no_via_complete_search():
@@ -1012,7 +1030,7 @@ def test_greedy_by_block_agrees_with_the_reference():
             stutters = [
                 StutterEdge(s1, a, a1.step(s1, a), (s2,)) for (s1, a, s2), e in want if not e.alpha
             ]
-            assert prog.cycle.edges == _stutter_cycle(stutters)
+            assert prog.cycle.edges == _stutter_ranks(stutters, a1.num_states)[0]
             cycles += 1
     assert compared >= 750 and cycles >= 100
 
@@ -1193,7 +1211,7 @@ def test_forced_edges_from_greedy_blocks_agree_with_the_candidate_scan():
 def test_ranks_of_a_chain_deeper_than_the_recursion_limit():
     n = 20_000
     edges = [StutterEdge(k, I, k + 1, (0,)) for k in range(n - 1)]
-    witness = _ranks_from_edges(edges, n)
+    witness = _stutter_ranks(edges, n)[1]
     assert witness.rank == {s: n - 1 - s for s in range(n)}
 
 
@@ -1201,7 +1219,7 @@ def test_ranks_of_a_diamond_take_the_longer_branch():
     # 0 -> 4 -> 5 is the short branch, listed first; 0 -> 1 -> 2 -> 3 -> 5 the
     # long one; 5 -> 6 below both, and 7 has no edge
     pairs = [(0, 4), (4, 5), (0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]
-    witness = _ranks_from_edges([StutterEdge(s, I, t, (0,)) for s, t in pairs], 8)
+    witness = _stutter_ranks([StutterEdge(s, I, t, (0,)) for s, t in pairs], 8)[1]
     assert witness.rank == {0: 5, 1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 0, 7: 0}
 
 
