@@ -48,6 +48,7 @@ from .lts import (
     Lts,
     idle_complete,
     is_idle_complete,
+    label_resolver,
     project_lasso,
     sort_actions,
     validate_lasso,
@@ -164,27 +165,15 @@ def _verdict(args: argparse.Namespace, ok: bool, data: dict[str, Any]) -> int:
 
 def _resolve_gamma(spec_text: str, *ltss: Lts) -> frozenset[Action]:
     if spec_text == "cr":
-        out: frozenset[Action] = frozenset()
-        for lts in ltss:
-            out |= lts.alphabet.cr
-        return out
+        return frozenset().union(*(lts.alphabet.cr for lts in ltss))
     if spec_text == "gamma-p":
-        out = frozenset()
-        for lts in ltss:
-            out |= lts.alphabet.gamma_p
-        return out
+        return frozenset().union(*(lts.alphabet.gamma_p for lts in ltss))
     if spec_text == "none":
         return frozenset()
     if spec_text.startswith("labels:"):
-        by_label = {}
-        for lts in ltss:
-            for a in sort_actions(lts.alphabet.all_actions):
-                by_label.setdefault(a.label(), a)
-        wanted = [x.strip() for x in spec_text[len("labels:"):].split(",") if x.strip()]
-        missing = [x for x in wanted if x not in by_label]
-        if missing:
-            raise ParseError(f"unknown action label {missing[0]!r} in --gamma")
-        return frozenset(by_label[x] for x in wanted)
+        resolve = label_resolver(ltss, "--gamma")
+        labels = spec_text[len("labels:"):].split(",")
+        return frozenset(resolve(x.strip()) for x in labels if x.strip())
     raise ParseError(
         f"bad --gamma {spec_text!r}: use cr, gamma-p, none, or labels:a,b,c"
     )

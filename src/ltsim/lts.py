@@ -128,18 +128,23 @@ def action(name: str, kind: ActionKind, thread: int | None = None, payload: int 
 @lru_cache(maxsize=1 << 16)  # the parse of each label, done once; the action is shared
 def parse_action(text: str, kind: ActionKind) -> Action:
     """Parse the canonical label form, name[@thread][#payload] and nothing
-    around it, back into the shared Action of a given kind."""
+    around it, back into the shared Action of a given kind.  The numbers
+    must be in canonical decimal form, so that the label read is the
+    action's own label and no two labels name one action."""
     m = _ACTION_RE.fullmatch(text)
     if m is None:
         raise ParseError(f"malformed action {text!r}")
     thread = m.group("thread")
     payload = m.group("payload")
-    return _interned(
+    parsed = _interned(
         m.group("name"),
         kind,
         None if thread is None else int(thread),
         None if payload is None else int(payload),
     )
+    if parsed.label() != text:  # a number not in canonical form: go@01, go#-0, go@\u0661
+        raise ParseError(f"malformed action {text!r}: its canonical form is {parsed.label()!r}")
+    return parsed
 
 
 _KEY = attrgetter("_key")  # Action.key, read in C
@@ -477,6 +482,31 @@ def project_lasso(lasso: Lasso, gamma: Iterable[Action]) -> Lasso | Trace:
     if not cycle:
         return stem
     return Lasso(stem, cycle)
+
+
+def label_resolver(ltss: Iterable[Lts], where: str) -> Callable[[str], Action]:
+    """The action a label names in the alphabets of ltss, for labels read
+    from where.  Resolving a label that names no action, or two (of one
+    kind in one alphabet and another in the other), raises ParseError."""
+    by_label: dict[str, Action] = {}
+    clashes: dict[str, str] = {}  # label -> the kinds of the two actions it names
+    for lts in ltss:
+        for a in lts.alphabet.all_actions:
+            first = by_label.setdefault(a.label(), a)
+            if first != a:
+                clashes[a.label()] = f"{first.kind.value} and {a.kind.value}"
+
+    def resolve(label: str) -> Action:
+        if label in clashes:
+            raise ParseError(
+                f"action label {label!r} in {where} names two actions, of kinds {clashes[label]}"
+            )
+        action = by_label.get(label)
+        if action is None:
+            raise ParseError(f"unknown action label {label!r} in {where}")
+        return action
+
+    return resolve
 
 
 def idle_complete(lts: Lts) -> Lts:

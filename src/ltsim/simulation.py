@@ -62,24 +62,26 @@ and its choices in Choices layout as it makes them, so its memory is its
 answer plus a list slot per open choice point (8,677 on 4-thread plain
 FAA).
 
-validate_certificate reads nothing the checker built.  Every check but
-rank descent reads only a step's search key, the rows of s1 and t and
-the step's block, so it checks each distinct block once (239 for 3-thread
-FAA), and the rank check and the reporting stay per clause.  Within the
-blocks, each distinct (search key, s2, choice) value is replayed once:
-3,485 replays for the 22,112 clauses of those blocks on 4-thread FAA.
+validate_certificate reads nothing the checker built.  It is the
+per-clause loop, in pair order, plus a skip: whether a step's block is
+clean reads only the step's search key, the rows of s1 and t and the
+block, so a concrete state is skipped when each of its steps' blocks is
+known clean and each stuttering step descends in rank.  Each distinct
+block is checked once (239 for 3-thread FAA), and every other state runs
+the loop.  Each distinct (search key, s2, choice) value is replayed once:
+3,485 replays for the 22,112 clauses of the blocks on 4-thread FAA.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from collections.abc import ItemsView, Iterable, Iterator, KeysView, Mapping, Sequence, Set
+from collections.abc import Callable, ItemsView, Iterable, Iterator, KeysView, Mapping, Sequence, Set
 from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, ContractViolation, ParseError
-from .lts import Action, Lts, Trace, depth_first
+from .lts import Action, Lts, Trace, depth_first, label_resolver
 from .modelio import json_block, json_document, json_object, json_string
 
 SCHEMA_VERSION = 1
@@ -882,8 +884,6 @@ def check_progressive(
 
 # --- validation ---------------------------------------------------------
 
-Wrong = dict[int, list[str]]  # s2 -> its messages, as str.format templates over s1, a, s1n
-
 
 def validate_certificate(
     cert: SimulationCertificate,
@@ -897,18 +897,15 @@ def validate_certificate(
     related pair is a pair of states of a1 and a2, and for each related
     pair and concrete step: a recorded choice, an alpha within the bound,
     equal gamma projections, abstract replay to the recorded landing,
-    landing membership, and rank descent on stutters.  All but the rank
-    check read only the step's search key (its action if gamma observes
-    it, else None), the rows of s1 and of its successor, and the step's
-    block, so each distinct block is checked once: memoized by (search key,
-    own row, landing row), with messages that leave the action to be
-    filled in, it counts as checked when it equals the block checked last
-    under that key.  Within a block, all but the landing check read only
-    the search key, s2 and the choice, so each distinct (search key, s2,
-    choice) is replayed once per call.  Both memos compare values, never
-    object identity, so a certificate built by the checker and one parsed
-    from a file are checked alike.  The rank check stays per (s1, step),
-    and problems are reported per clause, in ascending pair order.
+    landing membership, and rank descent on stutters.
+
+    Every state runs that per-clause loop, in pair order, except one whose
+    steps' blocks are each known clean and whose stuttering steps descend
+    in rank.  Whether a block is clean reads only the step's search key
+    (its action if gamma observes it, else None), the rows of s1 and of
+    its successor, and the block, so the last clean block under (search
+    key, own row, landing row) is kept and compared by value.  Each
+    distinct (search key, s2, choice) value is replayed once per call.
     """
     problems: list[str] = []
 
@@ -921,108 +918,97 @@ def validate_certificate(
         report("initial pair not in relation")
     if bound < 1:
         report(f"alpha bound {bound} is below 1")
+    replayed: dict[tuple[Action | None, int, ChoiceEntry], tuple[int | None, bool]] = {}
+
+    def replay(key: Action | None, s2: int, entry: ChoiceEntry) -> tuple[int | None, bool]:
+        """Where entry's alpha lands from s2, and whether the clause passes
+        every check but landing membership and rank descent."""
+        found = replayed.get((key, s2, entry))
+        if found is None:
+            alpha, target = entry
+            landed = _run_from(a2, s2, alpha)
+            found = replayed[key, s2, entry] = (
+                landed,
+                landed == target and len(alpha) <= bound
+                and tuple(filter(gamma.__contains__, alpha)) == (() if key is None else (key,)),
+            )
+        return found
+
     n1, n2 = a1.num_states, a2.num_states
     cls = relation.row_classes(n1)
-    # (search key, own row class, landing row class) -> the block checked last
-    # under that key, its problems and its stutters
-    checked: dict[tuple[Action | None, int, int], tuple[dict, Wrong, frozenset[int]]] = {}
-    replayed: dict = {}  # (search key, s2, choice) -> what _block_problems found replaying it
+    # (search key, own row class, landing row class) -> the last clean block
+    # under it, and whether any of its choices stutters
+    clean: dict[tuple[Action | None, int, int], tuple[dict, bool]] = {}
     for s1, row in enumerate(relation._rows):
+        if not row:
+            continue
         mine = relation.partners(s1)
-        if s1 >= n1:
-            for s2 in mine:
-                report(f"pair ({s1}, {s2}) is outside the state ranges")
-            continue
-        if not mine:
-            continue
         blocks = cert.choice._rows.get(s1, {})
-        bad = []  # (action, successor, problems, stutters that fail to descend) per step
-        for a, s1n in a1.out_edges(s1):
-            block = blocks.get(a, {})
-            shape = (a if a in gamma else None, cls[s1], cls[s1n])
-            memo = checked.get(shape)
-            if memo is None or memo[0] != block:
-                memo = checked[shape] = (block, *_block_problems(
-                    shape[0], block, mine, relation.partners(s1n), a2, gamma, bound, replayed
-                ))
-            _, wrong, stutters = memo
-            if stutters and (witness is None or witness.of(s1n) < witness.of(s1)):
-                stutters = frozenset()
-            if wrong or stutters:
-                bad.append((a, s1n, wrong, stutters))
-        for s2 in sorted({s2 for _, _, wrong, stutters in bad for s2 in (*wrong, *stutters)}):
-            for a, s1n, wrong, stutters in bad:
-                for template in wrong.get(s2, ()):
-                    report(template.format(s1=s1, a=a.label(), s1n=s1n))
-                if s2 in stutters:
+        if s1 < n1 and not row >> n2:
+            for a, s1n in a1.out_edges(s1):
+                shape = (a if a in gamma else None, cls[s1], cls[s1n])
+                block = blocks.get(a, {})
+                known = clean.get(shape)
+                if known is None or known[0] != block:
+                    if not _block_is_clean(shape[0], block, mine, relation.partners(s1n), replay):
+                        break
+                    known = clean[shape] = (block, any(not alpha for alpha, _ in block.values()))
+                if known[1] and witness is not None and witness.of(s1n) >= witness.of(s1):
+                    break
+            else:
+                continue  # every block is clean and every stutter descends
+        for s2 in mine:
+            if s1 >= n1 or s2 >= n2:
+                report(f"pair ({s1}, {s2}) is outside the state ranges")
+                continue
+            for a, s1n in a1.out_edges(s1):
+                entry = blocks.get(a, {}).get(s2)
+                if entry is None:
+                    report(f"no choice for ({s1}, {a.label()}, {s2})")
+                    continue
+                alpha, target = entry
+                key = a if a in gamma else None
+                if len(alpha) > bound:
+                    report(
+                        f"alpha of length {len(alpha)} exceeds the bound {bound} "
+                        f"at ({s1}, {a.label()}, {s2})"
+                    )
+                if tuple(filter(gamma.__contains__, alpha)) != (() if key is None else (key,)):
+                    report(f"projection mismatch at ({s1}, {a.label()}, {s2})")
+                landed = replay(key, s2, entry)[0]
+                if landed is None:
+                    report(f"alpha does not replay at ({s1}, {a.label()}, {s2})")
+                    continue
+                if landed != target:
+                    report(
+                        f"alpha lands in {landed}, recorded target {target} "
+                        f"at ({s1}, {a.label()}, {s2})"
+                    )
+                if (s1n, target) not in relation:
+                    report(f"landing ({s1n}, {target}) not in relation")
+                if witness is not None and not alpha and witness.of(s1n) >= witness.of(s1):
                     report(
                         f"rank does not descend on stutter ({s1}, {a.label()}, {s1n}): "
                         f"{witness.of(s1)} -> {witness.of(s1n)}"
                     )
-        if row >> n2:
-            for s2 in mine:
-                if s2 >= n2:
-                    report(f"pair ({s1}, {s2}) is outside the state ranges")
     return (not problems, problems)
 
 
-def _block_problems(
+def _block_is_clean(
     key: Action | None,
     block: dict[int, ChoiceEntry],
     mine: KeysView[int],
     landing: KeysView[int],
-    a2: Lts,
-    gamma: frozenset[Action],
-    bound: int,
-    replayed: dict[tuple[Action | None, int, ChoiceEntry], tuple[list[str], bool]],
-) -> tuple[Wrong, frozenset[int]]:
-    """What is wrong with one step's block of choices at every state whose
-    partners are mine and whose successor's partners are landing.
-
-    key is the step's search key: its action if gamma observes it, else
-    None.  Returns, per partner s2 with a problem, its messages as
-    templates to be filled with the concrete state s1, the action's label
-    a and the successor s1n; and the partners whose choice stutters and
-    replays, which need a rank descent.  All but the landing check read
-    only key, s2 and the choice, so their messages, and whether alpha
-    replays, are kept in replayed per distinct (key, s2, choice) value.
-    """
-    n2 = a2.num_states
-    want = () if key is None else (key,)
-    wrong: Wrong = {}
-    stutters = []
+    replay: Callable[[Action | None, int, ChoiceEntry], tuple[int | None, bool]],
+) -> bool:
+    """Whether one step's block of choices passes every check but rank
+    descent at each state whose partners are mine and whose successor's
+    partners are landing; key is the step's search key."""
     for s2 in mine:
-        if s2 >= n2:
-            break  # outside the state ranges, reported per pair
         entry = block.get(s2)
-        if entry is None:
-            wrong[s2] = [f"no choice for ({{s1}}, {{a}}, {s2})"]
-            continue
-        alpha, target = entry
-        replay = replayed.get((key, s2, entry))
-        if replay is None:
-            heads = []  # messages that end in the clause, "({s1}, {a}, {s2})"
-            if len(alpha) > bound:
-                heads.append(f"alpha of length {len(alpha)} exceeds the bound {bound} at (")
-            if tuple(filter(gamma.__contains__, alpha)) != want:
-                heads.append("projection mismatch at (")
-            landed = _run_from(a2, s2, alpha)
-            if landed is None:
-                heads.append("alpha does not replay at (")
-            elif landed != target:
-                heads.append(f"alpha lands in {landed}, recorded target {target} at (")
-            replay = replayed[(key, s2, entry)] = (
-                [f"{head}{{s1}}, {{a}}, {s2})" for head in heads], landed is not None
-            )
-        found, replays = replay
-        if replays:
-            if target not in landing:
-                found = [*found, f"landing ({{s1n}}, {target}) not in relation"]
-            if not alpha:
-                stutters.append(s2)
-        if found:
-            wrong[s2] = found
-    return wrong, frozenset(stutters)
+        if entry is None or entry.target not in landing or not replay(key, s2, entry)[1]:
+            return False
+    return True
 
 
 def validate_stutter_cycle(
@@ -1104,15 +1090,7 @@ def certificate_from_dict(
     data: dict, a1: Lts, a2: Lts
 ) -> tuple[SimulationCertificate, ProgressWitness | None]:
     n1, n2 = a1.num_states, a2.num_states
-    by_label: dict[str, Action] = {}
-    for action in sorted(a1.alphabet.all_actions | a2.alphabet.all_actions, key=Action.key):
-        by_label.setdefault(action.label(), action)
-
-    def resolve(label: str) -> Action:
-        action = by_label.get(label)
-        if action is None:
-            raise ParseError(f"unknown action {label!r} in certificate")
-        return action
+    resolve = label_resolver((a1, a2), "certificate")
 
     def number(x: object, limit: float = float("inf")) -> int:
         if type(x) is not int or not 0 <= x < limit:  # a bool or a float is no state number

@@ -27,6 +27,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import (
+    PinnedScheduler,
     derived_object_pair,
     internal,
     make_lts,
@@ -42,7 +43,6 @@ from ltsim import (
     Lasso,
     MappedTraces,
     ProgressWitness,
-    Scheduler,
     StepNotEnabled,
     StutterCycle,
     StutterEdge,
@@ -138,20 +138,6 @@ def fresh_transform(rig, depth: int = 14):
 
 def by_label(prod, label: str):
     return next(a for a in prod.alphabet.all_actions if a.label() == label)
-
-
-class PinnedScheduler(Scheduler):
-    """Wraps a scheduler, overriding the scheduled set at one trace."""
-
-    def __init__(self, base: Scheduler, at, value):
-        self.base = base
-        self.at = tuple(at)
-        self.value = value
-
-    def schedule(self, trace):
-        if tuple(trace) == self.at:
-            return self.value
-        return self.base.schedule(trace)
 
 
 # --- criterion 1: the counterexample models ------------------------------

@@ -253,6 +253,45 @@ def test_a_json_model_that_repeats_a_key_is_an_input_error(tmp_path, capsys):
     assert (code, out, err) == (3, "", "ltsim: malformed model: a JSON object repeats a key\n")
 
 
+@pytest.mark.parametrize("label", ["go@01", "go#-0", "go@\u0661"])
+def test_an_action_label_out_of_canonical_form_is_an_input_error(label, tmp_path, capsys):
+    canonical = "go#0" if "#" in label else "go@1"
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"program: {label}\ninitial: a\na -- {canonical} -> a\n", encoding="utf-8")
+    code, out, err = run(capsys, ["check-det", str(bad)])
+    assert (code, out) == (3, "")
+    assert err == f"ltsim: malformed action {label!r}: its canonical form is {canonical!r} (line 1)\n"
+
+
+@pytest.fixture
+def ambiguous_x(tmp_path):
+    """Two objects where the label x names an internal action of the first
+    and a return of the second, and check-fwd's certificate between them."""
+    c = tmp_path / "c.txt"
+    c.write_text("calls: op\nreturns: r\ninternal: x\ninitial: a\na -- op -> b\nb -- x -> c\nc -- r -> a\n")
+    s = tmp_path / "s.txt"
+    s.write_text("calls: op\nreturns: r, x\ninitial: p\np -- op -> q\nq -- r -> p\nz -- x -> p\n")
+    cert = tmp_path / "cert.json"
+    assert main(["check-fwd", str(c), str(s), "--cert-out", str(cert)]) == 0
+    return str(c), str(s), str(cert)
+
+
+def test_a_certificate_label_naming_two_actions_is_an_input_error(ambiguous_x, capsys):
+    capsys.readouterr()
+    code, out, err = run(capsys, ["validate-cert", *ambiguous_x])
+    assert (code, out) == (3, "")
+    assert err == "ltsim: action label 'x' in certificate names two actions, of kinds internal and return\n"
+
+
+def test_a_gamma_label_naming_two_actions_is_an_input_error(ambiguous_x, capsys):
+    capsys.readouterr()
+    code, out, err = run(capsys, ["check-fwd", *ambiguous_x[:2], "--gamma", "labels:op,x"])
+    assert (code, out) == (3, "")
+    assert err == "ltsim: action label 'x' in --gamma names two actions, of kinds internal and return\n"
+    code, out, _ = run(capsys, ["check-fwd", *ambiguous_x[:2], "--gamma", "labels:op,r"])
+    assert code == 0 and report(out)["verdict"] == "holds"
+
+
 def test_a_json_action_label_padded_with_whitespace_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"alphabet": {"program": ["go", " q"]}, "initial": "s", "transitions": []}))

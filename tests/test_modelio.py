@@ -215,6 +215,21 @@ def test_a_json_action_label_is_read_as_written(label):
     assert str(e.value) == f"malformed action {label!r}"
 
 
+@pytest.mark.parametrize(
+    "label, canonical", [("go@01", "go@1"), ("go#-0", "go#0"), ("go@\u0661", "go@1")]
+)
+def test_an_action_label_must_be_its_actions_own_label(label, canonical):
+    # read as the action with label canonical, so an edge naming either label matched it
+    message = f"malformed action {label!r}: its canonical form is {canonical!r}"
+    data = {"alphabet": {"program": [label]}, "initial": "a", "transitions": [["a", canonical, "a"]]}
+    with pytest.raises(ParseError) as e:
+        loads(json.dumps(data))
+    assert str(e.value) == message
+    with pytest.raises(ParseError) as e:
+        parse_lts_text(f"program: {label}\ninitial: a\na -- {canonical} -> a\n")
+    assert str(e.value) == f"{message} (line 1)"
+
+
 # --- property: parse inverts format for arbitrary small models ---------------
 
 

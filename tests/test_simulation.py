@@ -31,7 +31,7 @@ from ltsim import (
 )
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec
 import ltsim.simulation
-from ltsim.errors import BudgetExceeded
+from ltsim.errors import BudgetExceeded, ParseError
 from ltsim.simulation import (
     MatchTable,
     StutterCycle,
@@ -363,6 +363,26 @@ def test_oracle_agreement_on_random_pairs():
 
 
 # --- certificates as data ------------------------------------------------------
+
+
+@pytest.mark.parametrize("returns", ["i", "j"])
+def test_a_certificate_label_is_read_as_the_one_action_it_names(returns):
+    """A label internal in the concrete object and a return in the abstract
+    one is refused when the certificate names it, here as a step's action,
+    and not otherwise."""
+    concrete = make_lts([(0, A, 1), (1, I, 0)], 2, AL4)
+    ret = Action(returns, ActionKind.RETURN)
+    abstract = make_lts([(0, A, 0)], 1, Alphabet(frozenset(), frozenset(), frozenset({ret}), frozenset({A})))
+    res = check_forward(concrete, abstract, {A}, alpha_bound=2)
+    data = certificate_to_dict(res.certificate)
+    if returns == "j":  # j names two actions too, but the certificate never names j
+        assert certificate_from_dict(data, concrete, abstract)[0] == res.certificate
+    else:
+        with pytest.raises(ParseError) as e:
+            certificate_from_dict(data, concrete, abstract)
+        assert str(e.value) == (
+            "action label 'i' in certificate names two actions, of kinds internal and return"
+        )
 
 
 def test_certificate_round_trip():
@@ -1226,13 +1246,13 @@ def test_ranks_of_a_diamond_take_the_longer_branch():
 @pytest.mark.parametrize("variant", ["invalidating", "plain"])
 def test_each_distinct_block_is_checked_once(variant, monkeypatch):
     calls = []
-    checked = ltsim.simulation._block_problems
+    checked = ltsim.simulation._block_is_clean
 
     def counted(*args):
         calls.append(args[1])
         return checked(*args)
 
-    monkeypatch.setattr(ltsim.simulation, "_block_problems", counted)
+    monkeypatch.setattr(ltsim.simulation, "_block_is_clean", counted)
     a1, a2, gamma, bound = faa_case(variant)
     cert = check_forward(a1, a2, gamma, alpha_bound=bound).certificate
     assert validate_certificate(cert, None, a1, a2) == (True, [])
