@@ -8,10 +8,10 @@ produced), 1 it is refuted, 2 the verdict is unknown because a bound or
 budget ran out, 3 the inputs were unusable, 4 an internal error (a bug;
 the traceback goes to stderr).  A refutation carries a witness in the
 report from check-admitted, find-divergence, check-lemmas and
-validate-cert, and a stutter cycle from check-prog-fwd's "no"; it
-carries none yet from check-fwd's "refuted", check-prog-fwd's
-"no-forward" or idle-complete.  check-det never refutes: the loader
-refuses a nondeterministic model as unusable input (3).
+validate-cert, a stutter cycle from check-prog-fwd's "no" and the first
+stuck state from idle-complete; it carries none yet from check-fwd's
+"refuted" or check-prog-fwd's "no-forward".  check-det never refutes:
+the loader refuses a nondeterministic model as unusable input (3).
 A raised depth or node bound (2), unusable input (3) and an internal
 error (4) leave stdout empty and say why on stderr.  find-divergence
 reports "unknown" (2) for a registered scheduler that is not a strategy
@@ -47,7 +47,6 @@ from .lts import (
     Action,
     Lts,
     idle_complete,
-    is_idle_complete,
     label_resolver,
     project_lasso,
     sort_actions,
@@ -193,16 +192,18 @@ def _cmd_check_det(args: argparse.Namespace) -> int:
 
 def _cmd_idle_complete(args: argparse.Namespace) -> int:
     lts = _read(args.model)
-    already = is_idle_complete(lts)
-    data: dict[str, Any] = {"already_complete": already}
+    stuck = next((s for s in range(lts.num_states) if not lts.enabled(s)), None)
+    data: dict[str, Any] = {"already_complete": stuck is None}
     if args.out:
-        completed = lts if already else idle_complete(lts)
+        completed = lts if stuck is None else idle_complete(lts)
         text = dumps(completed) if args.out.endswith(".json") else format_lts_text(completed)
         _write(args.out, text)
         data["written"] = args.out
         _emit(args, "holds", data)
         return EXIT_HOLDS
-    return _verdict(args, already, data)
+    if stuck is not None:
+        data["stuck_state"] = lts.label_of(stuck)
+    return _verdict(args, stuck is None, data)
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
@@ -263,10 +264,21 @@ def _certified(
     return _verdict(args, ok, data)
 
 
-def _cmd_check_fwd(args: argparse.Namespace) -> int:
+def _simulation_inputs(args: argparse.Namespace) -> tuple[Lts, Lts, frozenset[Action]]:
+    """The two models and gamma of check-fwd and check-prog-fwd.  With
+    --cert-out, a pair in which one label names two actions is refused, as
+    validate-cert would refuse the certificate written for it."""
     a1 = _read(args.concrete)
     a2 = _read(args.abstract)
-    gamma = _resolve_gamma(args.gamma, a1, a2)
+    if args.cert_out:
+        resolve = label_resolver((a1, a2), "certificate")
+        for label in sorted({a.label() for lts in (a1, a2) for a in lts.alphabet.all_actions}):
+            resolve(label)
+    return a1, a2, _resolve_gamma(args.gamma, a1, a2)
+
+
+def _cmd_check_fwd(args: argparse.Namespace) -> int:
+    a1, a2, gamma = _simulation_inputs(args)
     res = check_forward(a1, a2, gamma, alpha_bound=args.alpha_bound)
     data: dict[str, Any] = {
         "relation_size": len(res.relation),
@@ -282,9 +294,7 @@ def _cmd_check_fwd(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_prog_fwd(args: argparse.Namespace) -> int:
-    a1 = _read(args.concrete)
-    a2 = _read(args.abstract)
-    gamma = _resolve_gamma(args.gamma, a1, a2)
+    a1, a2, gamma = _simulation_inputs(args)
     res = check_progressive(
         a1, a2, gamma, alpha_bound=args.alpha_bound, backtrack_budget=args.backtrack_budget
     )

@@ -57,10 +57,11 @@ When the greedy choices settle neither yes nor no, check_progressive
 drops them and searches depth-first over (obligation, step) choice
 points for landings whose stutter graph stays acyclic, testing each
 stuttering candidate with an early-exit reachability search of its own.
-The search keeps an explicit undo stack, one int per open choice point,
-and its choices in Choices layout as it makes them, so its memory is its
-answer plus a list slot per open choice point (8,677 on 4-thread plain
-FAA).
+The search keeps an explicit undo stack, one int per open choice point
+naming the candidate chosen there, and a stutter multigraph, one edge per
+stuttering choice.  The undo stack is its only record of the choices, so
+its memory is the obligations, the pairs they reached, the stutter graph
+and a list slot per open choice point (8,677 on 4-thread plain FAA).
 
 validate_certificate reads nothing the checker built.  It is the
 per-clause loop, in pair order, plus a skip: whether a step's block is
@@ -77,6 +78,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from collections.abc import Callable, ItemsView, Iterable, Iterator, KeysView, Mapping, Sequence, Set
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import compress
 from typing import NamedTuple
 
@@ -713,27 +715,23 @@ def _backtrack(
     candidates are listed.  Every step of every obligation before the one
     being tried is an open choice point, so an explicit undo stack holds
     one int per open choice point, its obligation and step implied by its
-    depth: the position of its next candidate, and whether the landing
-    applied there added the landing pair and the stutter edge, which
-    retracting it removes.  So an open choice point costs a list slot, not
-    a Python frame, and the depth is bounded by memory rather than by the
-    recursion limit.  The choices are kept in Choices layout as they are
-    made, and blocks of equal content are made one object when the search
-    succeeds, as _greedy_choice shares them.
+    depth: the position after its chosen candidate, and whether that
+    choice added its landing pair.  So an open choice point costs a list
+    slot, not a Python frame, and the depth is bounded by memory rather
+    than by the recursion limit.  The stutter graph has one edge per
+    stuttering choice, and a retract removes its own copy.  On success the
+    choices are read off the undo stack in Choices order, and blocks of
+    equal content are made one object as _greedy_choice shares them.
     """
     init = (a1.initial, a2.initial)
     spent = 0
     obligations: list[tuple[int, int]] = [init]
     supported: set[tuple[int, int]] = {init}
-    rows: dict[int, BlockRow] = {}  # the choices made: s1 -> action -> s2 -> entry
-    stutter: set[tuple[int, Action, int]] = set()
-    stutter_succ: dict[int, list[int]] = {}  # adjacency of the stutter edges
-    actions: dict[int, list[Action]] = {}  # the actions of s1's steps, in canonical order
+    stutter_succ: dict[int, list[int]] = {}  # one entry per stuttering choice
 
-    def actions_of(s1: int) -> list[Action]:
-        if s1 not in actions:
-            actions[s1] = [a for a, _ in a1.out_edges(s1)]
-        return actions[s1]
+    @cache
+    def actions_of(s1: int) -> list[Action]:  # s1's steps' actions, in canonical order
+        return [a for a, _ in a1.out_edges(s1)]
 
     def stutter_reaches(src: int, dst: int) -> bool:
         seen = {src}
@@ -748,46 +746,51 @@ def _backtrack(
                     stack.append(y)
         return False
 
-    undo: list[int] = []  # per open choice point: next position << 2 | added pair << 1 | added edge
+    undo: list[int] = []  # per open choice point: next position << 1 | added pair
     i = j = pos = 0  # the choice point to try, and its next candidate's position
     while True:
         while i < len(obligations) and j == len(actions_of(obligations[i][0])):
             i, j = i + 1, 0
         if i == len(obligations):
+            reached = Relation.from_pairs(supported)
+            del supported  # the search is over: free its own state before the rows are built
+            stutter_succ.clear()
+            # every (obligation, step) is an open choice point now, so the
+            # d-th undo record names the candidate chosen at the d-th one
+            partners: dict[int, list[tuple[int, int]]] = defaultdict(list)  # s1 -> (s2, depth)
+            depth = 0
+            for s1, s2 in obligations:
+                partners[s1].append((s2, depth))
+                depth += len(actions_of(s1))
             shared: dict[tuple, dict[int, ChoiceEntry]] = {}  # equal blocks become one
-            for row in rows.values():
-                for b, block in row.items():
-                    items = tuple(sorted(block.items()))
-                    row[b] = shared.get(items) or shared.setdefault(items, dict(items))
-            return Choices.from_rows(rows), Relation.from_pairs(supported)
+            rows: dict[int, BlockRow] = {}  # a state with no steps gets no row
+            for s1, mine in sorted(partners.items()):
+                mine.sort()
+                for k, a in enumerate(actions_of(s1)):
+                    column = table.column(table.key(a))
+                    block = {s2: column[s2][(undo[d + k] >> 1) - 1] for s2, d in mine}
+                    rows.setdefault(s1, {})[a] = shared.setdefault(tuple(block.items()), block)
+            return Choices(rows), reached
         s1, s2 = obligations[i]
         a = actions_of(s1)[j]
         s1n = a1.step(s1, a)
         cands = table.column(table.key(a))[s2]
         for pos in range(pos, len(cands)):
-            entry = cands[pos]
-            alpha, t = entry
+            alpha, t = cands[pos]
             if (s1n, t) not in relation:
                 continue
             spent += 1
             if spent > budget:
                 raise BudgetExceeded(budget)
-            is_stutter = not alpha
-            if is_stutter and (s1 == s1n or stutter_reaches(s1n, s1)):
-                continue  # would close a stutter cycle
+            if not alpha:
+                if s1 == s1n or stutter_reaches(s1n, s1):
+                    continue  # would close a stutter cycle
+                stutter_succ.setdefault(s1, []).append(s1n)
             added_pair = (s1n, t) not in supported
             if added_pair:
                 supported.add((s1n, t))
                 obligations.append((s1n, t))
-            # another obligation may already force this edge to stutter;
-            # only the choice point that inserted it may remove it
-            edge = (s1, a, s1n)
-            added_edge = is_stutter and edge not in stutter
-            if added_edge:
-                stutter.add(edge)
-                stutter_succ.setdefault(s1, []).append(s1n)
-            rows.setdefault(s1, {}).setdefault(a, {})[s2] = entry
-            undo.append((pos + 1) << 2 | added_pair << 1 | added_edge)
+            undo.append((pos + 1) << 1 | added_pair)
             j, pos = j + 1, 0
             break
         else:
@@ -796,7 +799,7 @@ def _backtrack(
             if not undo:
                 return None
             record = undo.pop()
-            pos = record >> 2
+            pos = record >> 1
             j -= 1
             while j < 0:
                 i -= 1
@@ -804,16 +807,10 @@ def _backtrack(
             s1, s2 = obligations[i]
             a = actions_of(s1)[j]
             s1n = a1.step(s1, a)
-            row = rows[s1]
-            t = row[a].pop(s2).target
-            if not row[a]:
-                del row[a]  # the later steps of s1 were retracted first
-                if not row:
-                    del rows[s1]
-            if record & 1:
-                stutter.discard((s1, a, s1n))
+            alpha, t = table.column(table.key(a))[s2][pos - 1]
+            if not alpha:
                 stutter_succ[s1].remove(s1n)
-            if record & 2:
+            if record & 1:
                 supported.discard((s1n, t))
                 obligations.pop()
 
@@ -838,8 +835,9 @@ def check_progressive(
     gamma = frozenset(gamma)
     table = MatchTable(a2, gamma, alpha_bound)
     relation, complete = _greatest_relation(a1, a2, table)
+    result = partial(ProgressiveResult, complete=complete, relation=relation)
     if (a1.initial, a2.initial) not in relation:
-        return ProgressiveResult(verdict="no-forward", complete=complete, relation=relation)
+        return result(verdict="no-forward")
 
     choice = _greedy_choice(a1, relation, table)
     cert_relation = relation
@@ -847,39 +845,21 @@ def check_progressive(
     if cycle is not None:
         forced_cycle = _stutter_ranks(_forced_everywhere_edges(a1, choice), a1.num_states)[0]
         if forced_cycle is not None:
-            return ProgressiveResult(
-                verdict="no",
-                cycle=StutterCycle(forced_cycle),
-                complete=complete,
-                note="every abstract partner stutters on each cycle step",
-                relation=relation,
-            )
+            note = "every abstract partner stutters on each cycle step"
+            return result(verdict="no", cycle=StutterCycle(forced_cycle), note=note)
         del choice  # free the greedy choices before the search
         try:
             solved = _backtrack(a1, a2, relation, table, backtrack_budget)
         except BudgetExceeded:
-            return ProgressiveResult(
-                verdict="unknown",
-                cycle=StutterCycle(cycle),
-                complete=complete,
-                note=f"backtracking budget {backtrack_budget} exceeded",
-                relation=relation,
-            )
+            note = f"backtracking budget {backtrack_budget} exceeded"
+            return result(verdict="unknown", cycle=StutterCycle(cycle), note=note)
         if solved is None:
-            return ProgressiveResult(
-                verdict="no",
-                cycle=StutterCycle(cycle),
-                complete=complete,
-                note="no landing assignment admits a rank (complete search)",
-                relation=relation,
-            )
+            note = "no landing assignment admits a rank (complete search)"
+            return result(verdict="no", cycle=StutterCycle(cycle), note=note)
         choice, cert_relation = solved
         witness = _stutter_ranks(_stutter_edges(a1, choice), a1.num_states)[1]
     cert = SimulationCertificate(cert_relation, choice, gamma, alpha_bound)
-    return ProgressiveResult(
-        verdict="yes", certificate=cert, witness=witness, complete=complete,
-        relation=relation,
-    )
+    return result(verdict="yes", certificate=cert, witness=witness)
 
 
 # --- validation ---------------------------------------------------------

@@ -20,7 +20,7 @@ from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_p
 from ltsim.cli import _build_parser, main
 from ltsim.modelio import dumps, load_model
 from ltsim.scheduler import STRATEGIES, register_strategy
-from ltsim.simulation import certificate_chunks, check_forward
+from ltsim.simulation import certificate_chunks, check_forward, dumps_certificate
 
 REPORT_KEYS = {"schema_version", "command", "seed", "verdict", "data"}
 
@@ -123,7 +123,7 @@ def test_the_strategy_choices_read_alike_in_help_and_errors(capsys, monkeypatch)
     assert digest.hexdigest() == STRATEGY_TEXT_DIGEST
 
 
-STRATEGY_TEXT_DIGEST = "ca3b4e1b68eceb08815b739f87eba715bf8085a6abf613d19603d5f4caf45520"
+STRATEGY_TEXT_DIGEST = "6c6ac9ef79edb206bf0fefd4a839cb98d8918c4ab3ffc0c5d91149de25c96496"
 
 
 def test_a_seed_does_not_carry_over_to_the_next_call(models, capsys):
@@ -266,13 +266,16 @@ def test_an_action_label_out_of_canonical_form_is_an_input_error(label, tmp_path
 @pytest.fixture
 def ambiguous_x(tmp_path):
     """Two objects where the label x names an internal action of the first
-    and a return of the second, and check-fwd's certificate between them."""
+    and a return of the second, and the forward simulation certificate
+    between them under their calls and returns (check-fwd's default gamma),
+    written by the library: check-fwd --cert-out refuses the pair."""
     c = tmp_path / "c.txt"
     c.write_text("calls: op\nreturns: r\ninternal: x\ninitial: a\na -- op -> b\nb -- x -> c\nc -- r -> a\n")
     s = tmp_path / "s.txt"
     s.write_text("calls: op\nreturns: r, x\ninitial: p\np -- op -> q\nq -- r -> p\nz -- x -> p\n")
+    a1, a2 = load_model(c.read_text()), load_model(s.read_text())
     cert = tmp_path / "cert.json"
-    assert main(["check-fwd", str(c), str(s), "--cert-out", str(cert)]) == 0
+    cert.write_text(dumps_certificate(check_forward(a1, a2, a1.alphabet.cr | a2.alphabet.cr).certificate))
     return str(c), str(s), str(cert)
 
 
@@ -281,6 +284,19 @@ def test_a_certificate_label_naming_two_actions_is_an_input_error(ambiguous_x, c
     code, out, err = run(capsys, ["validate-cert", *ambiguous_x])
     assert (code, out) == (3, "")
     assert err == "ltsim: action label 'x' in certificate names two actions, of kinds internal and return\n"
+
+
+@pytest.mark.parametrize("command", ["check-fwd", "check-prog-fwd"])
+def test_no_certificate_is_written_where_a_label_names_two_actions(
+    ambiguous_x, tmp_path, capsys, command
+):
+    dst = tmp_path / "out.json"
+    code, out, err = run(capsys, [command, *ambiguous_x[:2], "--cert-out", str(dst)])
+    assert (code, out) == (3, "")
+    assert err == "ltsim: action label 'x' in certificate names two actions, of kinds internal and return\n"
+    assert not dst.exists()
+    code, out, _ = run(capsys, [command, *ambiguous_x[:2]])
+    assert code == 0 and report(out)["verdict"] == "holds"
 
 
 def test_a_gamma_label_naming_two_actions_is_an_input_error(ambiguous_x, capsys):
@@ -543,7 +559,7 @@ def test_idle_complete_check_refutes_a_bare_sink(tmp_path, capsys):
     rep = report(out)
     assert code == 1
     assert rep["verdict"] == "refuted"
-    assert rep["data"] == {"already_complete": False}
+    assert rep["data"] == {"already_complete": False, "stuck_state": "s1"}
 
 
 @pytest.mark.parametrize("suffix", ["json", "txt"])

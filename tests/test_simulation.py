@@ -813,6 +813,26 @@ def test_backtrack_answers_equal_blocks_with_one_object():
     assert len(set(map(id, blocks))) == len(distinct) < len(blocks)
 
 
+def test_backtrack_retracts_one_copy_of_a_shared_stutter_edge():
+    """Two choices stutter on the step 0 -b-> 1, and the later is retracted.
+
+    Once its landing on (1, 1) fails, (0, 0) stutters to (1, 0), which moves
+    on to (0, 1); (0, 1) stutters on the same step, to (1, 1), whose only
+    landing would close a cycle.  So (0, 1)'s choice is retracted, and
+    (1, 0) then tries its stutter back to (0, 0): the copy of 0 -> 1 that
+    (0, 0) still holds must reject it, and the complete search answers no.
+    A retract that dropped every copy of the edge would accept it and
+    answer a cyclic stutter graph.
+    """
+    a1 = make_lts([(0, B, 1), (1, B, 0)], 2, AL4)
+    a2 = make_lts([(0, I, 1)], 2, AL4)
+    table = MatchTable(a2, frozenset({A}), 1)
+    relation, _ = _greatest_relation(a1, a2, table)
+    got = search_outcome(_backtrack, a1, a2, relation, table, 1_000)
+    assert got == search_outcome(reference_backtrack, a1, a2, relation, table, 1_000)
+    assert got is None
+
+
 def test_four_thread_plain_progressive_stays_under_8_mb():
     """An open choice point costs one undo slot, not a suspended frame.
 
