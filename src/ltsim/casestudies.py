@@ -447,7 +447,8 @@ def run_counterexample_suite(
     prog = build_program(cfg)
     gamma = impl.alphabet.cr
 
-    # (a) plain forward simulation holds
+    # (a) plain forward simulation holds: a valid certificate shows it,
+    # and only a search the alpha bound cut leaves it open
     fwd = check_forward(impl, spec, gamma, alpha_bound=4)
     cert_ok, problems = (False, ["no certificate"])
     if fwd.certificate is not None:
@@ -455,18 +456,21 @@ def run_counterexample_suite(
     steps.append(
         StepReport(
             "forward-simulation-invalidating",
-            fwd.certificate is not None and cert_ok and fwd.complete,
+            cert_ok,
             {
                 "relation_size": len(fwd.relation),
                 "complete": fwd.complete,
                 "certificate_valid": cert_ok,
                 "problems": problems[:3],
             },
+            ran_short=fwd.certificate is None and not fwd.complete,
         )
     )
 
-    # (b) progressive simulation refuted with a stutter cycle
+    # (b) progressive simulation refuted with a stutter cycle, by a search
+    # the alpha bound did not cut; a cut one, or a spent budget, runs short
     prog_res = check_progressive(impl, spec, gamma, alpha_bound=4)
+    decided = prog_res.complete and prog_res.verdict != "unknown"
     cycle_ok = False
     cycle_actions: list[str] = []
     if prog_res.cycle is not None:
@@ -477,13 +481,14 @@ def run_counterexample_suite(
     steps.append(
         StepReport(
             "progressive-refuted-invalidating",
-            prog_res.verdict == "no" and cycle_ok,
+            prog_res.verdict == "no" and decided and cycle_ok,
             {
                 "verdict": prog_res.verdict,
                 "cycle": cycle_actions,
                 "cycle_valid": cycle_ok,
                 "note": prog_res.note,
             },
+            ran_short=not decided and prog_res.verdict != "yes",
         )
     )
 

@@ -25,6 +25,15 @@ position), so reference counting frees it, and the collector would
 only rescan a large live heap and find nothing.
 The pause is process-wide, so main is not meant to be called from
 concurrent threads.
+
+Each command handler returns its verdict ("holds", "refuted" or
+"unknown") and the report's data, after writing any file it was asked
+for; export-dot without -o, which prints plain graphviz, returns None.
+main alone prints the report and maps the verdict to its exit code
+through EXITS.  A search that the alpha bound may have cut short
+refutes nothing: check-fwd and check-prog-fwd then report "unknown",
+and transform-scheduler and check-lemmas, left without a certificate to
+work from, stop as on a spent bound (2, stdout empty).
 """
 
 from __future__ import annotations
@@ -84,6 +93,10 @@ EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+EXITS = {"holds": EXIT_HOLDS, "refuted": EXIT_REFUTED, "unknown": EXIT_UNKNOWN}
+
+# what a handler returns: the report's verdict and data
+Report = tuple[str, dict[str, Any]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,23 +158,6 @@ def _write(path: str, text: str | Iterable[str]) -> None:
         raise ParseError(f"cannot write {path}: {e.strerror}") from None
 
 
-def _emit(args: argparse.Namespace, verdict: str, data: dict[str, Any]) -> None:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.cmd,
-        "seed": args.seed,
-        "verdict": verdict,
-        "data": data,
-    }
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def _verdict(args: argparse.Namespace, ok: bool, data: dict[str, Any]) -> int:
-    """Report a decided check: holds (exit 0) when ok, refuted (exit 1) otherwise."""
-    _emit(args, "holds" if ok else "refuted", data)
-    return EXIT_HOLDS if ok else EXIT_REFUTED
-
-
 def _resolve_gamma(spec_text: str, *ltss: Lts) -> frozenset[Action]:
     if spec_text == "cr":
         return frozenset().union(*(lts.alphabet.cr for lts in ltss))
@@ -185,12 +181,12 @@ def _trace_labels(trace: Sequence[Action]) -> list[str]:
 # --- command handlers -----------------------------------------------------
 
 
-def _cmd_check_det(args: argparse.Namespace) -> int:
+def _cmd_check_det(args: argparse.Namespace) -> Report:
     lts = _read(args.model)  # the loader refuses a nondeterministic model as unusable input
-    return _verdict(args, True, {"states": lts.num_states})
+    return "holds", {"states": lts.num_states}
 
 
-def _cmd_idle_complete(args: argparse.Namespace) -> int:
+def _cmd_idle_complete(args: argparse.Namespace) -> Report:
     lts = _read(args.model)
     stuck = next((s for s in range(lts.num_states) if not lts.enabled(s)), None)
     data: dict[str, Any] = {"already_complete": stuck is None}
@@ -199,14 +195,13 @@ def _cmd_idle_complete(args: argparse.Namespace) -> int:
         text = dumps(completed) if args.out.endswith(".json") else format_lts_text(completed)
         _write(args.out, text)
         data["written"] = args.out
-        _emit(args, "holds", data)
-        return EXIT_HOLDS
+        return "holds", data
     if stuck is not None:
         data["stuck_state"] = lts.label_of(stuck)
-    return _verdict(args, stuck is None, data)
+    return ("holds" if stuck is None else "refuted"), data
 
 
-def _cmd_product(args: argparse.Namespace) -> int:
+def _cmd_product(args: argparse.Namespace) -> Report:
     prog = _read(args.program)
     obj = _read(args.object)
     prod = product(prog, obj)
@@ -219,11 +214,10 @@ def _cmd_product(args: argparse.Namespace) -> int:
     if args.out:
         _write(args.out, dumps(prod))
         data["written"] = args.out
-    _emit(args, "holds", data)
-    return EXIT_HOLDS
+    return "holds", data
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> Report:
     lts = _read(args.model)
     sched = make_scheduler(args.strategy, lts)
     tree = enumerate_traces(lts, sched, args.depth, budget=args.budget)
@@ -235,11 +229,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "traces": [_trace_labels(v.trace()) for v in listed],
         "truncated_listing": tree.size > args.max_traces,
     }
-    _emit(args, "holds", data)
-    return EXIT_HOLDS
+    return "holds", data
 
 
-def _cmd_check_admitted(args: argparse.Namespace) -> int:
+def _cmd_check_admitted(args: argparse.Namespace) -> Report:
     lts = _read(args.model)
     sched = make_scheduler(args.strategy, lts)
     res = check_admitted(sched, lts, args.depth, budget=args.budget)
@@ -247,21 +240,21 @@ def _cmd_check_admitted(args: argparse.Namespace) -> int:
     if res.witness is not None:
         data["witness"] = _trace_labels(res.witness)
         data["detail"] = res.detail
-    return _verdict(args, res.ok, data)
+    return ("holds" if res.ok else "refuted"), data
 
 
 def _certified(
     args: argparse.Namespace, data: dict[str, Any], cert: SimulationCertificate,
     witness: ProgressWitness | None, a1: Lts, a2: Lts,
-) -> int:
-    """Report a found certificate: holds iff it validates; written to --cert-out if given."""
+) -> Report:
+    """The verdict on a found certificate: holds iff it validates; written to --cert-out if given."""
     ok, problems = validate_certificate(cert, witness, a1, a2)
     data["certificate_valid"] = ok
     data["problems"] = problems
     if args.cert_out:
         _write(args.cert_out, certificate_chunks(cert, witness))
         data["certificate_written"] = args.cert_out
-    return _verdict(args, ok, data)
+    return ("holds" if ok else "refuted"), data
 
 
 def _simulation_inputs(args: argparse.Namespace) -> tuple[Lts, Lts, frozenset[Action]]:
@@ -277,7 +270,7 @@ def _simulation_inputs(args: argparse.Namespace) -> tuple[Lts, Lts, frozenset[Ac
     return a1, a2, _resolve_gamma(args.gamma, a1, a2)
 
 
-def _cmd_check_fwd(args: argparse.Namespace) -> int:
+def _cmd_check_fwd(args: argparse.Namespace) -> Report:
     a1, a2, gamma = _simulation_inputs(args)
     res = check_forward(a1, a2, gamma, alpha_bound=args.alpha_bound)
     data: dict[str, Any] = {
@@ -288,12 +281,10 @@ def _cmd_check_fwd(args: argparse.Namespace) -> int:
     }
     if res.certificate is not None:
         return _certified(args, data, res.certificate, None, a1, a2)
-    verdict = "refuted" if res.complete else "unknown"
-    _emit(args, verdict, data)
-    return EXIT_REFUTED if res.complete else EXIT_UNKNOWN
+    return ("refuted" if res.complete else "unknown"), data
 
 
-def _cmd_check_prog_fwd(args: argparse.Namespace) -> int:
+def _cmd_check_prog_fwd(args: argparse.Namespace) -> Report:
     a1, a2, gamma = _simulation_inputs(args)
     res = check_progressive(
         a1, a2, gamma, alpha_bound=args.alpha_bound, backtrack_budget=args.backtrack_budget
@@ -308,14 +299,11 @@ def _cmd_check_prog_fwd(args: argparse.Namespace) -> int:
         data["stutter_cycle"] = stutter_cycle_to_dict(res.cycle)
     if res.verdict == "yes":
         return _certified(args, data, res.certificate, res.witness, a1, a2)
-    if res.verdict == "unknown" or (res.verdict == "no-forward" and not res.complete):
-        _emit(args, "unknown", data)
-        return EXIT_UNKNOWN
-    _emit(args, "refuted", data)
-    return EXIT_REFUTED
+    # a "no" or "no-forward" that the alpha bound may have caused proves nothing
+    return ("refuted" if res.complete and res.verdict != "unknown" else "unknown"), data
 
 
-def _cmd_validate_cert(args: argparse.Namespace) -> int:
+def _cmd_validate_cert(args: argparse.Namespace) -> Report:
     a1 = _read(args.concrete)
     a2 = _read(args.abstract)
     cert, witness = _read_certificate(args.certificate, a1, a2)
@@ -325,7 +313,7 @@ def _cmd_validate_cert(args: argparse.Namespace) -> int:
         "has_ranks": witness is not None,
         "problems": problems,
     }
-    return _verdict(args, ok, data)
+    return ("holds" if ok else "refuted"), data
 
 
 def _load_transform(args: argparse.Namespace):
@@ -341,12 +329,13 @@ def _load_transform(args: argparse.Namespace):
         cert_source = "supplied"
     else:
         res = check_forward(obj1, obj2, gamma, alpha_bound=args.alpha_bound)
-        if res.certificate is None:
-            raise ContractViolation(
-                "no forward simulation between the objects"
-                if res.complete
-                else "no forward simulation found within the alpha bound"
+        if res.certificate is None and not res.complete:  # the bound may hide one: unknown
+            raise BudgetExceeded(
+                args.alpha_bound,
+                f"no forward simulation found within the alpha bound {args.alpha_bound}",
             )
+        if res.certificate is None:
+            raise ContractViolation("no forward simulation between the objects")
         cert = res.certificate
         cert_source = "computed"
     prod1 = product(prog, obj1)
@@ -356,7 +345,7 @@ def _load_transform(args: argparse.Namespace):
     return mt, construct_s2(mt), cert_source
 
 
-def _cmd_transform_scheduler(args: argparse.Namespace) -> int:
+def _cmd_transform_scheduler(args: argparse.Namespace) -> Report:
     mt, s2, cert_source = _load_transform(args)
     checks = check_s2(mt, s2, args.depth, budget=args.budget)
     data: dict[str, Any] = {
@@ -394,10 +383,10 @@ def _cmd_transform_scheduler(args: argparse.Namespace) -> int:
             + "\n",
         )
         data["table_written"] = args.table_out
-    return _verdict(args, checks.ok, data)
+    return ("holds" if checks.ok else "refuted"), data
 
 
-def _cmd_check_lemmas(args: argparse.Namespace) -> int:
+def _cmd_check_lemmas(args: argparse.Namespace) -> Report:
     mt, s2, cert_source = _load_transform(args)
     results = check_all_lemmas(mt, s2)
     data = {
@@ -412,23 +401,20 @@ def _cmd_check_lemmas(args: argparse.Namespace) -> int:
             for r in results
         ],
     }
-    ok = all(r.ok for r in results)
-    return _verdict(args, ok, data)
+    return ("holds" if all(r.ok for r in results) else "refuted"), data
 
 
-def _cmd_find_divergence(args: argparse.Namespace) -> int:
+def _cmd_find_divergence(args: argparse.Namespace) -> Report:
     prog = _read(args.program)
     obj = _read(args.object)
     prod = product(prog, obj)
     sched = make_scheduler(args.strategy, prod)
     gamma = _resolve_gamma(args.gamma, prod)
     if not (isinstance(sched, Strategy) and sched.lts is prod):  # find_divergence checks nothing
-        _emit(args, "unknown", {"strategy": args.strategy, "note": "not a strategy over the product"})
-        return EXIT_UNKNOWN
+        return "unknown", {"strategy": args.strategy, "note": "not a strategy over the product"}
     lasso = find_divergence(prod, sched, gamma, budget=args.budget)
     if lasso is None:
-        _emit(args, "holds", {"strategy": args.strategy})
-        return EXIT_HOLDS
+        return "holds", {"strategy": args.strategy}
     validate_lasso(prod, lasso)
     projected = project_lasso(lasso, gamma)
     data = {
@@ -437,29 +423,24 @@ def _cmd_find_divergence(args: argparse.Namespace) -> int:
         "cycle": _trace_labels(lasso.cycle),
         "cycle_is_silent": not isinstance(projected, type(lasso)),
     }
-    _emit(args, "refuted", data)
-    return EXIT_REFUTED
+    return "refuted", data
 
 
-def _cmd_run_casestudy(args: argparse.Namespace) -> int:
+def _cmd_run_casestudy(args: argparse.Namespace) -> Report:
     cfg = FaaConfig(threads=args.threads, addends=args.addends)
     report = run_counterexample_suite(cfg, depth=args.depth, budget=args.budget)
-    if report.verdict == "unknown":
-        _emit(args, "unknown", report.to_dict())
-        return EXIT_UNKNOWN
-    return _verdict(args, report.ok, report.to_dict())
+    return report.verdict, report.to_dict()
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
+def _cmd_export_dot(args: argparse.Namespace) -> Report | None:
     lts = _read(args.model)
     name = Path(args.model).stem.replace("-", "_") or "lts"
     text = to_dot(lts, name=name)
-    if args.out:
-        _write(args.out, text)
-        _emit(args, "holds", {"written": args.out})
-    else:
-        sys.stdout.write(text)
-    return EXIT_HOLDS
+    if not args.out:
+        sys.stdout.write(text)  # plain graphviz, not a report
+        return None
+    _write(args.out, text)
+    return "holds", {"written": args.out}
 
 
 # --- parser ---------------------------------------------------------------
@@ -467,7 +448,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="ltsim", description=__doc__)
+    # --help gives the docstring up to its notes on the handlers
+    parser = _Parser(prog="ltsim", description=__doc__.partition("\n\nEach command handler")[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="recorded in the report")
     common.add_argument("--timing", action="store_true", help="print wall-clock to stderr")
@@ -560,7 +542,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command and return its exit code.
+    """Run one command, print its report, and return its exit code.
 
     The handler runs with the cyclic garbage collector paused, as what
     it builds holds no reference cycle (see the module docstring); the
@@ -576,7 +558,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        code = args.handler(args)
+        result = args.handler(args)
+        code = EXIT_HOLDS
+        if result is not None:
+            verdict, data = result
+            code = EXITS[verdict]
+            report = {"schema_version": SCHEMA_VERSION, "command": args.cmd, "seed": args.seed,
+                      "verdict": verdict, "data": data}
+            sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     except (BudgetExceeded, DepthExhausted) as e:
         print(f"ltsim: bound exhausted: {e}", file=sys.stderr)
         code = EXIT_UNKNOWN

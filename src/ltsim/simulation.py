@@ -649,13 +649,18 @@ def check_forward(
 # --- progressive check --------------------------------------------------
 
 
-def _stutter_edges(a1: Lts, choice: Mapping) -> list[StutterEdge]:
-    """One edge per stuttering choice, in the order of choice's items."""
-    return [
-        StutterEdge(s1, a, a1.step(s1, a), (s2,))
-        for (s1, a, s2), entry in choice.items()
-        if not entry.alpha
-    ]
+def _stutter_edges(a1: Lts, choice: Choices) -> list[StutterEdge]:
+    """One edge per stuttering step, in choice's order, naming the step's
+    first stuttering partner.  A step's stuttering choices are parallel
+    edges to one successor, of which depth_first follows only the first,
+    so one edge gives the same cycles and ranks as one per choice."""
+    out: list[StutterEdge] = []
+    for s1, row in choice._rows.items():
+        for a, block in row.items():
+            s2 = next((s2 for s2, entry in block.items() if not entry.alpha), None)
+            if s2 is not None:
+                out.append(StutterEdge(s1, a, a1.step(s1, a), (s2,)))
+    return out
 
 
 def _stutter_ranks(
@@ -830,7 +835,9 @@ def check_progressive(
     freed and a budgeted complete backtracking over landings decides,
     holding only the relation, the match table and the greedy cycle
     besides its own undo stack; running out of budget is an unknown
-    carrying that cycle.
+    carrying that cycle.  A "no", like a "no-forward", is over the
+    relation within the alpha bound: with complete False, a longer match
+    the bound hid might admit a rank, so it refutes nothing.
     """
     gamma = frozenset(gamma)
     table = MatchTable(a2, gamma, alpha_bound)

@@ -857,6 +857,32 @@ def test_check_prog_fwd_budget_zero_is_unknown(models, capsys):
     assert "budget 0 exceeded" in rep["data"]["note"]
 
 
+# the abstract side runs a nine-step internal cycle after its call, so at
+# alpha bound 4 the concrete u·v loop can only stutter, and only a bound
+# of 10 or more finds the match that ranks it
+CUT_LOOP_MODELS = {
+    "concrete": "calls: op\nreturns: ret#0\ninternal: u, v\ninitial: s0\n"
+    "s0 -- op -> s1\ns1 -- u -> s2\ns2 -- v -> s1\ns1 -- ret#0 -> s0\ns2 -- ret#0 -> s0\n",
+    "abstract": "calls: op\nreturns: ret#0\ninternal: " + ", ".join(f"a{i}" for i in range(1, 10))
+    + "\ninitial: t0\nt0 -- op -> t1\nt1 -- ret#0 -> t0\n"
+    + "".join(f"t{i} -- a{i} -> t{i % 9 + 1}\n" for i in range(1, 10)),
+}
+
+
+def test_check_prog_fwd_reads_a_no_the_alpha_bound_cut_as_unknown(tmp_path, capsys):
+    models = write_models(tmp_path, **CUT_LOOP_MODELS)
+    code, out, _ = run(capsys, ["check-prog-fwd", *models])
+    rep = report(out)
+    assert (code, rep["verdict"]) == (2, "unknown")
+    data = rep["data"]
+    assert (data["verdict"], data["complete"]) == ("no", False)
+    assert data["note"] == "no landing assignment admits a rank (complete search)"
+    assert [e["action"] for e in data["stutter_cycle"]["edges"]] == ["u", "v"]
+    code, out, _ = run(capsys, ["check-prog-fwd", *models, "--alpha-bound", "20"])
+    rep = report(out)
+    assert (code, rep["verdict"], rep["data"]["verdict"]) == (0, "holds", "yes")
+
+
 @pytest.fixture(scope="module")
 def faa3_models(tmp_path_factory):
     """3-thread FAA model files (addends all 1), both variants and the spec."""
@@ -1113,6 +1139,32 @@ def test_transform_scheduler_rejects_a_non_simulating_pair(models, tmp_path, cap
     assert "no forward simulation" in err
 
 
+@pytest.mark.parametrize("command", ["transform-scheduler", "check-lemmas"])
+def test_transform_commands_stop_as_on_a_spent_bound_when_the_alpha_bound_cut_the_search(
+    tmp_path, capsys, command
+):
+    """The abstract object returns only after nine internal steps, so at
+    alpha bound 4 check_forward finds no certificate and cannot rule one
+    out: exit 2 with stdout empty, as check-fwd says unknown, not the
+    unusable input (3) of a pair with no simulation at all."""
+    models = write_models(
+        tmp_path,
+        client="program: tick\ncalls: op\nreturns: ret#0\ninitial: c0\n"
+        "c0 -- op -> c1\nc1 -- ret#0 -> c2\nc2 -- tick -> c0\n",
+        concrete="calls: op\nreturns: ret#0\ninitial: s0\ns0 -- op -> s1\ns1 -- ret#0 -> s0\n",
+        abstract="calls: op\nreturns: ret#0\ninternal: " + ", ".join(f"a{i}" for i in range(1, 10))
+        + "\ninitial: t0\nt0 -- op -> t1\n"
+        + "".join(f"t{i} -- a{i} -> t{i + 1}\n" for i in range(1, 10)) + "t10 -- ret#0 -> t0\n",
+    )
+    code, out, _ = run(capsys, ["check-fwd", *models[1:]])
+    assert (code, report(out)["verdict"]) == (2, "unknown")
+    code, out, err = run(capsys, [command, *models])
+    assert (code, out) == (2, "")
+    assert err == "ltsim: bound exhausted: no forward simulation found within the alpha bound 4\n"
+    code, out, _ = run(capsys, [command, *models, "--alpha-bound", "20"])
+    assert (code, report(out)["verdict"]) == (0, "holds")
+
+
 def test_an_image_tree_over_the_budget_is_unknown(tmp_path, capsys):
     """The concrete object returns right after the call and the abstract one
     needs lin before ret, so the image tree outgrows the concrete tree:
@@ -1272,6 +1324,18 @@ def test_run_casestudy_reads_a_short_comparison_as_unknown(capsys, depth, code):
     assert all(checks.values()) and all(transform["detail"]["lemmas"].values())
     assert ("note" in transform["detail"]) == (code == 2)
     assert all(s["ok"] for s in rep["data"]["steps"][:-1])
+
+
+def test_run_casestudy_reads_a_refutation_the_alpha_bound_cut_as_unknown(capsys):
+    """At 4 threads the alpha bound 4 cuts the search: step (a) holds on
+    its valid certificate, and step (b)'s "no" shows nothing, so the suite
+    runs short instead of refuting."""
+    code, out, _ = run(capsys, ["run-casestudy", "--threads", "1,2,3,4", "--addends", "1,1,1,1"])
+    rep = report(out)
+    assert (code, rep["verdict"]) == (2, "unknown")
+    fwd, prog = rep["data"]["steps"][:2]
+    assert fwd["ok"] and fwd["detail"]["certificate_valid"] and not fwd["detail"]["complete"]
+    assert not prog["ok"] and prog["detail"]["verdict"] == "no" and prog["detail"]["cycle_valid"]
 
 
 def test_run_casestudy_rejects_bad_configs(capsys):

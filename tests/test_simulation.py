@@ -1064,12 +1064,14 @@ def test_greedy_by_block_agrees_with_the_reference():
         if not progressive:
             continue
         prog = check_progressive(a1, a2, gamma, alpha_bound=bound, backtrack_budget=0)
+        # one edge per stuttering choice, where the checker keeps one per step
+        stutters = [
+            StutterEdge(s1, a, a1.step(s1, a), (s2,)) for (s1, a, s2), e in want if not e.alpha
+        ]
         if prog.verdict == "yes" and prog.certificate.relation == prog.relation:
             assert list(prog.certificate.choice.items()) == want  # the greedy certificate
+            assert prog.witness == _stutter_ranks(stutters, a1.num_states)[1]
         elif prog.verdict == "unknown":  # reports the greedy assignment's stutter cycle
-            stutters = [
-                StutterEdge(s1, a, a1.step(s1, a), (s2,)) for (s1, a, s2), e in want if not e.alpha
-            ]
             assert prog.cycle.edges == _stutter_ranks(stutters, a1.num_states)[0]
             cycles += 1
     assert compared >= 750 and cycles >= 100
