@@ -19,15 +19,19 @@ full; a worklist of concrete states re-checks a row whenever a successor
 row shrank, so a state's first check drops the partners with a step
 that has no match at all.  The worklist starts in the postorder of
 lts.depth_first, the package's one depth-first search, successors
-first, so most rows are checked once, against final successor rows.  Images are memoized by (action key, row value) until
-the fixpoint ends: states with equal rows share one, and one image costs
-an OR per abstract state in the row.  The result is a Relation, a Set
-over the final rows that decodes each distinct row value once, when its
-partners are first asked for.  One breadth-first search per abstract
-state, run before refinement starts, finds the matches of every
-concrete action; after that the match table is only read, one search
-key at every abstract state, with the states where the bound cut that
-key's search short.  In the worst case every row shrinks one partner at
+first, so most rows are checked once, against final successor rows.
+Rows take few distinct values (728 over 4-thread FAA's refinement), so
+the fixpoint keeps one object per distinct row value, with its bits,
+decoded once when its first image is asked for, and its image under
+each search key, computed once as an OR per abstract state in the row;
+a full row's image under a key is every abstract state where that key
+has a match, read off the match table, so the full row is never
+decoded.  The result is a Relation, a Set over the final rows that
+decodes each distinct row value once, when its partners are first asked
+for.  One breadth-first search per abstract state, run before
+refinement starts, finds the matches of every concrete action; after
+that the match table is only read, one search key at every abstract
+state, with the states where the bound cut that key's search short.  In the worst case every row shrinks one partner at
 a time and every image is new, O(|E1|*|S2|^2) ORs of |S2|-bit ints; on
 the case studies the rows shrink fast and few images are computed.
 
@@ -502,12 +506,15 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
     actions gamma hides share one code.  A step s1 -k-> t keeps exactly the
     partners in the predecessor image of row[t], the OR of into[k][t2] over
     the bits t2 of row[t] (decoded by _bits), so a row check is one AND per
-    step.  States with equal rows have equal images, so each image is
-    computed once per distinct (code, row) value and kept until the
-    fixpoint ends.  Rows start full, and a full row's image under k is
-    every s2 with a k-match.  A worklist of concrete states, seeded in
-    DFS postorder so that most rows are checked against successor rows that
-    are already final, re-checks a row whenever a successor row shrank.
+    step.  States with equal rows have equal images, so each distinct row
+    value is one object, numbered in order of first appearance, whose
+    bits are decoded at most once and whose image under each code is
+    computed at most once, all kept until the fixpoint ends.  Rows start
+    full, and a full row's image under k is every s2 with a k-match, read
+    off the match table without decoding the row.  A worklist of concrete
+    states, seeded in DFS postorder so that most rows are checked against
+    successor rows that are already final, re-checks a row whenever a
+    successor row shrank.
     The final rows are the returned Relation's rows.
     """
     n1, n2 = a1.num_states, a2.num_states
@@ -521,30 +528,48 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
         preds[t].append(s)
     columns = [table.column(key) for key in code]  # columns[k][s2]: the matches of code k at s2
     into = []
+    full = (1 << n2) - 1
+    matched = []  # matched[k]: every s2 where code k has a match, the image of the full row
     for column in columns:
-        masks = [0] * n2
+        masks, has = [0] * n2, 0
         for s2, cands in enumerate(column):
             bit = 1 << s2
+            if cands:
+                has |= bit
             for _, t in cands:
                 masks[t] |= bit
         into.append(masks)
-    row = [(1 << n2) - 1] * n1  # every pair related at first
-    images: dict[tuple[int, int], int] = {}  # (k, row) -> predecessor image of row under k
+        matched.append(has)
+    # distinct row values, numbered in order of first appearance, one object each
+    values, number = [full], {full: 0}
+    decoded: list[list[int] | None] = [None]  # number -> the value's set bits, decoded once
+    images: list[list[int | None]] = [matched]  # number -> its image per code, None until asked
+    row = [0] * n1  # s1 -> the number of its row value; every pair related at first
     queue, queued = deque(depth_first(range(n1), steps.__getitem__)[1]), bytearray(b"\x01") * n1
     while queue:
         s1 = queue.popleft()
         queued[s1] = 0
-        kept = row[s1]
+        kept = old = values[row[s1]]
         for k, t in steps[s1]:  # a self-loop reads the stored row; s1 is then re-queued
-            image = images.get((k, row[t]))
+            v = row[t]
+            image = images[v][k]
             if image is None:
+                bits = decoded[v]
+                if bits is None:
+                    bits = decoded[v] = list(_bits(values[v]))
                 image, masks = 0, into[k]
-                for t2 in _bits(row[t]):
+                for t2 in bits:
                     image |= masks[t2]
-                images[(k, row[t])] = image
+                images[v][k] = image
             kept &= image
-        if kept != row[s1]:
-            row[s1] = kept
+        if kept != old:
+            v = number.get(kept)
+            if v is None:
+                v = number[kept] = len(values)
+                values.append(kept)
+                decoded.append(None)
+                images.append([None] * len(into))
+            row[s1] = v
             for p in preds[s1]:
                 if not queued[p]:
                     queued[p] = 1
@@ -552,8 +577,7 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
 
     cut = [(k, s2) for key, k in code.items() for s2 in table.cut(key)]
     complete = not cut or not _first_sweep_meets_cut(columns, steps, cut)
-    shared: dict[int, int] = {}  # one object per distinct final row
-    return Relation([shared.setdefault(r, r) for r in row]), complete
+    return Relation([values[v] for v in row]), complete
 
 
 def _first_sweep_meets_cut(
@@ -837,7 +861,8 @@ def check_progressive(
     besides its own undo stack; running out of budget is an unknown
     carrying that cycle.  A "no", like a "no-forward", is over the
     relation within the alpha bound: with complete False, a longer match
-    the bound hid might admit a rank, so it refutes nothing.
+    the bound hid might admit a rank, so it refutes nothing, and its note
+    names the bound.
     """
     gamma = frozenset(gamma)
     table = MatchTable(a2, gamma, alpha_bound)
@@ -850,9 +875,10 @@ def check_progressive(
     cert_relation = relation
     cycle, witness = _stutter_ranks(_stutter_edges(a1, choice), a1.num_states)
     if cycle is not None:
+        within = "" if complete else f" within the alpha bound {alpha_bound}"
         forced_cycle = _stutter_ranks(_forced_everywhere_edges(a1, choice), a1.num_states)[0]
         if forced_cycle is not None:
-            note = "every abstract partner stutters on each cycle step"
+            note = "every abstract partner stutters on each cycle step" + within
             return result(verdict="no", cycle=StutterCycle(forced_cycle), note=note)
         del choice  # free the greedy choices before the search
         try:
@@ -861,7 +887,10 @@ def check_progressive(
             note = f"backtracking budget {backtrack_budget} exceeded"
             return result(verdict="unknown", cycle=StutterCycle(cycle), note=note)
         if solved is None:
-            note = "no landing assignment admits a rank (complete search)"
+            note = (
+                "no landing assignment admits a rank (complete search)" if complete
+                else f"no landing assignment{within} admits a rank"
+            )
             return result(verdict="no", cycle=StutterCycle(cycle), note=note)
         choice, cert_relation = solved
         witness = _stutter_ranks(_stutter_edges(a1, choice), a1.num_states)[1]

@@ -876,7 +876,7 @@ def test_check_prog_fwd_reads_a_no_the_alpha_bound_cut_as_unknown(tmp_path, caps
     assert (code, rep["verdict"]) == (2, "unknown")
     data = rep["data"]
     assert (data["verdict"], data["complete"]) == ("no", False)
-    assert data["note"] == "no landing assignment admits a rank (complete search)"
+    assert data["note"] == "no landing assignment within the alpha bound 4 admits a rank"
     assert [e["action"] for e in data["stutter_cycle"]["edges"]] == ["u", "v"]
     code, out, _ = run(capsys, ["check-prog-fwd", *models, "--alpha-bound", "20"])
     rep = report(out)

@@ -574,6 +574,35 @@ def test_faa_four_threads_forward_pins(variant, size, deleted):
     assert (len(cert.choice), choice_digest(cert.choice)) == FOUR_THREAD_CHOICES[variant]
 
 
+def test_faa_five_threads_relation_pin():
+    # recorded before the fixpoint decoded each row value once; the
+    # 5-thread fixpoint makes 23,425 images over 6,058 row values
+    a1, a2, gamma, bound = faa_case("invalidating", threads=5)
+    relation, complete = _greatest_relation(a1, a2, MatchTable(a2, gamma, bound))
+    assert (len(relation), complete) == (433_680, False)
+    assert relation_digest(relation) == (
+        "85cbfde4c9e4fdc786670757a28a48611ba78bd153cf18bd73d433125e4c1a6e"
+    )
+
+
+@pytest.mark.parametrize("variant", ["invalidating", "plain"])
+def test_fixpoint_decodes_each_row_value_once(variant, monkeypatch):
+    a1, a2, gamma, bound = faa_case(variant, threads=4)
+    table = MatchTable(a2, gamma, bound)
+    decoded = []
+    bits = ltsim.simulation._bits
+
+    def counted(row):
+        decoded.append(row)
+        return bits(row)
+
+    monkeypatch.setattr(ltsim.simulation, "_bits", counted)
+    _greatest_relation(a1, a2, table)
+    assert decoded
+    assert len(set(decoded)) == len(decoded)  # no row value decoded twice
+    assert (1 << a2.num_states) - 1 not in decoded  # the full row's images come from the table
+
+
 def per_action_search(a2, gamma, alpha_bound, a, s2):
     """The reference search for one action alone: its candidates, and
     whether the bound cut it short."""
