@@ -9,8 +9,7 @@ helpers here also write certificates (``simulation``).
 from __future__ import annotations
 
 import json
-from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import islice
 from json.encoder import encode_basestring_ascii as json_string  # the C one, if built
 from typing import Any
@@ -63,38 +62,57 @@ def _build_alphabet(
 def _assemble(
     alphabet: Alphabet,
     initial: str,
-    rows: Iterable[tuple[str, str, str, int | None]],
+    rows: Sequence[Any],
+    lines: Sequence[int] | None,
 ) -> Lts:
-    """Build a model from rows (src, action label, dst, line or None).
+    """Build a model from rows, each a [src, action label, dst] sequence,
+    where lines[i] is the line of rows[i] (lines is None for JSON).
 
-    The one assembly path of both syntaxes.  States are numbered in
-    order of first appearance, the initial state first and src before
-    dst; certificates and reports name states by these numbers.
+    The one assembly path of both syntaxes.  Each row is checked as it is
+    read: its shape, then whether its action is declared, then whether
+    its (src, action) already maps elsewhere, so the first faulty row in
+    file order is the one reported, with its line.  An idle row that is
+    not a self-loop is found when the model is built, and the first such
+    row in file order is reported.  States are numbered in order of first
+    appearance, the initial state first and src before dst; certificates
+    and reports name states by these numbers.
     """
     by_label = {a.label(): a for a in alphabet.all_actions}
-    idle = alphabet.idle
     states: dict[str, int] = {initial: 0}
-    out: defaultdict[int, dict[Action, int]] = defaultdict(dict)
-    # the first idle row that is not a self-loop, in file order: the
-    # fault the model reports, as when the rows were one mapping
-    bad_idle: list[tuple[tuple[int, Action], int]] = []
-    for src, act, dst, line in rows:
+    number = states.get
+    table: list[dict[Action, int]] = [{}]  # state -> its row
+    # a faulty row is the first row equal to it, so rows.index finds its
+    # line: an equal row before it would have failed, or let it pass
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise ParseError(f"transition row {row!r} is not [src, action, dst]")
+        src, act, dst = row
+        strings = isinstance(src, str) and isinstance(act, str) and isinstance(dst, str)
+        if not (strings and src and act and dst):
+            raise ParseError(f"transition row {row!r} has a field that is not a non-empty string")
         action = by_label.get(act)
         if action is None:
+            line = None if lines is None else lines[rows.index(row)]
             raise ParseError(f"undeclared action {act!r}", line=line)
-        s = states.setdefault(src, len(states))
-        t = states.setdefault(dst, len(states))
-        prev = out[s].setdefault(action, t)
+        s = number(src)
+        if s is None:
+            s = states[src] = len(table)
+            table.append({})
+        t = number(dst)
+        if t is None:
+            t = states[dst] = len(table)
+            table.append({})
+        prev = table[s].setdefault(action, t)
         if prev != t:
             raise ParseError(
                 f"nondeterministic: ({src!r}, {act!r}) already maps to {list(states)[prev]!r}",
-                line=line,
+                line=None if lines is None else lines[rows.index(row)],
             )
-        if action is idle and t != s and not bad_idle:
-            bad_idle.append(((s, action), t))
-    table = [out[s] for s in range(len(states))]
+    # read only when the model has a fault: every row passed the checks
+    # above, so it is a bad idle row, and the first in file order is reported
+    order = (((states[src], by_label[act]), states[dst]) for src, act, dst in rows)
     try:
-        return Lts._from_rows(alphabet, 0, table, tuple(states), bad_idle or None)
+        return Lts._from_rows(alphabet, 0, table, tuple(states), order)
     except ModelError as e:
         raise ParseError(str(e)) from None
 
@@ -112,7 +130,8 @@ def parse_lts_text(text: str) -> Lts:
     groups: dict[str, list[Action]] = {k: [] for k in _SECTION_KINDS}
     where: dict[str, int] = {}
     initial: str | None = None
-    rows: list[tuple[str, str, str, int]] = []
+    rows: list[tuple[str, str, str]] = []
+    lines: list[int] = []  # the line of each row
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # `#` marks payloads, so comments use `//` (inline or whole-line)
@@ -147,14 +166,15 @@ def parse_lts_text(text: str) -> Lts:
             src, act, dst = src.strip(), act.strip(), dst.strip()
             if not src or not act or not dst:
                 raise ParseError(f"malformed transition {line!r}", line=lineno)
-            rows.append((src, act, dst, lineno))
+            rows.append((src, act, dst))
+            lines.append(lineno)
             continue
         raise ParseError(f"unrecognized line {line!r}", line=lineno)
 
     alphabet = _build_alphabet(groups, where)
     if initial is None:
         raise ParseError("no initial state declared")
-    return _assemble(alphabet, initial, rows)
+    return _assemble(alphabet, initial, rows, lines)
 
 
 def _state_labels(lts: Lts) -> tuple[list[str], list[int]]:
@@ -295,17 +315,6 @@ def lts_to_dict(lts: Lts) -> dict[str, Any]:
     }
 
 
-def _json_rows(raw_rows: Iterable[Any]) -> Iterator[tuple[str, str, str, None]]:
-    for row in raw_rows:
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            raise ParseError(f"transition row {row!r} is not [src, action, dst]")
-        src, act, dst = row
-        strings = isinstance(src, str) and isinstance(act, str) and isinstance(dst, str)
-        if not (strings and src and act and dst):
-            raise ParseError(f"transition row {row!r} has a field that is not a non-empty string")
-        yield src, act, dst, None
-
-
 def lts_from_dict(data: Mapping[str, Any]) -> Lts:
     """Read the JSON form; a missing alphabet section is empty."""
     try:
@@ -327,7 +336,7 @@ def lts_from_dict(data: Mapping[str, Any]) -> Lts:
         raise ParseError("model field 'initial' is not a non-empty state name")
     if not isinstance(raw_rows, (list, tuple)):
         raise ParseError("model field 'transitions' is not a list of rows")
-    return _assemble(alphabet, raw_initial, _json_rows(raw_rows))
+    return _assemble(alphabet, raw_initial, raw_rows, None)
 
 
 def dumps(lts: Lts) -> str:

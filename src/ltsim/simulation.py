@@ -29,11 +29,14 @@ has a match, read off the match table, so the full row is never
 decoded.  The result is a Relation, a Set over the final rows that
 decodes each distinct row value once, when its partners are first asked
 for.  One breadth-first search per abstract state, run before
-refinement starts, finds the matches of every concrete action; after
-that the match table is only read, one search key at every abstract
-state, with the states where the bound cut that key's search short.  In the worst case every row shrinks one partner at
-a time and every image is new, O(|E1|*|S2|^2) ORs of |S2|-bit ints; on
-the case studies the rows shrink fast and few images are computed.
+refinement starts, finds the matches of every concrete action, each a
+ChoiceEntry built in C; after that the match table is only read, one
+search key at every abstract state, with the states where the bound cut
+that key's search short.  The fixpoint reads each step's search code
+from a dict filled once per action.  In the worst case every row
+shrinks one partner at a time and every image is new, O(|E1|*|S2|^2)
+ORs of |S2|-bit ints; on the case studies the rows shrink fast and few
+images are computed.
 
 complete is False when the alpha bound cut short a search that a sweep
 refinement (pairs in product order, each pair's steps in canonical
@@ -71,10 +74,13 @@ validate_certificate reads nothing the checker built.  It is the
 per-clause loop, in pair order, plus a skip: whether a step's block is
 clean reads only the step's search key, the rows of s1 and t and the
 block, so a concrete state is skipped when each of its steps' blocks is
-known clean and each stuttering step descends in rank.  Each distinct
-block is checked once (239 for 3-thread FAA), and every other state runs
-the loop.  Each distinct (search key, s2, choice) value is replayed once:
-3,485 replays for the 22,112 clauses of the blocks on 4-thread FAA.
+known clean and each stuttering step descends in rank.  A known clean
+block is compared by identity, then by value, so each distinct block is
+checked once (239 for 3-thread FAA), and every other state runs the
+loop.  Each distinct (search key, s2, choice) value is replayed once:
+3,485 replays for the 22,112 clauses of the blocks on 4-thread FAA.  The
+clean-block check reads the replay memo itself and replays only on a
+miss.
 """
 
 from __future__ import annotations
@@ -84,6 +90,7 @@ from collections.abc import Callable, ItemsView, Iterable, Iterator, KeysView, M
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, ContractViolation, ParseError
@@ -106,6 +113,11 @@ class ChoiceEntry(NamedTuple):
 
     alpha: Trace
     target: int
+
+
+# builds a ChoiceEntry from an (alpha, target) pair in C, and reads its alpha in C
+_choice_entry = partial(tuple.__new__, ChoiceEntry)
+_alpha = itemgetter(0)
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -473,23 +485,23 @@ class MatchTable:
                     # silent loop back to it is a distinct candidate
                     if nxt == start and not looped:
                         looped = True
-                        found[None].append(ChoiceEntry(alpha + (b,), s2))
+                        found[None].append(_choice_entry((alpha + (b,), s2)))
                     continue
                 best[nxt] = path = alpha + (b,)
                 queue.append(nxt)
-                found[nxt[1]].append(ChoiceEntry(path, u))
-        found[None].append(ChoiceEntry((), s2))  # stuttering match, deliberately last
+                found[nxt[1]].append(_choice_entry((path, u)))
+        found[None].append(_choice_entry(((), s2)))  # stuttering match, deliberately last
         if every or cut:
             self._cut_at[s2] = (every, cut)
         return {key: tuple(c) for key, c in found.items()}
 
 
 def _run_from(lts: Lts, s: int, seq: Sequence[Action]) -> int | None:
+    out = lts._out
     for a in seq:
-        nxt = lts.step(s, a)
-        if nxt is None:
+        s = out[s].get(a)
+        if s is None:
             return None
-        s = nxt
     return s
 
 
@@ -502,30 +514,36 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
     Row refinement over bitsets: row[s1] has bit s2 set while (s1, s2) is
     related, and into[k][t] has bit s2 set for each s2 where a match of
     search code k lands in t, so every row, mask and image is an |S2|-bit
-    int.  A step's code is that of its action's MatchTable key, so all
-    actions gamma hides share one code.  A step s1 -k-> t keeps exactly the
-    partners in the predecessor image of row[t], the OR of into[k][t2] over
-    the bits t2 of row[t] (decoded by _bits), so a row check is one AND per
-    step.  States with equal rows have equal images, so each distinct row
-    value is one object, numbered in order of first appearance, whose
-    bits are decoded at most once and whose image under each code is
-    computed at most once, all kept until the fixpoint ends.  Rows start
-    full, and a full row's image under k is every s2 with a k-match, read
-    off the match table without decoding the row.  A worklist of concrete
-    states, seeded in DFS postorder so that most rows are checked against
-    successor rows that are already final, re-checks a row whenever a
-    successor row shrank.
+    int; building into skips the s2 with no match.  A step's code is that
+    of its action's MatchTable key, looked up in a dict filled once per
+    action, so all actions gamma hides share one code.  A step s1 -k-> t
+    keeps exactly the partners in the predecessor image of row[t], the OR
+    of into[k][t2] over the bits t2 of row[t] (decoded by _bits), so a row
+    check is one AND per step.  States with equal rows have equal images,
+    so each distinct row value is one object, numbered in order of first
+    appearance, whose bits are decoded at most once and whose image under
+    each code is computed at most once, all kept until the fixpoint ends.
+    Rows start full, and a full row's image under k is every s2 with a
+    k-match, read off the match table without decoding the row.  A
+    worklist of concrete states, seeded in DFS postorder so that most rows
+    are checked against successor rows that are already final, re-checks
+    a row whenever a successor row shrank.
     The final rows are the returned Relation's rows.
     """
     n1, n2 = a1.num_states, a2.num_states
+    gamma = table.gamma
     code: dict[Action | None, int] = {}  # per MatchTable key, numbered in order of first use
+    code_of: dict[Action, int] = {}  # per action, its key's code
     # (code, successor) per step of s1, in canonical order
     steps: list[list[tuple[int, int]]] = [[] for _ in range(n1)]
     preds: list[list[int]] = [[] for _ in range(n1)]  # sources of the edges into s1
-    for s, a, t in a1.edges():
-        k = code.setdefault(table.key(a), len(code))
-        steps[s].append((k, t))
-        preds[t].append(s)
+    for s, out in enumerate(a1._out):
+        for a, t in out.items():
+            k = code_of.get(a)
+            if k is None:
+                k = code_of[a] = code.setdefault(a if a in gamma else None, len(code))
+            steps[s].append((k, t))
+            preds[t].append(s)
     columns = [table.column(key) for key in code]  # columns[k][s2]: the matches of code k at s2
     into = []
     full = (1 << n2) - 1
@@ -533,11 +551,11 @@ def _greatest_relation(a1: Lts, a2: Lts, table: MatchTable) -> tuple[Relation, b
     for column in columns:
         masks, has = [0] * n2, 0
         for s2, cands in enumerate(column):
-            bit = 1 << s2
             if cands:
+                bit = 1 << s2
                 has |= bit
-            for _, t in cands:
-                masks[t] |= bit
+                for _, t in cands:
+                    masks[t] |= bit
         into.append(masks)
         matched.append(has)
     # distinct row values, numbered in order of first appearance, one object each
@@ -618,6 +636,7 @@ def _greedy_choice(a1: Lts, relation: Relation, table: MatchTable) -> Choices:
     depends only on a's MatchTable key and the rows of s1n and s1, so it
     is computed once per distinct (key, successor row, own row) and shared.
     """
+    gamma = table.gamma
     cls = relation.row_classes(a1.num_states)
     blocks: dict[tuple[Action | None, int, int], dict[int, ChoiceEntry]] = {}
     rows: dict[int, BlockRow] = {}
@@ -627,7 +646,7 @@ def _greedy_choice(a1: Lts, relation: Relation, table: MatchTable) -> Choices:
             continue
         row: BlockRow = {}
         for a, s1n in a1.out_edges(s1):
-            shape = (table.key(a), cls[s1n], cls[s1])
+            shape = (a if a in gamma else None, cls[s1n], cls[s1])
             block = blocks.get(shape)
             if block is None:
                 landing = relation.partners(s1n)
@@ -920,8 +939,11 @@ def validate_certificate(
     in rank.  Whether a block is clean reads only the step's search key
     (its action if gamma observes it, else None), the rows of s1 and of
     its successor, and the block, so the last clean block under (search
-    key, own row, landing row) is kept and compared by value.  Each
-    distinct (search key, s2, choice) value is replayed once per call.
+    key, own row, landing row) is kept and compared by identity, then
+    by value.  Each distinct (search key, s2, choice) value is replayed
+    once per call: the memo is read inline, and replay runs on a miss.
+    A step or state the certificate has no block for reads one shared
+    empty block.
     """
     problems: list[str] = []
 
@@ -952,6 +974,7 @@ def validate_certificate(
 
     n1, n2 = a1.num_states, a2.num_states
     cls = relation.row_classes(n1)
+    empty: dict = {}  # the block of a step or state the certificate has none for
     # (search key, own row class, landing row class) -> the last clean block
     # under it, and whether any of its choices stutters
     clean: dict[tuple[Action | None, int, int], tuple[dict, bool]] = {}
@@ -959,16 +982,17 @@ def validate_certificate(
         if not row:
             continue
         mine = relation.partners(s1)
-        blocks = cert.choice._rows.get(s1, {})
+        blocks = cert.choice._rows.get(s1, empty)
         if s1 < n1 and not row >> n2:
             for a, s1n in a1.out_edges(s1):
                 shape = (a if a in gamma else None, cls[s1], cls[s1n])
-                block = blocks.get(a, {})
+                block = blocks.get(a, empty)
                 known = clean.get(shape)
-                if known is None or known[0] != block:
-                    if not _block_is_clean(shape[0], block, mine, relation.partners(s1n), replay):
+                if known is None or (known[0] is not block and known[0] != block):
+                    landing = relation.partners(s1n)
+                    if not _block_is_clean(shape[0], block, mine, landing, replayed, replay):
                         break
-                    known = clean[shape] = (block, any(not alpha for alpha, _ in block.values()))
+                    known = clean[shape] = (block, not all(map(_alpha, block.values())))
                 if known[1] and witness is not None and witness.of(s1n) >= witness.of(s1):
                     break
             else:
@@ -978,7 +1002,7 @@ def validate_certificate(
                 report(f"pair ({s1}, {s2}) is outside the state ranges")
                 continue
             for a, s1n in a1.out_edges(s1):
-                entry = blocks.get(a, {}).get(s2)
+                entry = blocks.get(a, empty).get(s2)
                 if entry is None:
                     report(f"no choice for ({s1}, {a.label()}, {s2})")
                     continue
@@ -1015,14 +1039,18 @@ def _block_is_clean(
     block: dict[int, ChoiceEntry],
     mine: KeysView[int],
     landing: KeysView[int],
+    replayed: Mapping[tuple[Action | None, int, ChoiceEntry], tuple[int | None, bool]],
     replay: Callable[[Action | None, int, ChoiceEntry], tuple[int | None, bool]],
 ) -> bool:
     """Whether one step's block of choices passes every check but rank
     descent at each state whose partners are mine and whose successor's
-    partners are landing; key is the step's search key."""
+    partners are landing; key is the step's search key.  A choice's
+    replay is read from the memo replayed, and replay runs only on a miss."""
     for s2 in mine:
         entry = block.get(s2)
-        if entry is None or entry.target not in landing or not replay(key, s2, entry)[1]:
+        if entry is None or entry.target not in landing:
+            return False
+        if not (replayed.get((key, s2, entry)) or replay(key, s2, entry))[1]:
             return False
     return True
 

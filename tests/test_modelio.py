@@ -61,6 +61,9 @@ def test_parse_text_basics():
         ("calls: x\nreturns: x\ninitial: s\n", "declared in both", 2),
         ("calls: a\n", "no initial state", None),
         ("initial:\n", "empty", 1),
+        # an equal row before the faulty one, and one after it
+        ("internal: c\ninitial: s\ns -- c -> a\ns -- c -> a\n\ns -- c -> b\n", "nondeterministic", 6),
+        ("initial: s\ncalls: c\ns -- c -> s\n\ns -- zap -> t\ns -- zap -> t\n", "undeclared action", 5),
     ],
 )
 def test_parse_text_errors_carry_positions(text, fragment, line):
@@ -151,6 +154,30 @@ def test_both_syntaxes_report_a_defect_the_same_way(text, calls, rows):
     with pytest.raises(ParseError) as from_json:
         lts_from_dict({"alphabet": {"calls": calls}, "initial": "s", "transitions": rows})
     assert str(from_text.value) == f"{from_json.value} (line {from_text.value.line})"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([["s", "zap", "t"], ["s"]], "undeclared action 'zap'"),
+        ([["s"], ["s", "zap", "t"]], "transition row ['s'] is not [src, action, dst]"),
+        (
+            [["s", "c", "a"], ["s", "c", "b"], [0, "c", "t"]],
+            "nondeterministic: ('s', 'c') already maps to 'a'",
+        ),
+        # states s=0, a=1, b=2, t=3: the first bad idle row in file order is
+        # not the first in state order
+        (
+            [["s", "c", "a"], ["a", "idle", "b"], ["s", "idle", "t"]],
+            "idle transition 1 -> 2 must be a self-loop",
+        ),
+    ],
+    ids=["undeclared-first", "shape-first", "nondeterministic-first", "idle-in-file-order"],
+)
+def test_the_json_reader_reports_the_first_faulty_row(rows, message):
+    with pytest.raises(ParseError) as e:
+        lts_from_dict({"alphabet": {"calls": ["c"]}, "initial": "s", "transitions": rows})
+    assert str(e.value) == message
 
 
 def test_both_syntaxes_number_states_alike():

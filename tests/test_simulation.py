@@ -708,6 +708,19 @@ def test_columns_and_cuts_do_not_depend_on_the_order_they_are_read():
             assert cuts[key] == first[key][1] == one.cut(key) == other.cut(key)
 
 
+def test_the_match_table_hands_out_choice_entries():
+    # the greedy choice, mapping_m and the certificate writer read a
+    # candidate's .alpha and .target
+    a1, a2, gamma, bound = faa_case("invalidating")
+    table = MatchTable(a2, gamma, bound)
+    keys = search_keys(table, a1, a2)
+    assert None in keys and len(keys) > 1
+    entries = [e for key in keys for cands in table.column(key) for e in cands]
+    assert entries
+    for e in entries:
+        assert type(e) is ChoiceEntry and e == (e.alpha, e.target)
+
+
 # (case count, incomplete count, sha256 of the "1"/"0" complete flags of
 # check_forward over column_cases()), recorded before columns were read
 COMPLETE_FLAGS = (1208, 406, "be5f4e81bc004d92f5c6a0ae4ebe67008bc5f293dd5853a7d10298146d225060")
