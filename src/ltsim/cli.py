@@ -34,6 +34,10 @@ through EXITS.  A search that the alpha bound may have cut short
 refutes nothing: check-fwd and check-prog-fwd then report "unknown",
 and transform-scheduler and check-lemmas, left without a certificate to
 work from, stop as on a spent bound (2, stdout empty).
+
+Files are read and written as UTF-8 whatever the locale; stdout keeps
+the terminal's encoding, which matters only for export-dot without -o,
+as every JSON report is ASCII.
 """
 
 from __future__ import annotations
@@ -125,12 +129,12 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _read_text(path: str) -> str:
     try:
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 return f.read()
         except OSError:
             # open fails on "" and on a trailing slash, which Path reads as
             # "." and as the file itself; retrying keeps what Path gives
-            return Path(path).read_text()
+            return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
@@ -152,7 +156,7 @@ def _read_certificate(path: str, a1: Lts, a2: Lts):
 def _write(path: str, text: str | Iterable[str]) -> None:
     """Write a text, or the chunks of one as they come, to path."""
     try:
-        with Path(path).open("w") as f:
+        with Path(path).open("w", encoding="utf-8") as f:
             f.writelines((text,) if isinstance(text, str) else text)
     except OSError as e:
         raise ParseError(f"cannot write {path}: {e.strerror}") from None

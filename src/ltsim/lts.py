@@ -524,31 +524,6 @@ def _idle_completed(rows: Sequence[dict[Action, int]], idle: Action) -> list[dic
     return [row or {idle: s} for s, row in enumerate(rows)]
 
 
-def is_idle_complete(lts: Lts) -> bool:
-    return all(lts.enabled(s) for s in range(lts.num_states))
-
-
-def check_deterministic(
-    lts_or_edges: Lts | Iterable[tuple[int, Action, int]],
-) -> tuple[bool, tuple[int, Action] | None]:
-    """Is the transition relation single-valued per (state, action)?
-
-    Accepts either an Lts (true by construction) or raw edge triples, and
-    returns the first offending (state, action) on failure.
-    """
-    if isinstance(lts_or_edges, Lts):
-        rows: Iterable[tuple[int, Action, int]] = lts_or_edges.edges()
-    else:
-        rows = lts_or_edges
-    seen: dict[tuple[int, Action], int] = {}
-    for s, a, t in rows:
-        prev = seen.get((s, a))
-        if prev is not None and prev != t:
-            return False, (s, a)
-        seen[(s, a)] = t
-    return True, None
-
-
 def validate_lasso(lts: Lts, lasso: Lasso) -> None:
     """Replay the lasso and require the cycle to return to its start state."""
     anchor = lts.run(lasso.stem)

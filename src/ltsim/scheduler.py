@@ -1,19 +1,19 @@
 """Schedulers over LTS traces and their semantic checks.
 
-A scheduler maps every finite trace to a set of next actions.  Two
-kinds are provided: finite tables (for tests and serialized runs) and
-strategies, which replay the trace on an LTS while folding a finite
-memory value.  Finite memory is what makes admissibility, determinism
-and divergence checks exact instead of depth-bounded: the reachable
-(state, memory) graph is the whole behavior.
+A scheduler maps every finite trace to a set of next actions, and every
+scheduler is a Scheduler subclass.  The ones provided are strategies,
+which replay the trace on an LTS while folding a finite memory value.
+Finite memory is what makes admissibility, determinism and divergence
+checks exact instead of depth-bounded: the reachable (state, memory)
+graph is the whole behavior.
 
 Every walk over traces (tree enumeration, the bounded checks,
 consistency) carries a cursor per trace instead of replaying it from
 the root: cursor() is the cursor of the empty trace, advance(cur, a)
 extends it by one action and scheduled(cur) is the scheduled set
-there.  A custom scheduler may override the three; one that defines
-only schedule(trace) keeps working, because the defaults use the
-trace itself as the cursor.
+there.  A subclass may override the three; one that defines only
+schedule(trace) keeps working, because the defaults use the trace
+itself as the cursor.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from .errors import BudgetExceeded, ModelError
 from .lts import Action, ActionKind, Lasso, Lts, Trace, depth_first, sort_actions
@@ -44,11 +44,12 @@ class Scheduler(ABC):
 
     The cursor methods let a walk extend a trace one action at a time;
     the defaults carry the trace tuple and ask schedule(), so
-    overriding schedule() alone is enough.
+    overriding schedule() alone is enough.  schedule() may return any
+    set; scheduled() returns a frozenset.
     """
 
     @abstractmethod
-    def schedule(self, trace: Trace) -> frozenset[Action]:
+    def schedule(self, trace: Trace) -> frozenset[Action] | set[Action]:
         raise NotImplementedError
 
     def cursor(self) -> Any:
@@ -61,7 +62,7 @@ class Scheduler(ABC):
 
     def scheduled(self, cur: Any) -> frozenset[Action]:
         """Scheduled set after the trace of cur."""
-        return self.schedule(cur)
+        return frozenset(self.schedule(cur))
 
     def _fold(self, trace: Sequence[Action]) -> Any:
         """Cursor of a whole trace: the fold of advance from cursor()."""
@@ -69,33 +70,6 @@ class Scheduler(ABC):
         for a in trace:
             cur = self.advance(cur, a)
         return cur
-
-
-class _ScheduleOnly(Scheduler):
-    """Cursor protocol, with the trace as cursor, for an object with only schedule()."""
-
-    def __init__(self, s: Any):
-        self._s = s
-
-    def schedule(self, trace: Trace) -> frozenset[Action]:
-        return self._s.schedule(trace)
-
-
-def walker(s: Any) -> Scheduler:
-    """s itself, or s behind the default trace cursor when it has only schedule()."""
-    return s if isinstance(s, Scheduler) else _ScheduleOnly(s)
-
-
-class TableScheduler(Scheduler):
-    """Finite explicit table; traces outside the table get the empty set."""
-
-    def __init__(self, table: Mapping[Sequence[Action], Any]):
-        self._table: dict[Trace, frozenset[Action]] = {
-            tuple(k): frozenset(v) for k, v in table.items()
-        }
-
-    def schedule(self, trace: Trace) -> frozenset[Action]:
-        return self._table.get(tuple(trace), frozenset())
 
 
 class Strategy(Scheduler):
@@ -106,6 +80,7 @@ class Strategy(Scheduler):
     None, i.e. a memoryless state-feedback scheduler.  decide() and
     update_memory() must be pure functions of their arguments: a walk
     asks each distinct cursor (state, memory) once and reuses the answer.
+    decide() may return any set; scheduled() returns a frozenset.
     """
 
     def __init__(self, lts: Lts):
@@ -118,7 +93,7 @@ class Strategy(Scheduler):
         return mem
 
     @abstractmethod
-    def decide(self, state: int, mem: Hashable) -> frozenset[Action]:
+    def decide(self, state: int, mem: Hashable) -> frozenset[Action] | set[Action]:
         raise NotImplementedError
 
     # cursor: (state, memory), or None once the trace has left the LTS
@@ -136,7 +111,7 @@ class Strategy(Scheduler):
         return (t, self.update_memory(mem, s, a))
 
     def scheduled(self, cur: tuple[int, Hashable] | None) -> frozenset[Action]:
-        return frozenset() if cur is None else self.decide(*cur)
+        return frozenset() if cur is None else frozenset(self.decide(*cur))
 
     def schedule(self, trace: Trace) -> frozenset[Action]:
         return self.scheduled(self._fold(trace))
@@ -235,12 +210,11 @@ def make_scheduler(name: str, lts: Lts) -> Scheduler:
 
 def is_consistent(tau: Sequence[Action], s: Scheduler) -> bool:
     """Every next action of tau is scheduled after the prefix before it."""
-    w = walker(s)
-    cur = w.cursor()
+    cur = s.cursor()
     for a in tau:
-        if a not in w.scheduled(cur):
+        if a not in s.scheduled(cur):
             return False
-        cur = w.advance(cur, a)
+        cur = s.advance(cur, a)
     return True
 
 
@@ -389,26 +363,21 @@ def _walk(
     test's or one off along, is in no children map, only linked to its parent.
     """
     limit = node_budget(budget)
-    w = walker(s)
-
-    def scheduled_at(cur: Any) -> frozenset[Action]:
-        value = w.scheduled(cur)  # a schedule() may return a plain set
-        return value if isinstance(value, frozenset) else frozenset(value)
 
     def steps(key: tuple[int, frozenset[Action]]) -> list[tuple[Action, int]]:
         state, scheduled = key
         return [(x, t) for x in sort_actions(scheduled) if (t := a.step(state, x)) is not None]
 
-    memo = isinstance(w, Strategy)  # its set and next cursors depend on the cursor alone
-    at_cursor = _Memo(scheduled_at)
-    advanced = _Memo(lambda key: w.advance(*key))
+    memo = isinstance(s, Strategy)  # its set and next cursors depend on the cursor alone
+    at_cursor = _Memo(s.scheduled)
+    advanced = _Memo(lambda key: s.advance(*key))
     moves = _Memo(steps)
     verdict = _Memo(lambda key: problems[key[0]](a, key[1], key[2]))
     tree = TracePrefixTree(a.initial) if along is None else along
     walked = tree.node_list if along is None else [tree.root]
     found: list[SchedulerCheck | None] = [None] * len(problems)
     running = len(problems)
-    queue: deque[tuple[TraceNode, Any]] = deque([(tree.root, w.cursor())])
+    queue: deque[tuple[TraceNode, Any]] = deque([(tree.root, s.cursor())])
     reach = max(check_depth, 0)
     tested = 0
     full = False  # the tree outgrew the budget; only the running tests go on
@@ -423,7 +392,7 @@ def _walk(
             raise BudgetExceeded(limit)
         elif node.depth >= depth:
             continue
-        scheduled = at_cursor[cur] if memo else scheduled_at(cur)
+        scheduled = at_cursor[cur] if memo else s.scheduled(cur)
         if testing:
             for i in range(len(problems)):
                 detail = None if found[i] else verdict[i, node.state, scheduled]
@@ -450,7 +419,7 @@ def _walk(
             if child.depth >= depth and not running:
                 nxt = None
             else:
-                nxt = advanced[cur, act] if memo else w.advance(cur, act)
+                nxt = advanced[cur, act] if memo else s.advance(cur, act)
             queue.append((child, nxt))
     if full:
         raise BudgetExceeded(limit)

@@ -445,7 +445,7 @@ class MatchTable:
         return [s2 for s2, (every, keys) in self._cut_at.items() if every or key in keys]
 
     def _search(self, s2: int) -> dict[Action | None, tuple[ChoiceEntry, ...]]:
-        gamma = self.gamma
+        gamma, out, bound = self.gamma, self.a2._out, self.alpha_bound
         # nodes are (abstract state, the observable action emitted or None)
         start: tuple[int, Action | None] = (s2, None)
         best: dict[tuple[int, Action | None], Trace] = {start: ()}
@@ -457,11 +457,11 @@ class MatchTable:
             node = queue.popleft()
             t, emitted = node
             alpha = best[node]
-            if len(alpha) >= self.alpha_bound:
+            if len(alpha) >= bound:
                 # an edge to an unseen node cuts the keys that node serves:
                 # every key for (u, None), b for (u, b); an edge back to s2
                 # cuts the hidden key while its silent loop is unrecorded
-                for b, u in self.a2.out_edges(t):
+                for b, u in out[t].items():
                     if b in gamma:
                         if emitted is None and (u, b) not in best:
                             cut.add(b)
@@ -473,7 +473,7 @@ class MatchTable:
                     elif emitted is None and u == s2 and not looped:
                         cut.add(None)
                 continue
-            for b, u in self.a2.out_edges(t):
+            for b, u in out[t].items():
                 if b not in gamma:
                     nxt = (u, emitted)
                 elif emitted is None:
@@ -636,20 +636,21 @@ def _greedy_choice(a1: Lts, relation: Relation, table: MatchTable) -> Choices:
     depends only on a's MatchTable key and the rows of s1n and s1, so it
     is computed once per distinct (key, successor row, own row) and shared.
     """
-    gamma = table.gamma
-    cls = relation.row_classes(a1.num_states)
+    gamma, out, n = table.gamma, a1._out, a1.num_states
+    cls = relation.row_classes(n)
+    partners = list(map(relation.partners, range(n)))
     blocks: dict[tuple[Action | None, int, int], dict[int, ChoiceEntry]] = {}
     rows: dict[int, BlockRow] = {}
-    for s1 in range(a1.num_states):
-        mine = relation.partners(s1)
+    for s1 in range(n):
+        mine = partners[s1]
         if not mine:
             continue
         row: BlockRow = {}
-        for a, s1n in a1.out_edges(s1):
+        for a, s1n in out[s1].items():
             shape = (a if a in gamma else None, cls[s1n], cls[s1])
             block = blocks.get(shape)
             if block is None:
-                landing = relation.partners(s1n)
+                landing = partners[s1n]
                 cands = table.column(shape[0])
                 block = blocks[shape] = {}
                 for s2 in mine:
@@ -972,8 +973,9 @@ def validate_certificate(
             )
         return found
 
-    n1, n2 = a1.num_states, a2.num_states
+    n1, n2, out = a1.num_states, a2.num_states, a1._out
     cls = relation.row_classes(n1)
+    partners = list(map(relation.partners, range(max(n1, len(relation._rows)))))
     empty: dict = {}  # the block of a step or state the certificate has none for
     # (search key, own row class, landing row class) -> the last clean block
     # under it, and whether any of its choices stutters
@@ -981,15 +983,15 @@ def validate_certificate(
     for s1, row in enumerate(relation._rows):
         if not row:
             continue
-        mine = relation.partners(s1)
+        mine = partners[s1]
         blocks = cert.choice._rows.get(s1, empty)
         if s1 < n1 and not row >> n2:
-            for a, s1n in a1.out_edges(s1):
+            for a, s1n in out[s1].items():
                 shape = (a if a in gamma else None, cls[s1], cls[s1n])
                 block = blocks.get(a, empty)
                 known = clean.get(shape)
                 if known is None or (known[0] is not block and known[0] != block):
-                    landing = relation.partners(s1n)
+                    landing = partners[s1n]
                     if not _block_is_clean(shape[0], block, mine, landing, replayed, replay):
                         break
                     known = clean[shape] = (block, not all(map(_alpha, block.values())))
@@ -1001,7 +1003,7 @@ def validate_certificate(
             if s1 >= n1 or s2 >= n2:
                 report(f"pair ({s1}, {s2}) is outside the state ranges")
                 continue
-            for a, s1n in a1.out_edges(s1):
+            for a, s1n in out[s1].items():
                 entry = blocks.get(a, empty).get(s2)
                 if entry is None:
                     report(f"no choice for ({s1}, {a.label()}, {s2})")

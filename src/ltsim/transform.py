@@ -36,7 +36,6 @@ from .scheduler import (
     check_scheduler_tree,
     enumerate_traces,
     node_budget,
-    walker,
 )
 from .simulation import SimulationCertificate
 
@@ -560,17 +559,16 @@ def _check_step_equivalence(mt: MappedTraces, s2: Scheduler) -> LemmaResult:
     may take (scheduled and enabled) are exactly the node's children in
     the image tree.
     """
-    w = walker(s2)
     checked = 0
     nodes = mt.image.node_list
-    stack = [(mt.image.root, w.cursor())]  # preorder, each node with its cursor
+    stack = [(mt.image.root, s2.cursor())]  # preorder, each node with its cursor
     while stack:
         v, cur = stack.pop()
-        stack.extend((nodes[i], w.advance(cur, a)) for a, i in reversed(v.children.items()))
+        stack.extend((nodes[i], s2.advance(cur, a)) for a, i in reversed(v.children.items()))
         value = v.scheduled
         if value is None:
             continue  # beyond what the bounded tree determines
-        scheduled = w.scheduled(cur)
+        scheduled = s2.scheduled(cur)
         if scheduled != value:
             return LemmaResult(
                 5,

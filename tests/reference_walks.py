@@ -5,10 +5,11 @@ tree of the abstract scheduler.
 
 Kept unchanged as the reference that tests compare the shared walk and
 check_s2 with, error included, except that the projection check numbers
-both trees before it reads a node's projection id and that a child is
-read as a position in its tree's node_list.  The two tree
-comparisons that the reference equality checks use are kept here with
-them.
+both trees before it reads a node's projection id, that a child is
+read as a position in its tree's node_list, and that a walk asks the
+scheduler itself where it asked walker(s), as every scheduler is now a
+Scheduler subclass.  The two tree comparisons that the reference
+equality checks use are kept here with them.
 
 ReferenceS2 is the derived scheduler as it was before one rule decided
 when it rebuilds its mapped trees: asked at a trace its tree leaves
@@ -34,7 +35,6 @@ from ltsim.scheduler import (
     TracePrefixTree,
     _strategy_graph,
     node_budget,
-    walker,
 )
 from ltsim.transform import (
     EqualityResult,
@@ -57,7 +57,7 @@ def reference_enumerate_traces(
     canonical order, so the tree is reproducible byte for byte.
     """
     limit = node_budget(budget)
-    w = walker(s)
+    w = s
     tree = TracePrefixTree(a.initial)
     queue: deque[tuple[TraceNode, Any]] = deque([(tree.root, w.cursor())])
     while queue:
@@ -99,7 +99,7 @@ def _check_scheduled(
         return SchedulerCheck(True, True)
 
     # queue entries: (path, length, cursor, state); a path is (parent path, action)
-    w = walker(s)
+    w = s
     queue: deque[tuple[Any, int, Any, int]] = deque([(None, 0, w.cursor(), a.initial)])
     seen = 0
     while queue:

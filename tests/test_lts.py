@@ -23,9 +23,7 @@ from ltsim import (
     ModelError,
     ParseError,
     StepNotEnabled,
-    check_deterministic,
     idle_complete,
-    is_idle_complete,
     parse_action,
     project,
     project_lasso,
@@ -37,6 +35,7 @@ from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_p
 from ltsim.lts import depth_first
 
 from conftest import internal, make_lts, prog_action
+from helpers import is_idle_complete
 
 
 # --- actions ----------------------------------------------------------------
@@ -315,14 +314,7 @@ def test_idle_complete_only_touches_sinks():
     )
 
 
-# --- determinism and lassos -------------------------------------------------------
-
-
-def test_check_deterministic_on_raw_edges():
-    ok, offender = check_deterministic([(0, T, 1), (0, U, 0), (1, T, 0)])
-    assert ok and offender is None
-    ok, offender = check_deterministic([(0, T, 1), (0, T, 2)])
-    assert not ok and offender == (0, T)
+# --- lassos -------------------------------------------------------------------------
 
 
 def test_validate_lasso():

@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from conftest import PinnedScheduler, derived_object_pair, make_universal_client
+from helpers import TableScheduler
 from reference_walks import (
     ReferenceS2,
     reference_check_admitted,
@@ -28,7 +29,6 @@ from ltsim import (
     ObjectFirstStrategy,
     S2Scheduler,
     Scheduler,
-    TableScheduler,
     TraceNode,
     build_f,
     check_all_lemmas,

@@ -11,7 +11,7 @@ from ltsim import (
     MaximalStrategy,
     ModelError,
     ObjectFirstStrategy,
-    TableScheduler,
+    Scheduler,
     check_admitted,
     check_deterministic_scheduler,
     enumerate_traces,
@@ -26,6 +26,7 @@ from ltsim import (
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_program
 
 from conftest import PinnedScheduler, folded, internal, make_lts, prog_action
+from helpers import TableScheduler
 
 I = internal("i")
 J = internal("j")
@@ -256,7 +257,7 @@ def test_is_consistent_agrees_with_scheduling_every_prefix():
 
 
 def test_schedule_only_objects_keep_working():
-    class Bare:
+    class Bare(Scheduler):
         def schedule(self, trace):
             return frozenset({TICK}) if len(trace) < 2 else frozenset()
 

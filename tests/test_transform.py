@@ -14,8 +14,8 @@ from ltsim import (
     Lts,
     MappedTraces,
     ObjectFirstStrategy,
+    Scheduler,
     Strategy,
-    TableScheduler,
     TraceNode,
     TracePrefixTree,
     build_f,
@@ -36,6 +36,7 @@ from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_p
 from ltsim.scheduler import check_scheduler_tree
 
 from conftest import PinnedScheduler, folded, internal, make_lts
+from helpers import TableScheduler
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +307,7 @@ def test_projection_equality_catches_a_wrong_scheduler(plain):
     mt, _ = plain
     idle2 = mt.prod2.alphabet.idle
 
-    class LazyS2:
+    class LazyS2(Scheduler):
         def schedule(self, trace):
             if len(trace) == 0:
                 return mt.image.root.scheduled

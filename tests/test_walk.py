@@ -20,13 +20,16 @@ from ltsim import (
     MaximalStrategy,
     ObjectFirstStrategy,
     Scheduler,
-    TableScheduler,
+    check_admitted,
+    check_deterministic_scheduler,
     enumerate_traces,
     product,
     sort_actions,
 )
 from ltsim.casestudies import FaaConfig, build_faa_impl, build_faa_spec, build_program
-from ltsim.scheduler import _not_admitted, _not_deterministic, _walk, walker
+from ltsim.scheduler import _not_admitted, _not_deterministic, _walk, check_scheduler_tree
+
+from helpers import TableScheduler
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +43,7 @@ class Opaque(Scheduler):
     """The cursor protocol of s, never seen as a strategy."""
 
     def __init__(self, s):
-        self.w = walker(s)
+        self.w = s
 
     def schedule(self, trace):
         return self.w.schedule(trace)
@@ -55,7 +58,7 @@ class Opaque(Scheduler):
         return self.w.scheduled(cur)
 
 
-class BareSet:
+class BareSet(Scheduler):
     """Defines only schedule(), and returns a plain set: every enabled
     action, plus a disabled one after two steps."""
 
@@ -68,6 +71,20 @@ class BareSet:
         if len(trace) == 2:
             out.add(self.disabled)
         return out
+
+
+class FrozenBareSet(BareSet):
+    """BareSet's sets, as frozensets."""
+
+    def schedule(self, trace):
+        return frozenset(super().schedule(trace))
+
+
+class PlainSetStrategy(MaximalStrategy):
+    """MaximalStrategy, but decide() returns a plain set."""
+
+    def decide(self, state, mem):
+        return set(super().decide(state, mem))
 
 
 def schedulers(prod1, prod2):
@@ -123,6 +140,24 @@ def test_walk_agrees_with_the_separate_walks(prods, name, depth, check_depth):
         assert got == want, (budget, got, want)
         seen[got[0] == "raises"] += 1
     assert seen[True] and seen[False], seen
+
+
+@pytest.mark.parametrize("plain, frozen", [(PlainSetStrategy, MaximalStrategy), (BareSet, FrozenBareSet)])
+def test_a_plain_set_walks_as_its_frozenset_twin(prods, plain, frozen):
+    """scheduled() makes a frozenset of what decide() or schedule() returns,
+    which the walk's memo of a node's steps is keyed by."""
+    prod1, _ = prods
+
+    def results(s):
+        tree, adm, det = check_scheduler_tree(s, prod1, 4, 5)
+        return (
+            shape(tree), adm, det,
+            check_admitted(s, prod1, 4),
+            check_deterministic_scheduler(s, prod1, 4),
+            shape(enumerate_traces(prod1, s, 6)),
+        )
+
+    assert results(plain(prod1)) == results(frozen(prod1))
 
 
 def test_walk_asks_a_strategy_once_per_cursor(prods):
