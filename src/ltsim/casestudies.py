@@ -27,6 +27,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator
 from .composition import product
 from .errors import ModelError
 from .lts import (
+    IDLE,
     Action,
     ActionKind,
     Alphabet,
@@ -39,12 +40,14 @@ from .lts import (
 )
 from .scheduler import (
     Strategy,
+    _ONLY_IDLE,
     check_scheduler_tree,
     find_divergence,
     is_consistent,
     register_strategy,
 )
 from .simulation import (
+    DEFAULT_ALPHA_BOUND,
     check_forward,
     check_progressive,
     validate_certificate,
@@ -195,7 +198,7 @@ def _interleave(
                     )
         rows.append(row)
     labels = list(map(label, states))
-    return Lts._from_rows(alphabet, 0, _idle_completed(rows, alphabet.idle), labels)
+    return Lts._from_rows(alphabet, 0, _idle_completed(rows), labels)
 
 
 # --- the two counter implementations --------------------------------------
@@ -328,8 +331,7 @@ class LlAlternatorStrategy(Strategy):
             return frozenset(other[:1])
         if non_idle:
             return frozenset(non_idle)  # all program actions
-        idle = self.lts.alphabet.idle
-        return frozenset({idle}) if idle in enabled else frozenset()
+        return _ONLY_IDLE.intersection(enabled)
 
 
 register_strategy("ll-alternator", LlAlternatorStrategy)
@@ -387,9 +389,8 @@ def _labels(actions: Iterator[Action]) -> list[str]:
 
 
 def _non_idle_acyclic(prod: Lts) -> tuple[bool, str | None]:
-    idle = prod.alphabet.idle
     found, _ = depth_first(
-        range(prod.num_states), lambda s: [(a, t) for a, t in prod.out_edges(s) if a != idle]
+        range(prod.num_states), lambda s: [(a, t) for a, t in prod.out_edges(s) if a != IDLE]
     )
     if found is None:
         return True, None
@@ -402,14 +403,13 @@ def _sinks_need_all_assigns(prod: Lts, cfg: FaaConfig) -> tuple[bool, str | None
     Walks (state, set of threads that assigned); a state whose only
     move is idle must have the full set.
     """
-    idle = prod.alphabet.idle
     full = frozenset(cfg.threads)
     start = (prod.initial, frozenset())
     seen = {start}
     queue = deque([start])
     while queue:
         state, done = queue.popleft()
-        moves = [(a, t) for a, t in prod.out_edges(state) if a != idle]
+        moves = [(a, t) for a, t in prod.out_edges(state) if a != IDLE]
         if not moves and done != full:
             missing = sorted(full - done)
             return False, (
@@ -438,6 +438,9 @@ def run_counterexample_suite(
         goes through: derived abstract scheduler, structural checks,
         equal projected traces.  Step (e) exercises termination, an
         extension beyond the divergence contrast of (a)-(d).
+
+    Only cfg's threads and addends are read: the suite builds both
+    variants itself, so cfg.variant changes nothing.
     """
     cfg = cfg or FaaConfig()
     steps: list[StepReport] = []
@@ -446,10 +449,11 @@ def run_counterexample_suite(
     spec = build_faa_spec(cfg)
     prog = build_program(cfg)
     gamma = impl.alphabet.cr
+    bound = DEFAULT_ALPHA_BOUND  # of every match search below
 
     # (a) plain forward simulation holds: a valid certificate shows it,
     # and only a search the alpha bound cut leaves it open
-    fwd = check_forward(impl, spec, gamma, alpha_bound=4)
+    fwd = check_forward(impl, spec, gamma, alpha_bound=bound)
     cert_ok, problems = (False, ["no certificate"])
     if fwd.certificate is not None:
         cert_ok, problems = validate_certificate(fwd.certificate, None, impl, spec)
@@ -469,14 +473,14 @@ def run_counterexample_suite(
 
     # (b) progressive simulation refuted with a stutter cycle, by a search
     # the alpha bound did not cut; a cut one, or a spent budget, runs short
-    prog_res = check_progressive(impl, spec, gamma, alpha_bound=4)
+    prog_res = check_progressive(impl, spec, gamma, alpha_bound=bound)
     decided = prog_res.complete and prog_res.verdict != "unknown"
     cycle_ok = False
     cycle_actions: list[str] = []
     if prog_res.cycle is not None:
         cycle_actions = _labels(e.action for e in prog_res.cycle.edges)
         cycle_ok, _ = validate_stutter_cycle(
-            prog_res.cycle, impl, spec, gamma, 4, prog_res.relation
+            prog_res.cycle, impl, spec, gamma, bound, prog_res.relation
         )
     steps.append(
         StepReport(
@@ -529,7 +533,7 @@ def run_counterexample_suite(
 
     # (e) terminating variant: the full scheduler transformation
     plain = build_faa_impl(FaaConfig(cfg.threads, cfg.addends, "plain"))
-    plain_prog = check_progressive(plain, spec, gamma, alpha_bound=4)
+    plain_prog = check_progressive(plain, spec, gamma, alpha_bound=bound)
     detail: dict[str, Any] = {
         "variant": "plain",
         "extension": True,

@@ -33,7 +33,9 @@ main alone prints the report and maps the verdict to its exit code
 through EXITS.  A search that the alpha bound may have cut short
 refutes nothing: check-fwd and check-prog-fwd then report "unknown",
 and transform-scheduler and check-lemmas, left without a certificate to
-work from, stop as on a spent bound (2, stdout empty).
+work from, stop as on a spent bound (2, stdout empty).  Those two
+read --gamma and --alpha-bound only to compute that certificate: a
+--cert file carries its own, and the flags are then not read.
 
 Files are read and written as UTF-8 whatever the locale; stdout keeps
 the terminal's encoding, which matters only for export-dot without -o,
@@ -75,6 +77,8 @@ from .scheduler import (
     make_scheduler,
 )
 from .simulation import (
+    DEFAULT_ALPHA_BOUND,
+    DEFAULT_BACKTRACK_BUDGET,
     SCHEMA_VERSION,
     ProgressWitness,
     SimulationCertificate,
@@ -324,14 +328,14 @@ def _load_transform(args: argparse.Namespace):
     prog = _read(args.program)
     obj1 = _read(args.concrete)
     obj2 = _read(args.abstract)
-    gamma = _resolve_gamma(args.gamma, obj1, obj2)
-    if args.cert:
+    if args.cert:  # the file carries its gamma and alpha bound: the flags are not read
         cert, _witness = _read_certificate(args.cert, obj1, obj2)
         ok, problems = validate_certificate(cert, None, obj1, obj2)
         if not ok:
             raise ContractViolation(f"supplied certificate is invalid: {problems[0]}")
         cert_source = "supplied"
     else:
+        gamma = _resolve_gamma(args.gamma, obj1, obj2)
         res = check_forward(obj1, obj2, gamma, alpha_bound=args.alpha_bound)
         if res.certificate is None and not res.complete:  # the bound may hide one: unknown
             raise BudgetExceeded(
@@ -495,15 +499,15 @@ def _build_parser() -> _Parser:
     p.add_argument("concrete")
     p.add_argument("abstract")
     p.add_argument("--gamma", default="cr")
-    p.add_argument("--alpha-bound", type=int, default=4)
+    p.add_argument("--alpha-bound", type=int, default=DEFAULT_ALPHA_BOUND)
     p.add_argument("--cert-out", default=None)
 
     p = cmd("check-prog-fwd", _cmd_check_prog_fwd, "forward simulation with ranks")
     p.add_argument("concrete")
     p.add_argument("abstract")
     p.add_argument("--gamma", default="cr")
-    p.add_argument("--alpha-bound", type=int, default=4)
-    p.add_argument("--backtrack-budget", type=_count, default=1_000_000)
+    p.add_argument("--alpha-bound", type=int, default=DEFAULT_ALPHA_BOUND)
+    p.add_argument("--backtrack-budget", type=_count, default=DEFAULT_BACKTRACK_BUDGET)
     p.add_argument("--cert-out", default=None)
 
     p = cmd("validate-cert", _cmd_validate_cert, "replay a stored certificate")
@@ -521,8 +525,9 @@ def _build_parser() -> _Parser:
         p.add_argument("abstract")
         p.add_argument("--strategy", default="object-first", choices=STRATEGIES)
         p.add_argument("--depth", type=_count, default=12)
-        p.add_argument("--gamma", default="cr")
-        p.add_argument("--alpha-bound", type=int, default=4)
+        with_cert = "unread with --cert: the file gives its own"
+        p.add_argument("--gamma", default="cr", help=with_cert)
+        p.add_argument("--alpha-bound", type=int, default=DEFAULT_ALPHA_BOUND, help=with_cert)
         p.add_argument("--cert", default=None, help="certificate file (computed when absent)")
         if name == "transform-scheduler":
             p.add_argument("--table-out", default=None)

@@ -116,7 +116,7 @@ def product(prog: Lts, obj: Lts) -> ProductLts:
         rows.append(row)
 
     labels = [f"{prog.label_of(p)}|{obj.label_of(o)}" for p, o in pairs]
-    prod = ProductLts._from_rows(alphabet, 0, _idle_completed(rows, alphabet.idle), labels)
+    prod = ProductLts._from_rows(alphabet, 0, _idle_completed(rows), labels)
     prod.parts = tuple(map(_product_state, pairs))
     return prod
 

@@ -11,7 +11,10 @@ once, when it is built; pickling and copying rebuild it from the fields,
 because str hashes differ between processes.  ``action`` and
 ``parse_action`` hand out one shared object per field tuple, so the
 models a process builds or loads meet their actions by identity.  An
-alphabet's derived sets are computed once too.
+alphabet's derived sets are computed once too.  There is one idle
+action, ``IDLE``: every alphabet holds it, and every reader of idle
+(the rows' check, idle completion, the product, the strategies, the
+divergence search and the trace mapping) names it directly.
 
 Every LTS is built by one path from per-state rows (``Lts._fill``): it
 validates each transition once, sorts each row once into canonical
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
+from typing import Any, Callable, ClassVar, Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
 
 from .errors import ModelError, ParseError, StepNotEnabled
 
@@ -163,15 +166,16 @@ Trace = tuple[Action, ...]
 class Alphabet:
     """Partition of an LTS alphabet into program, call, return, internal, idle.
 
-    The derived sets gamma_p, cr and all_actions are computed once, at
-    construction.
+    Every alphabet has the one idle action ``IDLE``, which ``idle``
+    names; no section may hold an action labelled like it.  The derived
+    sets gamma_p, cr and all_actions are computed once, at construction.
     """
 
     program: frozenset[Action]
     calls: frozenset[Action]
     returns: frozenset[Action]
     internal: frozenset[Action]
-    idle: Action = IDLE
+    idle: ClassVar[Action] = IDLE
 
     def __post_init__(self) -> None:
         parts = {
@@ -190,17 +194,14 @@ class Alphabet:
                         f"action {a.label()} appears in both {seen[a.label()].value} and {kind.value}"
                     )
                 seen[a.label()] = kind
-        if self.idle.kind is not ActionKind.IDLE:
-            raise ModelError(f"idle action {self.idle} must have idle kind")
-        if self.idle.label() in seen:
-            raise ModelError(
-                f"action {self.idle.label()} appears in both {seen[self.idle.label()].value} and idle"
-            )
+        clash = seen.get(IDLE.label())
+        if clash is not None:
+            raise ModelError(f"action {IDLE.label()} appears in both {clash.value} and idle")
         cr = self.calls | self.returns
         gamma_p = cr | self.program
         object.__setattr__(self, "_cr", cr)
         object.__setattr__(self, "_gamma_p", gamma_p)
-        object.__setattr__(self, "_all_actions", gamma_p | self.internal | {self.idle})
+        object.__setattr__(self, "_all_actions", gamma_p | self.internal | {IDLE})
 
     @property
     def gamma_p(self) -> frozenset[Action]:
@@ -339,7 +340,6 @@ class Lts:
         # the first fault.
         num_states = len(rows)
         known = alphabet.all_actions
-        idle = alphabet.idle
         used: set[Action] = set()
         in_range = True
         out: list[dict[Action, int]] = []
@@ -355,7 +355,7 @@ class Lts:
             or (labels is not None and len(labels) != num_states)
             or not in_range
             or not known.issuperset(used)
-            or (idle in used and not all(row.get(idle, s) == s for s, row in enumerate(rows)))
+            or (IDLE in used and not all(row.get(IDLE, s) == s for s, row in enumerate(rows)))
         ):
             if order is None:
                 order = (((s, a), t) for s, row in enumerate(rows) for a, t in row.items())
@@ -511,17 +511,17 @@ def label_resolver(ltss: Iterable[Lts], where: str) -> Callable[[str], Action]:
 
 def idle_complete(lts: Lts) -> Lts:
     """Add an idle self-loop to exactly the states with no other enabled action."""
-    rows = _idle_completed(lts._out, lts.alphabet.idle)
+    rows = _idle_completed(lts._out)
     return Lts._from_rows(lts.alphabet, lts.initial, rows, lts.labels)
 
 
-def _idle_completed(rows: Sequence[dict[Action, int]], idle: Action) -> list[dict[Action, int]]:
+def _idle_completed(rows: Sequence[dict[Action, int]]) -> list[dict[Action, int]]:
     """The rows with an idle self-loop at each state that enables nothing.
 
     A state whose row holds only idle keeps it: a validated idle edge is
     already a self-loop.  The other rows are shared, not copied.
     """
-    return [row or {idle: s} for s, row in enumerate(rows)]
+    return [row or {IDLE: s} for s, row in enumerate(rows)]
 
 
 def validate_lasso(lts: Lts, lasso: Lasso) -> None:
@@ -580,5 +580,5 @@ class LtsBuilder:
         alphabet, labels, transitions = self.alphabet, self._labels, self._transitions
         rows = _bucket(alphabet, len(labels), self._initial, transitions, labels)
         if complete:  # as idle_complete does, in the same construction
-            rows = _idle_completed(rows, alphabet.idle)
+            rows = _idle_completed(rows)
         return Lts._from_rows(alphabet, self._initial, rows, labels, transitions.items())

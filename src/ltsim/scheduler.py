@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from .errors import BudgetExceeded, ModelError
-from .lts import Action, ActionKind, Lasso, Lts, Trace, depth_first, sort_actions
+from .lts import IDLE, Action, ActionKind, Lasso, Lts, Trace, depth_first, sort_actions
 
 # enum members read as globals: ActionKind.X costs a slow class lookup each time
 _IDLE = ActionKind.IDLE
+# what a strategy schedules once nothing else is enabled: idle if enabled, else nothing
+_ONLY_IDLE = frozenset({IDLE})
 
 DEFAULT_NODE_BUDGET = 1_000_000
 
@@ -142,7 +144,7 @@ class ObjectFirstStrategy(Strategy):
         prog = enabled & alpha.program
         if prog:
             return frozenset(prog)
-        return frozenset({alpha.idle}) if alpha.idle in enabled else frozenset()
+        return enabled & _ONLY_IDLE
 
 
 class FifoStrategy(Strategy):
@@ -173,8 +175,7 @@ class FifoStrategy(Strategy):
             hits = sort_actions(a for a in enabled if a.thread == tag and a.kind is not _IDLE)
             if hits:
                 return frozenset({hits[0]})
-        idle = self.lts.alphabet.idle
-        return frozenset({idle}) if idle in enabled else frozenset()
+        return enabled & _ONLY_IDLE
 
 
 # kept in name order, which help and error texts list
@@ -584,11 +585,10 @@ def find_divergence(
     if not (isinstance(s, Strategy) and s.lts is prod):
         return None
     access, edges = _strategy_graph(s, node_budget(budget))
-    idle = prod.alphabet.idle
     gamma = frozenset(gamma_p)
 
     def silent_succ(node: tuple[int, Hashable]) -> list[tuple[Action, tuple[int, Hashable]]]:
-        return [(a, t) for a, t in edges[node] if a not in gamma and a != idle]
+        return [(a, t) for a, t in edges[node] if a not in gamma and a != IDLE]
 
     found, _ = depth_first(access, silent_succ)
     return None if found is None else Lasso(stem=access[found[0]], cycle=found[1])

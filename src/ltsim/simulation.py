@@ -98,6 +98,9 @@ from .lts import Action, Lts, Trace, depth_first, label_resolver
 from .modelio import json_block, json_document, json_object, json_string
 
 SCHEMA_VERSION = 1
+# the defaults of the searches and of the command line, named once
+DEFAULT_ALPHA_BOUND = 4  # longest abstract match a search tries
+DEFAULT_BACKTRACK_BUDGET = 1_000_000  # landings check_progressive's backtracking may try
 MAX_DIAGNOSTICS = 20  # problems validate_certificate lists before it stops recording
 
 
@@ -665,7 +668,7 @@ def _greedy_choice(a1: Lts, relation: Relation, table: MatchTable) -> Choices:
 
 
 def check_forward(
-    a1: Lts, a2: Lts, gamma: Iterable[Action], alpha_bound: int = 4
+    a1: Lts, a2: Lts, gamma: Iterable[Action], alpha_bound: int = DEFAULT_ALPHA_BOUND
 ) -> ForwardResult:
     """Greatest forward simulation between a1 and a2 for the given gamma.
 
@@ -868,8 +871,8 @@ def check_progressive(
     a1: Lts,
     a2: Lts,
     gamma: Iterable[Action],
-    alpha_bound: int = 4,
-    backtrack_budget: int = 1_000_000,
+    alpha_bound: int = DEFAULT_ALPHA_BOUND,
+    backtrack_budget: int = DEFAULT_BACKTRACK_BUDGET,
 ) -> ProgressiveResult:
     """Forward simulation with a rank decreasing on every stuttering step.
 
@@ -1156,6 +1159,9 @@ def certificate_from_dict(
         return tuple(map(resolve, labels))
 
     try:
+        version = data["schema_version"]
+        if type(version) is not int or version != SCHEMA_VERSION:  # a bool or "1" is no version
+            raise ValueError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
         choice = Choices.from_items(
             (
                 (number(c["s1"], n1), resolve(c["action"]), number(c["s2"], n2)),

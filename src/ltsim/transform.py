@@ -26,13 +26,14 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .composition import ProductLts
 from .errors import BudgetExceeded, ContractViolation, DepthExhausted
-from .lts import Action, ActionKind, Lts, Trace, depth_first, sort_actions
+from .lts import IDLE, Action, ActionKind, Lts, Trace, depth_first, sort_actions
 from .scheduler import (
     Scheduler,
     SchedulerCheck,
     TraceNode,
     TracePrefixTree,
     _Memo,
+    _ONLY_IDLE,
     check_scheduler_tree,
     enumerate_traces,
     node_budget,
@@ -135,11 +136,11 @@ def build_f(
 
     Walks the consistent traces of prod1 under s1 to the given depth;
     each step extends the image by the mapped sequence, replayed on
-    prod2.  The empty trace maps to the empty trace.  The concrete idle
-    action maps to the abstract idle when enabled at the image state
-    and to the empty sequence otherwise.  A step's mapped sequence and
-    its replay depend only on the two end states and the action, so
-    each distinct one is computed once.
+    prod2.  The empty trace maps to the empty trace.  The idle action
+    maps to itself when enabled at the image state and to the empty
+    sequence otherwise.  A step's mapped sequence and its replay depend
+    only on the two end states and the action, so each distinct one is
+    computed once.
     """
     for prod, name in ((prod1, "concrete"), (prod2, "abstract")):
         if not isinstance(prod, ProductLts):
@@ -149,8 +150,6 @@ def build_f(
 
     limit = node_budget(budget)
     gamma_p = prod1.alphabet.gamma_p
-    idle1 = prod1.alphabet.idle
-    idle2 = prod2.alphabet.idle
 
     concrete = enumerate_traces(prod1, s1, depth, budget=limit)
     image = TracePrefixTree(prod2.initial)
@@ -164,8 +163,8 @@ def build_f(
         (None when all replay).  The annotation None stands for the
         concrete node's scheduled set."""
         state1, a, state2 = key
-        if a == idle1:
-            alpha: Trace = (idle2,) if prod2.step(state2, idle2) is not None else ()
+        if a == IDLE:
+            alpha: Trace = (IDLE,) if prod2.step(state2, IDLE) is not None else ()
         else:
             alpha = mapping_m(prod1.part(state1).obj, a, prod2.part(state2).obj, cert)
         steps = []
@@ -281,7 +280,7 @@ class S2Scheduler(Scheduler):
         if image is self.mt.image:
             return at.scheduled
         if at is None:
-            return frozenset({self.mt.prod2.alphabet.idle})
+            return _ONLY_IDLE
         return None
 
     def scheduled(self, cur: tuple) -> frozenset[Action]:

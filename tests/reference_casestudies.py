@@ -52,7 +52,7 @@ def _closure(
                 )
         rows.append(row)
     labels = [label(st) for st in states]
-    return Lts._from_rows(alphabet, 0, _idle_completed(rows, alphabet.idle), labels)
+    return Lts._from_rows(alphabet, 0, _idle_completed(rows), labels)
 
 
 def reference_build_faa_impl(cfg: FaaConfig) -> Lts:

@@ -129,7 +129,7 @@ def test_the_strategy_choices_read_alike_in_help_and_errors(capsys, monkeypatch)
     assert digest.hexdigest() == STRATEGY_TEXT_DIGEST
 
 
-STRATEGY_TEXT_DIGEST = "6c6ac9ef79edb206bf0fefd4a839cb98d8918c4ab3ffc0c5d91149de25c96496"
+STRATEGY_TEXT_DIGEST = "d48894ceb6924d633e370bc08f344311a75292d161d149e87f8e96fe21c1e773"
 
 
 def test_a_seed_does_not_carry_over_to_the_next_call(models, capsys):
@@ -431,6 +431,9 @@ MALFORMED_CERTIFICATES = {
     "target-negative": lambda p: p["choices"][0].update(target=-1),
     "gamma-object": _as_object("gamma"),
     "alpha-object": _as_object("alpha"),
+    "schema-version-2": lambda p: p.update(schema_version=2),
+    "schema-version-missing": lambda p: p.pop("schema_version"),
+    "schema-version-string": lambda p: p.update(schema_version=str(p["schema_version"])),
 }
 
 
@@ -1237,6 +1240,20 @@ def test_check_lemmas_cli_reports_every_check(models, prog_cert, capsys):
     assert all(r["ok"] for r in results)
     assert [r["checked"] for r in results] == [21, 12, 21, 19, 17]
     assert all(r["counterexample"] is None for r in results)
+
+
+@pytest.mark.parametrize("command", ["transform-scheduler", "check-lemmas"])
+def test_a_supplied_certificate_leaves_gamma_and_alpha_bound_unread(
+    models, prog_cert, capsys, command
+):
+    """The file's own gamma and alpha bound are used: a --gamma that names
+    no action, or an alpha bound of 0, changes no byte and no exit code."""
+    capsys.readouterr()
+    argv = [command, models["prog"], models["plain"], models["spec"], "--cert", prog_cert]
+    supplied = run(capsys, argv)
+    assert supplied[0] == 0
+    assert run(capsys, [*argv, "--gamma", "labels:nope"]) == supplied
+    assert run(capsys, [*argv, "--gamma", "bogus", "--alpha-bound", "0"]) == supplied
 
 
 # --- divergence and the case study ------------------------------------------

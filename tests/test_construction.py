@@ -171,18 +171,26 @@ def test_a_cloned_alphabet_is_equal_with_its_derived_sets(clone):
 
 def test_alphabet_fields_equality_and_replace_ignore_the_derived_sets():
     assert [f.name for f in dataclasses.fields(Alphabet)] == [
-        "program", "calls", "returns", "internal", "idle",
+        "program", "calls", "returns", "internal",
     ]
     rebuilt = Alphabet(ALPHA.program, ALPHA.calls, ALPHA.returns, ALPHA.internal)
     assert rebuilt == ALPHA and hash(rebuilt) == hash(ALPHA)
     assert repr(ALPHA) == (
         f"Alphabet(program={ALPHA.program!r}, calls=frozenset(), returns=frozenset(), "
-        f"internal={ALPHA.internal!r}, idle={IDLE!r})"
+        f"internal={ALPHA.internal!r})"
     )
     narrowed = dataclasses.replace(ALPHA, internal=frozenset({T}))
     assert narrowed.all_actions == {P, T, IDLE} and narrowed != ALPHA
     with pytest.raises(ModelError, match="appears in both"):
         dataclasses.replace(ALPHA, internal=frozenset({internal("p")}))
+
+
+def test_every_alphabet_has_the_one_idle_action():
+    assert Alphabet.idle is IDLE and ALPHA.idle is IDLE
+    with pytest.raises(TypeError, match="idle"):
+        Alphabet(ALPHA.program, ALPHA.calls, ALPHA.returns, ALPHA.internal, idle=OTHER_IDLE)
+    with pytest.raises(ModelError, match="action idle appears in both internal and idle"):
+        Alphabet(frozenset(), frozenset(), frozenset(), frozenset({internal("idle")}))
 
 
 @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
