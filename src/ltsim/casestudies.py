@@ -47,9 +47,9 @@ from .scheduler import (
     register_strategy,
 )
 from .simulation import (
-    DEFAULT_ALPHA_BOUND,
     check_forward,
     check_progressive,
+    sufficient_alpha_bound,
     validate_certificate,
     validate_stutter_cycle,
 )
@@ -439,6 +439,9 @@ def run_counterexample_suite(
         equal projected traces.  Step (e) exercises termination, an
         extension beyond the divergence contrast of (a)-(d).
 
+    Every match search runs at sufficient_alpha_bound(spec), so none is
+    cut and the certificate that (a) validates states that bound; (e)
+    validates its progressive certificate before transforming on it.
     Only cfg's threads and addends are read: the suite builds both
     variants itself, so cfg.variant changes nothing.
     """
@@ -449,10 +452,9 @@ def run_counterexample_suite(
     spec = build_faa_spec(cfg)
     prog = build_program(cfg)
     gamma = impl.alphabet.cr
-    bound = DEFAULT_ALPHA_BOUND  # of every match search below
+    bound = sufficient_alpha_bound(spec)  # no match search below is cut
 
-    # (a) plain forward simulation holds: a valid certificate shows it,
-    # and only a search the alpha bound cut leaves it open
+    # (a) plain forward simulation holds: a valid certificate shows it
     fwd = check_forward(impl, spec, gamma, alpha_bound=bound)
     cert_ok, problems = (False, ["no certificate"])
     if fwd.certificate is not None:
@@ -467,14 +469,12 @@ def run_counterexample_suite(
                 "certificate_valid": cert_ok,
                 "problems": problems[:3],
             },
-            ran_short=fwd.certificate is None and not fwd.complete,
         )
     )
 
-    # (b) progressive simulation refuted with a stutter cycle, by a search
-    # the alpha bound did not cut; a cut one, or a spent budget, runs short
+    # (b) progressive simulation refuted by a stutter cycle; a spent budget runs short
     prog_res = check_progressive(impl, spec, gamma, alpha_bound=bound)
-    decided = prog_res.complete and prog_res.verdict != "unknown"
+    decided = prog_res.verdict != "unknown"
     cycle_ok = False
     cycle_actions: list[str] = []
     if prog_res.cycle is not None:
@@ -540,6 +540,10 @@ def run_counterexample_suite(
         "progressive_verdict": plain_prog.verdict,
     }
     ok_e = plain_prog.verdict == "yes" and plain_prog.certificate is not None
+    if ok_e:
+        ok_e, problems = validate_certificate(plain_prog.certificate, plain_prog.witness, plain, spec)
+        if not ok_e:
+            detail["certificate_problems"] = problems[:3]
     short = False
     if ok_e:
         prod_plain = product(prog, plain)

@@ -35,7 +35,9 @@ refutes nothing: check-fwd and check-prog-fwd then report "unknown",
 and transform-scheduler and check-lemmas, left without a certificate to
 work from, stop as on a spent bound (2, stdout empty).  Those two
 read --gamma and --alpha-bound only to compute that certificate: a
---cert file carries its own, and the flags are then not read.
+--cert file carries its own, and the flags are then not read.  Either
+certificate passes the validator before the transformation acts on it.
+run-casestudy takes no alpha bound: its suite matches exhaustively.
 
 Files are read and written as UTF-8 whatever the locale; stdout keeps
 the terminal's encoding, which matters only for export-dot without -o,
@@ -330,9 +332,6 @@ def _load_transform(args: argparse.Namespace):
     obj2 = _read(args.abstract)
     if args.cert:  # the file carries its gamma and alpha bound: the flags are not read
         cert, _witness = _read_certificate(args.cert, obj1, obj2)
-        ok, problems = validate_certificate(cert, None, obj1, obj2)
-        if not ok:
-            raise ContractViolation(f"supplied certificate is invalid: {problems[0]}")
         cert_source = "supplied"
     else:
         gamma = _resolve_gamma(args.gamma, obj1, obj2)
@@ -346,6 +345,9 @@ def _load_transform(args: argparse.Namespace):
             raise ContractViolation("no forward simulation between the objects")
         cert = res.certificate
         cert_source = "computed"
+    ok, problems = validate_certificate(cert, None, obj1, obj2)
+    if not ok:
+        raise ContractViolation(f"{cert_source} certificate is invalid: {problems[0]}")
     prod1 = product(prog, obj1)
     prod2 = product(prog, obj2)
     s1 = make_scheduler(args.strategy, prod1)

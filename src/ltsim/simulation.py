@@ -1158,7 +1158,14 @@ def certificate_from_dict(
             raise ValueError(f"expected a list of action labels, got {labels!r}")
         return tuple(map(resolve, labels))
 
+    def listed(key: str) -> list:
+        if not isinstance(data[key], list):
+            raise ValueError(f"{key} must be a list, got {type(data[key]).__name__}")
+        return data[key]
+
     try:
+        if not isinstance(data, dict):
+            raise ValueError(f"expected an object, got {type(data).__name__}")
         version = data["schema_version"]
         if type(version) is not int or version != SCHEMA_VERSION:  # a bool or "1" is no version
             raise ValueError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
@@ -1167,12 +1174,12 @@ def certificate_from_dict(
                 (number(c["s1"], n1), resolve(c["action"]), number(c["s2"], n2)),
                 ChoiceEntry(actions(c["alpha"]), number(c["target"], n2)),
             )
-            for c in data["choices"]
+            for c in listed("choices")
         )
         cert = SimulationCertificate(
             # unpacking rejects an entry that is not a pair
             relation=Relation.from_pairs(
-                (number(x, n1), number(y, n2)) for x, y in data["relation"]
+                (number(x, n1), number(y, n2)) for x, y in listed("relation")
             ),
             choice=choice,
             gamma=frozenset(actions(data["gamma"])),

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from ltsim import (
     ActionKind,
     ModelError,
     ObjectFirstStrategy,
+    ProgressWitness,
     check_admitted,
     check_deterministic_scheduler,
     check_forward,
@@ -327,3 +329,23 @@ def test_suite_passes_and_is_reproducible():
     blob1 = json.dumps(rep1.to_dict(), sort_keys=True)
     blob2 = json.dumps(rep2.to_dict(), sort_keys=True)
     assert blob1 == blob2
+
+
+def test_suite_transforms_only_on_a_valid_progressive_certificate(monkeypatch):
+    """Step (e) validates the plain variant's certificate before building the
+    derived scheduler on it: all-zero ranks descend on no stutter step."""
+    real = casestudies.check_progressive
+
+    def zero_ranks(a1, *args, **kwargs):
+        res = real(a1, *args, **kwargs)
+        if res.verdict != "yes":
+            return res
+        return replace(res, witness=ProgressWitness(dict.fromkeys(range(a1.num_states), 0)))
+
+    monkeypatch.setattr(casestudies, "check_progressive", zero_ranks)
+    rep = run_counterexample_suite()
+    *decided, transform = rep.steps
+    assert all(s.ok for s in decided)
+    assert (transform.ok, transform.ran_short, rep.verdict) == (False, False, "refuted")
+    assert transform.detail["progressive_verdict"] == "yes"
+    assert transform.detail["certificate_problems"]

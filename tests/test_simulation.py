@@ -574,6 +574,19 @@ def test_faa_four_threads_forward_pins(variant, size, deleted):
     assert (len(cert.choice), choice_digest(cert.choice)) == FOUR_THREAD_CHOICES[variant]
 
 
+@pytest.mark.parametrize(
+    "variant, threads, size",
+    [("invalidating", 3, 1_496), ("plain", 3, 1_473), ("invalidating", 4, 23_637), ("plain", 4, 23_158)],
+)
+def test_faa_relation_at_the_exhaustive_bound_is_the_bound_7_relation(variant, threads, size):
+    # run-casestudy matches at sufficient_alpha_bound; on FAA no match
+    # longer than 7 steps adds a pair
+    a1, a2, gamma, _ = faa_case(variant, threads)
+    exhaustive = check_forward(a1, a2, gamma, alpha_bound=sufficient_alpha_bound(a2))
+    assert exhaustive.complete and len(exhaustive.relation) == size
+    assert exhaustive.relation == check_forward(a1, a2, gamma, alpha_bound=7).relation
+
+
 def test_faa_five_threads_relation_pin():
     # recorded before the fixpoint decoded each row value once; the
     # 5-thread fixpoint makes 23,425 images over 6,058 row values
